@@ -19,6 +19,7 @@ from .errors import (
     DivisionError,
     InternalMismatch,
     NotPure,
+    as_int_tuple,
 )
 
 
@@ -95,12 +96,13 @@ class BettiTable:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> BettiTable:
+        (codim,) = as_int_tuple([obj["codim"]], "codim")
         entries = [
-            (i + 1, int(shift), int(rank))
+            (i + 1, *as_int_tuple(pair, "shift and rank"))
             for i, step in enumerate(obj["steps"])
-            for shift, rank in step
+            for pair in step
         ]
-        return cls.from_entries(int(obj["codim"]), entries)
+        return cls.from_entries(codim, entries)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ Input = object  # DegreeMatrixCM2 | DegreeMatrixGor3 | MonomialStaircase | Betti
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
@@ -109,79 +109,31 @@ def _json_text(obj: object) -> str:
 # compute
 # ---------------------------------------------------------------------------
 
-def _compute_cm2(A: cm2.DegreeMatrixCM2) -> dict:
-    s = cm2.shifts(A)
-    e_uv = cm2.multiplicity_uv(A)
-    table = cm2.betti_table(A)
-    e_res = betti.multiplicity(table)
-    e_st = oracle.colength(cm2.witness_monomial_ideal(A))
-    summary = betti.shift_summary(table)
-    pur = betti.purity(table)
-    loh, uph = bounds.hhs_bounds(summary, 2, e_uv)
-    lo2, up2 = bounds.cm2_bounds(s.m1, s.m2, s.M1, s.M2, e_uv)
-    p24 = bounds.prop24_bound(A, e_uv)
-    sharp = bounds.sharpness(summary, 2, e_uv)
-    return {
-        "instance": A.to_json_dict(),
-        "shifts": {"m1": s.m1, "m2": s.m2, "M1": s.M1, "M2": s.M2},
-        "pure": pur.pure,
-        "quasi_pure": pur.quasi_pure,
-        "multiplicity": {
-            "value": e_uv,
-            "uv": e_uv,
-            "resolution": e_res,
-            "staircase": e_st,
-            "agree": e_uv == e_res == e_st,
-        },
-        "bounds": [v.to_json_dict() for v in (loh, uph, lo2, up2, p24.verdict)],
-        "prop24": {
-            "hyp_i": p24.hyp_i,
-            "hyp_ii": p24.hyp_ii,
-            "hyp_ii_margin": p24.hyp_ii_margin,
-        },
-        "sharpness": {
-            "lower_sharp": sharp.lower_sharp,
-            "upper_sharp": sharp.upper_sharp,
-            "pure": sharp.pure,
-        },
-    }
+def _routes(ev: sweep.Evaluation) -> dict[str, int]:
+    """Every multiplicity route of a matrix; a failed route raises here."""
+    routes = ev.routes
+    for value in routes.values():
+        if not isinstance(value, int):
+            raise value
+    return routes
 
 
-def _compute_gor3(G: gor3.DegreeMatrixGor3) -> dict:
-    s = gor3.shifts(G)
-    e_pf = gor3.multiplicity_pfaffian(G)
-    table = gor3.betti_table(G)
-    e_res = betti.multiplicity(table)
-    e_link = gor3.linkage_check(G)
-    summary = betti.shift_summary(table)
-    pur = betti.purity(table)
-    loh, uph = bounds.hhs_bounds(summary, 3, e_pf)
-    lo3, up3 = bounds.gor3_bounds(s.m1, s.m2, s.m3, s.M1, s.M2, s.M3, e_pf)
-    sl, su, quasi = bounds.srinivasan_bounds(summary, e_pf)
-    sharp = bounds.sharpness(summary, 3, e_pf)
-    return {
-        "instance": G.to_json_dict(),
-        "shifts": {
-            "m1": s.m1, "m2": s.m2, "m3": s.m3,
-            "M1": s.M1, "M2": s.M2, "M3": s.M3,
-        },
-        "pure": pur.pure,
-        "quasi_pure": pur.quasi_pure,
-        "multiplicity": {
-            "value": e_pf,
-            "pfaffian": e_pf,
-            "resolution": e_res,
-            "linkage": e_link,
-            "agree": e_pf == e_res == e_link,
-        },
-        "bounds": [v.to_json_dict() for v in (loh, uph, lo3, up3, sl, su)],
-        "srinivasan_quasi_pure": quasi,
-        "sharpness": {
-            "lower_sharp": sharp.lower_sharp,
-            "upper_sharp": sharp.upper_sharp,
-            "pure": sharp.pure,
-        },
+def _compute_matrix(ev: sweep.Evaluation) -> dict:
+    routes = _routes(ev)
+    result = {
+        "instance": ev.inst,
+        "shifts": ev.shifts._asdict(),
+        "pure": ev.purity.pure,
+        "quasi_pure": ev.purity.quasi_pure,
+        "multiplicity": {"value": ev.e, **routes, "agree": len(set(routes.values())) == 1},
+        "bounds": [v.to_json_dict() for v in ev.verdicts],
     }
+    if ev.family == "cm2":
+        result["prop24"] = ev.prop24_flags
+    else:
+        result["srinivasan_quasi_pure"] = ev.srinivasan[2]
+    result["sharpness"] = ev.sharpness._asdict()
+    return result
 
 
 def _compute_betti(table: betti.BettiTable) -> dict:
@@ -213,19 +165,22 @@ def _compute_staircase(s: oracle.MonomialStaircase) -> dict:
 
 
 def _compute_result(item: Input) -> dict:
-    if isinstance(item, cm2.DegreeMatrixCM2):
-        return _compute_cm2(item)
-    if isinstance(item, gor3.DegreeMatrixGor3):
-        return _compute_gor3(item)
     if isinstance(item, betti.BettiTable):
         return _compute_betti(item)
     if isinstance(item, oracle.MonomialStaircase):
         return _compute_staircase(item)
-    raise ParseError(f"cannot compute on {type(item).__name__}")
+    return _compute_matrix(sweep.evaluate(item))
 
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
+
+
+def _bound_line(v: dict) -> str:
+    return (
+        f"  {v['name']}: {v['factor']}*e = {v['lhs']} {v['relation']} {v['rhs']}"
+        f"  holds={_flag(v['holds'])} sharp={_flag(v['sharp'])}"
+    )
 
 
 def _render_compute_text(result: dict) -> str:
@@ -251,11 +206,7 @@ def _render_compute_text(result: dict) -> str:
         lines.append(f"genus_dim2: {result['genus_dim2']}")
         if "huneke_miller" in result:
             lines.append(f"huneke_miller: {result['huneke_miller']}")
-        for v in result.get("bounds", []):
-            lines.append(
-                f"  {v['name']}: {v['factor']}*e = {v['lhs']} {v['relation']} {v['rhs']}"
-                f"  holds={_flag(v['holds'])} sharp={_flag(v['sharp'])}"
-            )
+        lines.extend(_bound_line(v) for v in result.get("bounds", []))
         return "\n".join(lines)
     family = inst["type"]
     lines.append(f"family: {family}")
@@ -264,13 +215,8 @@ def _render_compute_text(result: dict) -> str:
     lines.append("b: " + " ".join(map(str, inst["b"])))
     if family == "gor3":
         lines.append(f"d: {inst['d']}")
-    sh = result["shifts"]
-    if family == "cm2":
-        lines.append(f"m1: {sh['m1']}  m2: {sh['m2']}")
-        lines.append(f"M1: {sh['M1']}  M2: {sh['M2']}")
-    else:
-        lines.append(f"m1: {sh['m1']}  m2: {sh['m2']}  m3: {sh['m3']}")
-        lines.append(f"M1: {sh['M1']}  M2: {sh['M2']}  M3: {sh['M3']}")
+    for letter in "mM":
+        lines.append("  ".join(f"{k}: {v}" for k, v in result["shifts"].items() if k[0] == letter))
     lines.append(f"pure: {_flag(result['pure'])}  quasi_pure: {_flag(result['quasi_pure'])}")
     mult = result["multiplicity"]
     lines.append(f"multiplicity: {mult['value']}")
@@ -279,11 +225,7 @@ def _render_compute_text(result: dict) -> str:
             lines.append(f"  {route}: {mult[route]}")
     lines.append(f"  agree: {'yes' if mult['agree'] else 'NO'}")
     lines.append("bounds:")
-    for v in result["bounds"]:
-        lines.append(
-            f"  {v['name']}: {v['factor']}*e = {v['lhs']} {v['relation']} {v['rhs']}"
-            f"  holds={_flag(v['holds'])} sharp={_flag(v['sharp'])}"
-        )
+    lines.extend(_bound_line(v) for v in result["bounds"])
     if "prop24" in result:
         p24 = result["prop24"]
         margin = p24["hyp_ii_margin"]
@@ -339,14 +281,10 @@ def _validate_text(item: Input) -> str:
     raise ParseError(f"cannot validate {type(item).__name__}")
 
 
-def _to_json_dict(item: Input) -> dict:
-    return item.to_json_dict()  # type: ignore[attr-defined]
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
     if args.format == "json":
-        docs = [_to_json_dict(item) for item in items]
+        docs = [item.to_json_dict() for item in items]
         _emit(_json_text(docs if len(docs) > 1 else docs[0]), args)
     else:
         _emit("\n".join(_validate_text(item) for item in items), args)
@@ -357,32 +295,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _routes(item: Input) -> dict:
-    if isinstance(item, cm2.DegreeMatrixCM2):
-        routes = {
-            "uv": cm2.multiplicity_uv(item),
-            "resolution": betti.multiplicity(cm2.betti_table(item)),
-            "staircase": oracle.colength(cm2.witness_monomial_ideal(item)),
-        }
-    elif isinstance(item, gor3.DegreeMatrixGor3):
-        routes = {
-            "pfaffian": gor3.multiplicity_pfaffian(item),
-            "resolution": betti.multiplicity(gor3.betti_table(item)),
-            "linkage": gor3._linkage_value(item),
-        }
-    else:
+def _oracle_report(item: Input) -> dict:
+    if not isinstance(item, (cm2.DegreeMatrixCM2, gor3.DegreeMatrixGor3)):
         raise ParseError("oracle-check needs cm2 or gor3 matrices")
-    values = list(routes.values())
+    routes = _routes(sweep.evaluate(item))
     return {
-        "instance": _to_json_dict(item),
+        "instance": item.to_json_dict(),
         "routes": routes,
-        "agree": all(v == values[0] for v in values),
+        "agree": len(set(routes.values())) == 1,
     }
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
-    reports = [_routes(item) for item in items]
+    reports = [_oracle_report(item) for item in items]
     if args.format == "json":
         _emit(_json_text(reports if len(reports) > 1 else reports[0]), args)
     else:
@@ -413,17 +339,13 @@ def _sweep_family(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else None
-    try:
-        config = sweep.SweepConfig(
-            family=_sweep_family(args),
-            t_max=args.t_max,
-            entry_max=args.entry_max,
-            checks=checks,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    config = sweep.SweepConfig(
+        family=_sweep_family(args),
+        t_max=args.t_max,
+        entry_max=args.entry_max,
+        checks=tuple(args.checks.split(",")) if args.checks else None,
+        jobs=args.jobs,
+    )
     if args.format == "csv":
         buf = io.StringIO()
         report = sweep.write_sweep_csv(config, buf)
@@ -438,20 +360,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    family = sweep.HUNT_TARGETS.get(args.target)
-    if family is None:
-        raise UnknownTarget(
-            f"unknown target {args.target!r}; known: {sorted(sweep.HUNT_TARGETS)}"
-        )
-    try:
-        config = sweep.SweepConfig(
-            family=family,
-            t_max=args.t_max,
-            entry_max=args.entry_max,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    config = sweep.SweepConfig(
+        family=sweep.target_family(args.target),
+        t_max=args.t_max,
+        entry_max=args.entry_max,
+        jobs=args.jobs,
+    )
     report = sweep.hunt(args.target, config, require_hypotheses=args.require_hypotheses)
     if args.format == "csv":
         _emit(sweep.hunt_csv(report), args)
@@ -481,6 +395,13 @@ def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> 
     sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
 
+def _add_range_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--t-max", type=int, required=True)
+    sp.add_argument("--entry-max", type=int, required=True)
+    sp.add_argument("--jobs", type=int, default=1)
+    _add_output_flags(sp, ("text", "json", "csv"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degmult",
@@ -492,39 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="check inputs and print their canonical form")
-    _add_matrix_flags(sp)
-    _add_output_flags(sp, ("text", "json"))
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("compute", help="shifts, multiplicities, and all bound verdicts")
-    _add_matrix_flags(sp)
-    _add_output_flags(sp, ("text", "json"))
-    sp.set_defaults(func=_cmd_compute)
-
-    sp = sub.add_parser("oracle-check", help="compare all multiplicity routes per matrix")
-    _add_matrix_flags(sp)
-    _add_output_flags(sp, ("text", "json"))
-    sp.set_defaults(func=_cmd_oracle_check)
+    for name, help_text, func in (
+        ("validate", "check inputs and print their canonical form", _cmd_validate),
+        ("compute", "shifts, multiplicities, and all bound verdicts", _cmd_compute),
+        ("oracle-check", "compare all multiplicity routes per matrix", _cmd_oracle_check),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        _add_matrix_flags(sp)
+        _add_output_flags(sp, ("text", "json"))
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("sweep", help="verify every invariant over a bounded range")
     sp.add_argument("--cm2", action="store_true")
     sp.add_argument("--gor3", action="store_true")
-    sp.add_argument("--t-max", type=int, required=True)
-    sp.add_argument("--entry-max", type=int, required=True)
     sp.add_argument("--checks", help="comma-separated subset of check names")
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(sp, ("text", "json", "csv"))
+    _add_range_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("hunt", help="search a range for counterexamples to one target")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--t-max", type=int, required=True)
-    sp.add_argument("--entry-max", type=int, required=True)
     sp.add_argument("--require-hypotheses", action="store_true",
                     help="only consider instances satisfying the target's hypotheses")
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(sp, ("text", "json", "csv"))
+    _add_range_flags(sp)
     sp.set_defaults(func=_cmd_hunt)
 
     return parser

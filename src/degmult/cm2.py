@@ -14,11 +14,10 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import betti, oracle
-from .errors import InternalMismatch, InvalidDiagonal, NotMonotone
+from .errors import InternalMismatch, InvalidDiagonal, NotMonotone, as_int_tuple
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,46 @@ class UVData(NamedTuple):
     u: tuple[int, ...]
     v: tuple[int, ...]
 
+    def multiplicity(self) -> int:
+        """Multiplicity via both u/v expressions, which must agree.
+
+        e(R/I) = sum_i u_i (v_i + .. + v_{m-1}) = sum_i v_i (u_1 + .. + u_i).
+        """
+        tail = 0
+        first = 0
+        for ui, vi in zip(reversed(self.u), reversed(self.v)):
+            tail += vi
+            first += ui * tail
+        head = 0
+        second = 0
+        for ui, vi in zip(self.u, self.v):
+            head += ui
+            second += vi * head
+        if first != second:
+            raise InternalMismatch(
+                f"u/v multiplicity expressions disagree: {first} != {second}"
+            )
+        return first
+
+    def hs_identities(self) -> bool:
+        """Whether both Herzog-Srinivasan summation identities hold.
+
+        In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
+                     = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
+        and the mirror identity in the u's.  Both are theorems; a False
+        return is a reportable anomaly.
+        """
+        u, v, m = self.u, self.v, self.m
+        lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
+        rhs_v = sum(v) * sum(v[1:])
+        lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
+        rhs_u = sum(u) * sum(u[: m - 2])
+        return lhs_v == rhs_v and lhs_u == rhs_u
+
 
 def validate(a: Sequence[int], b: Sequence[int]) -> DegreeMatrixCM2:
     """Check a_i >= 1, b_i >= a_i, b_i >= a_{i+1} and build the matrix."""
-    return DegreeMatrixCM2(_as_int_tuple(a, "a"), _as_int_tuple(b, "b"))
-
-
-def _as_int_tuple(xs: Sequence[int], name: str) -> tuple[int, ...]:
-    out = []
-    for x in xs:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"{name} entries must be integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    return DegreeMatrixCM2(as_int_tuple(a, "a"), as_int_tuple(b, "b"))
 
 
 def generator_degrees(A: DegreeMatrixCM2) -> tuple[int, ...]:
@@ -150,14 +176,12 @@ def full_matrix(A: DegreeMatrixCM2) -> list[list[int]]:
     return grid
 
 
-@lru_cache(maxsize=1 << 17)
 def uv_data(A: DegreeMatrixCM2) -> UVData:
     """Sorted degree lists and their u/v differences, cross-checked.
 
     The degree-matrix convention orders degrees decreasingly; sorting
     ascending reconciles it with the resolution convention.  The four
-    extreme-degree identities are verified on the result.  Cached:
-    sweeps revisit the same matrix from several checks.
+    extreme-degree identities are verified on the result.
     """
     e = tuple(sorted(generator_degrees(A)))
     f = tuple(sorted(syzygy_degrees(A)))
@@ -187,43 +211,13 @@ def uv_data(A: DegreeMatrixCM2) -> UVData:
 
 
 def multiplicity_uv(A: DegreeMatrixCM2) -> int:
-    """Multiplicity via both u/v expressions, which must agree.
-
-    e(R/I) = sum_i u_i (v_i + .. + v_{m-1}) = sum_i v_i (u_1 + .. + u_i).
-    """
-    uv = uv_data(A)
-    tail = 0
-    first = 0
-    for ui, vi in zip(reversed(uv.u), reversed(uv.v)):
-        tail += vi
-        first += ui * tail
-    head = 0
-    second = 0
-    for ui, vi in zip(uv.u, uv.v):
-        head += ui
-        second += vi * head
-    if first != second:
-        raise InternalMismatch(
-            f"u/v multiplicity expressions disagree: {first} != {second}"
-        )
-    return first
+    """Multiplicity via both u/v expressions; see :meth:`UVData.multiplicity`."""
+    return uv_data(A).multiplicity()
 
 
 def hs_identities(A: DegreeMatrixCM2) -> bool:
-    """Whether both Herzog-Srinivasan summation identities hold.
-
-    In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
-                 = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
-    and the mirror identity in the u's.  Both are theorems; a False
-    return is a reportable anomaly.
-    """
-    uv = uv_data(A)
-    u, v, m = uv.u, uv.v, uv.m
-    lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
-    rhs_v = sum(v) * sum(v[1:])
-    lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
-    rhs_u = sum(u) * sum(u[: m - 2])
-    return lhs_v == rhs_v and lhs_u == rhs_u
+    """The Herzog-Srinivasan identities; see :meth:`UVData.hs_identities`."""
+    return uv_data(A).hs_identities()
 
 
 def betti_table(A: DegreeMatrixCM2) -> betti.BettiTable:

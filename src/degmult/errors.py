@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all degmult modules."""
+"""Exception hierarchy shared by all degmult modules, and the strict
+integer rule every loader applies to input from outside the program."""
+from __future__ import annotations
+
+from typing import Iterable
 
 
 class DegmultError(Exception):
@@ -47,3 +51,17 @@ class UnknownTarget(DegmultError):
 
 class ParseError(DegmultError):
     """Malformed JSON document or command-line value."""
+
+
+def as_int_tuple(xs: Iterable[object], name: str) -> tuple[int, ...]:
+    """The entries as a tuple, refusing anything but true integers.
+
+    Bools, floats and strings raise ValueError rather than being
+    coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``.
+    """
+    out = []
+    for x in xs:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{name} entries must be integers, got {x!r}")
+        out.append(x)
+    return tuple(out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotArtinian
+from .errors import NotArtinian, as_int_tuple
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class MonomialStaircase:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> MonomialStaircase:
-        return minimalize([(int(p), int(q)) for p, q in obj["gens"]])
+        return minimalize(as_int_tuple(g, "gens") for g in obj["gens"])
 
 
 def minimalize(gens: Iterable[tuple[int, int]]) -> MonomialStaircase:

@@ -5,22 +5,30 @@ lexicographic order, and every enabled identity, bound, and recursion
 is verified on it.  Violations are collected as data, never raised, so
 a report always comes back; a nonempty anomaly list means either an
 implementation bug (all the checked identities are theorems) or, for
-the hunted open questions, a genuine discovery.  Reports are
+the hunted open questions, a genuine discovery.  Every verb reads an
+instance through one :class:`Evaluation`, which computes each part on
+first use, so a verb pays only for what it reads; sweeps and hunts
+stream the enumeration through one ordered driver.  Reports are
 deterministic: byte-identical across runs and across worker counts,
 which is why wall-clock runtime is kept off the serialized forms.
 """
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 from itertools import product
 from multiprocessing import Pool
-from typing import Iterator, TextIO
+from types import ModuleType
+from typing import Callable, Iterator, TextIO
 
 from . import betti, bounds, cm2, gor3, oracle
 from .betti import ShiftSummary
+from .bounds import BoundVerdict
 from .errors import (
     CharacterizationViolated,
+    DegmultError,
     DivisibilityError,
     DivisionError,
     InternalMismatch,
@@ -114,12 +122,15 @@ class Anomaly:
     rhs: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return asdict(self)
+
+
+def _without_runtime(report) -> dict:
+    # runtime deliberately excluded: serialized reports must be
+    # byte-identical across runs and parallelism levels.
+    doc = asdict(report)
+    del doc["runtime_seconds"]
+    return doc
 
 
 @dataclass(frozen=True)
@@ -139,18 +150,7 @@ class SweepReport:
         return not self.anomalies
 
     def to_json_dict(self) -> dict:
-        # runtime deliberately excluded: serialized reports must be
-        # byte-identical across runs and parallelism levels.
-        return {
-            "family": self.family,
-            "t_max": self.t_max,
-            "entry_max": self.entry_max,
-            "checks": list(self.checks),
-            "instances_checked": self.instances_checked,
-            "anomalies": [a.to_json_dict() for a in self.anomalies],
-            "sharp_cases": list(self.sharp_cases),
-            "prop24_findings": list(self.prop24_findings),
-        }
+        return _without_runtime(self)
 
     def summary_text(self) -> str:
         lines = [
@@ -183,15 +183,7 @@ class HuntReport:
         return not self.candidates
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "family": self.family,
-            "t_max": self.t_max,
-            "entry_max": self.entry_max,
-            "require_hypotheses": self.require_hypotheses,
-            "instances_checked": self.instances_checked,
-            "candidates": list(self.candidates),
-        }
+        return _without_runtime(self)
 
     def summary_text(self) -> str:
         lines = [
@@ -228,313 +220,430 @@ def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3
             yield gor3.DegreeMatrixGor3(base, d)
 
 
-@dataclass(frozen=True)
-class _InstanceResult:
-    row: dict
-    anomalies: tuple[Anomaly, ...]
-    sharp: dict | None
-    finding: dict | None
+def _matrix_cells(inst: dict) -> dict:
+    """The t, a, b and d CSV cells of a matrix's JSON form."""
+    return {
+        "t": len(inst["a"]),
+        "a": " ".join(map(str, inst["a"])),
+        "b": " ".join(map(str, inst["b"])),
+        "d": inst.get("d"),
+    }
 
 
-def _blank_row() -> dict:
-    return {col: None for col in SWEEP_CSV_COLUMNS}
+def _cells(verdicts: tuple[BoundVerdict, ...]) -> dict:
+    """The ``<name>_holds`` and ``<name>_sharp`` CSV cells of some verdicts."""
+    cells = {}
+    for v in verdicts:
+        cells[f"{v.name}_holds"] = v.holds
+        cells[f"{v.name}_sharp"] = v.sharp
+    return cells
 
 
-def _evaluate_cm2(A: cm2.DegreeMatrixCM2, entry_max: int, checks: tuple[str, ...]) -> _InstanceResult:
-    inst = A.to_json_dict()
-    anomalies: list[Anomaly] = []
+def _failed(verdicts: tuple[BoundVerdict, ...]) -> Iterator[tuple]:
+    return ((f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds)
 
-    def note(check: str, lhs: object, rhs: object) -> None:
-        anomalies.append(Anomaly(instance=inst, check=check, lhs=str(lhs), rhs=str(rhs)))
 
-    s = cm2.shifts(A)
-    e_uv = e_res = None
-    try:
-        e_uv = cm2.multiplicity_uv(A)
-    except InternalMismatch as exc:
-        note("multiplicity_agreement", "uv route", exc)
-    table = cm2.betti_table(A)
-    try:
-        e_res = betti.multiplicity(table)
-    except DivisionError as exc:
-        note("multiplicity_agreement", "resolution route", exc)
-    e_st = oracle.colength(cm2.witness_monomial_ideal(A))
-    e = e_uv if e_uv is not None else (e_res if e_res is not None else e_st)
+def _appended(cap: int, entry_max: int) -> Iterator[tuple[int, int]]:
+    """The (a, b) pairs the extension check appends to a block ending in b_t = cap."""
+    for b in range(1, entry_max + 1):
+        for a in range(1, min(b, cap) + 1):
+            yield a, b
 
-    if "multiplicity_agreement" in checks:
-        if e_uv is not None and e_res is not None and e_uv != e_res:
-            note("multiplicity_agreement", f"uv={e_uv}", f"resolution={e_res}")
-        if e_uv is not None and e_uv != e_st:
-            note("multiplicity_agreement", f"uv={e_uv}", f"staircase={e_st}")
 
-    summary = betti.shift_summary(table)
-    pur = betti.purity(table)
+class Evaluation:
+    """Everything a verb may read about one matrix, each part computed on
+    first use and then kept.
 
-    if "shift_agreement" in checks:
-        if summary.m != (s.m1, s.m2) or summary.M != (s.M1, s.M2):
-            note("shift_agreement", s, summary)
-        if not (s.m1 < s.m2 and s.M1 < s.M2):
-            note("shift_agreement", "strictly increasing shifts", s)
+    ``ROUTES`` maps each multiplicity route to the function computing it,
+    the value route first; a route that fails holds its exception in
+    place of a value.  ``CHECKS`` lists the family's anomaly checks in
+    report order; check ``name`` is the generator method ``_name``,
+    yielding the two disagreeing sides of each failure.
+    """
 
-    if "hs_identities" in checks:
+    family: str
+    codim: int
+    MODULE: ModuleType
+    ROUTES: dict[str, Callable[[Evaluation], int]]
+    CHECKS: tuple[str, ...]
+
+    def __init__(self, instance) -> None:
+        self.instance = instance
+        self._routes: dict[str, int | DegmultError] = {}
+
+    def route(self, name: str) -> int | DegmultError:
+        if name not in self._routes:
+            try:
+                self._routes[name] = self.ROUTES[name](self)
+            except (InternalMismatch, DivisionError) as exc:
+                self._routes[name] = exc
+        return self._routes[name]
+
+    @property
+    def routes(self) -> dict[str, int | DegmultError]:
+        return {name: self.route(name) for name in self.ROUTES}
+
+    @cached_property
+    def e(self) -> int:
+        """The value route, or should it fail the first other route that succeeds."""
+        for name in self.ROUTES:
+            value = self.route(name)
+            if isinstance(value, int):
+                return value
+        raise value
+
+    @cached_property
+    def inst(self) -> dict:
+        return self.instance.to_json_dict()
+
+    @cached_property
+    def shifts(self) -> cm2.ShiftsCM2 | gor3.ShiftsGor3:
+        return self.MODULE.shifts(self.instance)
+
+    @cached_property
+    def table(self) -> betti.BettiTable:
+        return self.MODULE.betti_table(self.instance)
+
+    @cached_property
+    def summary(self) -> ShiftSummary:
+        return betti.shift_summary(self.table)
+
+    @cached_property
+    def purity(self) -> betti.Purity:
+        return betti.purity(self.table)
+
+    @cached_property
+    def extremes(self) -> ShiftSummary:
+        """The shifts computed from the matrix, as a ShiftSummary."""
+        return ShiftSummary(m=self.shifts[: self.codim], M=self.shifts[self.codim:])
+
+    @cached_property
+    def hhs(self) -> tuple[BoundVerdict, BoundVerdict]:
+        return bounds.hhs_bounds(self.summary, self.codim, self.e)
+
+    @cached_property
+    def sharpness(self) -> bounds.SharpnessVerdict:
+        return bounds.sharpness(self.summary, self.codim, self.e)
+
+    def anomalies(self, checks: tuple[str, ...], entry_max: int) -> tuple[Anomaly, ...]:
+        """Failures of the enabled checks; disabled ones compute nothing."""
+        found = []
+        for name in self.CHECKS:
+            if name not in checks:
+                continue
+            if name == "extension":
+                sides = self._extension(entry_max)
+            else:
+                sides = getattr(self, f"_{name}")()
+            for lhs, rhs in sides:
+                found.append(Anomaly(self.inst, name, str(lhs), str(rhs)))
+        return tuple(found)
+
+    def _multiplicity_agreement(self) -> Iterator[tuple]:
+        routes = self.routes
+        for name, value in routes.items():
+            if not isinstance(value, int):
+                yield f"{name} route", value
+        (first, value), *others = routes.items()
+        if isinstance(value, int):
+            for name, other in others:
+                if isinstance(other, int) and other != value:
+                    yield f"{first}={value}", f"{name}={other}"
+
+    def _shift_agreement(self) -> Iterator[tuple]:
+        if self.summary != self.extremes:
+            yield self.shifts, self.summary
+        if not all(x < y for seq in self.extremes for x, y in zip(seq, seq[1:])):
+            yield "strictly increasing shifts", self.shifts
+
+    def _hhs_bounds(self) -> Iterator[tuple]:
+        return _failed(self.hhs)
+
+    def _sharpness_purity(self) -> Iterator[tuple]:
         try:
-            if not cm2.hs_identities(A):
-                note("hs_identities", "identity sums", "disagree")
-        except InternalMismatch as exc:
-            note("hs_identities", "uv data", exc)
-
-    if "uv_facts" in checks:
-        try:
-            cm2.uv_data(A)
-        except InternalMismatch as exc:
-            note("uv_facts", "extreme-degree identities", exc)
-
-    lo2, up2 = bounds.cm2_bounds(s.m1, s.m2, s.M1, s.M2, e)
-    if "cm2_bounds" in checks:
-        for v in (lo2, up2):
-            if not v.holds:
-                note("cm2_bounds", f"{v.name}: {v.lhs}", v.rhs)
-    loh, uph = bounds.hhs_bounds(summary, 2, e)
-    if "hhs_bounds" in checks:
-        for v in (loh, uph):
-            if not v.holds:
-                note("hhs_bounds", f"{v.name}: {v.lhs}", v.rhs)
-
-    if "sharpness_purity" in checks:
-        try:
-            bounds.sharpness(summary, 2, e)
+            self.sharpness
         except CharacterizationViolated as exc:
-            note("sharpness_purity", "flags", exc)
+            yield "flags", exc
 
-    if "huneke_miller" in checks and pur.pure:
+    def _huneke_miller(self) -> Iterator[tuple]:
+        if not self.purity.pure:
+            return
         try:
-            hm = betti.huneke_miller(table)
-            if hm != e:
-                note("huneke_miller", hm, e)
+            hm = betti.huneke_miller(self.table)
         except (NotPure, DivisibilityError, InternalMismatch, ValueError) as exc:
-            note("huneke_miller", "pure-shift formula", exc)
+            yield "pure-shift formula", exc
+            return
+        if hm != self.e:
+            yield hm, self.e
 
-    if "extension" in checks and e_uv is not None:
-        # Inlined form of cm2.extend's assertions, reusing the base
-        # multiplicity across all appended (a, b) pairs.
-        cap = A.b[-1]
-        for b_new in range(1, entry_max + 1):
-            for a_new in range(1, min(b_new, cap) + 1):
-                A2 = cm2.DegreeMatrixCM2(A.a + (a_new,), A.b + (b_new,))
-                s2 = cm2.shifts(A2)
-                expected = (
-                    s.m1 + a_new,
-                    s.m2 + a_new + b_new - cap,
-                    s.M1 + b_new,
-                    s.M2 + b_new,
-                )
-                if tuple(s2) != expected:
-                    note("extension", f"shift deltas for (a={a_new}, b={b_new}): {tuple(s2)}", expected)
-                try:
-                    e_direct = cm2.multiplicity_uv(A2)
-                except InternalMismatch as exc:
-                    note("extension", f"append (a={a_new}, b={b_new})", exc)
-                    continue
-                e_recursed = e_uv + (s.m1 + a_new) * b_new
-                if e_direct != e_recursed:
-                    note(
-                        "extension",
-                        f"recursion for (a={a_new}, b={b_new}): {e_recursed}",
-                        e_direct,
-                    )
+    def sharp_case(self) -> dict | None:
+        return {"instance": self.inst, "e": self.e} if self.purity.pure else None
 
-    p24 = bounds.prop24_bound(A, e)
-    finding = None
-    if "prop24" in checks and not p24.bound_holds:
-        finding = {
-            "instance": inst,
-            "hyp_i": p24.hyp_i,
-            "hyp_ii": p24.hyp_ii,
-            "hyp_ii_margin": p24.hyp_ii_margin,
-            "lhs": p24.verdict.lhs,
-            "rhs": p24.verdict.rhs,
+    def finding(self, checks: tuple[str, ...]) -> dict | None:
+        """A sweep finding on an open bound; none unless the family has one."""
+        return None
+
+    def row(self) -> dict:
+        """The sweep CSV row, keyed by column."""
+        row = dict.fromkeys(SWEEP_CSV_COLUMNS)
+        row.update(
+            _matrix_cells(self.inst),
+            **self.shifts._asdict(),
+            family=self.family,
+            e=self.e,
+            pure=self.purity.pure,
+            quasi_pure=self.purity.quasi_pure,
+        )
+        row.update(_cells(self.hhs), **self._family_cells())
+        return row
+
+    def _candidate(self, v: BoundVerdict) -> dict:
+        return {
+            "instance": self.inst,
+            **self.shifts._asdict(),
+            "e": self.e,
+            "lhs": v.lhs,
+            "rhs": v.rhs,
+            "factor": v.factor,
         }
 
-    row = _blank_row()
-    row.update(
-        family="cm2",
-        t=A.t,
-        a=" ".join(map(str, A.a)),
-        b=" ".join(map(str, A.b)),
-        m1=s.m1, m2=s.m2, M1=s.M1, M2=s.M2,
-        e=e,
-        pure=pur.pure,
-        quasi_pure=pur.quasi_pure,
-        hhs_lower_holds=loh.holds, hhs_lower_sharp=loh.sharp,
-        hhs_upper_holds=uph.holds, hhs_upper_sharp=uph.sharp,
-        cm2_lower_holds=lo2.holds, cm2_lower_sharp=lo2.sharp,
-        cm2_upper_holds=up2.holds, cm2_upper_sharp=up2.sharp,
-        prop24_hyp_i=p24.hyp_i, prop24_hyp_ii=p24.hyp_ii,
-        prop24_holds=p24.bound_holds,
+
+class CM2Evaluation(Evaluation):
+    family = "cm2"
+    codim = 2
+    MODULE = cm2
+    ROUTES = {
+        "uv": lambda ev: ev.uv.multiplicity(),
+        "resolution": lambda ev: betti.multiplicity(ev.table),
+        "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
+    }
+    CHECKS = (
+        "multiplicity_agreement", "shift_agreement", "hs_identities", "uv_facts",
+        "cm2_bounds", "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
     )
-    sharp = {"instance": inst, "e": e} if pur.pure else None
-    return _InstanceResult(row=row, anomalies=tuple(anomalies), sharp=sharp, finding=finding)
+
+    @cached_property
+    def uv(self) -> cm2.UVData:
+        """The u/v data, shared by the uv route and the hs_identities and uv_facts checks."""
+        return cm2.uv_data(self.instance)
+
+    @cached_property
+    def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
+        return bounds.cm2_bounds(*self.shifts, self.e)
+
+    @cached_property
+    def prop24(self) -> bounds.Prop24Verdict:
+        return bounds.prop24_bound(self.instance, self.e)
+
+    @property
+    def prop24_flags(self) -> dict:
+        p24 = self.prop24
+        return {"hyp_i": p24.hyp_i, "hyp_ii": p24.hyp_ii, "hyp_ii_margin": p24.hyp_ii_margin}
+
+    @property
+    def verdicts(self) -> tuple[BoundVerdict, ...]:
+        return (*self.hhs, *self.sharper, self.prop24.verdict)
+
+    def _hs_identities(self) -> Iterator[tuple]:
+        try:
+            if not self.uv.hs_identities():
+                yield "identity sums", "disagree"
+        except InternalMismatch as exc:
+            yield "uv data", exc
+
+    def _uv_facts(self) -> Iterator[tuple]:
+        try:
+            self.uv
+        except InternalMismatch as exc:
+            yield "extreme-degree identities", exc
+
+    def _cm2_bounds(self) -> Iterator[tuple]:
+        return _failed(self.sharper)
+
+    def _extension(self, entry_max: int) -> Iterator[tuple]:
+        # Inlined form of cm2.extend's assertions, reusing the base
+        # multiplicity across all appended (a, b) pairs.
+        e = self.route("uv")
+        if not isinstance(e, int):
+            return
+        A, s = self.instance, self.shifts
+        cap = A.b[-1]
+        for a_new, b_new in _appended(cap, entry_max):
+            A2 = cm2.DegreeMatrixCM2(A.a + (a_new,), A.b + (b_new,))
+            s2 = cm2.shifts(A2)
+            expected = (
+                s.m1 + a_new,
+                s.m2 + a_new + b_new - cap,
+                s.M1 + b_new,
+                s.M2 + b_new,
+            )
+            if tuple(s2) != expected:
+                yield f"shift deltas for (a={a_new}, b={b_new}): {tuple(s2)}", expected
+            try:
+                e_direct = cm2.multiplicity_uv(A2)
+            except InternalMismatch as exc:
+                yield f"append (a={a_new}, b={b_new})", exc
+                continue
+            e_recursed = e + (s.m1 + a_new) * b_new
+            if e_direct != e_recursed:
+                yield f"recursion for (a={a_new}, b={b_new}): {e_recursed}", e_direct
+
+    def finding(self, checks: tuple[str, ...]) -> dict | None:
+        if "prop24" not in checks or self.prop24.bound_holds:
+            return None
+        v = self.prop24.verdict
+        return {"instance": self.inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
+
+    def _family_cells(self) -> dict:
+        p24 = self.prop24
+        return {
+            **_cells(self.sharper),
+            "prop24_hyp_i": p24.hyp_i,
+            "prop24_hyp_ii": p24.hyp_ii,
+            "prop24_holds": p24.bound_holds,
+        }
+
+    def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
+        """A violation of the prop24 bound, optionally only under a hypothesis."""
+        p24 = self.prop24
+        if p24.bound_holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
+            return None
+        return {**self._candidate(p24.verdict), **self.prop24_flags}
 
 
-def _evaluate_gor3(G: gor3.DegreeMatrixGor3, entry_max: int, checks: tuple[str, ...]) -> _InstanceResult:
-    inst = G.to_json_dict()
-    anomalies: list[Anomaly] = []
+class Gor3Evaluation(Evaluation):
+    family = "gor3"
+    codim = 3
+    MODULE = gor3
+    ROUTES = {
+        "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
+        "resolution": lambda ev: betti.multiplicity(ev.table),
+        "linkage": lambda ev: gor3._linkage_value(ev.instance),
+    }
+    CHECKS = (
+        "multiplicity_agreement", "shift_agreement", "self_duality", "gor3_bounds",
+        "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
+    )
 
-    def note(check: str, lhs: object, rhs: object) -> None:
-        anomalies.append(Anomaly(instance=inst, check=check, lhs=str(lhs), rhs=str(rhs)))
+    @cached_property
+    def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
+        return bounds.gor3_bounds(*self.shifts, self.e)
 
-    s = gor3.shifts(G)
-    e_pf = gor3.multiplicity_pfaffian(G)
-    table = gor3.betti_table(G)
-    e_res = e_link = None
-    try:
-        e_res = betti.multiplicity(table)
-    except DivisionError as exc:
-        note("multiplicity_agreement", "resolution route", exc)
-    try:
-        e_link = gor3._linkage_value(G)
-    except DivisionError as exc:
-        note("multiplicity_agreement", "linkage route", exc)
+    @cached_property
+    def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool]:
+        return bounds.srinivasan_bounds(self.extremes, self.e)
 
-    if "multiplicity_agreement" in checks:
-        if e_res is not None and e_pf != e_res:
-            note("multiplicity_agreement", f"pfaffian={e_pf}", f"resolution={e_res}")
-        if e_link is not None and e_pf != e_link:
-            note("multiplicity_agreement", f"pfaffian={e_pf}", f"linkage={e_link}")
+    @property
+    def verdicts(self) -> tuple[BoundVerdict, ...]:
+        return (*self.hhs, *self.sharper, *self.srinivasan[:2])
 
-    summary = betti.shift_summary(table)
-    pur = betti.purity(table)
-
-    if "shift_agreement" in checks:
-        if summary.m != (s.m1, s.m2, s.m3) or summary.M != (s.M1, s.M2, s.M3):
-            note("shift_agreement", s, summary)
-        if not (s.m1 < s.m2 < s.m3 and s.M1 < s.M2 < s.M3):
-            note("shift_agreement", "strictly increasing shifts", s)
-
-    if "self_duality" in checks:
-        step1, step2, step3 = table.steps
+    def _self_duality(self) -> Iterator[tuple]:
+        s, summary = self.shifts, self.summary
+        step1, step2, step3 = self.table.steps
         mirrored = tuple(sorted((s.m3 - shift, rank) for shift, rank in step1))
         if mirrored != step2:
-            note("self_duality", mirrored, step2)
+            yield mirrored, step2
         if step3 != ((s.m3, 1),):
-            note("self_duality", step3, (s.m3, 1))
+            yield step3, (s.m3, 1)
         if summary.M[0] != s.m3 - summary.m[1] or summary.M[1] != s.m3 - summary.m[0]:
-            note("self_duality", summary, f"m3={s.m3}")
+            yield summary, f"m3={s.m3}"
         if not all(0 < shift < s.m3 for shift, _ in step1):
-            note("self_duality", "step-1 shifts inside (0, m3)", step1)
+            yield "step-1 shifts inside (0, m3)", step1
 
-    try:
-        lo3, up3 = bounds.gor3_bounds(s.m1, s.m2, s.m3, s.M1, s.M2, s.M3, e_pf)
-        if "gor3_bounds" in checks:
-            for v in (lo3, up3):
-                if not v.holds:
-                    note("gor3_bounds", f"{v.name}: {v.lhs}", v.rhs)
-    except (ValueError, InternalMismatch) as exc:
-        lo3 = up3 = None
-        if "gor3_bounds" in checks:
-            note("gor3_bounds", "bound forms", exc)
-    loh, uph = bounds.hhs_bounds(summary, 3, e_pf)
-    if "hhs_bounds" in checks:
-        for v in (loh, uph):
-            if not v.holds:
-                note("hhs_bounds", f"{v.name}: {v.lhs}", v.rhs)
-
-    if "sharpness_purity" in checks:
+    def _gor3_bounds(self) -> Iterator[tuple]:
         try:
-            bounds.sharpness(summary, 3, e_pf)
-        except CharacterizationViolated as exc:
-            note("sharpness_purity", "flags", exc)
+            sharper = self.sharper
+        except (ValueError, InternalMismatch) as exc:
+            yield "bound forms", exc
+            return
+        yield from _failed(sharper)
 
-    if "huneke_miller" in checks and pur.pure:
+    def _extension(self, entry_max: int) -> Iterator[tuple]:
+        G = self.instance
+        for a_new, b_new in _appended(G.base.b[-1], entry_max):
+            try:
+                gor3.extend(G, a_new, b_new)
+            except (InternalMismatch, DivisionError) as exc:
+                yield f"append (a={a_new}, b={b_new})", exc
+
+    def _family_cells(self) -> dict:
+        lower, upper, _ = self.srinivasan
+        cells = {"srinivasan_lower_holds": lower.holds, "srinivasan_upper_holds": upper.holds}
         try:
-            hm = betti.huneke_miller(table)
-            if hm != e_pf:
-                note("huneke_miller", hm, e_pf)
-        except (NotPure, DivisibilityError, InternalMismatch, ValueError) as exc:
-            note("huneke_miller", "pure-shift formula", exc)
+            cells.update(_cells(self.sharper))
+        except (ValueError, InternalMismatch):
+            pass  # left blank; the gor3_bounds check reports the failure
+        return cells
 
-    if "extension" in checks:
-        cap = G.base.b[-1]
-        for b_new in range(1, entry_max + 1):
-            for a_new in range(1, min(b_new, cap) + 1):
-                try:
-                    gor3.extend(G, a_new, b_new)
-                except (InternalMismatch, DivisionError) as exc:
-                    note("extension", f"append (a={a_new}, b={b_new})", exc)
-
-    sl, su, _ = bounds.srinivasan_bounds(
-        ShiftSummary(m=(s.m1, s.m2, s.m3), M=(s.M1, s.M2, s.M3)), e_pf
-    )
-
-    row = _blank_row()
-    row.update(
-        family="gor3",
-        t=G.t,
-        a=" ".join(map(str, G.base.a)),
-        b=" ".join(map(str, G.base.b)),
-        d=G.d,
-        m1=s.m1, m2=s.m2, m3=s.m3, M1=s.M1, M2=s.M2, M3=s.M3,
-        e=e_pf,
-        pure=pur.pure,
-        quasi_pure=pur.quasi_pure,
-        hhs_lower_holds=loh.holds, hhs_lower_sharp=loh.sharp,
-        hhs_upper_holds=uph.holds, hhs_upper_sharp=uph.sharp,
-        gor3_lower_holds=None if lo3 is None else lo3.holds,
-        gor3_lower_sharp=None if lo3 is None else lo3.sharp,
-        gor3_upper_holds=None if up3 is None else up3.holds,
-        gor3_upper_sharp=None if up3 is None else up3.sharp,
-        srinivasan_lower_holds=sl.holds,
-        srinivasan_upper_holds=su.holds,
-    )
-    sharp = {"instance": inst, "e": e_pf} if pur.pure else None
-    return _InstanceResult(row=row, anomalies=tuple(anomalies), sharp=sharp, finding=None)
+    def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
+        """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
+        upper = self.srinivasan[1]
+        return None if upper.holds else self._candidate(upper)
 
 
-def _eval_chunk(args: tuple) -> list[_InstanceResult]:
-    family, items, entry_max, checks = args
-    evaluate = _evaluate_cm2 if family == "cm2" else _evaluate_gor3
-    return [evaluate(item, entry_max, checks) for item in items]
+def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluation:
+    """The lazy evaluation of one cm2 or gor3 matrix."""
+    if isinstance(instance, cm2.DegreeMatrixCM2):
+        return CM2Evaluation(instance)
+    if isinstance(instance, gor3.DegreeMatrixGor3):
+        return Gor3Evaluation(instance)
+    raise TypeError(f"cannot evaluate {type(instance).__name__}")
 
 
-def _split(items: list, pieces: int) -> list[list]:
-    size = max(1, -(-len(items) // pieces))
-    return [items[i: i + size] for i in range(0, len(items), size)]
+# Instances per task handed to a worker process: enough to amortize the
+# pickling round trip, few enough that workers share the tail evenly.
+BATCH = 256
 
 
-def _results(config: SweepConfig) -> Iterator[_InstanceResult]:
-    """Evaluate every instance in range, in enumeration order.
+def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
+    """``fn`` over every instance in range, lazily and in enumeration order.
 
-    With jobs > 1 the instance list is cut into contiguous chunks that
-    are processed in parallel and merged back in order, so the stream
-    is identical at every parallelism level.
+    With jobs > 1, capped at the number of cores, batches of BATCH
+    instances go to worker processes and come back in order, so the
+    stream is identical at every parallelism level.
     """
     enum = enumerate_cm2 if config.family == "cm2" else enumerate_gor3
-    items = list(enum(config.t_max, config.entry_max))
-    if config.jobs <= 1 or len(items) < 2 * config.jobs:
-        for item in items:
-            yield _eval_chunk((config.family, [item], config.entry_max, config.checks))[0]
+    items = enum(config.t_max, config.entry_max)
+    jobs = min(config.jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        yield from map(fn, items)
         return
-    chunks = _split(items, config.jobs * 4)
-    args = [(config.family, chunk, config.entry_max, config.checks) for chunk in chunks]
-    with Pool(config.jobs) as pool:
-        for part in pool.map(_eval_chunk, args):
-            yield from part
+    with Pool(jobs) as pool:
+        yield from pool.imap(fn, items, BATCH)
 
 
-def verify_all(config: SweepConfig) -> SweepReport:
-    """Run every enabled check on every instance in range."""
+def _sweep_instance(item, checks: tuple[str, ...], entry_max: int, csv: bool) -> tuple:
+    """(CSV row or None, anomalies, sharp case, finding) of one instance."""
+    ev = evaluate(item)
+    return (
+        ev.row() if csv else None,
+        ev.anomalies(checks, entry_max),
+        ev.sharp_case(),
+        ev.finding(checks),
+    )
+
+
+def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     start = time.perf_counter()
     n = 0
     anomalies: list[Anomaly] = []
     sharps: list[dict] = []
     findings: list[dict] = []
-    for res in _results(config):
+    fn = partial(
+        _sweep_instance,
+        checks=config.checks,
+        entry_max=config.entry_max,
+        csv=stream is not None,
+    )
+    for row, found, sharp, finding in _ordered(fn, config):
         n += 1
-        anomalies.extend(res.anomalies)
-        if res.sharp is not None:
-            sharps.append(res.sharp)
-        if res.finding is not None:
-            findings.append(res.finding)
+        anomalies.extend(found)
+        if sharp is not None:
+            sharps.append(sharp)
+        if finding is not None:
+            findings.append(finding)
+        if stream is not None:
+            stream.write(",".join(_csv_cell(row[col]) for col in SWEEP_CSV_COLUMNS) + "\n")
     return SweepReport(
         family=config.family,
         t_max=config.t_max,
@@ -546,6 +655,18 @@ def verify_all(config: SweepConfig) -> SweepReport:
         prop24_findings=tuple(findings),
         runtime_seconds=time.perf_counter() - start,
     )
+
+
+def verify_all(config: SweepConfig) -> SweepReport:
+    """Run every enabled check on every instance in range."""
+    return _sweep(config, None)
+
+
+def write_sweep_csv(config: SweepConfig, stream: TextIO) -> SweepReport:
+    """Stream one CSV row per instance; the aggregate report comes back
+    from the same pass so callers can derive an exit status."""
+    stream.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    return _sweep(config, stream)
 
 
 def _csv_cell(value: object) -> str:
@@ -556,87 +677,17 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def write_sweep_csv(config: SweepConfig, stream: TextIO) -> SweepReport:
-    """Stream one CSV row per instance; the aggregate report comes back
-    from the same pass so callers can derive an exit status."""
-    start = time.perf_counter()
-    stream.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
-    n = 0
-    anomalies: list[Anomaly] = []
-    sharps: list[dict] = []
-    findings: list[dict] = []
-    for res in _results(config):
-        n += 1
-        anomalies.extend(res.anomalies)
-        if res.sharp is not None:
-            sharps.append(res.sharp)
-        if res.finding is not None:
-            findings.append(res.finding)
-        stream.write(",".join(_csv_cell(res.row[col]) for col in SWEEP_CSV_COLUMNS) + "\n")
-    return SweepReport(
-        family=config.family,
-        t_max=config.t_max,
-        entry_max=config.entry_max,
-        checks=config.checks,
-        instances_checked=n,
-        anomalies=tuple(anomalies),
-        sharp_cases=tuple(sharps),
-        prop24_findings=tuple(findings),
-        runtime_seconds=time.perf_counter() - start,
-    )
+def target_family(target: str) -> str:
+    """The family a hunt target searches; UnknownTarget for any other name."""
+    if target not in HUNT_TARGETS:
+        raise UnknownTarget(
+            f"unknown target {target!r}; known: {sorted(HUNT_TARGETS)}"
+        )
+    return HUNT_TARGETS[target]
 
 
-def _hunt_srinivasan(G: gor3.DegreeMatrixGor3) -> dict | None:
-    s = gor3.shifts(G)
-    e = gor3.multiplicity_pfaffian(G)
-    _, upper, _ = bounds.srinivasan_bounds(
-        ShiftSummary(m=(s.m1, s.m2, s.m3), M=(s.M1, s.M2, s.M3)), e
-    )
-    if upper.holds:
-        return None
-    return {
-        "instance": G.to_json_dict(),
-        "m1": s.m1, "m2": s.m2, "m3": s.m3,
-        "M1": s.M1, "M2": s.M2, "M3": s.M3,
-        "e": e,
-        "lhs": upper.lhs,
-        "rhs": upper.rhs,
-        "factor": upper.factor,
-    }
-
-
-def _hunt_prop24(A: cm2.DegreeMatrixCM2, require_hypotheses: bool) -> dict | None:
-    e = cm2.multiplicity_uv(A)
-    res = bounds.prop24_bound(A, e)
-    if require_hypotheses and not (res.hyp_i or res.hyp_ii):
-        return None
-    if res.bound_holds:
-        return None
-    s = cm2.shifts(A)
-    return {
-        "instance": A.to_json_dict(),
-        "m1": s.m1, "m2": s.m2, "M1": s.M1, "M2": s.M2,
-        "e": e,
-        "lhs": res.verdict.lhs,
-        "rhs": res.verdict.rhs,
-        "factor": res.verdict.factor,
-        "hyp_i": res.hyp_i,
-        "hyp_ii": res.hyp_ii,
-        "hyp_ii_margin": res.hyp_ii_margin,
-    }
-
-
-def _hunt_chunk(args: tuple) -> list[dict]:
-    target, items, require_hypotheses = args
-    out = []
-    for item in items:
-        if target == "srinivasan_upper_gor3":
-            cand = _hunt_srinivasan(item)
-        else:
-            cand = _hunt_prop24(item, require_hypotheses)
-        if cand is not None:
-            out.append(cand)
-    return out
+def _hunt_instance(item, require_hypotheses: bool) -> dict | None:
+    return evaluate(item).hunt_candidate(require_hypotheses)
 
 
 def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> HuntReport:
@@ -646,32 +697,24 @@ def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> 
     nonempty one is a discovery to be recorded, not an error of the
     tool.
     """
-    if target not in HUNT_TARGETS:
-        raise UnknownTarget(
-            f"unknown target {target!r}; known: {sorted(HUNT_TARGETS)}"
-        )
-    family = HUNT_TARGETS[target]
+    family = target_family(target)
     if config.family != family:
         raise ValueError(f"target {target} needs family {family}, got {config.family}")
     start = time.perf_counter()
-    enum = enumerate_cm2 if family == "cm2" else enumerate_gor3
-    items = list(enum(config.t_max, config.entry_max))
+    n = 0
     candidates: list[dict] = []
-    if config.jobs <= 1 or len(items) < 2 * config.jobs:
-        candidates = _hunt_chunk((target, items, require_hypotheses))
-    else:
-        chunks = _split(items, config.jobs * 4)
-        args = [(target, chunk, require_hypotheses) for chunk in chunks]
-        with Pool(config.jobs) as pool:
-            for part in pool.map(_hunt_chunk, args):
-                candidates.extend(part)
+    fn = partial(_hunt_instance, require_hypotheses=require_hypotheses)
+    for cand in _ordered(fn, config):
+        n += 1
+        if cand is not None:
+            candidates.append(cand)
     return HuntReport(
         target=target,
         family=family,
         t_max=config.t_max,
         entry_max=config.entry_max,
         require_hypotheses=require_hypotheses,
-        instances_checked=len(items),
+        instances_checked=n,
         candidates=tuple(candidates),
         runtime_seconds=time.perf_counter() - start,
     )
@@ -681,19 +724,6 @@ def hunt_csv(report: HuntReport) -> str:
     """Candidate list as CSV, one row per candidate, header always present."""
     lines = [",".join(HUNT_CSV_COLUMNS)]
     for c in report.candidates:
-        inst = c["instance"]
-        row = {
-            "target": report.target,
-            "family": report.family,
-            "t": len(inst["a"]),
-            "a": " ".join(map(str, inst["a"])),
-            "b": " ".join(map(str, inst["b"])),
-            "d": inst.get("d"),
-            "m1": c.get("m1"), "m2": c.get("m2"), "m3": c.get("m3"),
-            "M1": c.get("M1"), "M2": c.get("M2"), "M3": c.get("M3"),
-            "e": c.get("e"),
-            "lhs": c.get("lhs"), "rhs": c.get("rhs"), "factor": c.get("factor"),
-            "hyp_i": c.get("hyp_i"), "hyp_ii": c.get("hyp_ii"),
-        }
-        lines.append(",".join(_csv_cell(row[col]) for col in HUNT_CSV_COLUMNS))
+        row = {**c, **_matrix_cells(c["instance"]), "target": report.target, "family": report.family}
+        lines.append(",".join(_csv_cell(row.get(col)) for col in HUNT_CSV_COLUMNS))
     return "\n".join(lines) + "\n"

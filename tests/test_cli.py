@@ -1,6 +1,8 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 import json
 
+import pytest
+
 from degmult.cli import main
 
 
@@ -239,3 +241,40 @@ class TestParsing:
     def test_gor3_needs_d(self, capsys):
         code, _, err = run(capsys, "compute", "--gor3", "--a", "1", "--b", "1")
         assert code == 2
+
+
+class TestStrictIntegers:
+    """Malformed integers are refused with exit 2 and one error line,
+    never dropped, truncated or coerced."""
+
+    @pytest.mark.parametrize("a, b", [
+        ("2,,1", "2,,1"),
+        ("2,1,", "2,1"),
+        ("", "1"),
+        ("2.0", "2"),
+        ("true", "1"),
+    ])
+    def test_inline_fields(self, capsys, a, b):
+        code, out, err = run(capsys, "compute", "--cm2", "--a", a, "--b", b)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"codim": True, "steps": [[[2, True]]]},
+        {"codim": 2.0, "steps": [[[2, 1], [3, 1]], [[5, 1]]]},
+        {"codim": 2, "steps": [[[2.7, 1], [3, 1]], [[5, 1]]]},
+        {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1.0]]]},
+        {"codim": 2, "steps": [[["2", 1], [3, 1]], [[5, 1]]]},
+        {"type": "monomial2", "gens": [[0, 2.9], [1.5, 0]]},
+        {"type": "monomial2", "gens": [[0, True], [True, 0]]},
+        {"type": "monomial2", "gens": [[0, "1"], [1, 0]]},
+        {"type": "cm2", "a": [2, True], "b": [2, 1]},
+        {"type": "gor3", "a": [2], "b": [2], "d": 5.0},
+    ])
+    def test_json_documents(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "compute"):
+            code, out, err = run(capsys, verb, "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1

@@ -1,0 +1,195 @@
+"""Golden outputs of the command line on a fixed corpus of invocations.
+
+Each case pins the sha256 of what ``degmult.cli.main`` writes (stdout,
+or the ``--out`` file where the case names one) and its exit code.  The
+digests were recorded before the per-instance evaluation was unified,
+so any refactor of the evaluation or of the drivers must leave every
+one of them unchanged.  Sweep and hunt text summaries carry a wall
+clock and are left out; their JSON and CSV forms are pinned at
+``--jobs 1`` and ``--jobs 2`` against the same digest.
+"""
+import hashlib
+import json
+
+import pytest
+
+from degmult.cli import main
+
+CM2_TABLE = {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]]}
+GOR3_TABLE = {"codim": 3, "steps": [[[2, 2], [5, 1]], [[4, 1], [7, 2]], [[9, 1]]]}
+STAIRCASE = {"type": "monomial2", "gens": [[0, 5], [2, 3], [4, 1], [5, 0]]}
+MIXED = [
+    {"type": "cm2", "a": [1, 1], "b": [2, 1]},
+    {"type": "gor3", "a": [2], "b": [2], "d": 5},
+    CM2_TABLE,
+    STAIRCASE,
+]
+FILES = {
+    "cm2_table.json": CM2_TABLE,
+    "gor3_table.json": GOR3_TABLE,
+    "stairs.json": STAIRCASE,
+    "mixed.json": MIXED,
+    "matrices.json": MIXED[:2],
+}
+
+CM2 = ["--cm2", "--a", "2,2,1", "--b", "2,2,1"]
+GOR3 = ["--gor3", "--a", "1,1", "--b", "2,1", "--d", "1"]
+CI225 = ["--gor3", "--a", "2", "--b", "2", "--d", "5"]
+SWEEP_CM2 = ["sweep", "--cm2", "--t-max", "2", "--entry-max", "3"]
+SWEEP_GOR3 = ["sweep", "--gor3", "--t-max", "2", "--entry-max", "3"]
+HUNT_P24 = ["hunt", "--target", "prop24_bound", "--t-max", "3", "--entry-max", "3"]
+HUNT_SRI = ["hunt", "--target", "srinivasan_upper_gor3", "--t-max", "2", "--entry-max", "4"]
+
+# name -> (argv, exit code, sha256 of the output bytes).  "{FILE}" in an
+# argument is replaced by the path of that input file; "--out" cases
+# hash the file written, the rest hash stdout.
+GOLDEN = {
+    "compute_cm2_text": (
+        ["compute", *CM2], 0,
+        "7db0cdf45854b3b25511437fc142ff6d51faa3719dcd5e9fe8067d17f7eb573a"),
+    "compute_cm2_json": (
+        ["compute", *CM2, "--format", "json"], 0,
+        "c56558d3c3298ef6254da17051516b33bb9182adb4694bbd8d38c7f6e08dd44d"),
+    "compute_gor3_text": (
+        ["compute", *GOR3], 0,
+        "3b1b284ae4f9a327790f7cdc3fac4903371be3dcb3919efc22d7b1e76a9376d6"),
+    "compute_gor3_json": (
+        ["compute", *GOR3, "--format", "json"], 0,
+        "2972b4e3acdf549c3cbe03825137b753cce151c9222bec3a7475ecf48043f818"),
+    "compute_ci225_text": (
+        ["compute", *CI225], 0,
+        "88a3bcdf548c77123974eb399e838ac96964ce5563f7c1d2e6795ab002ef85f7"),
+    "compute_ci225_json": (
+        ["compute", *CI225, "--format", "json"], 0,
+        "6dee2f18e402cf206c25a01f20d9154295dbd78293970445eff7e9ba3fdc4412"),
+    "compute_cm2_table_text": (
+        ["compute", "--in", "{cm2_table.json}"], 0,
+        "b9d6d76851dccd23fa67535003b1ba55fd60bb199fbecb2bbcbc37e949786041"),
+    "compute_cm2_table_json": (
+        ["compute", "--in", "{cm2_table.json}", "--format", "json"], 0,
+        "39d6cf3caf9ffc37c7ccec3dcaadafb6099679bfc8220ba759468c2a719463c4"),
+    "compute_gor3_table_text": (
+        ["compute", "--in", "{gor3_table.json}"], 0,
+        "e654ad1e5c979a69b84ea9e57cb137f18806b2825bbec1c8a9b7918a9e2f4da5"),
+    "compute_gor3_table_json": (
+        ["compute", "--in", "{gor3_table.json}", "--format", "json"], 0,
+        "cf738c559a744a8f166a64bb5bf4766b7a73aa958d6cac904787e725da6a404a"),
+    "compute_monomial2_text": (
+        ["compute", "--in", "{stairs.json}"], 0,
+        "9e560e838e69d71a0653c8d65d82e5a63b0f6febebcb6d9043813fb63b771818"),
+    "compute_monomial2_json": (
+        ["compute", "--in", "{stairs.json}", "--format", "json"], 0,
+        "b181d37dbadebcb318025fc3c64698cb51360bfd2d5158d219a3b8a1b5cde5e2"),
+    "compute_mixed_text": (
+        ["compute", "--in", "{mixed.json}"], 0,
+        "bbaadeac40d83d1cbf0f5c856c009e1b9e4ac754bbf1b87a599de355231d1099"),
+    "compute_mixed_json_out": (
+        ["compute", "--in", "{mixed.json}", "--format", "json", "--out", "{OUT}"], 0,
+        "81c0e3269c776ca997b99f042f721511e1962fb47d8ec7606520fe181f5211ce"),
+    "oracle_cm2_text": (
+        ["oracle-check", *CM2], 0,
+        "f7ea26a777c177ac5659dcb26cc24b12daa3ab2770d888585ec66410feb83ccc"),
+    "oracle_cm2_json": (
+        ["oracle-check", *CM2, "--format", "json"], 0,
+        "24d8074d688f0e9005f7818f2346b58c97cd8afe06f961617ae42e3fa47faa6d"),
+    "oracle_gor3_text": (
+        ["oracle-check", *GOR3], 0,
+        "78d81296940a269a7fb2652c82f8e7730cc0b366b9d7c894b8ba8c3cba0dc4a2"),
+    "oracle_gor3_json": (
+        ["oracle-check", *GOR3, "--format", "json"], 0,
+        "952d8f4ac5b14b03b251dc9758ba921ecfe4482438072b3d450d339b83accafb"),
+    "oracle_list_text": (
+        ["oracle-check", "--in", "{matrices.json}"], 0,
+        "e0b519d09e0d7a0dcff3e030de0ac795606802557524a95d361897514d774ccb"),
+    "oracle_list_json": (
+        ["oracle-check", "--in", "{matrices.json}", "--format", "json"], 0,
+        "82c19ae4da140cbf013a36dfeb6fb428f3036bce5c27c0c6324aa358f6d66bae"),
+    "sweep_cm2_json": (
+        [*SWEEP_CM2, "--format", "json"], 0,
+        "ee12c3ff289880c99bc5f0c74a1cc4266c44e4b90fac81a2d51d67ac538a6d65"),
+    "sweep_cm2_csv": (
+        [*SWEEP_CM2, "--format", "csv"], 0,
+        "86d8f5074c0e7a1a7c62f5efc3d49340b84e5d45e83b5e134e2bd760ed4cb7fe"),
+    "sweep_cm2_csv_out": (
+        [*SWEEP_CM2, "--format", "csv", "--out", "{OUT}"], 0,
+        "86d8f5074c0e7a1a7c62f5efc3d49340b84e5d45e83b5e134e2bd760ed4cb7fe"),
+    "sweep_cm2_prop24_json": (
+        [*SWEEP_CM2, "--checks", "prop24", "--format", "json"], 0,
+        "48666a9bf4045131695341d490810ebfb5ddee7a3d779a138fc4b0f162f53003"),
+    "sweep_cm2_prop24_csv": (
+        [*SWEEP_CM2, "--checks", "prop24", "--format", "csv"], 0,
+        "86d8f5074c0e7a1a7c62f5efc3d49340b84e5d45e83b5e134e2bd760ed4cb7fe"),
+    "sweep_cm2_subset_json": (
+        [*SWEEP_CM2, "--checks", "shift_agreement,extension", "--format", "json"], 0,
+        "2bdd6a55ae13965ebbe6b4094e2af86b8b20f00414b4066f18844920ce73b1d9"),
+    "sweep_gor3_json": (
+        [*SWEEP_GOR3, "--format", "json"], 0,
+        "d93b2ea34e7a37bfdec2d86d3f6e60102a2c615614b18c6b94b3cf644fee0f6d"),
+    "sweep_gor3_csv": (
+        [*SWEEP_GOR3, "--format", "csv"], 0,
+        "118214177fe16cac1d77e97af2b44032df431f1b1f04f7b593623053a5b918d4"),
+    "sweep_gor3_prop24_json": (
+        [*SWEEP_GOR3, "--checks", "prop24", "--format", "json"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sweep_gor3_prop24_csv": (
+        [*SWEEP_GOR3, "--checks", "prop24", "--format", "csv"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sweep_gor3_subset_csv": (
+        [*SWEEP_GOR3, "--checks", "self_duality,gor3_bounds", "--format", "csv"], 0,
+        "118214177fe16cac1d77e97af2b44032df431f1b1f04f7b593623053a5b918d4"),
+    "hunt_prop24_json": (
+        [*HUNT_P24, "--format", "json"], 1,
+        "da16b2ca495bed0aa35e11cff514e1952283512fc0e35ecbfa54368629b73399"),
+    "hunt_prop24_csv": (
+        [*HUNT_P24, "--format", "csv"], 1,
+        "efd67da49fef29e10f1210de37f23000ebbb47e426fb45cb7e242eb0f41a0450"),
+    "hunt_prop24_hyp_json": (
+        [*HUNT_P24, "--require-hypotheses", "--format", "json"], 0,
+        "b4ee9704790abfa428b3a7028cec6b46d0e0b2678ecb551114fdc180e737ca50"),
+    "hunt_prop24_hyp_csv": (
+        [*HUNT_P24, "--require-hypotheses", "--format", "csv"], 0,
+        "0785d1812f34d9ab68d5e76640ff98c8b47865b6edaa5805d22d6597e582f5b3"),
+    "hunt_srinivasan_json": (
+        [*HUNT_SRI, "--format", "json"], 0,
+        "4821efc4f5293863caceedcdf8eb44116caeabfe70a1ed8fd68314e2deb4a530"),
+    "hunt_srinivasan_csv": (
+        [*HUNT_SRI, "--format", "csv"], 0,
+        "0785d1812f34d9ab68d5e76640ff98c8b47865b6edaa5805d22d6597e582f5b3"),
+    "hunt_srinivasan_hyp_csv": (
+        [*HUNT_SRI, "--require-hypotheses", "--format", "csv"], 0,
+        "0785d1812f34d9ab68d5e76640ff98c8b47865b6edaa5805d22d6597e582f5b3"),
+}
+
+# Serialized sweep and hunt reports must not depend on --jobs.
+PARALLEL = [name for name in GOLDEN if name.startswith(("sweep", "hunt"))]
+
+
+def _run(argv, tmp_path, capsys):
+    for fname, doc in FILES.items():
+        (tmp_path / fname).write_text(json.dumps(doc))
+    out = tmp_path / "out.bin"
+    args = []
+    for arg in argv:
+        if arg == "{OUT}":
+            arg = str(out)
+        elif arg.startswith("{"):
+            arg = str(tmp_path / arg.strip("{}"))
+        args.append(arg)
+    code = main(args)
+    data = capsys.readouterr().out.encode()
+    if "--out" in argv:
+        assert data == b""
+        data = out.read_bytes()
+    return code, hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden(name, tmp_path, capsys):
+    argv, exit_code, digest = GOLDEN[name]
+    assert _run(argv, tmp_path, capsys) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL))
+def test_golden_jobs_2(name, tmp_path, capsys):
+    argv, exit_code, digest = GOLDEN[name]
+    assert _run([*argv, "--jobs", "2"], tmp_path, capsys) == (exit_code, digest)

@@ -1,10 +1,12 @@
 """Tests for enumeration, sweeping, and hunting."""
+import functools
+import io
 import json
 
 import pytest
 
-from degmult import cm2, gor3, sweep
-from degmult.errors import UnknownTarget
+from degmult import betti, cm2, gor3, oracle, sweep
+from degmult.errors import DivisionError, UnknownTarget
 
 from bruteforce import brute_cm2, brute_gor3
 
@@ -114,6 +116,12 @@ class TestVerifyAll:
         seq = sweep.verify_all(sweep.SweepConfig("cm2", 3, 3, jobs=1))
         par = sweep.verify_all(sweep.SweepConfig("cm2", 3, 3, jobs=4))
         assert json.dumps(seq.to_json_dict()) == json.dumps(par.to_json_dict())
+        rows = []
+        for jobs in (1, 4):
+            buf = io.StringIO()
+            sweep.write_sweep_csv(sweep.SweepConfig("cm2", 3, 3, jobs=jobs), buf)
+            rows.append(buf.getvalue())
+        assert rows[0] == rows[1]
 
     def test_csv_rows_one_per_instance(self, tmp_path):
         cfg = sweep.SweepConfig("gor3", 1, 3)
@@ -169,3 +177,98 @@ class TestHunt:
         report = sweep.hunt("srinivasan_upper_gor3", sweep.SweepConfig("gor3", 1, 2))
         text = sweep.hunt_csv(report)
         assert text == ",".join(sweep.HUNT_CSV_COLUMNS) + "\n"
+
+
+class TestOnlyEnabledChecksCompute:
+    """The resolution, staircase and linkage routes serve only the
+    multiplicity_agreement check: with it disabled they never run, so
+    their failures cannot be filed under a check the sweep did not run."""
+
+    ROUTES = ((betti, "multiplicity"), (oracle, "colength"), (gor3, "_linkage_value"))
+
+    def failing_routes(self, monkeypatch):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise DivisionError("route disabled by the test")
+
+        for module, name in self.ROUTES:
+            monkeypatch.setattr(module, name, fail)
+        return calls
+
+    @pytest.mark.parametrize("family, checks", [
+        ("cm2", ("prop24",)),
+        ("cm2", ("shift_agreement",)),
+        ("gor3", ("shift_agreement",)),
+        ("gor3", ("self_duality", "gor3_bounds")),
+    ])
+    def test_disabled_routes_never_run(self, monkeypatch, family, checks):
+        calls = self.failing_routes(monkeypatch)
+        config = sweep.SweepConfig(family, 2, 3, checks=checks)
+        reports = [sweep.verify_all(config), sweep.write_sweep_csv(config, io.StringIO())]
+        assert calls == []
+        for report in reports:
+            assert report.instances_checked > 0
+            assert all(a.check in report.checks for a in report.anomalies)
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_enabled_check_reports_route_failures(self, monkeypatch, family):
+        calls = self.failing_routes(monkeypatch)
+        config = sweep.SweepConfig(family, 1, 2, checks=("multiplicity_agreement",))
+        report = sweep.verify_all(config)
+        assert calls
+        assert report.anomalies
+        assert {a.check for a in report.anomalies} == {"multiplicity_agreement"}
+        assert all(a.lhs.endswith(" route") for a in report.anomalies)
+
+    @pytest.mark.parametrize("target, family", sorted(sweep.HUNT_TARGETS.items()))
+    def test_hunts_read_no_betti_table(self, monkeypatch, target, family):
+        calls = self.failing_routes(monkeypatch)
+        for module in (cm2, gor3):
+            monkeypatch.setattr(module, "betti_table", lambda *args: calls.append(args))
+        for require in (False, True):
+            report = sweep.hunt(target, sweep.SweepConfig(family, 3, 3), require)
+            assert report.instances_checked > 0
+        assert calls == []
+
+
+class FakePool:
+    """Stands in for multiprocessing.Pool: records its size, starts no process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestJobsCap:
+    def fake_machine(self, monkeypatch, cores):
+        sizes = []
+        monkeypatch.setattr(sweep, "Pool", functools.partial(FakePool, sizes))
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
+        return sizes
+
+    def test_jobs_capped_at_core_count(self, monkeypatch):
+        sizes = self.fake_machine(monkeypatch, 3)
+        report = sweep.verify_all(sweep.SweepConfig("cm2", 1, 2, jobs=10**6))
+        hits = sweep.hunt("prop24_bound", sweep.SweepConfig("cm2", 1, 2, jobs=10**6))
+        assert sizes == [3, 3]
+        assert report.instances_checked == hits.instances_checked == 3
+
+    def test_single_core_runs_in_process(self, monkeypatch):
+        sizes = self.fake_machine(monkeypatch, 1)
+        report = sweep.verify_all(sweep.SweepConfig("cm2", 1, 2, jobs=8))
+        assert sizes == []
+        assert report.instances_checked == 3
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            sweep.SweepConfig("cm2", 1, 2, jobs=0)
