@@ -10,6 +10,7 @@ unbounded integers: no derivatives, no floats, no factorial overflow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple
@@ -178,11 +179,11 @@ def _divide_once(coeffs: list[int]) -> list[int]:
     partial sum equals the value at s=1 and must vanish for exactness.
     """
     partial = list(accumulate(coeffs))
-    if not partial or partial[-1] != 0:
+    if not partial or partial.pop() != 0:
         raise DivisionError(
             "K-polynomial is not divisible by (1-s) to the declared codimension"
         )
-    return partial[:-1]
+    return partial
 
 
 def _hilbert_quotient(table: BettiTable) -> list[int]:
@@ -209,8 +210,13 @@ def genus_dim2(table: BettiTable) -> int:
     polynomial of the dimension-2 quotient is e*t + 1 - g, which gives
     g = 1 + sum_i q_i (i - 1).
     """
+    return multiplicity_and_genus(table)[1]
+
+
+def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
+    """:func:`multiplicity` and :func:`genus_dim2` from one division of K."""
     q = _hilbert_quotient(table)
-    return 1 + sum(c * (i - 1) for i, c in enumerate(q))
+    return sum(q), 1 + sum(map(operator.mul, q, range(-1, len(q) - 1)))
 
 
 def shift_summary(table: BettiTable) -> ShiftSummary:

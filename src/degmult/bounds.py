@@ -145,16 +145,20 @@ def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int) -> Prop24Verdict:
     that margin stays nonnegative.  The bound is reported, never
     asserted: a violation under a satisfied hypothesis is a
     first-class finding.
+
+    Both hypotheses are read in O(t) without building the grid: its rows
+    increase and its columns decrease (see :func:`cm2.full_matrix`), so
+    the smallest entry is the bottom-left one, sum(a) - sum(b[:-1]) =
+    m2 - M1, and the (1,2) entry is b_1.
     """
-    grid = cm2mod.full_matrix(A)
-    hyp_i = all(entry >= 2 for row in grid for entry in row)
+    s = cm2mod.shifts(A)
+    hyp_i = s.m2 - s.M1 >= 2
     if A.t >= 2:
-        margin: int | None = A.a[0] - 2 * grid[0][1] + 1
+        margin: int | None = A.a[0] - 2 * A.b[0] + 1
         hyp_ii = margin >= 0
     else:
         margin = None
         hyp_ii = False
-    s = cm2mod.shifts(A)
     rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
     verdict = BoundVerdict("prop24_upper", 2 * e, "<=", rhs, 2)
     return Prop24Verdict(hyp_i=hyp_i, hyp_ii=hyp_ii, hyp_ii_margin=margin, verdict=verdict)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -91,14 +92,33 @@ def _load_inputs(args: argparse.Namespace) -> list[Input]:
     raise ParseError("no input: give --cm2/--gor3 with --a/--b[/--d] or --in FILE")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out target that cannot be written, before any work runs."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ParseError(f"--out {path}: directory does not exist")
+    if os.path.isdir(path):
+        raise ParseError(f"--out {path} is a directory")
+
+
 def _emit(text: str, args: argparse.Namespace) -> None:
+    """Write to stdout, or to --out through a temporary file in the same
+    directory renamed over the target, so the target is never left
+    half written."""
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not getattr(args, "out", None):
         sys.stdout.write(text)
+        return
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _json_text(obj: object) -> str:
@@ -139,18 +159,19 @@ def _compute_matrix(ev: sweep.Evaluation) -> dict:
 def _compute_betti(table: betti.BettiTable) -> dict:
     summary = betti.shift_summary(table)
     pur = betti.purity(table)
-    e = betti.multiplicity(table)
+    kpoly = betti.k_polynomial(table)
+    e, genus = betti.multiplicity_and_genus(table)
     result = {
         "instance": table.to_json_dict(),
         "projective_dimension": table.projective_dimension,
         "codim": table.codim,
-        "k_polynomial": str(betti.k_polynomial(table)),
-        "k_coeffs": list(betti.k_polynomial(table).coeffs),
+        "k_polynomial": str(kpoly),
+        "k_coeffs": list(kpoly.coeffs),
         "shifts": {"m": list(summary.m), "M": list(summary.M)},
         "pure": pur.pure,
         "quasi_pure": pur.quasi_pure,
         "multiplicity": e,
-        "genus_dim2": betti.genus_dim2(table),
+        "genus_dim2": genus,
     }
     if table.codim == table.projective_dimension:
         lo, up = bounds.hhs_bounds(summary, table.codim, e)
@@ -447,6 +468,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (ParseError, InvalidDiagonal, NotMonotone, CenterTooSmall,
             NotArtinian, DivisionError, DivisibilityError, NotPure,

@@ -14,6 +14,7 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from . import betti, oracle
@@ -234,8 +235,9 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     exponents are strictly monotone, so the generating set is minimal
     and contains pure powers of both variables.
     """
-    gens = [(sum(A.a[:j]), sum(A.b[j:])) for j in range(A.t + 1)]
-    return oracle.minimalize(gens)
+    xs = accumulate(A.a, initial=0)
+    ys = reversed(list(accumulate(reversed(A.b), initial=0)))
+    return oracle.minimalize(zip(xs, ys))
 
 
 def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:

@@ -126,9 +126,7 @@ def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
 
 def _linkage_value(G: DegreeMatrixGor3) -> int:
     """(m1 + M2 - 4) e(R/J) - (2g - 2) for the block curve J, no cross-check."""
-    table_j = cm2.betti_table(G.base)
-    e_j = betti.multiplicity(table_j)
-    g = betti.genus_dim2(table_j)
+    e_j, g = betti.multiplicity_and_genus(cm2.betti_table(G.base))
     s = shifts(G)
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
@@ -175,10 +173,8 @@ def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, Delta
         raise InternalMismatch(
             f"multiplicity recursion fails: {e2} != {multiplicity_pfaffian(G2)}"
         )
-    table_j = cm2.betti_table(G.base)
-    table_j2 = cm2.betti_table(G2.base)
-    g, g2 = betti.genus_dim2(table_j), betti.genus_dim2(table_j2)
-    e_j = betti.multiplicity(table_j)
+    e_j, g = betti.multiplicity_and_genus(cm2.betti_table(G.base))
+    g2 = betti.genus_dim2(cm2.betti_table(G2.base))
     if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
         raise InternalMismatch(
             f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"

@@ -52,17 +52,21 @@ def minimalize(gens: Iterable[tuple[int, int]]) -> MonomialStaircase:
     """Drop generators divisible by another one and sort canonically.
 
     x^p1 y^q1 divides x^p2 y^q2 exactly when p1 <= p2 and q1 <= q2, so
-    the survivors are the minimal points of the dominance order.
+    the survivors are the minimal points of the dominance order.  After
+    one sort by (p, q), every point before a given one has p1 <= p2, and
+    the smallest y-exponent among them is that of the last point kept;
+    so one sweep keeps a point exactly when its y-exponent is below the
+    last one kept, in O(n log n) overall.  Exponents must be true
+    integers: bools, floats and strings raise ValueError.
     """
-    pts = sorted({(int(p), int(q)) for p, q in gens})
+    pts = sorted({as_int_tuple((p, q), "gens") for p, q in gens})
     if not pts:
         raise ValueError("no generators given")
-    keep = [
-        g
-        for g in pts
-        if not any(h != g and h[0] <= g[0] and h[1] <= g[1] for h in pts)
-    ]
-    return MonomialStaircase(tuple(sorted(keep)))
+    keep = [pts[0]]
+    for g in pts:
+        if g[1] < keep[-1][1]:
+            keep.append(g)
+    return MonomialStaircase(tuple(keep))
 
 
 def colength(s: MonomialStaircase) -> int:

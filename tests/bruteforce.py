@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own algorithms:
 colength by lattice-point enumeration instead of row summation,
-divisibility by polynomial multiplication instead of division, and
-enumeration by generate-and-filter instead of constructive ranges.
+minimal generators by a pairwise dominance scan instead of one sorted
+sweep, divisibility by polynomial multiplication instead of division,
+and enumeration by generate-and-filter instead of constructive ranges.
 """
 from __future__ import annotations
 
@@ -23,6 +24,19 @@ def naive_colength(gens: list[tuple[int, int]]) -> int:
             if not any(p <= i and q <= j for p, q in gens):
                 count += 1
     return count
+
+
+def naive_minimal(gens: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Minimal points of the dominance order, each tested against every other.
+
+    x^p1 y^q1 divides x^p2 y^q2 exactly when p1 <= p2 and q1 <= q2.
+    """
+    pts = sorted(set(gens))
+    return tuple(
+        g
+        for g in pts
+        if not any(h != g and h[0] <= g[0] and h[1] <= g[1] for h in pts)
+    )
 
 
 def poly_mul(p: list[int], q: list[int]) -> list[int]:

@@ -155,3 +155,10 @@ class TestGenus:
 
     def test_cm2_table(self):
         assert betti.genus_dim2(CM2_1121) == 1
+
+    @pytest.mark.parametrize("t", [CI_11, CI_22, CM2_1121, KOSZUL_23])
+    def test_one_quotient_gives_both(self, t):
+        q = betti._hilbert_quotient(t)
+        genus = 1 + sum(c * (i - 1) for i, c in enumerate(q))
+        assert betti.multiplicity_and_genus(t) == (sum(q), genus)
+        assert betti.multiplicity_and_genus(t) == (betti.multiplicity(t), betti.genus_dim2(t))

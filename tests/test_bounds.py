@@ -1,7 +1,9 @@
 """Tests for the cleared-integer bound verdicts."""
+import random
+
 import pytest
 
-from degmult import bounds, cm2
+from degmult import bounds, cm2, sweep
 from degmult.betti import ShiftSummary
 from degmult.errors import CharacterizationViolated
 
@@ -119,6 +121,48 @@ class TestProp24:
             assert not res.bound_holds
             assert not res.hyp_i and not res.hyp_ii
             assert res.hyp_ii_margin == k - 2 * k + 1
+
+
+def _grid_hypotheses(A):
+    """hyp_i, hyp_ii and the margin read off the full t x (t+1) grid."""
+    grid = cm2.full_matrix(A)
+    hyp_i = all(entry >= 2 for row in grid for entry in row)
+    margin = A.a[0] - 2 * grid[0][1] + 1 if A.t >= 2 else None
+    return hyp_i, margin is not None and margin >= 0, margin
+
+
+def _seeded_matrices(seed, count, t_max):
+    """Valid matrices whose b_i exceed max(a_i, a_{i+1}) by a seeded slack,
+    small enough that the bottom-left grid entry often stays >= 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(1, t_max)
+        a = [rng.randint(1, 200) for _ in range(t)]
+        slack = rng.choice((0, 1, 3))
+        b = [min(max(a[i:i + 2]) + rng.randint(0, slack), 200) for i in range(t)]
+        yield cm2.validate(a, b)
+
+
+class TestProp24Hypotheses:
+    """The O(t) hypotheses equal the ones read off cm2.full_matrix."""
+
+    def _check(self, matrices):
+        seen = set()
+        for A in matrices:
+            p24 = bounds.prop24_bound(A, cm2.multiplicity_uv(A))
+            got = (p24.hyp_i, p24.hyp_ii, p24.hyp_ii_margin)
+            assert got == _grid_hypotheses(A), A
+            seen.add(got[:2])
+        return seen
+
+    def test_exhaustive_small_range(self):
+        # hyp_ii needs a_1 = 1 (b_1 >= a_1), which rules out hyp_i.
+        seen = self._check(sweep.enumerate_cm2(3, 4))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_seeded_large_matrices(self):
+        seen = self._check(_seeded_matrices(24, 60, 150))
+        assert {hyp_i for hyp_i, _ in seen} == {True, False}
 
 
 class TestSrinivasanBounds:

@@ -278,3 +278,59 @@ class TestStrictIntegers:
             code, out, err = run(capsys, verb, "--in", str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestOutFile:
+    """--out is checked before the verb runs and written atomically."""
+
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run(
+            capsys, "compute", "--cm2", "--a", "1", "--b", "2", "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "no").exists()
+
+    def test_missing_directory_refused_before_sweep(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr("degmult.sweep.verify_all", must_not_run)
+        monkeypatch.setattr("degmult.sweep.write_sweep_csv", must_not_run)
+        target = tmp_path / "missing" / "rows.csv"
+        for fmt in ("json", "csv"):
+            code, _, err = run(
+                capsys, "sweep", "--cm2", "--t-max", "2", "--entry-max", "3",
+                "--format", fmt, "--out", str(target),
+            )
+            assert code == 2 and err.startswith("error:")
+
+    def test_directory_target_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "compute", "--cm2", "--a", "1", "--b", "2", "--out", str(tmp_path)
+        )
+        assert code == 2 and err.startswith("error:")
+
+    def test_success_matches_stdout(self, capsys, tmp_path):
+        argv = ["sweep", "--cm2", "--t-max", "2", "--entry-max", "3", "--format", "csv"]
+        code, expected, _ = run(capsys, *argv)
+        target = tmp_path / "rows.csv"
+        target.write_text("stale contents\n")
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_text() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    def test_failed_write_keeps_old_target(self, capsys, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        target = tmp_path / "result.txt"
+        target.write_text("previous report\n")
+        monkeypatch.setattr("degmult.cli.os.replace", fail)
+        code, _, err = run(
+            capsys, "compute", "--cm2", "--a", "1", "--b", "2", "--out", str(target)
+        )
+        assert code == 2 and err.startswith("error:") and "disk full" in err
+        assert target.read_text() == "previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]

@@ -6,13 +6,19 @@ digests were recorded before the per-instance evaluation was unified,
 so any refactor of the evaluation or of the drivers must leave every
 one of them unchanged.  Sweep and hunt text summaries carry a wall
 clock and are left out; their JSON and CSV forms are pinned at
-``--jobs 1`` and ``--jobs 2`` against the same digest.
+``--jobs 1`` and ``--jobs 2`` against the same digest.  The ``large``
+cases run ``compute`` on seeded matrices with t in the hundreds, so the
+K-polynomial division, the genus, the staircase and the prop24
+hypotheses are pinned at size; their digests were recorded before
+those kernels were made linear in t.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
+from degmult import cm2
 from degmult.cli import main
 
 CM2_TABLE = {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]]}
@@ -24,12 +30,31 @@ MIXED = [
     CM2_TABLE,
     STAIRCASE,
 ]
+
+
+def _seeded_block(seed: int, t: int, entry_max: int = 200) -> tuple[list, list]:
+    """A valid diagonal and superdiagonal: b_i in [max(a_i, a_{i+1}), entry_max]."""
+    rng = random.Random(seed)
+    a = [rng.randint(1, entry_max) for _ in range(t)]
+    b = [rng.randint(max(a[i:i + 2]), entry_max) for i in range(t)]
+    return a, b
+
+
+LARGE_A, LARGE_B = _seeded_block(150, 150)
+LARGE_CM2 = {"type": "cm2", "a": LARGE_A, "b": LARGE_B}
+GOR3_A, GOR3_B = _seeded_block(120, 120)
+LARGE_GOR3 = {"type": "gor3", "a": GOR3_A, "b": GOR3_B, "d": 162}
+LARGE_CM2_TABLE = cm2.betti_table(cm2.validate(LARGE_A, LARGE_B)).to_json_dict()
+
 FILES = {
     "cm2_table.json": CM2_TABLE,
     "gor3_table.json": GOR3_TABLE,
     "stairs.json": STAIRCASE,
     "mixed.json": MIXED,
     "matrices.json": MIXED[:2],
+    "large_cm2.json": LARGE_CM2,
+    "large_gor3.json": LARGE_GOR3,
+    "large_cm2_table.json": LARGE_CM2_TABLE,
 }
 
 CM2 = ["--cm2", "--a", "2,2,1", "--b", "2,2,1"]
@@ -158,6 +183,24 @@ GOLDEN = {
     "hunt_srinivasan_hyp_csv": (
         [*HUNT_SRI, "--require-hypotheses", "--format", "csv"], 0,
         "0785d1812f34d9ab68d5e76640ff98c8b47865b6edaa5805d22d6597e582f5b3"),
+    "compute_large_cm2_text": (
+        ["compute", "--in", "{large_cm2.json}"], 0,
+        "5a1740c7f8393fb0d2e7701526859364c024d2e6e4440df4ad43ef6c3d22b767"),
+    "compute_large_cm2_json": (
+        ["compute", "--in", "{large_cm2.json}", "--format", "json"], 0,
+        "2738c5ba67a13554ec9ad720fac9a42f749953dfe3e49c764ef1a0302655f2b1"),
+    "compute_large_gor3_text": (
+        ["compute", "--in", "{large_gor3.json}"], 0,
+        "caa676e0a71eba2e870153d3374675423e363e9d0579f4fb446fdca218766154"),
+    "compute_large_gor3_json": (
+        ["compute", "--in", "{large_gor3.json}", "--format", "json"], 0,
+        "6990b5adeefd5a2ddcb21bdf8b92f076783f28880bacb7e358de2637464fc5d6"),
+    "compute_large_cm2_table_text": (
+        ["compute", "--in", "{large_cm2_table.json}"], 0,
+        "8649ca95344ed47f43f4507c6def1b28e4e94bbd396a311cb2e413929a441e0a"),
+    "compute_large_cm2_table_json": (
+        ["compute", "--in", "{large_cm2_table.json}", "--format", "json"], 0,
+        "98b480f1199cb61671245d32889b0bdadc694d619012319dc9b41878846a7b73"),
 }
 
 # Serialized sweep and hunt reports must not depend on --jobs.

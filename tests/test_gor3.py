@@ -110,6 +110,31 @@ class TestExtend:
             gor3.extend(CI_225, 3, 3)  # b_t = 2 < a = 3
 
 
+class TestOneQuotientPerTable:
+    """The linkage route and the extension divide each distinct Betti
+    table by (1-s)^2 once."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+        real = betti._hilbert_quotient
+
+        def counting(table):
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr(betti, "_hilbert_quotient", counting)
+        return calls
+
+    def test_linkage_value(self, divisions):
+        assert gor3._linkage_value(G_2111) == gor3.multiplicity_pfaffian(G_2111)
+        assert divisions == [cm2.betti_table(G_2111.base)]
+
+    def test_extend(self, divisions):
+        G2, _, _ = gor3.extend(CI_225, 2, 3)
+        assert divisions == [cm2.betti_table(CI_225.base), cm2.betti_table(G2.base)]
+
+
 class TestProperties:
     @given(gor3_matrices())
     def test_three_route_agreement(self, G):

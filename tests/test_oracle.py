@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from degmult import oracle
 from degmult.errors import NotArtinian
 
-from bruteforce import naive_colength
+from bruteforce import naive_colength, naive_minimal
 from strategies import staircases
 
 
@@ -32,6 +32,32 @@ class TestMinimalize:
     def test_canonical_order_enforced(self):
         with pytest.raises(ValueError):
             oracle.MonomialStaircase(((1, 1), (0, 3), (2, 0)))
+
+    @pytest.mark.parametrize("gens", [
+        [(0, 2.9), (1.5, 0)],
+        [(0, 2.0), (1, 0)],
+        [(0, True), (True, 0)],
+        [(0, 1), (0, True), (1, 0)],
+        [(0, "1"), (1, 0)],
+    ])
+    def test_exponents_never_coerced(self, gens):
+        with pytest.raises(ValueError, match="integers"):
+            oracle.minimalize(gens)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=30),
+        st.booleans(),
+    )
+    def test_matches_pairwise_scan(self, pts, artinian):
+        # Few distinct points, so duplicates and dominated points are common.
+        if artinian:
+            pts = pts + [(0, 7), (7, 0)]
+        expected = naive_minimal(pts)
+        if expected[0][0] == 0 and expected[-1][1] == 0:
+            assert oracle.minimalize(pts).gens == expected
+        else:
+            with pytest.raises(NotArtinian):
+                oracle.minimalize(pts)
 
 
 class TestColength:
