@@ -56,12 +56,6 @@ class BoundVerdict:
             "sharp": self.sharp,
         }
 
-    def text(self) -> str:
-        return (
-            f"{self.name}: {self.factor}*e = {self.lhs} {self.relation} {self.rhs}"
-            f"  holds={str(self.holds).lower()} sharp={str(self.sharp).lower()}"
-        )
-
 
 class SharpnessVerdict(NamedTuple):
     lower_sharp: bool

@@ -85,6 +85,8 @@ def _load_inputs(args: argparse.Namespace) -> list[Input]:
             raise ParseError(f"cannot read {args.infile}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.infile}: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{args.infile} is nested too deeply to parse") from exc
         objs = doc if isinstance(doc, list) else [doc]
         if not objs:
             raise ParseError(f"{args.infile} holds an empty list")
@@ -364,7 +366,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         family=_sweep_family(args),
         t_max=args.t_max,
         entry_max=args.entry_max,
-        checks=tuple(args.checks.split(",")) if args.checks else None,
+        checks=None if args.checks is None else tuple(args.checks.split(",")),
         jobs=args.jobs,
     )
     if args.format == "csv":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import betti, oracle
@@ -153,7 +154,7 @@ def shifts(A: DegreeMatrixCM2) -> ShiftsCM2:
     M2 = a_1 + sum(b)."""
     m1 = sum(A.a)
     M1 = sum(A.b)
-    return ShiftsCM2(m1=m1, m2=m1 + A.b[-1], M1=M1, M2=A.a[0] + M1)
+    return ShiftsCM2(m1, m1 + A.b[-1], M1, A.a[0] + M1)
 
 
 def full_matrix(A: DegreeMatrixCM2) -> list[list[int]]:
@@ -208,7 +209,7 @@ def uv_data(A: DegreeMatrixCM2) -> UVData:
     for got, expect in checks:
         if got != expect:
             raise InternalMismatch(f"extreme-degree identity fails: {checks}")
-    return UVData(m=m, e=e, f=f, u=tuple(u), v=tuple(v))
+    return UVData(m, e, f, tuple(u), tuple(v))
 
 
 def multiplicity_uv(A: DegreeMatrixCM2) -> int:
@@ -241,31 +242,28 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
 
 
 def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:
-    """Append a row and column (basic double link) and track the effect.
+    """Append a row and column (basic double link); see :func:`extend_from`."""
+    return extend_from(A, shifts(A), multiplicity_uv(A), a, b)
 
-    Requires b >= a and b_t >= a so the extension stays valid.  The
-    shifts move by (a, a+b-c, b, b) with c = b_t, and the multiplicity
-    grows by (m1 + a) * b; both facts are verified against direct
-    recomputation on the extended matrix.
+
+def extend_from(
+    A: DegreeMatrixCM2, s: ShiftsCM2, e: int, a: int, b: int
+) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:
+    """Append a row and column to A, whose shifts are s and multiplicity e.
+
+    Requires b >= a and b_t >= a so the extension stays valid (NotMonotone
+    otherwise).  The shifts move by (a, a+b-c, b, b) with c = b_t, and the
+    multiplicity grows by (m1 + a) * b; both facts are verified against
+    direct recomputation on the extended matrix.
     """
     c = A.b[-1]
-    if b < a:
-        raise NotMonotone(f"appended pair needs b >= a, got a={a}, b={b}")
-    if c < a:
-        raise NotMonotone(f"appended a = {a} exceeds trailing b_t = {c}")
     A2 = DegreeMatrixCM2(A.a + (a,), A.b + (b,))
-    s, s2 = shifts(A), shifts(A2)
-    deltas = DeltasCM2(m1=a, m2=a + b - c, M1=b, M2=b)
-    if (s.m1 + deltas.m1, s.m2 + deltas.m2, s.M1 + deltas.M1, s.M2 + deltas.M2) != (
-        s2.m1,
-        s2.m2,
-        s2.M1,
-        s2.M2,
-    ):
+    s2 = shifts(A2)
+    deltas = DeltasCM2(a, a + b - c, b, b)
+    if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
-    e2 = multiplicity_uv(A) + (s.m1 + a) * b
-    if e2 != multiplicity_uv(A2):
-        raise InternalMismatch(
-            f"multiplicity recursion fails: {e2} != {multiplicity_uv(A2)}"
-        )
+    e2 = e + (s.m1 + a) * b
+    direct = multiplicity_uv(A2)
+    if e2 != direct:
+        raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
     return A2, deltas, e2

@@ -14,10 +14,11 @@ basic-double-link extension recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import betti, cm2
-from .errors import CenterTooSmall, InternalMismatch, NotMonotone
+from .errors import CenterTooSmall, InternalMismatch
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,14 @@ def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
     return betti.BettiTable.from_entries(codim=3, entries=entries)
 
 
+def block_curve(G: DegreeMatrixGor3) -> tuple[int, int]:
+    """Multiplicity and genus (e(R/J), g) of the block curve J, one division."""
+    return betti.multiplicity_and_genus(cm2.betti_table(G.base))
+
+
 def _linkage_value(G: DegreeMatrixGor3) -> int:
     """(m1 + M2 - 4) e(R/J) - (2g - 2) for the block curve J, no cross-check."""
-    e_j, g = betti.multiplicity_and_genus(cm2.betti_table(G.base))
+    e_j, g = block_curve(G)
     s = shifts(G)
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
@@ -144,20 +150,25 @@ def linkage_check(G: DegreeMatrixGor3) -> int:
 
 
 def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
-    """Grow the block by (a, b), keeping d, and track every invariant.
+    """Grow the block by (a, b), keeping d; see :func:`extend_from`."""
+    return extend_from(G, shifts(G), multiplicity_pfaffian(G), block_curve(G), a, b)
 
-    Checks the six shift deltas, the multiplicity recursion
+
+def extend_from(
+    G: DegreeMatrixGor3, s: ShiftsGor3, e: int, curve: tuple[int, int], a: int, b: int
+) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
+    """Grow the block of G, whose shifts are s, multiplicity e and block
+    curve ``curve`` = (e(R/J), g), by (a, b), and track every invariant.
+
+    Requires b >= a and b_t >= a (NotMonotone otherwise).  Checks the six
+    shift deltas, the multiplicity recursion
     e' = e + b (m1 + a) (M2 + b - a), and the induced genus recursion
     2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) for the block
     curves.
     """
     c = G.base.b[-1]
-    if b < a:
-        raise NotMonotone(f"appended pair needs b >= a, got a={a}, b={b}")
-    if c < a:
-        raise NotMonotone(f"appended a = {a} exceeds trailing b_t = {c}")
     G2 = DegreeMatrixGor3(cm2.DegreeMatrixCM2(G.base.a + (a,), G.base.b + (b,)), G.d)
-    s, s2 = shifts(G), shifts(G2)
+    s2 = shifts(G2)
     deltas = DeltasGor3(
         m1=a,
         m2=a + b - c,
@@ -166,14 +177,13 @@ def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, Delta
         M2=2 * b - a,
         M3=2 * b,
     )
-    if tuple(x + dx for x, dx in zip(s, deltas)) != tuple(s2):
+    if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
-    e2 = multiplicity_pfaffian(G) + b * (s.m1 + a) * (s.M2 + b - a)
-    if e2 != multiplicity_pfaffian(G2):
-        raise InternalMismatch(
-            f"multiplicity recursion fails: {e2} != {multiplicity_pfaffian(G2)}"
-        )
-    e_j, g = betti.multiplicity_and_genus(cm2.betti_table(G.base))
+    e2 = e + b * (s.m1 + a) * (s.M2 + b - a)
+    direct = multiplicity_pfaffian(G2)
+    if e2 != direct:
+        raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
+    e_j, g = curve
     g2 = betti.genus_dim2(cm2.betti_table(G2.base))
     if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
         raise InternalMismatch(

@@ -110,6 +110,8 @@ class SweepConfig:
             unknown = set(self.checks) - set(allowed)
             if unknown:
                 raise ValueError(f"unknown checks for {self.family}: {sorted(unknown)}")
+            if len(set(self.checks)) != len(self.checks):
+                raise ValueError(f"checks named more than once: {','.join(self.checks)}")
 
 
 @dataclass(frozen=True)
@@ -376,6 +378,19 @@ class Evaluation:
         if hm != self.e:
             yield hm, self.e
 
+    def _extension(self, entry_max: int) -> Iterator[tuple]:
+        """Every appended pair through the family's ``extend_from``, with the
+        base values bound once; skipped when the value route failed."""
+        e = self.route(next(iter(self.ROUTES)))
+        if not isinstance(e, int):
+            return
+        extend = self._extender(e)
+        for a, b in _appended(self.block.b[-1], entry_max):
+            try:
+                extend(a, b)
+            except (InternalMismatch, DivisionError) as exc:
+                yield f"append (a={a}, b={b})", exc
+
     def sharp_case(self) -> dict | None:
         return {"instance": self.inst, "e": self.e} if self.purity.pure else None
 
@@ -460,33 +475,12 @@ class CM2Evaluation(Evaluation):
     def _cm2_bounds(self) -> Iterator[tuple]:
         return _failed(self.sharper)
 
-    def _extension(self, entry_max: int) -> Iterator[tuple]:
-        # Inlined form of cm2.extend's assertions, reusing the base
-        # multiplicity across all appended (a, b) pairs.
-        e = self.route("uv")
-        if not isinstance(e, int):
-            return
-        A, s = self.instance, self.shifts
-        cap = A.b[-1]
-        for a_new, b_new in _appended(cap, entry_max):
-            A2 = cm2.DegreeMatrixCM2(A.a + (a_new,), A.b + (b_new,))
-            s2 = cm2.shifts(A2)
-            expected = (
-                s.m1 + a_new,
-                s.m2 + a_new + b_new - cap,
-                s.M1 + b_new,
-                s.M2 + b_new,
-            )
-            if tuple(s2) != expected:
-                yield f"shift deltas for (a={a_new}, b={b_new}): {tuple(s2)}", expected
-            try:
-                e_direct = cm2.multiplicity_uv(A2)
-            except InternalMismatch as exc:
-                yield f"append (a={a_new}, b={b_new})", exc
-                continue
-            e_recursed = e + (s.m1 + a_new) * b_new
-            if e_direct != e_recursed:
-                yield f"recursion for (a={a_new}, b={b_new}): {e_recursed}", e_direct
+    @property
+    def block(self) -> cm2.DegreeMatrixCM2:
+        return self.instance
+
+    def _extender(self, e: int) -> Callable[[int, int], tuple]:
+        return partial(cm2.extend_from, self.instance, self.shifts, e)
 
     def finding(self, checks: tuple[str, ...]) -> dict | None:
         if "prop24" not in checks or self.prop24.bound_holds:
@@ -558,13 +552,13 @@ class Gor3Evaluation(Evaluation):
             return
         yield from _failed(sharper)
 
-    def _extension(self, entry_max: int) -> Iterator[tuple]:
+    @property
+    def block(self) -> cm2.DegreeMatrixCM2:
+        return self.instance.base
+
+    def _extender(self, e: int) -> Callable[[int, int], tuple]:
         G = self.instance
-        for a_new, b_new in _appended(G.base.b[-1], entry_max):
-            try:
-                gor3.extend(G, a_new, b_new)
-            except (InternalMismatch, DivisionError) as exc:
-                yield f"append (a={a_new}, b={b_new})", exc
+        return partial(gor3.extend_from, G, self.shifts, e, gor3.block_curve(G))
 
     def _family_cells(self) -> dict:
         lower, upper, _ = self.srinivasan

@@ -1,8 +1,12 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import degmult
 from degmult.cli import main
 
 
@@ -117,6 +121,13 @@ class TestValidate:
         assert code == 2
         assert "no input" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "compute"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, verb):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, verb, "--in", str(path))
+        assert (code, out, err) == (2, "", f"error: {path} is nested too deeply to parse\n")
+
 
 class TestOracleCheck:
     def test_cm2_agreement(self, capsys):
@@ -183,6 +194,17 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["checks"] == ["multiplicity_agreement", "hhs_bounds"]
+
+    @pytest.mark.parametrize("checks, message", [
+        ("", "unknown checks for cm2: ['']"),
+        ("prop24,prop24", "checks named more than once: prop24,prop24"),
+    ])
+    def test_bad_check_list_exits_2(self, capsys, checks, message):
+        code, out, err = run(
+            capsys, "sweep", "--cm2", "--t-max", "1", "--entry-max", "2",
+            "--checks", checks, "--format", "json",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestHunt:
@@ -334,3 +356,35 @@ class TestOutFile:
         assert code == 2 and err.startswith("error:") and "disk full" in err
         assert target.read_text() == "previous report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
+
+
+class TestEntryPoint:
+    """``python -m degmult`` turns main's return value into the exit status."""
+
+    def degmult(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(degmult.__file__)))
+        return subprocess.run(
+            [sys.executable, "-m", "degmult", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_valid_compute_exits_0(self):
+        proc = self.degmult("compute", "--cm2", "--a", "2,2,1", "--b", "2,2,1")
+        assert proc.returncode == 0
+        assert "multiplicity: 17" in proc.stdout and proc.stderr == ""
+
+    def test_bad_input_exits_2_with_one_line(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        for argv in (("compute", "--cm2", "--a", "1,x", "--b", "1,1"),
+                     ("compute", "--in", str(path))):
+            proc = self.degmult(*argv)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
+
+    def test_hunt_hit_exits_1(self):
+        proc = self.degmult("hunt", "--target", "prop24_bound", "--t-max", "3",
+                            "--entry-max", "2", "--format", "json")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["candidates"]

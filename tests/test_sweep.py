@@ -272,3 +272,65 @@ class TestJobsCap:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             sweep.SweepConfig("cm2", 1, 2, jobs=0)
+
+
+def appended_children(config):
+    """(instance, child a, child b) of every pair the extension check appends."""
+    enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
+    for inst in enum(config.t_max, config.entry_max):
+        block = inst if config.family == "cm2" else inst.base
+        for a, b in sweep._appended(block.b[-1], config.entry_max):
+            yield inst, block.a + (a,), block.b + (b,)
+
+
+class TestExtensionCheck:
+    """The extension check runs the family's own extend core once per
+    appended child, from base values computed once per instance."""
+
+    CHILD_ROUTES = {"cm2": (cm2, "multiplicity_uv"), "gor3": (gor3, "multiplicity_pfaffian")}
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_one_anomaly_per_failing_child(self, monkeypatch, family):
+        module, name = self.CHILD_ROUTES[family]
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda X: real(X) + (X.t == 2))
+        config = sweep.SweepConfig(family, 1, 4, checks=("extension",))
+        report = sweep.verify_all(config)
+        expected = [
+            (inst.to_json_dict(), f"append (a={a[-1]}, b={b[-1]})")
+            for inst, a, b in appended_children(config)
+        ]
+        assert len(expected) > report.instances_checked > 0
+        assert [(x.instance, x.lhs) for x in report.anomalies] == expected
+        assert {x.check for x in report.anomalies} == {"extension"}
+        assert all("multiplicity recursion fails" in x.rhs for x in report.anomalies)
+
+    def test_gor3_divides_once_per_child_and_once_per_instance(self, monkeypatch):
+        calls = []
+        real = betti._hilbert_quotient
+        monkeypatch.setattr(
+            betti, "_hilbert_quotient", lambda table: calls.append(table) or real(table)
+        )
+        config = sweep.SweepConfig("gor3", 2, 4, checks=("extension",))
+        report = sweep.verify_all(config)
+        assert report.ok
+        children = len(list(appended_children(config)))
+        assert len(calls) == children + report.instances_checked
+
+    def test_cm2_computes_each_child_once(self, monkeypatch):
+        calls = []
+        real = cm2.multiplicity_uv
+        monkeypatch.setattr(cm2, "multiplicity_uv", lambda A: calls.append(A) or real(A))
+        config = sweep.SweepConfig("cm2", 3, 4, checks=("extension",))
+        report = sweep.verify_all(config)
+        assert report.ok
+        expected = [(a, b) for _, a, b in appended_children(config)]
+        assert [(A.a, A.b) for A in calls] == expected
+        assert len(expected) == sum(
+            len(list(sweep._appended(A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
+        )
+
+
+def test_duplicate_check_rejected():
+    with pytest.raises(ValueError, match="more than once"):
+        sweep.SweepConfig("gor3", 1, 2, checks=("extension", "self_duality", "extension"))
