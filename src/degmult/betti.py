@@ -2,17 +2,22 @@
 
 A Betti table records the shifts and ranks of a minimal graded free
 resolution of a graded quotient R/I.  Its alternating sum is the
-K-polynomial, the numerator of the Hilbert series; dividing by
-(1-s)^c, where c is the codimension, and evaluating the quotient at
-s=1 yields the multiplicity.  Everything here is exact arithmetic on
-unbounded integers: no derivatives, no floats, no factorial overflow.
+K-polynomial K(s), the numerator of the Hilbert series, and
+K = (1-s)^c Q with c the codimension; the multiplicity is Q(1).  Q is
+never expanded: substituting s = 1+u turns K into sum_k S_k u^k, where
+the binomial moment S_k = sum_j beta_j C(j, k) runs over the table's
+signed entries only, so (1-s)^c divides K exactly when S_0..S_{c-1}
+vanish, and then Q(1) and Q'(1) are (-1)^c S_c and (-1)^c S_{c+1}.
+The cost is O(entries * c) whatever the size of the shifts.
+Everything here is exact arithmetic on unbounded integers: no
+derivatives, no floats, no factorial overflow.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import repeat
+from operator import mul, neg
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -172,35 +177,39 @@ def k_polynomial(table: BettiTable) -> KPolynomial:
     return KPolynomial(tuple(coeffs))
 
 
-def _divide_once(coeffs: list[int]) -> list[int]:
-    """Exact quotient of the coefficient list by (1 - s).
+def _quotient_at_one(table: BettiTable) -> tuple[int, int]:
+    """(Q(1), Q'(1)) for K = (1-s)^c Q, from the binomial moments of K.
 
-    The partial sums of the coefficients are the quotient; the final
-    partial sum equals the value at s=1 and must vanish for exactness.
+    K(1+u) = sum_k S_k u^k with S_k = sum_j beta_j C(j, k) over the
+    signed entries, step 0's constant 1 included.  Since 1-s = -u,
+    K(1+u) = (-1)^c u^c Q(1+u): the moments below S_c must vanish, and
+    S_c, S_{c+1} are (-1)^c times Q(1), Q'(1).
     """
-    partial = list(accumulate(coeffs))
-    if not partial or partial.pop() != 0:
+    c = table.codim
+    shifts, ranks = [0], [1]
+    for i, step in enumerate(table.steps):
+        step_shifts, step_ranks = zip(*step)
+        shifts += step_shifts
+        ranks += map(neg, step_ranks) if i % 2 == 0 else step_ranks
+    moments = [
+        sum(map(mul, ranks, map(math.comb, shifts, repeat(k)))) for k in range(c + 2)
+    ]
+    if any(moments[:c]):
         raise DivisionError(
             "K-polynomial is not divisible by (1-s) to the declared codimension"
         )
-    return partial
-
-
-def _hilbert_quotient(table: BettiTable) -> list[int]:
-    """Coefficients of Q(s) = K(s) / (1-s)^codim, exactly."""
-    coeffs = list(k_polynomial(table).coeffs)
-    for _ in range(table.codim):
-        coeffs = _divide_once(coeffs)
-    return coeffs
+    sign = -1 if c % 2 else 1
+    return sign * moments[c], sign * moments[c + 1]
 
 
 def multiplicity(table: BettiTable) -> int:
     """Multiplicity e(R/I) read off the resolution as Q(1), K = (1-s)^c Q.
 
-    Raises DivisionError when (1-s)^c does not divide K exactly, which
-    flags a table/codimension pair no Cohen-Macaulay quotient can have.
+    Q(1) is (-1)^c times the c-th binomial moment of the table.  Raises
+    DivisionError when (1-s)^c does not divide K exactly, which flags a
+    table/codimension pair no Cohen-Macaulay quotient can have.
     """
-    return sum(_hilbert_quotient(table))
+    return _quotient_at_one(table)[0]
 
 
 def genus_dim2(table: BettiTable) -> int:
@@ -208,15 +217,16 @@ def genus_dim2(table: BettiTable) -> int:
 
     With Q = sum q_i s^i as in :func:`multiplicity`, the Hilbert
     polynomial of the dimension-2 quotient is e*t + 1 - g, which gives
-    g = 1 + sum_i q_i (i - 1).
+    g = 1 + sum_i q_i (i - 1) = 1 + Q'(1) - Q(1).
     """
     return multiplicity_and_genus(table)[1]
 
 
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
-    """:func:`multiplicity` and :func:`genus_dim2` from one division of K."""
-    q = _hilbert_quotient(table)
-    return sum(q), 1 + sum(map(operator.mul, q, range(-1, len(q) - 1)))
+    """:func:`multiplicity` and :func:`genus_dim2` from one pass over the
+    table's entries."""
+    e, slope = _quotient_at_one(table)
+    return e, 1 + slope - e
 
 
 def shift_summary(table: BettiTable) -> ShiftSummary:

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -32,11 +33,21 @@ from .errors import (
 Input = object  # DegreeMatrixCM2 | DegreeMatrixGor3 | MonomialStaircase | BettiTable
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str, flag: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading minus,
+    nothing else (no underscores, spaces, '+' or non-ASCII digits)."""
+    if not _INT.fullmatch(text):
+        raise ParseError(f"{flag} expects an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+    if not all(map(_INT.fullmatch, text.split(","))):
+        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}")
+    return [int(part) for part in text.split(",")]
 
 
 def _from_json_obj(obj: object) -> Input:
@@ -76,7 +87,7 @@ def _load_inputs(args: argparse.Namespace) -> list[Input]:
             return [cm2.validate(a, b)]
         if args.d is None:
             raise ParseError("--gor3 needs --d")
-        return [gor3.validate(a, b, args.d)]
+        return [gor3.validate(a, b, _parse_int(args.d, "--d"))]
     if args.infile:
         try:
             with open(args.infile) as fh:
@@ -361,14 +372,21 @@ def _sweep_family(args: argparse.Namespace) -> str:
     raise ParseError("sweep needs --cm2 or --gor3")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = sweep.SweepConfig(
-        family=_sweep_family(args),
-        t_max=args.t_max,
-        entry_max=args.entry_max,
-        checks=None if args.checks is None else tuple(args.checks.split(",")),
-        jobs=args.jobs,
+def _range_config(
+    args: argparse.Namespace, family: str, checks: tuple[str, ...] | None = None
+) -> sweep.SweepConfig:
+    return sweep.SweepConfig(
+        family=family,
+        t_max=_parse_int(args.t_max, "--t-max"),
+        entry_max=_parse_int(args.entry_max, "--entry-max"),
+        checks=checks,
+        jobs=_parse_int(args.jobs, "--jobs"),
     )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    checks = None if args.checks is None else tuple(args.checks.split(","))
+    config = _range_config(args, _sweep_family(args), checks)
     if args.format == "csv":
         buf = io.StringIO()
         report = sweep.write_sweep_csv(config, buf)
@@ -383,12 +401,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    config = sweep.SweepConfig(
-        family=sweep.target_family(args.target),
-        t_max=args.t_max,
-        entry_max=args.entry_max,
-        jobs=args.jobs,
-    )
+    config = _range_config(args, sweep.target_family(args.target))
     report = sweep.hunt(args.target, config, require_hypotheses=args.require_hypotheses)
     if args.format == "csv":
         _emit(sweep.hunt_csv(report), args)
@@ -408,7 +421,7 @@ def _add_matrix_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gor3", action="store_true", help="codimension-3 matrix from --a/--b/--d")
     sp.add_argument("--a", help="comma-separated diagonal entries a_1..a_t")
     sp.add_argument("--b", help="comma-separated superdiagonal entries b_1..b_t")
-    sp.add_argument("--d", type=int, help="center entry (gor3 only)")
+    sp.add_argument("--d", help="center entry (gor3 only)")
     sp.add_argument("--in", dest="infile", metavar="FILE",
                     help="JSON file holding one input object or a list of them")
 
@@ -419,9 +432,9 @@ def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> 
 
 
 def _add_range_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t-max", type=int, required=True)
-    sp.add_argument("--entry-max", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--t-max", required=True)
+    sp.add_argument("--entry-max", required=True)
+    sp.add_argument("--jobs", default="1")
     _add_output_flags(sp, ("text", "json", "csv"))
 
 

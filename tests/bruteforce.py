@@ -3,15 +3,17 @@
 Everything here deliberately avoids the package's own algorithms:
 colength by lattice-point enumeration instead of row summation,
 minimal generators by a pairwise dominance scan instead of one sorted
-sweep, divisibility by polynomial multiplication instead of division,
-and enumeration by generate-and-filter instead of constructive ranges.
+sweep, the Hilbert quotient by dense division of the whole K-polynomial
+instead of the table's binomial moments, divisibility by polynomial
+multiplication instead of division, and enumeration by generate-and-filter
+instead of constructive ranges.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 
-from degmult import cm2, gor3
-from degmult.errors import DegmultError
+from degmult import betti, cm2, gor3
+from degmult.errors import DegmultError, DivisionError
 
 
 def naive_colength(gens: list[tuple[int, int]]) -> int:
@@ -37,6 +39,22 @@ def naive_minimal(gens: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         for g in pts
         if not any(h != g and h[0] <= g[0] and h[1] <= g[1] for h in pts)
     )
+
+
+def hilbert_quotient(table: betti.BettiTable) -> list[int]:
+    """Coefficients of Q(s) = K(s) / (1-s)^codim by dividing the dense
+    K-polynomial by (1-s) codim times: the partial sums of the
+    coefficients are the quotient, and the last one, the value at s=1,
+    must vanish for exactness."""
+    coeffs = list(betti.k_polynomial(table).coeffs)
+    for _ in range(table.codim):
+        partial = list(accumulate(coeffs))
+        if not partial or partial.pop() != 0:
+            raise DivisionError(
+                "K-polynomial is not divisible by (1-s) to the declared codimension"
+            )
+        coeffs = partial
+    return coeffs
 
 
 def poly_mul(p: list[int], q: list[int]) -> list[int]:

@@ -1,5 +1,7 @@
 """Tests for Betti tables, K-polynomials, and the Hilbert-series route."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degmult import betti
 from degmult.errors import (
@@ -8,7 +10,8 @@ from degmult.errors import (
     NotPure,
 )
 
-from bruteforce import one_minus_s_power, poly_mul
+from bruteforce import hilbert_quotient, one_minus_s_power, poly_mul
+from strategies import betti_tables, divisible_betti_tables
 
 
 def table(codim, entries):
@@ -80,7 +83,7 @@ class TestMultiplicity:
     @pytest.mark.parametrize("t", [KOSZUL_23, GOR3_TABLE, PURE_235, CI_11, CM2_1121])
     def test_division_was_exact(self, t):
         # oracle: multiply the quotient back by (1-s)^c and compare
-        q = betti._hilbert_quotient(t)
+        q = hilbert_quotient(t)
         k = list(betti.k_polynomial(t).coeffs)
         assert poly_mul(one_minus_s_power(t.codim), q) == k
 
@@ -93,6 +96,23 @@ class TestMultiplicity:
         bad = table(2, [(1, 1, 2), (2, 3, 1)])  # K = 1 - 2s + s^3, simple zero at 1
         with pytest.raises(DivisionError):
             betti.multiplicity(bad)
+
+    @given(st.one_of(betti_tables(), divisible_betti_tables()))
+    def test_moments_match_dense_division(self, t):
+        try:
+            q = hilbert_quotient(t)
+        except DivisionError:
+            with pytest.raises(DivisionError):
+                betti.multiplicity_and_genus(t)
+            return
+        genus = 1 + sum(c * (i - 1) for i, c in enumerate(q))
+        assert betti.multiplicity_and_genus(t) == (sum(q), genus)
+
+    @given(divisible_betti_tables())
+    def test_divisible_tables_divide(self, t):
+        # Guards the test above: these tables reach the success path.
+        q = hilbert_quotient(t)
+        assert betti.multiplicity_and_genus(t)[0] == sum(q)
 
 
 class TestShiftSummary:
@@ -158,7 +178,7 @@ class TestGenus:
 
     @pytest.mark.parametrize("t", [CI_11, CI_22, CM2_1121, KOSZUL_23])
     def test_one_quotient_gives_both(self, t):
-        q = betti._hilbert_quotient(t)
+        q = hilbert_quotient(t)
         genus = 1 + sum(c * (i - 1) for i, c in enumerate(q))
         assert betti.multiplicity_and_genus(t) == (sum(q), genus)
         assert betti.multiplicity_and_genus(t) == (betti.multiplicity(t), betti.genus_dim2(t))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -301,6 +302,30 @@ class TestStrictIntegers:
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
 
+    BAD_INTEGERS = ["1_0", "0_2", "\u0663", "\uff12", " 2", "2 ", "+2", "2\n"]
+    FLAG_ARGV = {
+        "--a": lambda v: ("compute", "--cm2", "--a", f"2,{v}", "--b", "2,2"),
+        "--b": lambda v: ("compute", "--cm2", "--a", "2", "--b", v),
+        "--d": lambda v: ("compute", "--gor3", "--a", "2", "--b", "2", "--d", v),
+        "--t-max": lambda v: ("sweep", "--cm2", "--t-max", v, "--entry-max", "2"),
+        "--entry-max": lambda v: ("hunt", "--target", "prop24_bound",
+                                  "--t-max", "1", "--entry-max", v),
+        "--jobs": lambda v: ("sweep", "--gor3", "--t-max", "1", "--entry-max", "2",
+                             "--jobs", v),
+    }
+
+    @pytest.mark.parametrize("flag", list(FLAG_ARGV))
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    def test_only_ascii_digits(self, capsys, flag, value):
+        code, out, err = run(capsys, *self.FLAG_ARGV[flag](value))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} expects") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", list(FLAG_ARGV))
+    def test_plain_digits_accepted(self, capsys, flag):
+        code, _, err = run(capsys, *self.FLAG_ARGV[flag]("2"))
+        assert code in (0, 1) and err == ""
+
 
 class TestOutFile:
     """--out is checked before the verb runs and written atomically."""
@@ -361,11 +386,11 @@ class TestOutFile:
 class TestEntryPoint:
     """``python -m degmult`` turns main's return value into the exit status."""
 
-    def degmult(self, *argv):
+    def degmult(self, *argv, **kwargs):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(degmult.__file__)))
         return subprocess.run(
             [sys.executable, "-m", "degmult", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=env, timeout=60, **kwargs,
         )
 
     def test_valid_compute_exits_0(self):
@@ -382,6 +407,22 @@ class TestEntryPoint:
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
             assert "Traceback" not in proc.stderr
+
+    @staticmethod
+    def _limit_address_space():
+        one_gib = 1 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (one_gib, one_gib))
+
+    @pytest.mark.parametrize("argv", [
+        ("--cm2", "--a", "1000000000", "--b", "1000000000"),
+        ("--gor3", "--a", "1", "--b", "1", "--d", "1000000000"),
+    ])
+    def test_huge_entries_in_bounded_memory(self, argv):
+        # A dense K-polynomial of these tables would hold 10^9 coefficients.
+        proc = self.degmult("compute", *argv, preexec_fn=self._limit_address_space)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert "  agree: yes" in proc.stdout
 
     def test_hunt_hit_exits_1(self):
         proc = self.degmult("hunt", "--target", "prop24_bound", "--t-max", "3",

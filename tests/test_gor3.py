@@ -111,19 +111,19 @@ class TestExtend:
 
 
 class TestOneQuotientPerTable:
-    """The linkage route and the extension divide each distinct Betti
-    table by (1-s)^2 once."""
+    """The linkage route and the extension take the Hilbert quotient of
+    each distinct Betti table once."""
 
     @pytest.fixture
     def divisions(self, monkeypatch):
         calls = []
-        real = betti._hilbert_quotient
+        real = betti._quotient_at_one
 
         def counting(table):
             calls.append(table)
             return real(table)
 
-        monkeypatch.setattr(betti, "_hilbert_quotient", counting)
+        monkeypatch.setattr(betti, "_quotient_at_one", counting)
         return calls
 
     def test_linkage_value(self, divisions):

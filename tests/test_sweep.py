@@ -307,9 +307,9 @@ class TestExtensionCheck:
 
     def test_gor3_divides_once_per_child_and_once_per_instance(self, monkeypatch):
         calls = []
-        real = betti._hilbert_quotient
+        real = betti._quotient_at_one
         monkeypatch.setattr(
-            betti, "_hilbert_quotient", lambda table: calls.append(table) or real(table)
+            betti, "_quotient_at_one", lambda table: calls.append(table) or real(table)
         )
         config = sweep.SweepConfig("gor3", 2, 4, checks=("extension",))
         report = sweep.verify_all(config)
