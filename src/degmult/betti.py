@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import mul, neg
 from typing import Iterable, NamedTuple
 
@@ -111,6 +111,12 @@ class BettiTable:
         return cls.from_entries(codim, entries)
 
 
+def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The (shift, rank) pairs of an ascending shift list, equal shifts
+    counted together."""
+    return tuple((shift, len(list(run))) for shift, run in groupby(shifts))
+
+
 @dataclass(frozen=True)
 class KPolynomial:
     """Integer polynomial sum_i coeffs[i] * s^i, trailing zeros stripped."""
@@ -177,20 +183,25 @@ def k_polynomial(table: BettiTable) -> KPolynomial:
     return KPolynomial(tuple(coeffs))
 
 
-def _quotient_at_one(table: BettiTable) -> tuple[int, int]:
-    """(Q(1), Q'(1)) for K = (1-s)^c Q, from the binomial moments of K.
-
-    K(1+u) = sum_k S_k u^k with S_k = sum_j beta_j C(j, k) over the
-    signed entries, step 0's constant 1 included.  Since 1-s = -u,
-    K(1+u) = (-1)^c u^c Q(1+u): the moments below S_c must vanish, and
-    S_c, S_{c+1} are (-1)^c times Q(1), Q'(1).
-    """
-    c = table.codim
+def _signed_entries(table: BettiTable) -> tuple[list[int], list[int]]:
+    """Shifts and signed ranks of the K-polynomial's terms, step 0's
+    constant 1 first."""
     shifts, ranks = [0], [1]
     for i, step in enumerate(table.steps):
         step_shifts, step_ranks = zip(*step)
         shifts += step_shifts
         ranks += map(neg, step_ranks) if i % 2 == 0 else step_ranks
+    return shifts, ranks
+
+
+def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
+    """(Q(1), Q'(1)) for K = (1-s)^c Q, K = sum_j ranks_j s^shifts_j.
+
+    K(1+u) = sum_k S_k u^k with S_k = sum_j ranks_j C(shifts_j, k).
+    Since 1-s = -u, K(1+u) = (-1)^c u^c Q(1+u): the moments below S_c
+    must vanish, and S_c, S_{c+1} are (-1)^c times Q(1), Q'(1).  The
+    terms may come in any order and repeat a shift.
+    """
     moments = [
         sum(map(mul, ranks, map(math.comb, shifts, repeat(k)))) for k in range(c + 2)
     ]
@@ -209,7 +220,7 @@ def multiplicity(table: BettiTable) -> int:
     DivisionError when (1-s)^c does not divide K exactly, which flags a
     table/codimension pair no Cohen-Macaulay quotient can have.
     """
-    return _quotient_at_one(table)[0]
+    return _quotient_at_one(table.codim, *_signed_entries(table))[0]
 
 
 def genus_dim2(table: BettiTable) -> int:
@@ -225,7 +236,12 @@ def genus_dim2(table: BettiTable) -> int:
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
     """:func:`multiplicity` and :func:`genus_dim2` from one pass over the
     table's entries."""
-    e, slope = _quotient_at_one(table)
+    return _multiplicity_and_genus(table.codim, *_signed_entries(table))
+
+
+def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
+    """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial."""
+    e, slope = _quotient_at_one(c, shifts, ranks)
     return e, 1 + slope - e
 
 

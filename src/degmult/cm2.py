@@ -10,13 +10,22 @@ generator and syzygy degrees, extreme shifts, the u/v multiplicity
 formula, the Betti table, a witness monomial ideal with the same degree
 matrix, and the basic-double-link extension that appends a row and a
 column.
+
+The extension kernel, :func:`extender`, is bound once to a base
+matrix, its shifts and multiplicity, and then checks each appended
+(a, b) on the child's degree lists alone: the base's lists shifted by
+b with one generator and one syzygy inserted, and no child matrix,
+table or u/v record.  :func:`extend`, :func:`multiplicity_uv`
+and :func:`hs_identities` are one-matrix wrappers kept because the
+benchmark harness (``benchmarks/worker.py``, ``benchmarks/tracer.py``)
+and the tests call them; they go when ROADMAP item 3 retires the tracer.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import betti, oracle
 from .errors import InternalMismatch, InvalidDiagonal, NotMonotone, as_int_tuple
@@ -78,7 +87,8 @@ class UVData(NamedTuple):
     the number of generators.  They satisfy u_i >= v_i >= 0 and
     u_{i+1} >= v_i, and determine the extreme degrees through
     e_1 = sum(v), e_m = sum(u), f_1 = sum(v) + u_1,
-    f_{m-1} = sum(u) + v_{m-1}.
+    f_{m-1} = sum(u) + v_{m-1}.  The multiplicity is
+    e(R/I) = sum_i u_i (v_i + .. + v_{m-1}) = sum_i v_i (u_1 + .. + u_i).
     """
 
     m: int
@@ -86,27 +96,7 @@ class UVData(NamedTuple):
     f: tuple[int, ...]
     u: tuple[int, ...]
     v: tuple[int, ...]
-
-    def multiplicity(self) -> int:
-        """Multiplicity via both u/v expressions, which must agree.
-
-        e(R/I) = sum_i u_i (v_i + .. + v_{m-1}) = sum_i v_i (u_1 + .. + u_i).
-        """
-        tail = 0
-        first = 0
-        for ui, vi in zip(reversed(self.u), reversed(self.v)):
-            tail += vi
-            first += ui * tail
-        head = 0
-        second = 0
-        for ui, vi in zip(self.u, self.v):
-            head += ui
-            second += vi * head
-        if first != second:
-            raise InternalMismatch(
-                f"u/v multiplicity expressions disagree: {first} != {second}"
-            )
-        return first
+    multiplicity: int
 
     def hs_identities(self) -> bool:
         """Whether both Herzog-Srinivasan summation identities hold.
@@ -178,43 +168,73 @@ def full_matrix(A: DegreeMatrixCM2) -> list[list[int]]:
     return grid
 
 
-def uv_data(A: DegreeMatrixCM2) -> UVData:
-    """Sorted degree lists and their u/v differences, cross-checked.
+def degrees(A: DegreeMatrixCM2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Generator and syzygy degrees, each sorted ascending.
 
     The degree-matrix convention orders degrees decreasingly; sorting
-    ascending reconciles it with the resolution convention.  The four
-    extreme-degree identities are verified on the result.
+    ascending reconciles it with the resolution convention.
     """
-    e = tuple(sorted(generator_degrees(A)))
-    f = tuple(sorted(syzygy_degrees(A)))
-    m = len(e)
+    return tuple(sorted(generator_degrees(A))), tuple(sorted(syzygy_degrees(A)))
+
+
+def _uv(e: Sequence[int], f: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """u, v and the multiplicity of ascending degree lists e and f.
+
+    One forward pass forms u and v, verifies u_i >= v_i >= 0 and
+    u_{i+1} >= v_i, and sums sum_i v_i (u_1 + .. + u_i); one backward
+    pass sums sum_i u_i (v_i + .. + v_{m-1}).  The two expressions for
+    e(R/I) must agree, and the four extreme-degree identities must hold.
+    """
     u: list[int] = []
     v: list[int] = []
-    for i in range(m - 1):
+    head = second = prev = 0  # head = u_1 + .. + u_i, prev = v_(i-1)
+    for i in range(len(e) - 1):
         fi = f[i]
         ui = fi - e[i]
         vi = fi - e[i + 1]
         if not ui >= vi >= 0:
             raise InternalMismatch(f"u_i >= v_i >= 0 fails at i={i + 1}: e={e}, f={f}")
-        if i and ui < v[i - 1]:
+        if ui < prev:
             raise InternalMismatch(f"u_(i+1) >= v_i fails at i={i}: e={e}, f={f}")
+        prev = vi
         u.append(ui)
         v.append(vi)
-    checks = (
-        (e[0], sum(v)),
-        (e[-1], sum(u)),
-        (f[0], sum(v) + u[0]),
-        (f[-1], sum(u) + v[-1]),
-    )
-    for got, expect in checks:
-        if got != expect:
-            raise InternalMismatch(f"extreme-degree identity fails: {checks}")
-    return UVData(m, e, f, tuple(u), tuple(v))
+        head += ui
+        second += vi * head
+    tail = first = 0  # tail = v_i + .. + v_(m-1)
+    for ui, vi in zip(reversed(u), reversed(v)):
+        tail += vi
+        first += ui * tail
+    extremes = (e[0], e[-1], f[0], f[-1])
+    if extremes != (tail, head, tail + u[0], head + v[-1]):
+        raise InternalMismatch(
+            f"extreme-degree identity fails: (e_1, e_m, f_1, f_(m-1)) = {extremes}, "
+            f"sum(u) = {head}, sum(v) = {tail}"
+        )
+    if first != second:
+        raise InternalMismatch(
+            f"u/v multiplicity expressions disagree: {first} != {second}"
+        )
+    return u, v, first
+
+
+def uv_data(A: DegreeMatrixCM2) -> UVData:
+    """Sorted degree lists, their u/v differences and the multiplicity,
+    cross-checked; see :func:`_uv`."""
+    e, f = degrees(A)
+    u, v, mult = _uv(e, f)
+    return UVData(len(e), e, f, tuple(u), tuple(v), mult)
+
+
+def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
+    """Multiplicity of the matrix with ascending generator degrees e and
+    syzygy degrees f, with every u/v check of :func:`_uv`."""
+    return _uv(e, f)[2]
 
 
 def multiplicity_uv(A: DegreeMatrixCM2) -> int:
-    """Multiplicity via both u/v expressions; see :meth:`UVData.multiplicity`."""
-    return uv_data(A).multiplicity()
+    """Multiplicity via both u/v expressions; see :func:`_uv`."""
+    return uv_data(A).multiplicity
 
 
 def hs_identities(A: DegreeMatrixCM2) -> bool:
@@ -224,9 +244,8 @@ def hs_identities(A: DegreeMatrixCM2) -> bool:
 
 def betti_table(A: DegreeMatrixCM2) -> betti.BettiTable:
     """Two-step Betti table: generator degrees, then syzygy degrees."""
-    entries = [(1, d, 1) for d in generator_degrees(A)]
-    entries += [(2, d, 1) for d in syzygy_degrees(A)]
-    return betti.BettiTable.from_entries(codim=2, entries=entries)
+    gens, syz = degrees(A)
+    return betti.BettiTable(2, (betti.ranked(gens), betti.ranked(syz)))
 
 
 def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
@@ -241,29 +260,65 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     return oracle.minimalize(zip(xs, ys))
 
 
+def appended_degrees(
+    lists: tuple[Sequence[int], Sequence[int]], m1: int, a: int, b: int
+) -> tuple[list[int], list[int]]:
+    """Ascending degree lists after appending (a, b) to a matrix whose
+    ascending generator and syzygy degrees are ``lists`` and whose
+    m1 = sum(a) is ``m1``.
+
+    Every old generator and syzygy degree moves up by b; the new row
+    and column add the generator m1 + a and the syzygy m1 + a + b.
+    """
+    gens, syz = lists
+    e = [g + b for g in gens]
+    insort(e, m1 + a)
+    f = [x + b for x in syz]
+    insort(f, m1 + a + b)
+    return e, f
+
+
+def extender(
+    A: DegreeMatrixCM2, s: ShiftsCM2, e: int
+) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
+    """The basic-double-link check for every child of A, whose shifts
+    are s and multiplicity e; A's degree lists are sorted once here.
+
+    The returned function takes the appended (a, b), which must satisfy
+    b >= a and b_t >= a.  It forms the child's degree lists with
+    :func:`appended_degrees` and reads the child's shifts off their ends
+    as (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
+    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off A's lists.  The
+    recursion e' = e + (m1 + a) b must equal the child's own
+    multiplicity from :func:`multiplicity_from_degrees`.  It returns the
+    deltas and e', or raises InternalMismatch.
+    """
+    m1, m2, M1, M2 = s
+    gens, syz = base = degrees(A)
+    c = syz[0] - gens[0]
+
+    def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
+        e2, f2 = appended_degrees(base, m1, a, b)
+        deltas = (a, a + b - c, b, b)
+        got = (e2[0], f2[0], e2[-1], f2[-1])
+        if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas
+            raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {got}")
+        recursion = e + (m1 + a) * b
+        direct = multiplicity_from_degrees(e2, f2)
+        if recursion != direct:
+            raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
+        return deltas, recursion
+
+    return child
+
+
 def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:
-    """Append a row and column (basic double link); see :func:`extend_from`."""
-    return extend_from(A, shifts(A), multiplicity_uv(A), a, b)
-
-
-def extend_from(
-    A: DegreeMatrixCM2, s: ShiftsCM2, e: int, a: int, b: int
-) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:
-    """Append a row and column to A, whose shifts are s and multiplicity e.
+    """Append a row and column (basic double link), checked by :func:`extender`.
 
     Requires b >= a and b_t >= a so the extension stays valid (NotMonotone
     otherwise).  The shifts move by (a, a+b-c, b, b) with c = b_t, and the
-    multiplicity grows by (m1 + a) * b; both facts are verified against
-    direct recomputation on the extended matrix.
+    multiplicity grows by (m1 + a) * b.
     """
-    c = A.b[-1]
     A2 = DegreeMatrixCM2(A.a + (a,), A.b + (b,))
-    s2 = shifts(A2)
-    deltas = DeltasCM2(a, a + b - c, b, b)
-    if tuple(map(add, s, deltas)) != s2:
-        raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
-    e2 = e + (s.m1 + a) * b
-    direct = multiplicity_uv(A2)
-    if e2 != direct:
-        raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
-    return A2, deltas, e2
+    deltas, e2 = extender(A, shifts(A), multiplicity_uv(A))(a, b)
+    return A2, DeltasCM2(*deltas), e2

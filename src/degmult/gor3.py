@@ -10,12 +10,23 @@ built from the resolution of the block ideal J, the multiplicity as an
 explicit polynomial in the entry degrees, a cross-check through the
 liaison formula e = (m1 + M2 - 4) e(R/J) - (2g - 2), and the
 basic-double-link extension recursion.
+
+The extension kernel, :func:`extender`, is bound once to a base
+matrix's values and checks each appended (a, b) without building a
+child matrix or Betti table: the shifts come from the block's shifted
+degree lists (:func:`cm2.appended_degrees`), the multiplicity from
+:func:`pfaffian_formula` on the child's entries, and the block curve's
+genus from the binomial moments of those lists, through the same
+:func:`betti._quotient_at_one` every table uses.  :func:`extend` is the
+one-pair wrapper, kept because the benchmark harness
+(``benchmarks/tracer.py``) and the tests call it; it goes when ROADMAP
+item 3 retires the tracer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import betti, cm2
 from .errors import CenterTooSmall, InternalMismatch
@@ -93,15 +104,18 @@ def shifts(G: DegreeMatrixGor3) -> ShiftsGor3:
 
 
 def multiplicity_pfaffian(G: DegreeMatrixGor3) -> int:
-    """Multiplicity from the entry degrees of the skew presentation matrix.
+    """Multiplicity from the entry degrees of the skew presentation matrix;
+    see :func:`pfaffian_formula`."""
+    return pfaffian_formula(G.base.a, G.base.b, G.d)
 
-    e(R/I) = sum_{j=1}^t b_j (a_1+..+a_j) (d + sum_{i<j} (2 b_i - a_i)
-    + b_j - a_j), exactly.
-    """
+
+def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
+    """e(R/I) = sum_{j=1}^t b_j (a_1+..+a_j) (d + sum_{i<j} (2 b_i - a_i)
+    + b_j - a_j), exactly, for the block (a, b) and center d."""
     total = 0
     prefix_a = 0
-    acc = G.d  # d + sum_{i<j} (2 b_i - a_i)
-    for aj, bj in zip(G.base.a, G.base.b):
+    acc = d  # d + sum_{i<j} (2 b_i - a_i)
+    for aj, bj in zip(a, b):
         prefix_a += aj
         total += bj * prefix_a * (acc + bj - aj)
         acc += 2 * bj - aj
@@ -126,13 +140,15 @@ def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
 
 
 def block_curve(G: DegreeMatrixGor3) -> tuple[int, int]:
-    """Multiplicity and genus (e(R/J), g) of the block curve J, one division."""
+    """Multiplicity and genus (e(R/J), g) of the block curve J, from one
+    pass over its Betti table."""
     return betti.multiplicity_and_genus(cm2.betti_table(G.base))
 
 
-def _linkage_value(G: DegreeMatrixGor3) -> int:
-    """(m1 + M2 - 4) e(R/J) - (2g - 2) for the block curve J, no cross-check."""
-    e_j, g = block_curve(G)
+def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
+    """(m1 + M2 - 4) e(R/J) - (2g - 2) for the block curve J of G, whose
+    ``curve`` = (e(R/J), g) comes from :func:`block_curve`; no cross-check."""
+    e_j, g = curve
     s = shifts(G)
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
@@ -140,7 +156,7 @@ def _linkage_value(G: DegreeMatrixGor3) -> int:
 def linkage_check(G: DegreeMatrixGor3) -> int:
     """Multiplicity through the liaison formula, asserted against the
     degree-entry formula."""
-    value = _linkage_value(G)
+    value = _linkage_value(G, block_curve(G))
     pfaff = multiplicity_pfaffian(G)
     if value != pfaff:
         raise InternalMismatch(
@@ -149,44 +165,59 @@ def linkage_check(G: DegreeMatrixGor3) -> int:
     return value
 
 
-def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
-    """Grow the block by (a, b), keeping d; see :func:`extend_from`."""
-    return extend_from(G, shifts(G), multiplicity_pfaffian(G), block_curve(G), a, b)
+def extender(
+    G: DegreeMatrixGor3, s: ShiftsGor3, e: int, curve: tuple[int, int]
+) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
+    """The basic-double-link check for every child of G, whose shifts
+    are s, multiplicity e and block curve ``curve`` = (e(R/J), g); the
+    block's degree lists are sorted once here.
 
-
-def extend_from(
-    G: DegreeMatrixGor3, s: ShiftsGor3, e: int, curve: tuple[int, int], a: int, b: int
-) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
-    """Grow the block of G, whose shifts are s, multiplicity e and block
-    curve ``curve`` = (e(R/J), g), by (a, b), and track every invariant.
-
-    Requires b >= a and b_t >= a (NotMonotone otherwise).  Checks the six
-    shift deltas, the multiplicity recursion
-    e' = e + b (m1 + a) (M2 + b - a), and the induced genus recursion
-    2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) for the block
-    curves.
+    The returned function grows the block by (a, b), keeping d; it needs
+    b >= a and b_t >= a.  From the block's degree lists after
+    :func:`cm2.appended_degrees` it reads the six shifts (m1 and m2 are
+    the least generator and syzygy degree, m3 = d + 2 M1(J)) and checks
+    them against s plus the deltas; it checks the multiplicity recursion
+    e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula` on
+    the child's entries, and the genus recursion
+    2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) against the
+    binomial moments of the child's block lists.  It returns the deltas
+    and e', or raises InternalMismatch (DivisionError if the child's
+    block table is not divisible).
     """
-    c = G.base.b[-1]
-    G2 = DegreeMatrixGor3(cm2.DegreeMatrixCM2(G.base.a + (a,), G.base.b + (b,)), G.d)
-    s2 = shifts(G2)
-    deltas = DeltasGor3(
-        m1=a,
-        m2=a + b - c,
-        m3=2 * b,
-        M1=b + c - a,
-        M2=2 * b - a,
-        M3=2 * b,
-    )
-    if tuple(map(add, s, deltas)) != s2:
-        raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
-    e2 = e + b * (s.m1 + a) * (s.M2 + b - a)
-    direct = multiplicity_pfaffian(G2)
-    if e2 != direct:
-        raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
+    block_a, block_b, d = G.base.a, G.base.b, G.d
+    c = block_b[-1]
+    m1 = s.m1
     e_j, g = curve
-    g2 = betti.genus_dim2(cm2.betti_table(G2.base))
-    if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
-        raise InternalMismatch(
-            f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"
-        )
-    return G2, deltas, e2
+    gens, syz = base = cm2.degrees(G.base)
+    ranks = [1] + [-1] * (len(gens) + 1) + [1] * (len(syz) + 1)
+
+    def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
+        e2, f2 = cm2.appended_degrees(base, m1, a, b)
+        m3 = d + 2 * e2[-1]
+        got = (e2[0], f2[0], m3, m3 - f2[0], m3 - e2[0], m3)
+        deltas = (a, a + b - c, 2 * b, b + c - a, 2 * b - a, 2 * b)
+        if tuple(map(add, s, deltas)) != got:
+            raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {got}")
+        recursion = e + b * (m1 + a) * (s.M2 + b - a)
+        direct = pfaffian_formula(block_a + (a,), block_b + (b,), d)
+        if recursion != direct:
+            raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
+        _, g2 = betti._multiplicity_and_genus(2, [0, *e2, *f2], ranks)
+        if 2 * g2 != 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j:
+            raise InternalMismatch(
+                f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"
+            )
+        return deltas, recursion
+
+    return child
+
+
+def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
+    """Grow the block by (a, b), keeping d, checked by :func:`extender`.
+
+    Requires b >= a and b_t >= a (NotMonotone otherwise).
+    """
+    G2 = DegreeMatrixGor3(cm2.DegreeMatrixCM2(G.base.a + (a,), G.base.b + (b,)), G.d)
+    child = extender(G, shifts(G), multiplicity_pfaffian(G), block_curve(G))
+    deltas, e2 = child(a, b)
+    return G2, DeltasGor3(*deltas), e2

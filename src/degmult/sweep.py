@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 from multiprocessing import Pool
 from types import ModuleType
@@ -252,6 +252,28 @@ def _appended(cap: int, entry_max: int) -> Iterator[tuple[int, int]]:
             yield a, b
 
 
+class lazy:
+    """An attribute computed by ``fn`` on first read and then stored on
+    the instance, as :class:`functools.cached_property` does, but
+    without the lock that one takes on each first read before Python
+    3.12.  If ``fn`` raises, nothing is stored and the next read calls
+    it again.  Evaluations are never shared between threads.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Evaluation:
     """Everything a verb may read about one matrix, each part computed on
     first use and then kept.
@@ -285,7 +307,7 @@ class Evaluation:
     def routes(self) -> dict[str, int | DegmultError]:
         return {name: self.route(name) for name in self.ROUTES}
 
-    @cached_property
+    @lazy
     def e(self) -> int:
         """The value route, or should it fail the first other route that succeeds."""
         for name in self.ROUTES:
@@ -294,36 +316,36 @@ class Evaluation:
                 return value
         raise value
 
-    @cached_property
+    @lazy
     def inst(self) -> dict:
         return self.instance.to_json_dict()
 
-    @cached_property
+    @lazy
     def shifts(self) -> cm2.ShiftsCM2 | gor3.ShiftsGor3:
         return self.MODULE.shifts(self.instance)
 
-    @cached_property
+    @lazy
     def table(self) -> betti.BettiTable:
         return self.MODULE.betti_table(self.instance)
 
-    @cached_property
+    @lazy
     def summary(self) -> ShiftSummary:
         return betti.shift_summary(self.table)
 
-    @cached_property
+    @lazy
     def purity(self) -> betti.Purity:
         return betti.purity(self.table)
 
-    @cached_property
+    @lazy
     def extremes(self) -> ShiftSummary:
         """The shifts computed from the matrix, as a ShiftSummary."""
         return ShiftSummary(m=self.shifts[: self.codim], M=self.shifts[self.codim:])
 
-    @cached_property
+    @lazy
     def hhs(self) -> tuple[BoundVerdict, BoundVerdict]:
         return bounds.hhs_bounds(self.summary, self.codim, self.e)
 
-    @cached_property
+    @lazy
     def sharpness(self) -> bounds.SharpnessVerdict:
         return bounds.sharpness(self.summary, self.codim, self.e)
 
@@ -379,8 +401,8 @@ class Evaluation:
             yield hm, self.e
 
     def _extension(self, entry_max: int) -> Iterator[tuple]:
-        """Every appended pair through the family's ``extend_from``, with the
-        base values bound once; skipped when the value route failed."""
+        """Every appended pair through the family's extension kernel, bound
+        once to the base values; skipped when the value route failed."""
         e = self.route(next(iter(self.ROUTES)))
         if not isinstance(e, int):
             return
@@ -428,7 +450,7 @@ class CM2Evaluation(Evaluation):
     codim = 2
     MODULE = cm2
     ROUTES = {
-        "uv": lambda ev: ev.uv.multiplicity(),
+        "uv": lambda ev: ev.uv.multiplicity,
         "resolution": lambda ev: betti.multiplicity(ev.table),
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
@@ -437,16 +459,16 @@ class CM2Evaluation(Evaluation):
         "cm2_bounds", "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
     )
 
-    @cached_property
+    @lazy
     def uv(self) -> cm2.UVData:
         """The u/v data, shared by the uv route and the hs_identities and uv_facts checks."""
         return cm2.uv_data(self.instance)
 
-    @cached_property
+    @lazy
     def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
         return bounds.cm2_bounds(*self.shifts, self.e)
 
-    @cached_property
+    @lazy
     def prop24(self) -> bounds.Prop24Verdict:
         return bounds.prop24_bound(self.instance, self.e)
 
@@ -480,7 +502,7 @@ class CM2Evaluation(Evaluation):
         return self.instance
 
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
-        return partial(cm2.extend_from, self.instance, self.shifts, e)
+        return cm2.extender(self.instance, self.shifts, e)
 
     def finding(self, checks: tuple[str, ...]) -> dict | None:
         if "prop24" not in checks or self.prop24.bound_holds:
@@ -512,18 +534,24 @@ class Gor3Evaluation(Evaluation):
     ROUTES = {
         "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
         "resolution": lambda ev: betti.multiplicity(ev.table),
-        "linkage": lambda ev: gor3._linkage_value(ev.instance),
+        "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.block_curve),
     }
     CHECKS = (
         "multiplicity_agreement", "shift_agreement", "self_duality", "gor3_bounds",
         "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
     )
 
-    @cached_property
+    @lazy
+    def block_curve(self) -> tuple[int, int]:
+        """(e(R/J), g) of the block curve, shared by the linkage route and
+        the extension check."""
+        return gor3.block_curve(self.instance)
+
+    @lazy
     def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
         return bounds.gor3_bounds(*self.shifts, self.e)
 
-    @cached_property
+    @lazy
     def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool]:
         return bounds.srinivasan_bounds(self.extremes, self.e)
 
@@ -557,8 +585,7 @@ class Gor3Evaluation(Evaluation):
         return self.instance.base
 
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
-        G = self.instance
-        return partial(gor3.extend_from, G, self.shifts, e, gor3.block_curve(G))
+        return gor3.extender(self.instance, self.shifts, e, self.block_curve)
 
     def _family_cells(self) -> dict:
         lower, upper, _ = self.srinivasan

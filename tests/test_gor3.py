@@ -1,4 +1,6 @@
 """Tests for codimension-3 Gorenstein degree matrices."""
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +112,18 @@ class TestExtend:
             gor3.extend(CI_225, 3, 3)  # b_t = 2 < a = 3
 
 
+def terms(c, shifts, ranks):
+    """Codimension and K-polynomial {shift: coefficient} of a quotient's input."""
+    coeffs = Counter()
+    for shift, rank in zip(shifts, ranks):
+        coeffs[shift] += rank
+    return c, {shift: x for shift, x in coeffs.items() if x}
+
+
+def table_terms(table):
+    return terms(table.codim, *betti._signed_entries(table))
+
+
 class TestOneQuotientPerTable:
     """The linkage route and the extension take the Hilbert quotient of
     each distinct Betti table once."""
@@ -119,20 +133,24 @@ class TestOneQuotientPerTable:
         calls = []
         real = betti._quotient_at_one
 
-        def counting(table):
-            calls.append(table)
-            return real(table)
+        def counting(c, shifts, ranks):
+            calls.append(terms(c, shifts, ranks))
+            return real(c, shifts, ranks)
 
         monkeypatch.setattr(betti, "_quotient_at_one", counting)
         return calls
 
     def test_linkage_value(self, divisions):
-        assert gor3._linkage_value(G_2111) == gor3.multiplicity_pfaffian(G_2111)
-        assert divisions == [cm2.betti_table(G_2111.base)]
+        curve = gor3.block_curve(G_2111)
+        assert gor3._linkage_value(G_2111, curve) == gor3.multiplicity_pfaffian(G_2111)
+        assert divisions == [table_terms(cm2.betti_table(G_2111.base))]
 
     def test_extend(self, divisions):
         G2, _, _ = gor3.extend(CI_225, 2, 3)
-        assert divisions == [cm2.betti_table(CI_225.base), cm2.betti_table(G2.base)]
+        assert divisions == [
+            table_terms(cm2.betti_table(CI_225.base)),
+            table_terms(cm2.betti_table(G2.base)),
+        ]
 
 
 class TestProperties:

@@ -1,14 +1,16 @@
 """Tests for enumeration, sweeping, and hunting."""
 import functools
 import io
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from degmult import betti, cm2, gor3, oracle, sweep
 from degmult.errors import DivisionError, UnknownTarget
 
-from bruteforce import brute_cm2, brute_gor3
+from bruteforce import brute_cm2, brute_gor3, extend_from
 
 
 class TestEnumerateCM2:
@@ -283,17 +285,53 @@ def appended_children(config):
             yield inst, block.a + (a,), block.b + (b,)
 
 
-class TestExtensionCheck:
-    """The extension check runs the family's own extend core once per
-    appended child, from base values computed once per instance."""
+def recorded_children(monkeypatch, module):
+    """Wrap ``module.extender`` so each child it checks without a failure
+    is recorded as (base number, a, b, deltas, e'), bases counted from 0
+    in the order the sweep binds them."""
+    seen = []
+    bases = itertools.count()
+    real = module.extender
 
-    CHILD_ROUTES = {"cm2": (cm2, "multiplicity_uv"), "gor3": (gor3, "multiplicity_pfaffian")}
+    def extender(*args):
+        k = next(bases)
+        child = real(*args)
+
+        def recorded(a, b):
+            deltas, e2 = child(a, b)
+            seen.append((k, a, b, tuple(deltas), e2))
+            return deltas, e2
+
+        return recorded
+
+    monkeypatch.setattr(module, "extender", extender)
+    return seen
+
+
+def extension_only(family, t_max, entry_max):
+    return sweep.SweepConfig(family, t_max, entry_max, checks=("extension",))
+
+
+class TestExtensionCheck:
+    """The extension check runs the family's kernel once per appended
+    child, from base values bound once per instance."""
+
+    # The kernel's per-child direct value, skewed on the t = 2 children.
+    CHILD_ROUTES = {
+        "cm2": (
+            cm2, "multiplicity_from_degrees",
+            lambda real: lambda e, f: real(e, f) + (len(e) == 3),
+        ),
+        "gor3": (
+            gor3, "pfaffian_formula",
+            lambda real: lambda a, b, d: real(a, b, d) + (len(a) == 2),
+        ),
+    }
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_one_anomaly_per_failing_child(self, monkeypatch, family):
-        module, name = self.CHILD_ROUTES[family]
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda X: real(X) + (X.t == 2))
+        module, name, skew = self.CHILD_ROUTES[family]
+        monkeypatch.setattr(module, name, skew(getattr(module, name)))
         config = sweep.SweepConfig(family, 1, 4, checks=("extension",))
         report = sweep.verify_all(config)
         expected = [
@@ -309,7 +347,7 @@ class TestExtensionCheck:
         calls = []
         real = betti._quotient_at_one
         monkeypatch.setattr(
-            betti, "_quotient_at_one", lambda table: calls.append(table) or real(table)
+            betti, "_quotient_at_one", lambda *args: calls.append(args) or real(*args)
         )
         config = sweep.SweepConfig("gor3", 2, 4, checks=("extension",))
         report = sweep.verify_all(config)
@@ -317,18 +355,156 @@ class TestExtensionCheck:
         children = len(list(appended_children(config)))
         assert len(calls) == children + report.instances_checked
 
+    def test_gor3_block_curve_once_per_instance(self, monkeypatch):
+        """A full gor3 sweep takes one quotient per instance for the
+        resolution route, one for the block curve that the linkage route
+        and the extension base share, one per appended child and one per
+        pure instance (Huneke-Miller)."""
+        calls = []
+        real = betti._quotient_at_one
+        monkeypatch.setattr(
+            betti, "_quotient_at_one", lambda *args: calls.append(args) or real(*args)
+        )
+        config = sweep.SweepConfig("gor3", 2, 4)
+        report = sweep.verify_all(config)
+        assert report.ok
+        children = len(list(appended_children(config)))
+        pure = len(report.sharp_cases)
+        assert len(calls) == children + 2 * report.instances_checked + pure
+
     def test_cm2_computes_each_child_once(self, monkeypatch):
         calls = []
-        real = cm2.multiplicity_uv
-        monkeypatch.setattr(cm2, "multiplicity_uv", lambda A: calls.append(A) or real(A))
+        real = cm2.multiplicity_from_degrees
+        monkeypatch.setattr(
+            cm2, "multiplicity_from_degrees", lambda e, f: calls.append((e, f)) or real(e, f)
+        )
         config = sweep.SweepConfig("cm2", 3, 4, checks=("extension",))
         report = sweep.verify_all(config)
         assert report.ok
-        expected = [(a, b) for _, a, b in appended_children(config)]
-        assert [(A.a, A.b) for A in calls] == expected
+        expected = [
+            cm2.degrees(cm2.DegreeMatrixCM2(a, b)) for _, a, b in appended_children(config)
+        ]
+        assert [(tuple(e), tuple(f)) for e, f in calls] == expected
         assert len(expected) == sum(
             len(list(sweep._appended(A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
         )
+
+    @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
+    def test_kernel_matches_reference(self, monkeypatch, family, t_max, entry_max):
+        """Every appended child gets the deltas and e' of the reference
+        that builds and re-evaluates the child matrix."""
+        module = cm2 if family == "cm2" else gor3
+        seen = recorded_children(monkeypatch, module)
+        config = extension_only(family, t_max, entry_max)
+        assert sweep.verify_all(config).ok
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        expected = []
+        for k, inst in enumerate(enum(t_max, entry_max)):
+            block = inst if family == "cm2" else inst.base
+            for a, b in sweep._appended(block.b[-1], entry_max):
+                _, deltas, e2 = extend_from(inst, a, b)
+                expected.append((k, a, b, tuple(deltas), e2))
+        assert len(expected) > 2000
+        assert seen == expected
+
+    @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 4), ("gor3", 2, 5)])
+    def test_every_appended_pair_verified(self, monkeypatch, family, t_max, entry_max):
+        """Coverage: the verified (instance, appended pair) checks number
+        len(_appended(b_t, entry_max)) per instance."""
+        seen = recorded_children(monkeypatch, cm2 if family == "cm2" else gor3)
+        report = sweep.verify_all(extension_only(family, t_max, entry_max))
+        assert report.ok
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        per_instance = [
+            len(list(sweep._appended((inst if family == "cm2" else inst.base).b[-1], entry_max)))
+            for inst in enum(t_max, entry_max)
+        ]
+        verified = Counter(k for k, *_ in seen)
+        assert [verified[k] for k in range(report.instances_checked)] == per_instance
+        assert len(seen) == sum(per_instance) > report.instances_checked
+
+
+def _skew_child_uv(monkeypatch):
+    real = cm2.multiplicity_from_degrees
+    monkeypatch.setattr(cm2, "multiplicity_from_degrees", lambda e, f: real(e, f) + 1)
+
+
+def _skew_child_pfaffian(monkeypatch):
+    real = gor3.pfaffian_formula
+    monkeypatch.setattr(gor3, "pfaffian_formula", lambda a, b, d: real(a, b, d) + 1)
+    # The base's own value route keeps the true formula.
+    monkeypatch.setattr(gor3, "multiplicity_pfaffian", lambda G: real(G.base.a, G.base.b, G.d))
+
+
+def _skew_route(monkeypatch, family, route):
+    cls = sweep.CM2Evaluation if family == "cm2" else sweep.Gor3Evaluation
+    real = cls.ROUTES[route]
+    monkeypatch.setitem(cls.ROUTES, route, lambda ev: real(ev) + 1)
+
+
+def _skew_shift(monkeypatch, module):
+    real = module.shifts
+    monkeypatch.setattr(module, "shifts", lambda X: real(X)._replace(m2=real(X).m2 + 1))
+
+
+def _break_uv_inequality(monkeypatch):
+    real = cm2.multiplicity_from_degrees
+
+    def broken(e, f):
+        e = list(e)
+        e[1] = e[2] + 1  # e_2 > e_3, so u_2 < v_2
+        return real(e, f)
+
+    monkeypatch.setattr(cm2, "multiplicity_from_degrees", broken)
+
+
+def _break_extreme_identity(monkeypatch):
+    real = cm2.multiplicity_from_degrees
+    # u_(m-1) and v_(m-1) both grow by 1, so f_(m-1) = sum(u) + v_(m-1) fails.
+    monkeypatch.setattr(
+        cm2, "multiplicity_from_degrees", lambda e, f: real(e, [*f[:-1], f[-1] + 1])
+    )
+
+
+def _skew_genus(monkeypatch):
+    real = gor3.block_curve
+    monkeypatch.setattr(gor3, "block_curve", lambda G: (real(G)[0], real(G)[1] + 1))
+
+
+class TestKernelFaults:
+    """Each fault injected into the extension kernel's inputs or direct
+    values files exactly one ``append`` anomaly per appended child."""
+
+    FAULTS = {
+        ("cm2", "direct"): (_skew_child_uv, "multiplicity recursion fails"),
+        ("cm2", "recursion"): (
+            lambda mp: _skew_route(mp, "cm2", "uv"), "multiplicity recursion fails"
+        ),
+        ("cm2", "shift"): (lambda mp: _skew_shift(mp, cm2), "shift deltas fail"),
+        ("cm2", "uv_inequality"): (_break_uv_inequality, "u_i >= v_i >= 0 fails"),
+        ("cm2", "extreme_identity"): (_break_extreme_identity, "extreme-degree identity fails"),
+        ("gor3", "direct"): (_skew_child_pfaffian, "multiplicity recursion fails"),
+        ("gor3", "recursion"): (
+            lambda mp: _skew_route(mp, "gor3", "pfaffian"), "multiplicity recursion fails"
+        ),
+        ("gor3", "shift"): (lambda mp: _skew_shift(mp, gor3), "shift deltas fail"),
+        ("gor3", "genus"): (_skew_genus, "genus recursion fails"),
+    }
+
+    @pytest.mark.parametrize("family, fault", sorted(FAULTS))
+    def test_one_anomaly_per_child(self, monkeypatch, family, fault):
+        inject, message = self.FAULTS[family, fault]
+        inject(monkeypatch)
+        config = extension_only(family, 2, 4)
+        report = sweep.verify_all(config)
+        expected = [
+            (inst.to_json_dict(), f"append (a={a[-1]}, b={b[-1]})")
+            for inst, a, b in appended_children(config)
+        ]
+        assert len(expected) > report.instances_checked > 0
+        assert [(x.instance, x.lhs) for x in report.anomalies] == expected
+        assert {x.check for x in report.anomalies} == {"extension"}
+        assert all(message in x.rhs for x in report.anomalies)
 
 
 def test_duplicate_check_rejected():
