@@ -2,18 +2,19 @@
 
 Verbs: validate, compute, sweep, hunt, oracle-check.  Matrices come in
 as inline flags (--cm2 --a 2,2,1 --b 2,2,1) or as JSON documents; all
-reports leave as text, JSON, or CSV.  Exit status 0 means success with
-no anomalies, 1 means an anomaly or hunt hit, 2 means invalid input.
+reports leave as text, JSON, or CSV, written to stdout or --out FILE as
+they are made.  Exit status 0 means success with no anomalies, 1 means
+an anomaly or hunt hit, 2 means invalid input.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import betti, bounds, cm2, gor3, oracle, sweep
 from .errors import (
@@ -113,19 +114,21 @@ def _check_out(path: str) -> None:
         raise ParseError(f"--out {path} is a directory")
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    """Write to stdout, or to --out through a temporary file in the same
-    directory renamed over the target, so the target is never left
-    half written."""
-    if not text.endswith("\n"):
-        text += "\n"
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The stream a verb writes its report to, as the report is made.
+
+    That is stdout, or a temporary file next to --out FILE that is
+    renamed over FILE once the whole report is written, so FILE is never
+    left half written; the temporary file is removed whatever happens.
+    """
     if not getattr(args, "out", None):
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, args.out)
     except OSError as exc:
         raise ParseError(f"cannot write {args.out}: {exc}") from exc
@@ -134,8 +137,57 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             os.remove(tmp)
 
 
-def _json_text(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _write_joined(
+    out: TextIO, pieces: Iterable[str], sep: str, head: str = "", tail: str = "\n"
+) -> None:
+    """Write head, the pieces separated by sep, then tail, one piece at a time."""
+    out.write(head)
+    for i, piece in enumerate(pieces):
+        out.write(sep + piece if i else piece)
+    out.write(tail)
+
+
+def _write_json(out: TextIO, docs: Iterable[object], many: bool) -> None:
+    """Write the text of ``json.dumps(docs, indent=2)`` and a newline, or of
+    the one document when not ``many``, rendering one document at a time.
+
+    Nested in the list, a document's text gains two spaces after each of
+    its newlines; escaped JSON strings hold no raw newline, so this is
+    exactly the list's rendering.
+    """
+    if many:
+        texts = (json.dumps(doc, indent=2).replace("\n", "\n  ") for doc in docs)
+        _write_joined(out, texts, ",\n  ", "[\n  ", "\n]\n")
+    else:
+        _write_joined(out, (json.dumps(doc, indent=2) for doc in docs), "")
+
+
+def _write_reports(
+    args: argparse.Namespace,
+    items: list[Input],
+    report: Callable[[Input], dict],
+    render: Callable[[dict], str],
+    sep: str,
+    failed: Callable[[dict], bool],
+) -> bool:
+    """Make, write and drop one report per input, in input order: a JSON
+    list (a bare object for one input), or the rendered texts joined by
+    ``sep``.  True when ``failed`` holds for any report."""
+    any_failed = False
+
+    def reports() -> Iterator[dict]:
+        nonlocal any_failed
+        for item in items:
+            rep = report(item)
+            any_failed = any_failed or failed(rep)
+            yield rep
+
+    with _output(args) as out:
+        if args.format == "json":
+            _write_json(out, reports(), len(items) > 1)
+        else:
+            _write_joined(out, map(render, reports()), sep)
+    return any_failed
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +330,15 @@ def _render_compute_text(result: dict) -> str:
     return "\n".join(lines)
 
 
+def _disagrees(result: dict) -> bool:
+    mult = result.get("multiplicity")
+    return isinstance(mult, dict) and not mult["agree"]
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
-    results = [_compute_result(item) for item in items]
-    if args.format == "json":
-        _emit(_json_text(results if len(results) > 1 else results[0]), args)
-    else:
-        _emit("\n\n".join(_render_compute_text(r) for r in results), args)
-    disagree = any(
-        "multiplicity" in r
-        and isinstance(r["multiplicity"], dict)
-        and not r["multiplicity"]["agree"]
-        for r in results
+    disagree = _write_reports(
+        args, items, _compute_result, _render_compute_text, "\n\n", _disagrees
     )
     return 1 if disagree else 0
 
@@ -317,11 +366,11 @@ def _validate_text(item: Input) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
-    if args.format == "json":
-        docs = [item.to_json_dict() for item in items]
-        _emit(_json_text(docs if len(docs) > 1 else docs[0]), args)
-    else:
-        _emit("\n".join(_validate_text(item) for item in items), args)
+    with _output(args) as out:
+        if args.format == "json":
+            _write_json(out, (item.to_json_dict() for item in items), len(items) > 1)
+        else:
+            _write_joined(out, map(_validate_text, items), "\n")
     return 0
 
 
@@ -340,22 +389,21 @@ def _oracle_report(item: Input) -> dict:
     }
 
 
+def _oracle_line(rep: dict) -> str:
+    inst = rep["instance"]
+    head = f"{inst['type']} a={','.join(map(str, inst['a']))} b={','.join(map(str, inst['b']))}"
+    if inst["type"] == "gor3":
+        head += f" d={inst['d']}"
+    routes = " ".join(f"{k}={v}" for k, v in rep["routes"].items())
+    return f"{head}: {routes} agree={'yes' if rep['agree'] else 'NO'}"
+
+
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
-    reports = [_oracle_report(item) for item in items]
-    if args.format == "json":
-        _emit(_json_text(reports if len(reports) > 1 else reports[0]), args)
-    else:
-        lines = []
-        for rep in reports:
-            inst = rep["instance"]
-            head = f"{inst['type']} a={','.join(map(str, inst['a']))} b={','.join(map(str, inst['b']))}"
-            if inst["type"] == "gor3":
-                head += f" d={inst['d']}"
-            routes = " ".join(f"{k}={v}" for k, v in rep["routes"].items())
-            lines.append(f"{head}: {routes} agree={'yes' if rep['agree'] else 'NO'}")
-        _emit("\n".join(lines), args)
-    return 0 if all(rep["agree"] for rep in reports) else 1
+    disagree = _write_reports(
+        args, items, _oracle_report, _oracle_line, "\n", lambda rep: not rep["agree"]
+    )
+    return 1 if disagree else 0
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +432,35 @@ def _range_config(
     )
 
 
+def _write_summary(
+    out: TextIO, report: sweep.SweepReport | sweep.HuntReport, fmt: str
+) -> None:
+    if fmt == "json":
+        _write_json(out, [report.to_json_dict()], many=False)
+    else:
+        out.write(report.summary_text() + "\n")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     checks = None if args.checks is None else tuple(args.checks.split(","))
     config = _range_config(args, _sweep_family(args), checks)
-    if args.format == "csv":
-        buf = io.StringIO()
-        report = sweep.write_sweep_csv(config, buf)
-        _emit(buf.getvalue(), args)
-    else:
-        report = sweep.verify_all(config)
-        if args.format == "json":
-            _emit(_json_text(report.to_json_dict()), args)
+    with _output(args) as out:
+        if args.format == "csv":
+            report = sweep.write_sweep_csv(config, out)
         else:
-            _emit(report.summary_text(), args)
+            report = sweep.verify_all(config)
+            _write_summary(out, report, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
     config = _range_config(args, sweep.target_family(args.target))
     report = sweep.hunt(args.target, config, require_hypotheses=args.require_hypotheses)
-    if args.format == "csv":
-        _emit(sweep.hunt_csv(report), args)
-    elif args.format == "json":
-        _emit(_json_text(report.to_json_dict()), args)
-    else:
-        _emit(report.summary_text(), args)
+    with _output(args) as out:
+        if args.format == "csv":
+            out.write(sweep.hunt_csv(report))
+        else:
+            _write_summary(out, report, args.format)
     return 0 if report.ok else 1
 
 
@@ -497,4 +549,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+    except BrokenPipeError:
+        # The reader of the streamed report went away (``... | head``).
+        # Stop quietly, and point stdout at /dev/null so the interpreter's
+        # final flush of it cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,6 +10,10 @@ import pytest
 
 import degmult
 from degmult.cli import main
+
+
+# The environment of a child interpreter that imports this degmult.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(degmult.__file__)))
 
 
 def run(capsys, *argv):
@@ -382,15 +387,70 @@ class TestOutFile:
         assert target.read_text() == "previous report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
 
+    VALID = {"type": "cm2", "a": [2, 2, 1], "b": [2, 2, 1]}
+    INCONSISTENT = {"codim": 2, "steps": [[[2, 1]], [[5, 1]]]}
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compute_failing_partway_keeps_old_target(self, capsys, tmp_path, fmt):
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps([self.VALID, self.INCONSISTENT]))
+        target = tmp_path / "result.txt"
+        target.write_text("stale contents\n")
+        code, out, err = run(
+            capsys, "compute", "--in", str(path), "--format", fmt, "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert target.read_text() == "stale contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs.json", "result.txt"]
+
+    def test_compute_failing_partway_on_stdout_keeps_earlier_results(self, capsys, tmp_path):
+        # Reports are streamed, so what was written before the failure stays.
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps([self.VALID, self.INCONSISTENT]))
+        _, first, _ = run(capsys, "compute", "--cm2", "--a", "2,2,1", "--b", "2,2,1")
+        code, out, err = run(capsys, "compute", "--in", str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out == first.rstrip("\n")
+
+    def test_sweep_failing_partway_keeps_old_target(self, capsys, tmp_path, monkeypatch):
+        from degmult import sweep
+        from degmult.errors import InternalMismatch
+
+        target = tmp_path / "rows.csv"
+        target.write_text("stale contents\n")
+        calls, tmp_sizes = [0], []
+        real = sweep.CM2Evaluation._shift_agreement
+
+        def fail_at_500th(ev):
+            calls[0] += 1
+            if calls[0] < 500:
+                return real(ev)
+            (tmp,) = (p for p in tmp_path.iterdir() if p.name != "rows.csv")
+            tmp_sizes.append(tmp.stat().st_size)
+            raise InternalMismatch("forced mismatch")
+
+        monkeypatch.setattr(sweep.CM2Evaluation, "_shift_agreement", fail_at_500th)
+        code, out, err = run(
+            capsys, "sweep", "--cm2", "--t-max", "3", "--entry-max", "4",
+            "--checks", "shift_agreement", "--format", "csv", "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert err == "anomaly: forced mismatch\n"
+        # Rows had reached the temporary file before the failure.
+        assert calls == [500] and tmp_sizes[0] > 0
+        assert target.read_text() == "stale contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
 
 class TestEntryPoint:
     """``python -m degmult`` turns main's return value into the exit status."""
 
     def degmult(self, *argv, **kwargs):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(degmult.__file__)))
         return subprocess.run(
             [sys.executable, "-m", "degmult", *argv],
-            capture_output=True, text=True, env=env, timeout=60, **kwargs,
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60, **kwargs,
         )
 
     def test_valid_compute_exits_0(self):
@@ -424,8 +484,83 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "  agree: yes" in proc.stdout
 
+    def test_csv_pipe_identical_across_jobs(self):
+        # 802 instances, more than sweep.BATCH: pool workers are forked
+        # after the header was written, possibly still in the stdout buffer.
+        argv = ("sweep", "--cm2", "--t-max", "3", "--entry-max", "4", "--format", "csv")
+        outs = []
+        for jobs in ("1", "2"):
+            proc = self.degmult(*argv, "--jobs", jobs)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert len(lines) == 803
+        assert sum(line.startswith("family,") for line in lines) == 1
+
+    def test_closed_pipe_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "degmult", "sweep", "--cm2", "--t-max", "4",
+             "--entry-max", "4", "--checks", "hhs_bounds", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+        )
+        assert proc.stdout.readline().startswith(b"family,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
     def test_hunt_hit_exits_1(self):
         proc = self.degmult("hunt", "--target", "prop24_bound", "--t-max", "3",
                             "--entry-max", "2", "--format", "json")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["candidates"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+class TestStreamedMemory:
+    """Reports are written as they are made, so peak memory does not grow
+    with the report.  Each case grows by more than 10 MiB when the whole
+    report is gathered before it is written."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from degmult.cli import main\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = peak_kib()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, peak_kib() - before)\n"
+    )
+
+    def growth_mib(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.stderr == ""
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0
+        return kib / 1024
+
+    def test_compute_many_large_matrices(self, tmp_path):
+        rng = random.Random(20260)
+        docs = []
+        for k in range(250):
+            a = [rng.randint(1, 200) for _ in range(200)]
+            b = [rng.randint(max(a[i:i + 2]), 200) for i in range(200)]
+            docs.append({"type": "cm2", "a": a, "b": b} if k % 2 else
+                        {"type": "gor3", "a": a, "b": b, "d": rng.randint(a[0], 200)})
+        path = tmp_path / "matrices.json"
+        path.write_text(json.dumps(docs))
+        growth = self.growth_mib(
+            "compute", "--in", str(path), "--format", "json", "--out", str(tmp_path / "r.json")
+        )
+        assert growth < 3
+
+    def test_csv_sweep_to_file(self, tmp_path):
+        growth = self.growth_mib(
+            "sweep", "--cm2", "--t-max", "6", "--entry-max", "3", "--checks", "hhs_bounds",
+            "--format", "csv", "--out", str(tmp_path / "rows.csv"),
+        )
+        assert growth < 3
