@@ -11,7 +11,6 @@ from .betti import (
     KPolynomial,
     Purity,
     ShiftSummary,
-    genus_dim2,
     huneke_miller,
     k_polynomial,
     multiplicity,
@@ -65,7 +64,6 @@ __all__ = [
     "colength",
     "enumerate_cm2",
     "enumerate_gor3",
-    "genus_dim2",
     "gor3_bounds",
     "hhs_bounds",
     "huneke_miller",

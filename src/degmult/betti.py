@@ -127,16 +127,6 @@ class KPolynomial:
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("coefficient sequence must not end in zero")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -223,19 +213,14 @@ def multiplicity(table: BettiTable) -> int:
     return _quotient_at_one(table.codim, *_signed_entries(table))[0]
 
 
-def genus_dim2(table: BettiTable) -> int:
-    """Arithmetic genus of the dimension-2 graded quotient (a curve).
+def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
+    """:func:`multiplicity` and the arithmetic genus of the dimension-2
+    quotient (a curve), from one pass over the table's entries.
 
     With Q = sum q_i s^i as in :func:`multiplicity`, the Hilbert
     polynomial of the dimension-2 quotient is e*t + 1 - g, which gives
     g = 1 + sum_i q_i (i - 1) = 1 + Q'(1) - Q(1).
     """
-    return multiplicity_and_genus(table)[1]
-
-
-def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
-    """:func:`multiplicity` and :func:`genus_dim2` from one pass over the
-    table's entries."""
     return _multiplicity_and_genus(table.codim, *_signed_entries(table))
 
 

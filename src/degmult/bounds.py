@@ -140,10 +140,13 @@ def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int) -> Prop24Verdict:
     asserted: a violation under a satisfied hypothesis is a
     first-class finding.
 
-    Both hypotheses are read in O(t) without building the grid: its rows
-    increase and its columns decrease (see :func:`cm2.full_matrix`), so
-    the smallest entry is the bottom-left one, sum(a) - sum(b[:-1]) =
-    m2 - M1, and the (1,2) entry is b_1.
+    Both hypotheses are read in O(t) without building the grid.  Entry
+    (i, j) is the i-th syzygy degree minus the j-th generator degree, so
+    along a row it steps by b_j - a_j >= 0 from column j to j+1, and
+    down a column by a_{i+1} - b_i <= 0 from row i to i+1: rows
+    increase and columns decrease.  The smallest entry is therefore the
+    bottom-left one, sum(a) - sum(b[:-1]) = m2 - M1, and the (1,2)
+    entry is b_1.
     """
     s = cm2mod.shifts(A)
     hyp_i = s.m2 - s.M1 >= 2

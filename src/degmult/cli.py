@@ -140,10 +140,21 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
 def _write_joined(
     out: TextIO, pieces: Iterable[str], sep: str, head: str = "", tail: str = "\n"
 ) -> None:
-    """Write head, the pieces separated by sep, then tail, one piece at a time."""
+    """Write head, the pieces separated by sep, then tail, one piece at a time.
+
+    When making a piece fails, the partial report is ended with a newline
+    before the error goes on, so a diagnostic that follows starts a line.
+    """
     out.write(head)
-    for i, piece in enumerate(pieces):
-        out.write(sep + piece if i else piece)
+    last = head
+    try:
+        for i, piece in enumerate(pieces):
+            last = sep + piece if i else piece
+            out.write(last)
+    except Exception:
+        if last and not last.endswith("\n"):
+            out.write("\n")
+        raise
     out.write(tail)
 
 
@@ -221,7 +232,18 @@ def _compute_matrix(ev: sweep.Evaluation) -> dict:
     return result
 
 
+# compute prints a Betti table's K-polynomial densely, one coefficient
+# per degree 0..max shift; a table that needs more is refused up front.
+K_COEFFS_MAX = 10**6
+
+
 def _compute_betti(table: betti.BettiTable) -> dict:
+    size = table.max_shift() + 1
+    if size > K_COEFFS_MAX:
+        raise ParseError(
+            f"Betti table's K-polynomial would have {size} coefficients; "
+            f"compute prints at most {K_COEFFS_MAX}"
+        )
     summary = betti.shift_summary(table)
     pur = betti.purity(table)
     kpoly = betti.k_polynomial(table)

@@ -15,10 +15,9 @@ The extension kernel, :func:`extender`, is bound once to a base
 matrix, its shifts and multiplicity, and then checks each appended
 (a, b) on the child's degree lists alone: the base's lists shifted by
 b with one generator and one syzygy inserted, and no child matrix,
-table or u/v record.  :func:`extend`, :func:`multiplicity_uv`
-and :func:`hs_identities` are one-matrix wrappers kept because the
-benchmark harness (``benchmarks/worker.py``, ``benchmarks/tracer.py``)
-and the tests call them; they go when ROADMAP item 3 retires the tracer.
+table or u/v record.  :func:`extend` binds it to one matrix and one
+pair; it stays only for the benchmark's replay of the cm2 sweep
+(``benchmarks/worker.py``).
 """
 from __future__ import annotations
 
@@ -65,15 +64,6 @@ class DegreeMatrixCM2:
 
 
 class ShiftsCM2(NamedTuple):
-    m1: int
-    m2: int
-    M1: int
-    M2: int
-
-
-class DeltasCM2(NamedTuple):
-    """Shift increments caused by appending one row and column."""
-
     m1: int
     m2: int
     M1: int
@@ -147,27 +137,6 @@ def shifts(A: DegreeMatrixCM2) -> ShiftsCM2:
     return ShiftsCM2(m1, m1 + A.b[-1], M1, A.a[0] + M1)
 
 
-def full_matrix(A: DegreeMatrixCM2) -> list[list[int]]:
-    """Reconstruct the t x (t+1) grid of entry degrees f_i - e_j.
-
-    Telescoping shows every row steps by b_j - a_j between columns j
-    and j+1, and column 1 holds a_1+..+a_i - (b_1+..+b_{i-1}), so the
-    whole grid follows from the diagonal and superdiagonal; entries
-    increase along rows and decrease down columns by validity.
-    """
-    t = A.t
-    diffs = [bj - aj for aj, bj in zip(A.a, A.b)]
-    grid = []
-    first = 0
-    for i in range(t):
-        first += A.a[i] - (A.b[i - 1] if i else 0)
-        row = [first]
-        for j in range(t):
-            row.append(row[-1] + diffs[j])
-        grid.append(row)
-    return grid
-
-
 def degrees(A: DegreeMatrixCM2) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Generator and syzygy degrees, each sorted ascending.
 
@@ -230,16 +199,6 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
     """Multiplicity of the matrix with ascending generator degrees e and
     syzygy degrees f, with every u/v check of :func:`_uv`."""
     return _uv(e, f)[2]
-
-
-def multiplicity_uv(A: DegreeMatrixCM2) -> int:
-    """Multiplicity via both u/v expressions; see :func:`_uv`."""
-    return uv_data(A).multiplicity
-
-
-def hs_identities(A: DegreeMatrixCM2) -> bool:
-    """The Herzog-Srinivasan identities; see :meth:`UVData.hs_identities`."""
-    return uv_data(A).hs_identities()
 
 
 def betti_table(A: DegreeMatrixCM2) -> betti.BettiTable:
@@ -312,13 +271,7 @@ def extender(
     return child
 
 
-def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[DegreeMatrixCM2, DeltasCM2, int]:
-    """Append a row and column (basic double link), checked by :func:`extender`.
-
-    Requires b >= a and b_t >= a so the extension stays valid (NotMonotone
-    otherwise).  The shifts move by (a, a+b-c, b, b) with c = b_t, and the
-    multiplicity grows by (m1 + a) * b.
-    """
-    A2 = DegreeMatrixCM2(A.a + (a,), A.b + (b,))
-    deltas, e2 = extender(A, shifts(A), multiplicity_uv(A))(a, b)
-    return A2, DeltasCM2(*deltas), e2
+def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[tuple[int, ...], int]:
+    """The shift deltas and multiplicity of A with (a, b) appended, as
+    checked by :func:`extender`; b >= a and b_t >= a are not checked."""
+    return extender(A, shifts(A), uv_data(A).multiplicity)(a, b)

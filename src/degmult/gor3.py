@@ -7,7 +7,7 @@ t x (t+1) block A of a codimension-2 matrix together with the center
 entry d >= a_1.  The numerics of the quotient follow without ever
 writing down Pfaffians: the extreme shifts, the self-dual Betti table
 built from the resolution of the block ideal J, the multiplicity as an
-explicit polynomial in the entry degrees, a cross-check through the
+explicit polynomial in the entry degrees, a second value through the
 liaison formula e = (m1 + M2 - 4) e(R/J) - (2g - 2), and the
 basic-double-link extension recursion.
 
@@ -17,10 +17,7 @@ child matrix or Betti table: the shifts come from the block's shifted
 degree lists (:func:`cm2.appended_degrees`), the multiplicity from
 :func:`pfaffian_formula` on the child's entries, and the block curve's
 genus from the binomial moments of those lists, through the same
-:func:`betti._quotient_at_one` every table uses.  :func:`extend` is the
-one-pair wrapper, kept because the benchmark harness
-(``benchmarks/tracer.py``) and the tests call it; it goes when ROADMAP
-item 3 retires the tracer.
+:func:`betti._quotient_at_one` every table uses.
 """
 from __future__ import annotations
 
@@ -45,10 +42,6 @@ class DegreeMatrixGor3:
         if self.d < self.base.a[0]:
             raise CenterTooSmall(f"d = {self.d} < a_1 = {self.base.a[0]}")
 
-    @property
-    def t(self) -> int:
-        return self.base.t
-
     def to_json_dict(self) -> dict:
         return {
             "type": "gor3",
@@ -63,17 +56,6 @@ class DegreeMatrixGor3:
 
 
 class ShiftsGor3(NamedTuple):
-    m1: int
-    m2: int
-    m3: int
-    M1: int
-    M2: int
-    M3: int
-
-
-class DeltasGor3(NamedTuple):
-    """Shift increments caused by growing the block by one row and column."""
-
     m1: int
     m2: int
     m3: int
@@ -153,18 +135,6 @@ def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
 
-def linkage_check(G: DegreeMatrixGor3) -> int:
-    """Multiplicity through the liaison formula, asserted against the
-    degree-entry formula."""
-    value = _linkage_value(G, block_curve(G))
-    pfaff = multiplicity_pfaffian(G)
-    if value != pfaff:
-        raise InternalMismatch(
-            f"linkage route gives {value}, degree-entry formula gives {pfaff}"
-        )
-    return value
-
-
 def extender(
     G: DegreeMatrixGor3, s: ShiftsGor3, e: int, curve: tuple[int, int]
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
@@ -211,13 +181,3 @@ def extender(
 
     return child
 
-
-def extend(G: DegreeMatrixGor3, a: int, b: int) -> tuple[DegreeMatrixGor3, DeltasGor3, int]:
-    """Grow the block by (a, b), keeping d, checked by :func:`extender`.
-
-    Requires b >= a and b_t >= a (NotMonotone otherwise).
-    """
-    G2 = DegreeMatrixGor3(cm2.DegreeMatrixCM2(G.base.a + (a,), G.base.b + (b,)), G.d)
-    child = extender(G, shifts(G), multiplicity_pfaffian(G), block_curve(G))
-    deltas, e2 = child(a, b)
-    return G2, DeltasGor3(*deltas), e2

@@ -82,7 +82,3 @@ def colength(s: MonomialStaircase) -> int:
         total += p * (q_prev - q)
     return total
 
-
-def transpose(s: MonomialStaircase) -> MonomialStaircase:
-    """The staircase with the roles of x and y swapped."""
-    return MonomialStaircase(tuple(sorted((q, p) for p, q in s.gens)))

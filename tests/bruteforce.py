@@ -7,8 +7,8 @@ sweep, the Hilbert quotient by dense division of the whole K-polynomial
 instead of the table's binomial moments, divisibility by polynomial
 multiplication instead of division, enumeration by generate-and-filter
 instead of constructive ranges, and the basic double link by building
-and re-evaluating each child matrix instead of shifting the base's
-degree lists.
+each child matrix and reading its multiplicity and genus off its dense
+Hilbert quotient instead of shifting the base's degree lists.
 """
 from __future__ import annotations
 
@@ -111,28 +111,37 @@ def degree_grid(A: cm2.DegreeMatrixCM2) -> list[list[int]]:
     return [[s - g for g in gens] for s in syz]
 
 
+def quotient_values(table: betti.BettiTable) -> tuple[int, int]:
+    """Multiplicity e = sum_i q_i and dimension-2 genus
+    g = 1 + sum_i q_i (i - 1) read off the dense :func:`hilbert_quotient`."""
+    q = hilbert_quotient(table)
+    return sum(q), 1 + sum(c * (i - 1) for i, c in enumerate(q))
+
+
 def extend_from(X, a, b):
     """Append (a, b) to the cm2 matrix or gor3 block X the slow way:
-    build the child matrix, recompute its shifts and its multiplicity
-    (and for gor3 its block curve's genus) from scratch, and check the
-    shift deltas and the recursions against X's own values.  Returns
-    (child, deltas, e'); NotMonotone unless b >= a and b_t >= a."""
+    build the child matrix, recompute its shifts, its multiplicity (and
+    for gor3 its block curve's genus) from its dense Hilbert quotient,
+    and check the shift deltas and the recursions against X's own
+    values, taken the same way.  Returns (child, deltas, e'); NotMonotone
+    unless b >= a and b_t >= a."""
     if isinstance(X, cm2.DegreeMatrixCM2):
-        return _extend_cm2(X, cm2.shifts(X), cm2.multiplicity_uv(X), a, b)
-    return _extend_gor3(
-        X, gor3.shifts(X), gor3.multiplicity_pfaffian(X), gor3.block_curve(X), a, b
-    )
+        e = quotient_values(cm2.betti_table(X))[0]
+        return _extend_cm2(X, cm2.shifts(X), e, a, b)
+    e = quotient_values(gor3.betti_table(X))[0]
+    curve = quotient_values(cm2.betti_table(X.base))
+    return _extend_gor3(X, gor3.shifts(X), e, curve, a, b)
 
 
 def _extend_cm2(A, s, e, a, b):
     c = A.b[-1]
     A2 = cm2.DegreeMatrixCM2(A.a + (a,), A.b + (b,))
     s2 = cm2.shifts(A2)
-    deltas = cm2.DeltasCM2(a, a + b - c, b, b)
+    deltas = (a, a + b - c, b, b)
     if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
     e2 = e + (s.m1 + a) * b
-    direct = cm2.multiplicity_uv(A2)
+    direct = quotient_values(cm2.betti_table(A2))[0]
     if e2 != direct:
         raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
     return A2, deltas, e2
@@ -142,17 +151,15 @@ def _extend_gor3(G, s, e, curve, a, b):
     c = G.base.b[-1]
     G2 = gor3.DegreeMatrixGor3(cm2.DegreeMatrixCM2(G.base.a + (a,), G.base.b + (b,)), G.d)
     s2 = gor3.shifts(G2)
-    deltas = gor3.DeltasGor3(
-        m1=a, m2=a + b - c, m3=2 * b, M1=b + c - a, M2=2 * b - a, M3=2 * b
-    )
+    deltas = (a, a + b - c, 2 * b, b + c - a, 2 * b - a, 2 * b)
     if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
     e2 = e + b * (s.m1 + a) * (s.M2 + b - a)
-    direct = gor3.multiplicity_pfaffian(G2)
+    direct = quotient_values(gor3.betti_table(G2))[0]
     if e2 != direct:
         raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
     e_j, g = curve
-    g2 = betti.genus_dim2(cm2.betti_table(G2.base))
+    g2 = quotient_values(cm2.betti_table(G2.base))[1]
     if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
         raise InternalMismatch(f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})")
     return G2, deltas, e2

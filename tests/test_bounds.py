@@ -7,7 +7,7 @@ from degmult import bounds, cm2, sweep
 from degmult.betti import ShiftSummary
 from degmult.errors import CharacterizationViolated
 
-from bruteforce import naive_colength
+from bruteforce import degree_grid, naive_colength
 
 
 def summary(m, M):
@@ -84,7 +84,7 @@ class TestProp24:
 
     def test_all_entries_at_least_two(self):
         A = cm2.validate([2, 2], [2, 2])
-        e = cm2.multiplicity_uv(A)
+        e = cm2.uv_data(A).multiplicity
         assert e == 12
         assert naive_colength([(0, 4), (2, 2), (4, 0)]) == 12
         res = bounds.prop24_bound(A, e)
@@ -93,7 +93,7 @@ class TestProp24:
 
     def test_margin_zero(self):
         A = cm2.validate([1, 1], [1, 2])
-        e = cm2.multiplicity_uv(A)
+        e = cm2.uv_data(A).multiplicity
         assert e == 5
         assert naive_colength([(0, 3), (1, 2), (2, 0)]) == 5
         res = bounds.prop24_bound(A, e)
@@ -103,7 +103,7 @@ class TestProp24:
     def test_margin_uses_superdiagonal_entry(self):
         # bound holds here (16 <= 18) but the margin 1 - 2*2 + 1 is negative
         A = cm2.validate([1, 2], [2, 2])
-        e = cm2.multiplicity_uv(A)
+        e = cm2.uv_data(A).multiplicity
         assert e == 8
         assert naive_colength([(0, 4), (1, 2), (3, 0)]) == 8
         res = bounds.prop24_bound(A, e)
@@ -115,7 +115,7 @@ class TestProp24:
         # a_1 + a_2 - b_1 = 1 would leave a nonnegative margin k - 1.
         for k in range(2, 7):
             A = cm2.validate([k, 1], [k, 1])
-            e = cm2.multiplicity_uv(A)
+            e = cm2.uv_data(A).multiplicity
             assert e == k * k + k + 1
             res = bounds.prop24_bound(A, e)
             assert not res.bound_holds
@@ -125,7 +125,7 @@ class TestProp24:
 
 def _grid_hypotheses(A):
     """hyp_i, hyp_ii and the margin read off the full t x (t+1) grid."""
-    grid = cm2.full_matrix(A)
+    grid = degree_grid(A)
     hyp_i = all(entry >= 2 for row in grid for entry in row)
     margin = A.a[0] - 2 * grid[0][1] + 1 if A.t >= 2 else None
     return hyp_i, margin is not None and margin >= 0, margin
@@ -144,12 +144,12 @@ def _seeded_matrices(seed, count, t_max):
 
 
 class TestProp24Hypotheses:
-    """The O(t) hypotheses equal the ones read off cm2.full_matrix."""
+    """The O(t) hypotheses equal the ones read off the full degree grid."""
 
     def _check(self, matrices):
         seen = set()
         for A in matrices:
-            p24 = bounds.prop24_bound(A, cm2.multiplicity_uv(A))
+            p24 = bounds.prop24_bound(A, cm2.uv_data(A).multiplicity)
             got = (p24.hyp_i, p24.hyp_ii, p24.hyp_ii_margin)
             assert got == _grid_hypotheses(A), A
             seen.add(got[:2])
@@ -224,7 +224,7 @@ class TestVerdictSerialization:
         for a, b in (([1, 1], [2, 1]), ([2, 2, 1], [2, 2, 1]), ([3], [4])):
             A = cm2.validate(a, b)
             s = cm2.shifts(A)
-            e = cm2.multiplicity_uv(A)
+            e = cm2.uv_data(A).multiplicity
             lo, up = bounds.cm2_bounds(s.m1, s.m2, s.M1, s.M2, e)
             assert lo.rhs >= s.m1 * s.m2
             assert up.rhs <= s.M1 * s.M2

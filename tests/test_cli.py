@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import degmult
+from degmult import cli
 from degmult.cli import main
 
 
@@ -59,6 +60,21 @@ class TestCompute:
         assert code == 0
         assert "k_polynomial: 1 - s^2 - s^3 + s^5" in out
         assert "multiplicity: 6" in out
+
+    def test_betti_table_size_cap(self, capsys, tmp_path, monkeypatch):
+        # K = 1 - s^n has n + 1 coefficients.
+        monkeypatch.setattr(cli, "K_COEFFS_MAX", 5)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"codim": 1, "steps": [[[4, 1]]]}))
+        code, out, _ = run(capsys, "compute", "--in", str(path))
+        assert code == 0 and "multiplicity: 4" in out
+        path.write_text(json.dumps({"codim": 1, "steps": [[[5, 1]]]}))
+        code, out, err = run(capsys, "compute", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: Betti table's K-polynomial would have 6 coefficients; "
+            "compute prints at most 5\n"
+        )
 
     def test_staircase_input(self, capsys, tmp_path):
         doc = {"type": "monomial2", "gens": [[0, 5], [2, 3], [4, 1], [5, 0]]}
@@ -412,7 +428,25 @@ class TestOutFile:
         code, out, err = run(capsys, "compute", "--in", str(path))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
-        assert out == first.rstrip("\n")
+        assert out == first
+
+    @pytest.mark.parametrize(
+        "fmt, last", [("text", "agree=yes\n"), ("json", "}\n")], ids=["text", "json"]
+    )
+    def test_failing_partway_on_stdout_ends_its_line(self, capsys, tmp_path, fmt, last):
+        # The third input is a staircase, which oracle-check refuses.
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps([
+            self.VALID,
+            {"type": "gor3", "a": [1], "b": [1], "d": 1},
+            {"type": "monomial2", "gens": [[0, 1], [1, 0]]},
+        ]))
+        code, out, err = run(capsys, "oracle-check", "--in", str(path), "--format", fmt)
+        assert code == 2
+        assert err == "error: oracle-check needs cm2 or gor3 matrices\n"
+        assert out.endswith(last)
+        if fmt == "text":
+            assert out.count("\n") == 2
 
     def test_sweep_failing_partway_keeps_old_target(self, capsys, tmp_path, monkeypatch):
         from degmult import sweep
@@ -483,6 +517,15 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0
         assert "  agree: yes" in proc.stdout
+
+    def test_oversized_betti_table_refused_in_bounded_memory(self, tmp_path):
+        # Its dense K-polynomial would hold 10^10 + 1 coefficients.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"codim": 1, "steps": [[[10**10, 1]]]}))
+        proc = self.degmult("compute", "--in", str(path),
+                            preexec_fn=self._limit_address_space)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     def test_csv_pipe_identical_across_jobs(self):
         # 802 instances, more than sweep.BATCH: pool workers are forked

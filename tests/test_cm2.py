@@ -5,7 +5,7 @@ from hypothesis import given
 from degmult import betti, cm2, oracle
 from degmult.errors import InvalidDiagonal, NotMonotone
 
-from bruteforce import degree_grid, naive_colength
+from bruteforce import degree_grid, extend_from, naive_colength
 from strategies import cm2_matrices
 
 EX25 = cm2.validate([2, 2, 1], [2, 2, 1])  # the 3x4 matrix of 2's over 1's
@@ -52,27 +52,25 @@ class TestShifts:
 
 
 class TestFullMatrix:
+    """The t x (t+1) grid of entry degrees, from the degree lists."""
+
     def test_example_matrix(self):
-        assert cm2.full_matrix(EX25) == [
+        assert degree_grid(EX25) == [
             [2, 2, 2, 2],
             [2, 2, 2, 2],
             [1, 1, 1, 1],
         ]
 
     def test_single_row(self):
-        assert cm2.full_matrix(cm2.validate([1], [2])) == [[1, 2]]
+        assert degree_grid(cm2.validate([1], [2])) == [[1, 2]]
 
     def test_subdiagonal_entry(self):
-        grid = cm2.full_matrix(cm2.validate([1, 2], [2, 2]))
+        grid = degree_grid(cm2.validate([1, 2], [2, 2]))
         assert grid[1][0] == 1  # a_1 + a_2 - b_1
 
     @given(cm2_matrices())
-    def test_matches_degree_lists(self, A):
-        assert cm2.full_matrix(A) == degree_grid(A)
-
-    @given(cm2_matrices())
     def test_monotone(self, A):
-        grid = cm2.full_matrix(A)
+        grid = degree_grid(A)
         for row in grid:
             assert all(x <= y for x, y in zip(row, row[1:]))
         for upper, lower in zip(grid, grid[1:]):
@@ -106,14 +104,14 @@ class TestUVData:
 
 class TestMultiplicity:
     def test_example_matrix(self):
-        assert cm2.multiplicity_uv(EX25) == 17
+        assert cm2.uv_data(EX25).multiplicity == 17
 
     def test_smallest(self):
-        assert cm2.multiplicity_uv(cm2.validate([1], [1])) == 1
+        assert cm2.uv_data(cm2.validate([1], [1])).multiplicity == 1
 
     def test_against_staircase(self):
         A = cm2.validate([1, 1], [2, 1])
-        assert cm2.multiplicity_uv(A) == 4
+        assert cm2.uv_data(A).multiplicity == 4
         w = cm2.witness_monomial_ideal(A)
         assert w.gens == ((0, 3), (1, 1), (2, 0))
         assert naive_colength(list(w.gens)) == 4
@@ -125,7 +123,7 @@ class TestHSIdentities:
         [([1], [1]), ([1, 1], [2, 1]), ([2, 2, 1], [2, 2, 1])],
     )
     def test_examples(self, a, b):
-        assert cm2.hs_identities(cm2.validate(a, b)) is True
+        assert cm2.uv_data(cm2.validate(a, b)).hs_identities() is True
 
     def test_hand_value_u_identity(self):
         # u = (1, 2): lhs = (u1+u2)*u1 = 3, rhs = (u1+u2)*(u1) = 3
@@ -163,7 +161,8 @@ class TestWitness:
 class TestExtend:
     def test_recursion_value(self):
         A = cm2.validate([1, 1], [2, 1])
-        A2, deltas, e2 = cm2.extend(A, 1, 1)
+        A2, deltas, e2 = extend_from(A, 1, 1)
+        assert cm2.extend(A, 1, 1) == (deltas, e2)
         assert e2 == 4 + 3 * 1 == 7
         assert A2.a == (1, 1, 1) and A2.b == (2, 1, 1)
         assert deltas == (1, 1, 1, 1)  # (a, a+b-c, b, b) with c = 1
@@ -172,29 +171,29 @@ class TestExtend:
         assert naive_colength(list(w.gens)) == 7
 
     def test_smallest(self):
-        A2, _, e2 = cm2.extend(cm2.validate([1], [1]), 1, 1)
+        A2, _, e2 = extend_from(cm2.validate([1], [1]), 1, 1)
         assert e2 == 3
         assert naive_colength([(0, 2), (1, 1), (2, 0)]) == 3
         assert cm2.witness_monomial_ideal(A2).gens == ((0, 2), (1, 1), (2, 0))
 
     def test_precondition_breach(self):
         with pytest.raises(NotMonotone):
-            cm2.extend(cm2.validate([1], [1]), 2, 1)
+            extend_from(cm2.validate([1], [1]), 2, 1)
         with pytest.raises(NotMonotone):
-            cm2.extend(cm2.validate([1], [1]), 2, 2)  # b_t = 1 < a = 2
+            extend_from(cm2.validate([1], [1]), 2, 2)  # b_t = 1 < a = 2
 
 
 class TestProperties:
     @given(cm2_matrices())
     def test_three_route_agreement(self, A):
-        e = cm2.multiplicity_uv(A)
+        e = cm2.uv_data(A).multiplicity
         assert betti.multiplicity(cm2.betti_table(A)) == e
         assert oracle.colength(cm2.witness_monomial_ideal(A)) == e
         assert e >= 1
 
     @given(cm2_matrices())
     def test_hs_identities_always_hold(self, A):
-        assert cm2.hs_identities(A)
+        assert cm2.uv_data(A).hs_identities()
 
     @given(cm2_matrices())
     def test_shift_agreement_with_table(self, A):
@@ -208,5 +207,5 @@ class TestProperties:
     def test_k_vanishes_to_order_exactly_two(self, A):
         table = cm2.betti_table(A)
         k = betti.k_polynomial(table)
-        assert k.evaluate(1) == 0
+        assert sum(k.coeffs) == 0  # K(1)
         assert betti.multiplicity(table) != 0  # Q(1) != 0, order exactly c

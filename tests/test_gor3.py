@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from degmult import betti, cm2, gor3
 from degmult.errors import CenterTooSmall, NotMonotone
 
+from bruteforce import extend_from, quotient_values
 from strategies import gor3_matrices
 
 CI_225 = gor3.validate([2], [2], 5)
@@ -20,7 +21,7 @@ class TestValidate:
         assert CI_225.d == 5
 
     def test_smallest(self):
-        assert gor3.validate([1], [1], 1).t == 1
+        assert gor3.validate([1], [1], 1).base.t == 1
 
     def test_center_too_small(self):
         with pytest.raises(CenterTooSmall):
@@ -76,40 +77,47 @@ class TestBettiTable:
         assert t.steps == (((1, 3),), ((2, 3),), ((3, 1),))
 
 
+def linkage(G):
+    """The liaison-formula multiplicity of G, as the linkage route forms it."""
+    return gor3._linkage_value(G, gor3.block_curve(G))
+
+
 class TestLinkage:
     def test_mixed(self):
         # e(J) = 4, g = 1: (2 + 5 - 4) * 4 - 0 = 12
-        assert gor3.linkage_check(G_2111) == 12
+        assert linkage(G_2111) == 12
 
     def test_pure_quadrics(self):
         # e(J) = 3, g = 0: (2 + 3 - 4) * 3 + 2 = 5
-        assert gor3.linkage_check(PURE_QUADRICS) == 5
+        assert linkage(PURE_QUADRICS) == 5
         jt = cm2.betti_table(PURE_QUADRICS.base)
         assert betti.multiplicity(jt) == 3
-        assert betti.genus_dim2(jt) == 0
+        assert betti.multiplicity_and_genus(jt) == (3, 0)
 
     def test_linear_ci(self):
-        assert gor3.linkage_check(gor3.validate([1], [1], 1)) == 1
+        assert linkage(gor3.validate([1], [1], 1)) == 1
 
 
 class TestExtend:
     def test_to_pure_quadrics(self):
         g = gor3.validate([1], [1], 1)
-        g2, deltas, e2 = gor3.extend(g, 1, 1)
+        g2, deltas, e2 = extend_from(g, 1, 1)
+        child = gor3.extender(g, gor3.shifts(g), 1, gor3.block_curve(g))
+        assert child(1, 1) == (deltas, e2)
         assert e2 == 1 + 1 * 2 * 2 == 5
         assert g2 == PURE_QUADRICS
         assert deltas == (1, 1, 2, 1, 1, 2)
 
     def test_wider_column(self):
         g = gor3.validate([1], [1], 1)
-        g2, _, e2 = gor3.extend(g, 1, 2)
+        g2, _, e2 = extend_from(g, 1, 2)
         assert e2 == 1 + 2 * 2 * 3 == 13
         assert gor3.multiplicity_pfaffian(g2) == 13
-        assert gor3.linkage_check(g2) == 13
+        assert linkage(g2) == 13
 
     def test_precondition_breach(self):
         with pytest.raises(NotMonotone):
-            gor3.extend(CI_225, 3, 3)  # b_t = 2 < a = 3
+            extend_from(CI_225, 3, 3)  # b_t = 2 < a = 3
 
 
 def terms(c, shifts, ranks):
@@ -146,7 +154,9 @@ class TestOneQuotientPerTable:
         assert divisions == [table_terms(cm2.betti_table(G_2111.base))]
 
     def test_extend(self, divisions):
-        G2, _, _ = gor3.extend(CI_225, 2, 3)
+        child = gor3.extender(CI_225, gor3.shifts(CI_225), 20, gor3.block_curve(CI_225))
+        child(2, 3)
+        G2 = gor3.validate([2, 2], [2, 3], 5)
         assert divisions == [
             table_terms(cm2.betti_table(CI_225.base)),
             table_terms(cm2.betti_table(G2.base)),
@@ -158,7 +168,7 @@ class TestProperties:
     def test_three_route_agreement(self, G):
         e = gor3.multiplicity_pfaffian(G)
         assert betti.multiplicity(gor3.betti_table(G)) == e
-        assert gor3.linkage_check(G) == e
+        assert linkage(G) == e
         assert e >= 1
 
     @given(gor3_matrices())
@@ -169,7 +179,7 @@ class TestProperties:
         assert step3 == ((s.m3, 1),)
         assert tuple(sorted((s.m3 - shift, rank) for shift, rank in step1)) == step2
         assert all(0 < shift < s.m3 for shift, _ in step1)
-        assert sum(rank for _, rank in step1) == 2 * G.t + 1
+        assert sum(rank for _, rank in step1) == 2 * G.base.t + 1
 
     @given(gor3_matrices())
     def test_shift_agreement_with_table(self, G):
@@ -185,5 +195,8 @@ class TestProperties:
         if G.base.b[-1] < a:
             return
         s = gor3.shifts(G)
-        g2, _, e2 = gor3.extend(G, a, b)
+        child = gor3.extender(
+            G, s, gor3.multiplicity_pfaffian(G), quotient_values(cm2.betti_table(G.base))
+        )
+        _, e2 = child(a, b)
         assert e2 == gor3.multiplicity_pfaffian(G) + b * (s.m1 + a) * (s.M2 + b - a)

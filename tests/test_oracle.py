@@ -80,7 +80,8 @@ class TestColength:
 
     @given(staircases())
     def test_transpose_invariant(self, s):
-        assert oracle.colength(oracle.transpose(s)) == oracle.colength(s)
+        swapped = oracle.MonomialStaircase(tuple(sorted((q, p) for p, q in s.gens)))
+        assert oracle.colength(swapped) == oracle.colength(s)
 
     @given(staircases(), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4))
     def test_redundant_generators_ignored(self, s, extras):
