@@ -36,31 +36,14 @@ class BettiTable:
     ``steps[i]`` holds the step-(i+1) entries as (shift, rank) pairs
     with strictly increasing shifts.  Step 0 (the free module R itself,
     one rank-1 generator in degree 0) is implicit and never stored.
-    ``codim`` is the declared codimension c <= p.
+    ``codim`` is the declared codimension c <= p.  The constructor
+    checks nothing: a table that enters from outside goes through
+    :meth:`from_entries`, which validates it, and the tables the
+    package builds from degree matrices are valid by construction.
     """
 
     codim: int
     steps: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a Betti table needs at least one step")
-        if not 1 <= self.codim <= len(self.steps):
-            raise ValueError(
-                f"codim must lie in 1..{len(self.steps)}, got {self.codim}"
-            )
-        for step in self.steps:
-            if not step:
-                raise ValueError("every step must carry at least one entry")
-            prev = 0
-            for shift, rank in step:
-                if shift < 1:
-                    raise ValueError(f"shifts must be >= 1, got {shift}")
-                if rank < 1:
-                    raise ValueError(f"ranks must be >= 1, got {rank}")
-                if shift <= prev and prev:
-                    raise ValueError("shifts within a step must strictly increase")
-                prev = shift
 
     @classmethod
     def from_entries(
@@ -69,7 +52,8 @@ class BettiTable:
         """Build a table from (step, shift, rank) triples, aggregating ranks.
 
         Steps must cover 1..p without gaps; multiple entries on one
-        (step, shift) key are summed.
+        (step, shift) key are summed.  The codimension must lie in
+        1..p, and every shift and every summed rank must be >= 1.
         """
         by_step: dict[int, dict[int, int]] = {}
         for step, shift, rank in entries:
@@ -82,9 +66,17 @@ class BettiTable:
         p = max(by_step)
         if sorted(by_step) != list(range(1, p + 1)):
             raise ValueError("every step 1..p must carry at least one entry")
+        if not 1 <= codim <= p:
+            raise ValueError(f"codim must lie in 1..{p}, got {codim}")
         steps = tuple(
             tuple(sorted(by_step[i].items())) for i in range(1, p + 1)
         )
+        for step in steps:
+            for shift, rank in step:
+                if shift < 1:
+                    raise ValueError(f"shifts must be >= 1, got {shift}")
+                if rank < 1:
+                    raise ValueError(f"ranks must be >= 1, got {rank}")
         return cls(codim=codim, steps=steps)
 
     @property

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import cm2 as cm2mod
 from .betti import ShiftSummary
-from .errors import CharacterizationViolated, InternalMismatch
+from .errors import CharacterizationViolated
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ def gor3_bounds(
     """Sharper Gorenstein codimension-3 bounds, cleared by 6 and 12.
 
     6e >= m1 m2 m3 + (M3 - M2)^2 (M2 - m2 + M1 - m1) and
-    12e <= 2 M1 M2 M3 - M3 (M2 - m2 + M1 - m1).  Each is also computed
-    in the equivalent form obtained from self-duality
-    (M1 = m3 - m2, M2 = m3 - m1, M3 = m3) and the two forms must agree.
+    12e <= 2 M1 M2 M3 - M3 (M2 - m2 + M1 - m1).  The shifts must be
+    self-dual (M1 = m3 - m2, M2 = m3 - m1, M3 = m3), or ValueError is
+    raised.
     """
     if (M1, M2, M3) != (m3 - m2, m3 - m1, m3):
         raise ValueError(
@@ -115,13 +115,7 @@ def gor3_bounds(
         )
     spread = (M2 - m2) + (M1 - m1)
     lower_rhs = m1 * m2 * m3 + (M3 - M2) ** 2 * spread
-    lower_alt = m1 * m2 * m3 + 2 * m1 * m1 * (m3 - m1 - m2)
-    if lower_rhs != lower_alt:
-        raise InternalMismatch(f"lower-bound forms disagree: {lower_rhs} != {lower_alt}")
     upper_rhs = 2 * M1 * M2 * M3 - M3 * spread
-    upper_alt = 2 * (M1 * M2 * M3 - M3 * (M1 + M2 - M3))
-    if upper_rhs != upper_alt:
-        raise InternalMismatch(f"upper-bound forms disagree: {upper_rhs} != {upper_alt}")
     lower = BoundVerdict("gor3_lower", 6 * e, ">=", lower_rhs, 6)
     upper = BoundVerdict("gor3_upper", 12 * e, "<=", upper_rhs, 12)
     return lower, upper

@@ -51,19 +51,24 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+_TYPES = {
+    "cm2": cm2.DegreeMatrixCM2,
+    "gor3": gor3.DegreeMatrixGor3,
+    "monomial2": oracle.MonomialStaircase,
+}
+
+
 def _from_json_obj(obj: object) -> Input:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     try:
         if "type" in obj:
             kind = obj["type"]
-            if kind == "cm2":
-                return cm2.validate(obj["a"], obj["b"])
-            if kind == "gor3":
-                return gor3.validate(obj["a"], obj["b"], obj["d"])
-            if kind == "monomial2":
-                return oracle.MonomialStaircase.from_json_dict(obj)
-            raise ParseError(f"unknown input type {kind!r}")
+            # A list or object "type" cannot be a dict key; it is unknown too.
+            cls = _TYPES.get(kind) if isinstance(kind, str) else None
+            if cls is None:
+                raise ParseError(f"unknown input type {kind!r}")
+            return cls.from_json_dict(obj)
         if "codim" in obj and "steps" in obj:
             return betti.BettiTable.from_json_dict(obj)
     except (KeyError, TypeError) as exc:
@@ -73,7 +78,7 @@ def _from_json_obj(obj: object) -> Input:
 
 def _load_inputs(args: argparse.Namespace) -> list[Input]:
     inline = args.cm2 or args.gor3
-    if inline and args.infile:
+    if args.infile and (inline or (args.a, args.b, args.d) != (None, None, None)):
         raise ParseError("give either inline flags or --in FILE, not both")
     if inline:
         if args.cm2 and args.gor3:
@@ -369,30 +374,25 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _validate_text(item: Input) -> str:
-    if isinstance(item, cm2.DegreeMatrixCM2):
-        return f"valid cm2: a={','.join(map(str, item.a))} b={','.join(map(str, item.b))}"
-    if isinstance(item, gor3.DegreeMatrixGor3):
-        return (
-            f"valid gor3: a={','.join(map(str, item.base.a))} "
-            f"b={','.join(map(str, item.base.b))} d={item.d}"
-        )
-    if isinstance(item, oracle.MonomialStaircase):
-        return f"valid monomial2: {len(item.gens)} minimal generators"
-    if isinstance(item, betti.BettiTable):
-        return (
-            f"valid betti table: p={item.projective_dimension} codim={item.codim}"
-        )
-    raise ParseError(f"cannot validate {type(item).__name__}")
+def _matrix_text(inst: dict) -> str:
+    """``a=.. b=..``, and `` d=..`` for gor3, of a matrix's JSON form."""
+    text = f"a={','.join(map(str, inst['a']))} b={','.join(map(str, inst['b']))}"
+    return text + (f" d={inst['d']}" if inst["type"] == "gor3" else "")
+
+
+def _validate_text(doc: dict) -> str:
+    if "codim" in doc:
+        return f"valid betti table: p={len(doc['steps'])} codim={doc['codim']}"
+    if doc["type"] == "monomial2":
+        return f"valid monomial2: {len(doc['gens'])} minimal generators"
+    return f"valid {doc['type']}: {_matrix_text(doc)}"
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     items = _load_inputs(args)
-    with _output(args) as out:
-        if args.format == "json":
-            _write_json(out, (item.to_json_dict() for item in items), len(items) > 1)
-        else:
-            _write_joined(out, map(_validate_text, items), "\n")
+    _write_reports(
+        args, items, lambda item: item.to_json_dict(), _validate_text, "\n", lambda doc: False
+    )
     return 0
 
 
@@ -413,11 +413,9 @@ def _oracle_report(item: Input) -> dict:
 
 def _oracle_line(rep: dict) -> str:
     inst = rep["instance"]
-    head = f"{inst['type']} a={','.join(map(str, inst['a']))} b={','.join(map(str, inst['b']))}"
-    if inst["type"] == "gor3":
-        head += f" d={inst['d']}"
     routes = " ".join(f"{k}={v}" for k, v in rep["routes"].items())
-    return f"{head}: {routes} agree={'yes' if rep['agree'] else 'NO'}"
+    agree = "yes" if rep["agree"] else "NO"
+    return f"{inst['type']} {_matrix_text(inst)}: {routes} agree={agree}"
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:

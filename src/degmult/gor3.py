@@ -73,16 +73,13 @@ def shifts(G: DegreeMatrixGor3) -> ShiftsGor3:
     """Extreme shifts; the maxima follow from self-duality of the resolution.
 
     m1 = sum(a), m2 = m1 + b_t, m3 = d + 2 sum(b), and M_i = m3 - m_{3-i}
-    for i = 1, 2, while M3 = m3.  The equal gaps
-    M2 - m2 = M1 - m1 = m3 - m1 - m2 are verified.
+    for i = 1, 2, while M3 = m3, so the gaps M2 - m2 = M1 - m1 =
+    m3 - m1 - m2 are equal by construction.
     """
     m1 = sum(G.base.a)
     m2 = m1 + G.base.b[-1]
     m3 = G.d + 2 * sum(G.base.b)
-    s = ShiftsGor3(m1=m1, m2=m2, m3=m3, M1=m3 - m2, M2=m3 - m1, M3=m3)
-    if not (s.M2 - s.m2 == s.M1 - s.m1 == s.m3 - s.m1 - s.m2):
-        raise InternalMismatch(f"self-duality gap identity fails: {s}")
-    return s
+    return ShiftsGor3(m1=m1, m2=m2, m3=m3, M1=m3 - m2, M2=m3 - m1, M3=m3)
 
 
 def multiplicity_pfaffian(G: DegreeMatrixGor3) -> int:
@@ -108,17 +105,14 @@ def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
     """Self-dual three-step table built from the block ideal's resolution.
 
     Step-1 shifts are the generator degrees of the block ideal J
-    together with m3 minus its syzygy degrees; step 2 mirrors step 1
+    together with m3 minus its syzygy degrees; step 2 is step 1 mirrored
     through m3; step 3 is the single shift m3.
     """
-    gens = cm2.generator_degrees(G.base)
-    syz = cm2.syzygy_degrees(G.base)
+    gens, syz = cm2.degrees(G.base)
     m3 = G.d + 2 * sum(G.base.b)
-    alpha = list(gens) + [m3 - s for s in syz]
-    entries = [(1, x, 1) for x in alpha]
-    entries += [(2, m3 - x, 1) for x in alpha]
-    entries.append((3, m3, 1))
-    return betti.BettiTable.from_entries(codim=3, entries=entries)
+    step1 = sorted([*gens, *(m3 - x for x in syz)])
+    step2 = [m3 - x for x in reversed(step1)]
+    return betti.BettiTable(3, (betti.ranked(step1), betti.ranked(step2), ((m3, 1),)))
 
 
 def block_curve(G: DegreeMatrixGor3) -> tuple[int, int]:

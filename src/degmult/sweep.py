@@ -575,7 +575,7 @@ class Gor3Evaluation(Evaluation):
     def _gor3_bounds(self) -> Iterator[tuple]:
         try:
             sharper = self.sharper
-        except (ValueError, InternalMismatch) as exc:
+        except ValueError as exc:
             yield "bound forms", exc
             return
         yield from _failed(sharper)
@@ -592,7 +592,7 @@ class Gor3Evaluation(Evaluation):
         cells = {"srinivasan_lower_holds": lower.holds, "srinivasan_upper_holds": upper.holds}
         try:
             cells.update(_cells(self.sharper))
-        except (ValueError, InternalMismatch):
+        except ValueError:
             pass  # left blank; the gor3_bounds check reports the failure
         return cells
 

@@ -132,6 +132,24 @@ class TestValidate:
         assert code == 0
         assert json.loads(out) == docs
 
+    def test_text_of_every_input_type(self, capsys, tmp_path):
+        docs = [
+            {"type": "cm2", "a": [2, 2, 1], "b": [2, 2, 1]},
+            {"type": "gor3", "a": [2], "b": [2], "d": 5},
+            {"type": "monomial2", "gens": [[0, 5], [2, 3], [4, 1], [5, 0], [3, 3]]},
+            {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]]},
+        ]
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(docs))
+        code, out, err = run(capsys, "validate", "--in", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "valid cm2: a=2,2,1 b=2,2,1\n"
+            "valid gor3: a=2 b=2 d=5\n"
+            "valid monomial2: 4 minimal generators\n"
+            "valid betti table: p=2 codim=2\n"
+        )
+
     def test_garbage_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -278,6 +296,17 @@ class TestParsing:
             capsys, "compute", "--cm2", "--a", "1", "--b", "1", "--in", str(path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("verb", ["validate", "compute", "oracle-check"])
+    @pytest.mark.parametrize("flags", [
+        ("--a", "5", "--b", "5", "--d", "3"), ("--a", "5"), ("--b", "5"), ("--d", "3"),
+    ])
+    def test_matrix_flags_next_to_in_refused(self, capsys, tmp_path, verb, flags):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"type": "cm2", "a": [1], "b": [1]}))
+        code, out, err = run(capsys, verb, "--in", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: give either inline flags or --in FILE, not both\n"
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -505,6 +506,105 @@ class TestKernelFaults:
         assert [(x.instance, x.lhs) for x in report.anomalies] == expected
         assert {x.check for x in report.anomalies} == {"extension"}
         assert all(message in x.rhs for x in report.anomalies)
+
+
+def _set_shift(monkeypatch, module, name, value):
+    """Patch ``module.shifts`` so that shift ``name`` reads ``value(shifts)``."""
+    real = module.shifts
+    monkeypatch.setattr(
+        module, "shifts", lambda X: real(X)._replace(**{name: value(real(X))})
+    )
+
+
+def _break_uv_data(monkeypatch):
+    """Raise the last syzygy degree by 1 in the lists uv_data reads, so
+    e_1 = sum(v) fails."""
+    real = cm2.degrees
+    monkeypatch.setattr(
+        cm2, "degrees", lambda A: (real(A)[0], (*real(A)[1][:-1], real(A)[1][-1] + 1))
+    )
+
+
+def _skew_series(monkeypatch):
+    """Skew the Hilbert-series value that betti.huneke_miller compares with."""
+    real = betti.multiplicity
+    monkeypatch.setattr(betti, "multiplicity", lambda table: real(table) + 1)
+
+
+def _family_faults(family, module):
+    """The faults both families share: skewed shifts, and a value route
+    skewed by 1, which breaks every bound and flag that is sharp on the
+    pure instances."""
+    value_route = "uv" if family == "cm2" else "pfaffian"
+    skew_value = functools.partial(_skew_route, family=family, route=value_route)
+    return {
+        (family, "shift_agreement", "m2"): (
+            functools.partial(_skew_shift, module=module), [r"Shifts\w+\(.*\)"]
+        ),
+        (family, "shift_agreement", "m2_equals_m1"): (
+            functools.partial(_set_shift, module=module, name="m2", value=lambda s: s.m1),
+            ["strictly increasing shifts"],
+        ),
+        (family, f"{family}_bounds", "value"): (skew_value, [rf"{family}_upper: \d+"]),
+        (family, "hhs_bounds", "value"): (skew_value, [r"hhs_upper: \d+"]),
+        (family, "sharpness_purity", "value"): (skew_value, ["flags"]),
+        (family, "huneke_miller", "value"): (skew_value, [r"\d+"]),
+        (family, "huneke_miller", "series"): (_skew_series, ["pure-shift formula"]),
+    }
+
+
+class TestCheckFaults:
+    """Each fault, swept under ``checks=(name,)``, files anomalies under
+    that check only, and among them every listed ``lhs`` pattern."""
+
+    FAULTS = {
+        ("cm2", "multiplicity_agreement", "route"): (
+            lambda mp: _skew_route(mp, "cm2", "resolution"), [r"uv=\d+"]
+        ),
+        ("gor3", "multiplicity_agreement", "route"): (
+            lambda mp: _skew_route(mp, "gor3", "linkage"), [r"pfaffian=\d+"]
+        ),
+        ("cm2", "hs_identities", "sums"): (
+            lambda mp: mp.setattr(cm2.UVData, "hs_identities", lambda uv: False),
+            ["identity sums"],
+        ),
+        ("cm2", "hs_identities", "uv_data"): (_break_uv_data, ["uv data"]),
+        ("cm2", "uv_facts", "uv_data"): (_break_uv_data, ["extreme-degree identities"]),
+        ("gor3", "self_duality", "m3"): (
+            lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1),
+            # step 1 mirrored through m3, step 3, and the summary's maxima
+            [r"\(\(\d+, \d+\), \(.*", r"\(\(\d+, 1\),\)", r"ShiftSummary\(.*"],
+        ),
+        ("gor3", "self_duality", "m3_zero"): (
+            lambda mp: _set_shift(mp, gor3, "m3", lambda s: 0),
+            [re.escape("step-1 shifts inside (0, m3)")],
+        ),
+        ("gor3", "gor3_bounds", "not_self_dual"): (
+            lambda mp: _skew_shift(mp, gor3), ["bound forms"]
+        ),
+        **_family_faults("cm2", cm2),
+        **_family_faults("gor3", gor3),
+    }
+
+    @pytest.mark.parametrize("family, check, fault", sorted(FAULTS))
+    def test_files_under_its_check_only(self, monkeypatch, family, check, fault):
+        inject, patterns = self.FAULTS[family, check, fault]
+        inject(monkeypatch)
+        report = sweep.verify_all(sweep.SweepConfig(family, 2, 4, checks=(check,)))
+        assert report.instances_checked > 0
+        assert {x.check for x in report.anomalies} == {check}
+        for pattern in patterns:
+            assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
+
+    def test_every_check_but_extension_faulted(self):
+        faulted = {(family, check) for family, check, _ in self.FAULTS}
+        every = {
+            (ev.family, check)
+            for ev in (sweep.CM2Evaluation, sweep.Gor3Evaluation)
+            for check in ev.CHECKS
+            if check != "extension"
+        }
+        assert faulted == every
 
 
 def test_duplicate_check_rejected():
