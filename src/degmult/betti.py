@@ -15,8 +15,9 @@ derivatives, no floats, no factorial overflow.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import mul, neg
 from typing import Iterable, NamedTuple
 
@@ -105,8 +106,9 @@ class BettiTable:
 
 def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The (shift, rank) pairs of an ascending shift list, equal shifts
-    counted together."""
-    return tuple((shift, len(list(run))) for shift, run in groupby(shifts))
+    counted together; a Counter keeps its keys in first-seen order, which
+    is ascending here."""
+    return tuple(Counter(shifts).items())
 
 
 @dataclass(frozen=True)

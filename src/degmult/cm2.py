@@ -11,12 +11,19 @@ formula, the Betti table, a witness monomial ideal with the same degree
 matrix, and the basic-double-link extension that appends a row and a
 column.
 
+The sorted generator and syzygy degrees (:func:`degrees`) feed the
+u/v data, the Betti table and the extension kernel; each takes them as
+an optional ``lists`` argument, so a caller that holds them sorts a
+matrix once.  The u/v multiplicity is one forward pass over the lists,
+:func:`multiplicity_from_degrees`, which checks every u/v fact and forms
+no u or v list.
+
 The extension kernel, :func:`extender`, is bound once to a base
-matrix, its shifts and multiplicity, and then checks each appended
-(a, b) on the child's degree lists alone: the base's lists shifted by
-b with one generator and one syzygy inserted, and no child matrix,
-table or u/v record.  :func:`extend` binds it to one matrix and one
-pair; it stays only for the benchmark's replay of the cm2 sweep
+matrix, its shifts, multiplicity and degree lists, and then checks each
+appended (a, b) on the child's degree lists alone: the base's lists
+shifted by b with one generator and one syzygy inserted, and no child
+matrix, table or u/v record.  :func:`extend` binds it to one matrix and
+one pair; it stays only for the benchmark's replay of the cm2 sweep
 (``benchmarks/worker.py``).
 """
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import betti, oracle
@@ -77,7 +85,8 @@ class UVData(NamedTuple):
     the number of generators.  They satisfy u_i >= v_i >= 0 and
     u_{i+1} >= v_i, and determine the extreme degrees through
     e_1 = sum(v), e_m = sum(u), f_1 = sum(v) + u_1,
-    f_{m-1} = sum(u) + v_{m-1}; :func:`uv_data` checks all of these.
+    f_{m-1} = sum(u) + v_{m-1}; :func:`multiplicity_from_degrees`
+    checks all of these.
     The multiplicity is e(R/I) = sum_i u_i (v_i + .. + v_{m-1}), the
     double sum that also reads sum_i v_i (u_1 + .. + u_i).
     """
@@ -139,26 +148,32 @@ def shifts(A: DegreeMatrixCM2) -> ShiftsCM2:
     return ShiftsCM2(m1, m1 + A.b[-1], M1, A.a[0] + M1)
 
 
-def degrees(A: DegreeMatrixCM2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+# Ascending generator and syzygy degrees, as :func:`degrees` returns them.
+DegreeLists = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def degrees(A: DegreeMatrixCM2) -> DegreeLists:
     """Generator and syzygy degrees, each sorted ascending.
 
     The degree-matrix convention orders degrees decreasingly; sorting
-    ascending reconciles it with the resolution convention.
+    ascending reconciles it with the resolution convention.  The
+    functions below that read these lists take them as an optional
+    ``lists`` argument, so a caller holding them sorts A once.
     """
     return tuple(sorted(generator_degrees(A))), tuple(sorted(syzygy_degrees(A)))
 
 
-def _uv(e: Sequence[int], f: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """u, v and the multiplicity of ascending degree lists e and f.
+def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
+    """Multiplicity of the matrix with ascending generator degrees e and
+    syzygy degrees f, from one forward pass that forms no u/v list.
 
-    One forward pass forms u and v and verifies u_i >= v_i >= 0 and
-    u_{i+1} >= v_i; one backward pass sums
-    e(R/I) = sum_i u_i (v_i + .. + v_{m-1}).  The four extreme-degree
-    identities must hold.
+    With u_i = f_i - e_i and v_i = f_i - e_(i+1), the pass checks
+    u_i >= v_i >= 0 and u_(i+1) >= v_i, accumulates sum(u) and sum(v),
+    and sums e(R/I) = sum_k v_k (u_1 + .. + u_k), the double sum of
+    :class:`UVData`.  The four extreme-degree identities must hold.
+    Raises InternalMismatch otherwise.
     """
-    u: list[int] = []
-    v: list[int] = []
-    head = prev = 0  # head = u_1 + .. + u_i, prev = v_(i-1)
+    head = tail = prev = total = 0  # head = u_1 + .. + u_i, tail = v_1 + .. + v_i
     for i in range(len(e) - 1):
         fi = f[i]
         ui = fi - e[i]
@@ -168,39 +183,39 @@ def _uv(e: Sequence[int], f: Sequence[int]) -> tuple[list[int], list[int], int]:
         if ui < prev:
             raise InternalMismatch(f"u_(i+1) >= v_i fails at i={i}: e={e}, f={f}")
         prev = vi
-        u.append(ui)
-        v.append(vi)
         head += ui
-    tail = first = 0  # tail = v_i + .. + v_(m-1)
-    for ui, vi in zip(reversed(u), reversed(v)):
         tail += vi
-        first += ui * tail
+        total += vi * head
     extremes = (e[0], e[-1], f[0], f[-1])
-    if extremes != (tail, head, tail + u[0], head + v[-1]):
+    if extremes != (tail, head, tail + f[0] - e[0], head + prev):
         raise InternalMismatch(
             f"extreme-degree identity fails: (e_1, e_m, f_1, f_(m-1)) = {extremes}, "
             f"sum(u) = {head}, sum(v) = {tail}"
         )
-    return u, v, first
+    return total
 
 
-def uv_data(A: DegreeMatrixCM2) -> UVData:
+# uv_data reads the pass under this private name, so patching
+# multiplicity_from_degrees, as the fault-injection tests do to fault
+# the extension kernel's children, leaves every base value alone.
+_multiplicity = multiplicity_from_degrees
+
+
+def uv_data(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> UVData:
     """Sorted degree lists, their u/v differences and the multiplicity,
-    with the checks of :func:`_uv`."""
-    e, f = degrees(A)
-    u, v, mult = _uv(e, f)
-    return UVData(len(e), e, f, tuple(u), tuple(v), mult)
+    with the checks of :func:`multiplicity_from_degrees`; ``lists`` is
+    :func:`degrees` of A if the caller already holds it."""
+    e, f = degrees(A) if lists is None else lists
+    mult = _multiplicity(e, f)
+    u = tuple(map(sub, f, e))
+    v = tuple(map(sub, f, e[1:]))
+    return UVData(len(e), e, f, u, v, mult)
 
 
-def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
-    """Multiplicity of the matrix with ascending generator degrees e and
-    syzygy degrees f, with every u/v check of :func:`_uv`."""
-    return _uv(e, f)[2]
-
-
-def betti_table(A: DegreeMatrixCM2) -> betti.BettiTable:
-    """Two-step Betti table: generator degrees, then syzygy degrees."""
-    gens, syz = degrees(A)
+def betti_table(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> betti.BettiTable:
+    """Two-step Betti table: generator degrees, then syzygy degrees
+    (``lists``, or :func:`degrees` of A)."""
+    gens, syz = degrees(A) if lists is None else lists
     return betti.BettiTable(2, (betti.ranked(gens), betti.ranked(syz)))
 
 
@@ -209,11 +224,12 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
 
     Generators x^(a_1+..+a_j) y^(b_{j+1}+..+b_t) for j = 0..t; the
     exponents are strictly monotone, so the generating set is minimal
-    and contains pure powers of both variables.
+    and contains pure powers of both variables: it is already the
+    canonical staircase, which its constructor checks.
     """
     xs = accumulate(A.a, initial=0)
     ys = reversed(list(accumulate(reversed(A.b), initial=0)))
-    return oracle.minimalize(zip(xs, ys))
+    return oracle.MonomialStaircase(tuple(zip(xs, ys)))
 
 
 def appended_degrees(
@@ -235,10 +251,11 @@ def appended_degrees(
 
 
 def extender(
-    A: DegreeMatrixCM2, s: ShiftsCM2, e: int
+    A: DegreeMatrixCM2, s: ShiftsCM2, e: int, lists: DegreeLists | None = None
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
     """The basic-double-link check for every child of A, whose shifts
-    are s and multiplicity e; A's degree lists are sorted once here.
+    are s, multiplicity e and degree lists ``lists`` (sorted here if
+    not given).
 
     The returned function takes the appended (a, b), which must satisfy
     b >= a and b_t >= a.  It forms the child's degree lists with
@@ -250,7 +267,7 @@ def extender(
     deltas and e', or raises InternalMismatch.
     """
     m1, m2, M1, M2 = s
-    gens, syz = base = degrees(A)
+    gens, syz = base = degrees(A) if lists is None else lists
     c = syz[0] - gens[0]
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
@@ -271,4 +288,5 @@ def extender(
 def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[tuple[int, ...], int]:
     """The shift deltas and multiplicity of A with (a, b) appended, as
     checked by :func:`extender`; b >= a and b_t >= a are not checked."""
-    return extender(A, shifts(A), uv_data(A).multiplicity)(a, b)
+    lists = degrees(A)
+    return extender(A, shifts(A), uv_data(A, lists).multiplicity, lists)(a, b)

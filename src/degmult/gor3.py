@@ -101,14 +101,15 @@ def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
     return total
 
 
-def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
+def betti_table(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> betti.BettiTable:
     """Self-dual three-step table built from the block ideal's resolution.
 
     Step-1 shifts are the generator degrees of the block ideal J
-    together with m3 minus its syzygy degrees; step 2 is step 1 mirrored
-    through m3; step 3 is the single shift m3.
+    (``lists``, or :func:`cm2.degrees` of the block) together with m3
+    minus its syzygy degrees; step 2 is step 1 mirrored through m3;
+    step 3 is the single shift m3.
     """
-    gens, syz = cm2.degrees(G.base)
+    gens, syz = cm2.degrees(G.base) if lists is None else lists
     m3 = G.d + 2 * sum(G.base.b)
     step1 = sorted([*gens, *(m3 - x for x in syz)])
     step2 = [m3 - x for x in reversed(step1)]
@@ -130,11 +131,15 @@ def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
 
 
 def extender(
-    G: DegreeMatrixGor3, s: ShiftsGor3, e: int, curve: tuple[int, int]
+    G: DegreeMatrixGor3,
+    s: ShiftsGor3,
+    e: int,
+    curve: tuple[int, int],
+    lists: cm2.DegreeLists | None = None,
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
     """The basic-double-link check for every child of G, whose shifts
-    are s, multiplicity e and block curve ``curve`` = (e(R/J), g); the
-    block's degree lists are sorted once here.
+    are s, multiplicity e, block curve ``curve`` = (e(R/J), g) and
+    block degree lists ``lists`` (sorted here if not given).
 
     The returned function grows the block by (a, b), keeping d; it needs
     b >= a and b_t >= a.  From the block's degree lists after
@@ -152,7 +157,7 @@ def extender(
     c = block_b[-1]
     m1 = s.m1
     e_j, g = curve
-    gens, syz = base = cm2.degrees(G.base)
+    gens, syz = base = cm2.degrees(G.base) if lists is None else lists
     ranks = [1] + [-1] * (len(gens) + 1) + [1] * (len(syz) + 1)
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:

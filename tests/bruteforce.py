@@ -6,9 +6,11 @@ minimal generators by a pairwise dominance scan instead of one sorted
 sweep, the Hilbert quotient by dense division of the whole K-polynomial
 instead of the table's binomial moments, divisibility by polynomial
 multiplication instead of division, enumeration by generate-and-filter
-instead of constructive ranges, and the basic double link by building
+instead of constructive ranges, the basic double link by building
 each child matrix and reading its multiplicity and genus off its dense
-Hilbert quotient instead of shifting the base's degree lists.
+Hilbert quotient instead of shifting the base's degree lists, and the
+u/v multiplicity from explicit u and v lists and a backward pass
+instead of one list-free forward pass.
 """
 from __future__ import annotations
 
@@ -101,6 +103,43 @@ def brute_gor3(t_max: int, entry_max: int) -> list[gor3.DegreeMatrixGor3]:
                     except DegmultError:
                         pass
     return found
+
+
+def uv_two_pass(e, f) -> tuple[list[int], list[int], int]:
+    """u, v and the multiplicity of ascending degree lists e and f.
+
+    One forward pass forms u and v and verifies u_i >= v_i >= 0 and
+    u_{i+1} >= v_i; one backward pass sums
+    e(R/I) = sum_i u_i (v_i + .. + v_{m-1}).  The four extreme-degree
+    identities must hold.  Raises InternalMismatch with the messages of
+    :func:`cm2.multiplicity_from_degrees`.
+    """
+    u: list[int] = []
+    v: list[int] = []
+    head = prev = 0  # head = u_1 + .. + u_i, prev = v_(i-1)
+    for i in range(len(e) - 1):
+        fi = f[i]
+        ui = fi - e[i]
+        vi = fi - e[i + 1]
+        if not ui >= vi >= 0:
+            raise InternalMismatch(f"u_i >= v_i >= 0 fails at i={i + 1}: e={e}, f={f}")
+        if ui < prev:
+            raise InternalMismatch(f"u_(i+1) >= v_i fails at i={i}: e={e}, f={f}")
+        prev = vi
+        u.append(ui)
+        v.append(vi)
+        head += ui
+    tail = first = 0  # tail = v_i + .. + v_(m-1)
+    for ui, vi in zip(reversed(u), reversed(v)):
+        tail += vi
+        first += ui * tail
+    extremes = (e[0], e[-1], f[0], f[-1])
+    if extremes != (tail, head, tail + u[0], head + v[-1]):
+        raise InternalMismatch(
+            f"extreme-degree identity fails: (e_1, e_m, f_1, f_(m-1)) = {extremes}, "
+            f"sum(u) = {head}, sum(v) = {tail}"
+        )
+    return u, v, first
 
 
 def degree_grid(A: cm2.DegreeMatrixCM2) -> list[list[int]]:

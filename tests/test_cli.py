@@ -507,6 +507,24 @@ class TestOutFile:
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
+def test_in_process_run_never_imports_multiprocessing(tmp_path):
+    """multiprocessing is imported only when a verb starts worker processes."""
+    script = (
+        "import sys\n"
+        "from degmult.cli import main\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--cm2", "--t-max", "2", "--entry-max", "3",
+         "--jobs", "1", "--out", str(tmp_path / "sweep.json")],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "0 False\n"
+
+
 class TestEntryPoint:
     """``python -m degmult`` turns main's return value into the exit status."""
 

@@ -1,11 +1,12 @@
 """Tests for codimension-2 degree matrices."""
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from degmult import betti, cm2, oracle
-from degmult.errors import InvalidDiagonal, NotMonotone
+from degmult.errors import InternalMismatch, InvalidDiagonal, NotMonotone
 
-from bruteforce import degree_grid, extend_from, naive_colength
+from bruteforce import degree_grid, extend_from, naive_colength, uv_two_pass
 from strategies import cm2_matrices
 
 EX25 = cm2.validate([2, 2, 1], [2, 2, 1])  # the 3x4 matrix of 2's over 1's
@@ -115,6 +116,51 @@ class TestMultiplicity:
         w = cm2.witness_monomial_ideal(A)
         assert w.gens == ((0, 3), (1, 1), (2, 0))
         assert naive_colength(list(w.gens)) == 4
+
+
+@st.composite
+def nudged_degrees(draw):
+    """A valid matrix's ascending degree lists with one entry moved by
+    -2..2, so that some fail the u/v checks and some still pass."""
+    e, f = map(list, cm2.degrees(draw(cm2_matrices())))
+    lst = draw(st.sampled_from([e, f]))
+    lst[draw(st.integers(0, len(lst) - 1))] += draw(st.integers(-2, 2))
+    return e, f
+
+
+random_degrees = st.integers(2, 6).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(-2, 12), min_size=m, max_size=m),
+        st.lists(st.integers(-2, 12), min_size=m - 1, max_size=m - 1),
+    )
+)
+
+
+class TestMultiplicityFromDegrees:
+    """The one-pass kernel against the two-pass reference that forms
+    explicit u and v lists."""
+
+    @given(st.one_of(nudged_degrees(), random_degrees))
+    @example(([2, 3], [1]))  # v_1 < 0
+    @example(([0, 0, 1], [3, 2]))  # u_2 = 2 < v_1 = 3
+    @example(([5, 5, 5, 5], [6, 7, 8]))  # EX25 with f_3 raised by 1
+    @example(([5, 5, 5, 5], [6, 7, 7]))  # EX25 itself
+    def test_matches_two_pass_reference(self, lists):
+        e, f = lists
+        try:
+            want = uv_two_pass(e, f)[2]
+        except InternalMismatch as exc:
+            with pytest.raises(InternalMismatch) as got:
+                cm2.multiplicity_from_degrees(e, f)
+            assert str(got.value) == str(exc)
+        else:
+            assert cm2.multiplicity_from_degrees(e, f) == want
+
+    @given(cm2_matrices())
+    def test_uv_data_matches_reference(self, A):
+        uv = cm2.uv_data(A)
+        u, v, mult = uv_two_pass(uv.e, uv.f)
+        assert (uv.u, uv.v, uv.multiplicity) == (tuple(u), tuple(v), mult)
 
 
 class TestHSIdentities:

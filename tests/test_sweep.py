@@ -277,6 +277,21 @@ class TestJobsCap:
             sweep.SweepConfig("cm2", 1, 2, jobs=0)
 
 
+class TestOneSortPerBlock:
+    """A sweep sorts each instance's block degree lists once for the
+    u/v data, the Betti table and the extension kernel together; a gor3
+    instance sorts them once more for its block curve."""
+
+    @pytest.mark.parametrize("family, sorts", [("cm2", 1), ("gor3", 2)])
+    def test_sorts_per_instance(self, monkeypatch, family, sorts):
+        calls = []
+        real = cm2.degrees
+        monkeypatch.setattr(cm2, "degrees", lambda A: calls.append(A) or real(A))
+        report = sweep.write_sweep_csv(sweep.SweepConfig(family, 2, 4), io.StringIO())
+        assert report.ok and report.instances_checked > 0
+        assert len(calls) == sorts * report.instances_checked
+
+
 def appended_children(config):
     """(instance, child a, child b) of every pair the extension check appends."""
     enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
@@ -595,6 +610,17 @@ class TestCheckFaults:
         assert {x.check for x in report.anomalies} == {check}
         for pattern in patterns:
             assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
+
+    def test_uv_failure_filed_once(self, monkeypatch):
+        """With hs_identities and uv_facts both on, a failing u/v record
+        is filed once, under uv_facts."""
+        _break_uv_data(monkeypatch)
+        config = sweep.SweepConfig("cm2", 2, 4, checks=("hs_identities", "uv_facts"))
+        report = sweep.verify_all(config)
+        assert report.instances_checked > 0
+        assert [(x.instance, x.check) for x in report.anomalies] == [
+            (A.to_json_dict(), "uv_facts") for A in sweep.enumerate_cm2(2, 4)
+        ]
 
     def test_every_check_but_extension_faulted(self):
         faulted = {(family, check) for family, check, _ in self.FAULTS}
