@@ -12,14 +12,15 @@ matrix, and the basic-double-link extension that appends a row and a
 column.
 
 The sorted generator and syzygy degrees (:func:`degrees`) feed the
-u/v data, the Betti table and the extension kernel; each takes them as
-an optional ``lists`` argument, so a caller that holds them sorts a
-matrix once.  The u/v multiplicity is one forward pass over the lists,
-:func:`multiplicity_from_degrees`, which checks every u/v fact and forms
-no u or v list.
+u/v data, the Betti table and the extension kernel, so a caller that
+holds them sorts a matrix once: the kernel takes them as its ``lists``
+argument, the u/v data and the Betti table as an optional one.  The
+u/v multiplicity is one forward pass over the lists,
+:func:`multiplicity_from_degrees`, which checks every u/v fact and
+forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
-matrix, its shifts, multiplicity and degree lists, and then checks each
+matrix's shifts, multiplicity and degree lists, and then checks each
 appended (a, b) on the child's degree lists alone: the base's lists
 shifted by b with one generator and one syzygy inserted, and no child
 matrix, table or u/v record.  :func:`extend` binds it to one matrix and
@@ -157,8 +158,8 @@ def degrees(A: DegreeMatrixCM2) -> DegreeLists:
 
     The degree-matrix convention orders degrees decreasingly; sorting
     ascending reconciles it with the resolution convention.  The
-    functions below that read these lists take them as an optional
-    ``lists`` argument, so a caller holding them sorts A once.
+    functions below that read these lists take them as a ``lists``
+    argument, so a caller holding them sorts A once.
     """
     return tuple(sorted(generator_degrees(A))), tuple(sorted(syzygy_degrees(A)))
 
@@ -251,27 +252,26 @@ def appended_degrees(
 
 
 def extender(
-    A: DegreeMatrixCM2, s: ShiftsCM2, e: int, lists: DegreeLists | None = None
+    s: ShiftsCM2, e: int, lists: DegreeLists
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
-    """The basic-double-link check for every child of A, whose shifts
-    are s, multiplicity e and degree lists ``lists`` (sorted here if
-    not given).
+    """The basic-double-link check for every child of a matrix whose
+    shifts are s, multiplicity e and sorted degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
     b >= a and b_t >= a.  It forms the child's degree lists with
     :func:`appended_degrees` and reads the child's shifts off their ends
     as (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
-    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off A's lists.  The
-    recursion e' = e + (m1 + a) b must equal the child's own
+    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's
+    lists.  The recursion e' = e + (m1 + a) b must equal the child's own
     multiplicity from :func:`multiplicity_from_degrees`.  It returns the
     deltas and e', or raises InternalMismatch.
     """
     m1, m2, M1, M2 = s
-    gens, syz = base = degrees(A) if lists is None else lists
+    gens, syz = lists
     c = syz[0] - gens[0]
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = appended_degrees(base, m1, a, b)
+        e2, f2 = appended_degrees(lists, m1, a, b)
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
         if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas
@@ -289,4 +289,4 @@ def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[tuple[int, ...], int]:
     """The shift deltas and multiplicity of A with (a, b) appended, as
     checked by :func:`extender`; b >= a and b_t >= a are not checked."""
     lists = degrees(A)
-    return extender(A, shifts(A), uv_data(A, lists).multiplicity, lists)(a, b)
+    return extender(shifts(A), uv_data(A, lists).multiplicity, lists)(a, b)

@@ -355,15 +355,15 @@ class Evaluation:
         return bounds.sharpness(self.summary, self.codim, self.e)
 
     def anomalies(self, checks: tuple[str, ...], entry_max: int) -> tuple[Anomaly, ...]:
-        """Failures of the enabled checks; disabled ones compute nothing."""
+        """Failures of the enabled checks; disabled ones compute nothing.
+        A check may read the enabled set as ``self.checks``."""
+        self.checks = checks
         found = []
         for name in self.CHECKS:
             if name not in checks:
                 continue
             if name == "extension":
                 sides = self._extension(entry_max)
-            elif name == "hs_identities":
-                sides = self._hs_identities(filed_by_uv_facts="uv_facts" in checks)
             else:
                 sides = getattr(self, f"_{name}")()
             for lhs, rhs in sides:
@@ -488,14 +488,14 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _hs_identities(self, filed_by_uv_facts: bool) -> Iterator[tuple]:
+    def _hs_identities(self) -> Iterator[tuple]:
         """The identity sums; a failure of the u/v data itself is filed
         here only when the uv_facts check, which reports it, is off."""
         try:
             if not self.uv.hs_identities():
                 yield "identity sums", "disagree"
         except InternalMismatch as exc:
-            if not filed_by_uv_facts:
+            if "uv_facts" not in self.checks:
                 yield "uv data", exc
 
     def _uv_facts(self) -> Iterator[tuple]:
@@ -512,7 +512,7 @@ class CM2Evaluation(Evaluation):
         return self.instance
 
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
-        return cm2.extender(self.instance, self.shifts, e, self.degrees)
+        return cm2.extender(self.shifts, e, self.degrees)
 
     def finding(self, checks: tuple[str, ...]) -> dict | None:
         if "prop24" not in checks or self.prop24.bound_holds:
@@ -710,11 +710,12 @@ def write_sweep_csv(config: SweepConfig, stream: TextIO) -> SweepReport:
 
 
 def _csv_line(row: dict, columns: tuple[str, ...]) -> str:
-    """The CSV line of ``row``'s cells in ``columns``: a missing cell or
-    None is empty, a boolean is true or false, anything else its str."""
+    """The CSV line of ``row``'s cells in ``columns``, each of which it
+    must hold: None is empty, a boolean is true or false, anything else
+    its str."""
     return ",".join([
         "" if x is None else "true" if x is True else "false" if x is False else str(x)
-        for x in map(row.get, columns)
+        for x in map(row.__getitem__, columns)
     ]) + "\n"
 
 
@@ -765,6 +766,7 @@ def hunt_csv(report: HuntReport) -> str:
     """Candidate list as CSV, one row per candidate, header always present."""
     lines = [",".join(HUNT_CSV_COLUMNS) + "\n"]
     for c in report.candidates:
-        row = {**c, **_matrix_cells(c["instance"]), "target": report.target, "family": report.family}
+        row = dict.fromkeys(HUNT_CSV_COLUMNS)
+        row.update(c, **_matrix_cells(c["instance"]), target=report.target, family=report.family)
         lines.append(_csv_line(row, HUNT_CSV_COLUMNS))
     return "".join(lines)
