@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, neg
+from operator import ge, mul, neg
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -234,20 +234,22 @@ def shift_summary(table: BettiTable) -> ShiftSummary:
 
 def purity(table: BettiTable) -> Purity:
     """Purity (m_i = M_i at every step) and quasi-purity (m_i >= M_{i-1})."""
-    s = shift_summary(table)
-    pure = s.m == s.M
-    quasi = all(s.m[i] >= s.M[i - 1] for i in range(1, len(s.m)))
-    return Purity(pure=pure, quasi_pure=quasi)
+    return summary_purity(shift_summary(table))
 
 
-def huneke_miller(table: BettiTable) -> int:
+def summary_purity(s: ShiftSummary) -> Purity:
+    """:func:`purity` of the table whose :func:`shift_summary` is s."""
+    return Purity(pure=s.m == s.M, quasi_pure=all(map(ge, s.m[1:], s.M)))
+
+
+def huneke_miller(table: BettiTable, s: ShiftSummary | None = None) -> int:
     """Multiplicity of a pure Cohen-Macaulay table as (prod d_i) / p!.
 
     Requires codim = p and m_i = M_i throughout; verifies that p!
     divides the product and that the result agrees with the
-    Hilbert-series route.
+    Hilbert-series route.  ``s`` is the table's :func:`shift_summary`, if held.
     """
-    s = shift_summary(table)
+    s = shift_summary(table) if s is None else s
     if s.m != s.M:
         raise NotPure(f"table is not pure: m={s.m}, M={s.M}")
     p = table.projective_dimension

@@ -11,7 +11,7 @@ bound for codimension 2, and Srinivasan's quasi-pure Gorenstein bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from . import cm2 as cm2mod
@@ -19,23 +19,21 @@ from .betti import ShiftSummary
 from .errors import CharacterizationViolated
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(namedtuple("_BoundVerdict", "name lhs relation rhs factor")):
     """One cleared inequality: ``lhs relation rhs`` with both sides integer.
 
     ``lhs`` is the cleared multiple of the multiplicity, ``rhs`` the
-    bound expression, and ``factor`` the denominator that was cleared.
+    bound expression, ``relation`` ">=" or "<=", and ``factor`` the
+    denominator that was cleared.  A named tuple, cheap to build, as a
+    sweep builds several per instance.
     """
 
-    name: str
-    lhs: int
-    relation: str  # ">=" or "<="
-    rhs: int
-    factor: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.relation not in (">=", "<="):
-            raise ValueError(f"relation must be >= or <=, got {self.relation!r}")
+    def __new__(cls, name: str, lhs: int, relation: str, rhs: int, factor: int):
+        if relation not in (">=", "<="):
+            raise ValueError(f"relation must be >= or <=, got {relation!r}")
+        return tuple.__new__(cls, (name, lhs, relation, rhs, factor))
 
     @property
     def holds(self) -> bool:
@@ -121,7 +119,9 @@ def gor3_bounds(
     return lower, upper
 
 
-def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int) -> Prop24Verdict:
+def prop24_bound(
+    A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2 | None = None
+) -> Prop24Verdict:
     """Conditional entrywise upper bound 2e <= M1 M2 - 2(M1-m1) - 2(M2-m2).
 
     Sufficient hypotheses tracked alongside the verdict: (i) every
@@ -140,9 +140,9 @@ def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int) -> Prop24Verdict:
     down a column by a_{i+1} - b_i <= 0 from row i to i+1: rows
     increase and columns decrease.  The smallest entry is therefore the
     bottom-left one, sum(a) - sum(b[:-1]) = m2 - M1, and the (1,2)
-    entry is b_1.
+    entry is b_1.  ``s`` is the shifts of A if the caller already holds them.
     """
-    s = cm2mod.shifts(A)
+    s = cm2mod.shifts(A) if s is None else s
     hyp_i = s.m2 - s.M1 >= 2
     if A.t >= 2:
         margin: int | None = A.a[0] - 2 * A.b[0] + 1

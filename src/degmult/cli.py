@@ -250,7 +250,7 @@ def _compute_betti(table: betti.BettiTable) -> dict:
             f"compute prints at most {K_COEFFS_MAX}"
         )
     summary = betti.shift_summary(table)
-    pur = betti.purity(table)
+    pur = betti.summary_purity(summary)
     kpoly = betti.k_polynomial(table)
     e, genus = betti.multiplicity_and_genus(table)
     result = {
@@ -269,7 +269,7 @@ def _compute_betti(table: betti.BettiTable) -> dict:
         lo, up = bounds.hhs_bounds(summary, table.codim, e)
         result["bounds"] = [lo.to_json_dict(), up.to_json_dict()]
         if pur.pure:
-            result["huneke_miller"] = betti.huneke_miller(table)
+            result["huneke_miller"] = betti.huneke_miller(table, summary)
     return result
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import ge, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import betti, oracle
@@ -47,18 +47,19 @@ class DegreeMatrixCM2:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.a) != len(self.b) or not self.a:
+        a, b = self.a, self.b
+        if len(a) == len(b) > 0 and min(a) >= 1 and all(map(ge, b, a)) and all(map(ge, b, a[1:])):
+            return  # valid; the checks below name the first failure otherwise
+        if len(a) != len(b) or not a:
             raise ValueError("a and b must have equal length t >= 1")
-        for i, ai in enumerate(self.a):
+        for i, ai in enumerate(a):
             if ai < 1:
                 raise InvalidDiagonal(f"a_{i + 1} = {ai} < 1")
-        for i, bi in enumerate(self.b):
-            if bi < self.a[i]:
-                raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 1} = {self.a[i]}")
-            if i + 1 < len(self.a) and bi < self.a[i + 1]:
-                raise NotMonotone(
-                    f"b_{i + 1} = {bi} < a_{i + 2} = {self.a[i + 1]}"
-                )
+        for i, bi in enumerate(b):
+            if bi < a[i]:
+                raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 1} = {a[i]}")
+            if i + 1 < len(a) and bi < a[i + 1]:
+                raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 2} = {a[i + 1]}")
 
     @property
     def t(self) -> int:
@@ -258,20 +259,28 @@ def extender(
     shifts are s, multiplicity e and sorted degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
-    b >= a and b_t >= a.  It forms the child's degree lists with
-    :func:`appended_degrees` and reads the child's shifts off their ends
-    as (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
-    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's
-    lists.  The recursion e' = e + (m1 + a) b must equal the child's own
+    b >= a and b_t >= a.  It forms the child's degree lists as
+    :func:`appended_degrees` does, but shifts the base's lists once per
+    run of calls with the same b.  The child's shifts, read off the
+    lists' ends as (e_1, f_1, e_m, f_{m-1}), must equal s plus the deltas
+    (a, a+b-b_t, b, b) with b_t = f_1 - e_1 read off the base's lists.
+    The recursion e' = e + (m1 + a) b must equal the child's own
     multiplicity from :func:`multiplicity_from_degrees`.  It returns the
     deltas and e', or raises InternalMismatch.
     """
     m1, m2, M1, M2 = s
     gens, syz = lists
     c = syz[0] - gens[0]
+    shift = gens_b = syz_b = None  # the last b, and the base's lists shifted by it
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = appended_degrees(lists, m1, a, b)
+        nonlocal shift, gens_b, syz_b
+        if b != shift:
+            shift, gens_b, syz_b = b, [g + b for g in gens], [x + b for x in syz]
+        e2 = gens_b.copy()
+        insort(e2, m1 + a)
+        f2 = syz_b.copy()
+        insort(f2, m1 + a + b)
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
         if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas

@@ -8,9 +8,10 @@ implementation bug (all the checked identities are theorems) or, for
 the hunted open questions, a genuine discovery.  Every verb reads an
 instance through one :class:`Evaluation`, which computes each part on
 first use, so a verb pays only for what it reads; sweeps and hunts
-stream the enumeration through one ordered driver.  Reports are
-deterministic: byte-identical across runs and across worker counts,
-which is why wall-clock runtime is kept off the serialized forms.
+stream the enumeration through one ordered driver.  A sweep resolves
+its enabled check methods once, and each instance hands back its
+finished CSV line.  Reports are deterministic: byte-identical across
+runs and across worker counts, so wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 from types import ModuleType
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import betti, bounds, cm2, gor3, oracle
 from .betti import ShiftSummary
@@ -221,23 +222,10 @@ def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3
             yield gor3.DegreeMatrixGor3(base, d)
 
 
-def _matrix_cells(inst: dict) -> dict:
-    """The t, a, b and d CSV cells of a matrix's JSON form."""
-    return {
-        "t": len(inst["a"]),
-        "a": " ".join(map(str, inst["a"])),
-        "b": " ".join(map(str, inst["b"])),
-        "d": inst.get("d"),
-    }
-
-
-def _cells(verdicts: tuple[BoundVerdict, ...]) -> dict:
-    """The ``<name>_holds`` and ``<name>_sharp`` CSV cells of some verdicts."""
-    cells = {}
-    for v in verdicts:
-        cells[f"{v.name}_holds"] = v.holds
-        cells[f"{v.name}_sharp"] = v.sharp
-    return cells
+def _cells(verdicts: tuple[BoundVerdict, BoundVerdict]) -> tuple[bool, ...]:
+    """The holds and sharp CSV cells of a lower and an upper verdict."""
+    lower, upper = verdicts
+    return lower.holds, lower.sharp, upper.holds, upper.sharp
 
 
 def _failed(verdicts: tuple[BoundVerdict, ...]) -> Iterator[tuple]:
@@ -339,7 +327,7 @@ class Evaluation:
 
     @lazy
     def purity(self) -> betti.Purity:
-        return betti.purity(self.table)
+        return betti.summary_purity(self.summary)
 
     @lazy
     def extremes(self) -> ShiftSummary:
@@ -354,21 +342,24 @@ class Evaluation:
     def sharpness(self) -> bounds.SharpnessVerdict:
         return bounds.sharpness(self.summary, self.codim, self.e)
 
-    def anomalies(self, checks: tuple[str, ...], entry_max: int) -> tuple[Anomaly, ...]:
-        """Failures of the enabled checks; disabled ones compute nothing.
-        A check may read the enabled set as ``self.checks``."""
+    @classmethod
+    def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, ...]:
+        """(name, method) of each enabled check in report order, the
+        extension check's bound to ``entry_max``; a sweep resolves them once."""
+        return tuple(
+            (name, partial(cls._extension, entry_max=entry_max) if name == "extension"
+             else getattr(cls, f"_{name}"))
+            for name in cls.CHECKS if name in checks
+        )
+
+    def anomalies(self, checks: tuple[str, ...], methods: tuple) -> tuple[Anomaly, ...]:
+        """Failures of the enabled checks, run by their :meth:`check_methods`;
+        disabled ones compute nothing.  A check may read ``self.checks``."""
         self.checks = checks
-        found = []
-        for name in self.CHECKS:
-            if name not in checks:
-                continue
-            if name == "extension":
-                sides = self._extension(entry_max)
-            else:
-                sides = getattr(self, f"_{name}")()
-            for lhs, rhs in sides:
-                found.append(Anomaly(self.inst, name, str(lhs), str(rhs)))
-        return tuple(found)
+        return tuple(
+            Anomaly(self.inst, name, str(lhs), str(rhs))
+            for name, method in methods for lhs, rhs in method(self)
+        )
 
     def _multiplicity_agreement(self) -> Iterator[tuple]:
         routes = self.routes
@@ -400,7 +391,7 @@ class Evaluation:
         if not self.purity.pure:
             return
         try:
-            hm = betti.huneke_miller(self.table)
+            hm = betti.huneke_miller(self.table, self.summary)
         except (NotPure, DivisibilityError, InternalMismatch, ValueError) as exc:
             yield "pure-shift formula", exc
             return
@@ -427,19 +418,14 @@ class Evaluation:
         """A sweep finding on an open bound; none unless the family has one."""
         return None
 
-    def row(self) -> dict:
-        """The sweep CSV row, keyed by column."""
-        row = dict.fromkeys(SWEEP_CSV_COLUMNS)
-        row.update(
-            _matrix_cells(self.inst),
-            **self.shifts._asdict(),
-            family=self.family,
-            e=self.e,
-            pure=self.purity.pure,
-            quasi_pure=self.purity.quasi_pure,
-        )
-        row.update(_cells(self.hhs), **self._family_cells())
-        return row
+    def csv_line(self) -> str:
+        """The sweep CSV line, its cells built in SWEEP_CSV_COLUMNS order."""
+        block, pur = self.block, self.purity
+        shift_cells, bound_cells = self._family_cells()
+        return _csv_line((
+            self.family, block.t, " ".join(map(str, block.a)), " ".join(map(str, block.b)),
+            *shift_cells, self.e, pur.pure, pur.quasi_pure, *_cells(self.hhs), *bound_cells,
+        ))
 
     def _candidate(self, v: BoundVerdict) -> dict:
         return {
@@ -477,7 +463,7 @@ class CM2Evaluation(Evaluation):
 
     @lazy
     def prop24(self) -> bounds.Prop24Verdict:
-        return bounds.prop24_bound(self.instance, self.e)
+        return bounds.prop24_bound(self.instance, self.e, self.shifts)
 
     @property
     def prop24_flags(self) -> dict:
@@ -520,14 +506,13 @@ class CM2Evaluation(Evaluation):
         v = self.prop24.verdict
         return {"instance": self.inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
 
-    def _family_cells(self) -> dict:
-        p24 = self.prop24
-        return {
-            **_cells(self.sharper),
-            "prop24_hyp_i": p24.hyp_i,
-            "prop24_hyp_ii": p24.hyp_ii,
-            "prop24_holds": p24.bound_holds,
-        }
+    def _family_cells(self) -> tuple[tuple, tuple]:
+        """The CSV cells from d to M3, and those from cm2_lower_holds on."""
+        (m1, m2, M1, M2), p24 = self.shifts, self.prop24
+        return (None, m1, m2, None, M1, M2, None), (
+            *_cells(self.sharper), *(None,) * 4,
+            p24.hyp_i, p24.hyp_ii, p24.bound_holds, None, None,
+        )
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of the prop24 bound, optionally only under a hypothesis."""
@@ -597,14 +582,16 @@ class Gor3Evaluation(Evaluation):
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
         return gor3.extender(self.instance, self.shifts, e, self.block_curve, self.degrees)
 
-    def _family_cells(self) -> dict:
-        lower, upper, _ = self.srinivasan
-        cells = {"srinivasan_lower_holds": lower.holds, "srinivasan_upper_holds": upper.holds}
+    def _family_cells(self) -> tuple[tuple, tuple]:
+        """The CSV cells from d to M3, and those from cm2_lower_holds on."""
         try:
-            cells.update(_cells(self.sharper))
+            sharper = _cells(self.sharper)
         except ValueError:
-            pass  # left blank; the gor3_bounds check reports the failure
-        return cells
+            sharper = (None,) * 4  # left blank; the gor3_bounds check reports the failure
+        lower, upper, _ = self.srinivasan
+        return (self.instance.d, *self.shifts), (
+            *(None,) * 4, *sharper, None, None, None, lower.holds, upper.holds,
+        )
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
@@ -652,12 +639,12 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
         yield from pool.imap(fn, items, BATCH)
 
 
-def _sweep_instance(item, checks: tuple[str, ...], entry_max: int, csv: bool) -> tuple:
-    """(CSV row or None, anomalies, sharp case, finding) of one instance."""
-    ev = evaluate(item)
+def _sweep_instance(item, cls: type, checks: tuple, methods: tuple, csv: bool) -> tuple:
+    """(CSV line or None, anomalies, sharp case, finding) of one instance."""
+    ev = cls(item)
     return (
-        ev.row() if csv else None,
-        ev.anomalies(checks, entry_max),
+        ev.csv_line() if csv else None,
+        ev.anomalies(checks, methods),
         ev.sharp_case(),
         ev.finding(checks),
     )
@@ -669,21 +656,23 @@ def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     anomalies: list[Anomaly] = []
     sharps: list[dict] = []
     findings: list[dict] = []
+    cls = CM2Evaluation if config.family == "cm2" else Gor3Evaluation
     fn = partial(
         _sweep_instance,
+        cls=cls,
         checks=config.checks,
-        entry_max=config.entry_max,
+        methods=cls.check_methods(config.checks, config.entry_max),
         csv=stream is not None,
     )
-    for row, found, sharp, finding in _ordered(fn, config):
+    for line, found, sharp, finding in _ordered(fn, config):
         n += 1
         anomalies.extend(found)
         if sharp is not None:
             sharps.append(sharp)
         if finding is not None:
             findings.append(finding)
-        if stream is not None:
-            stream.write(_csv_line(row, SWEEP_CSV_COLUMNS))
+        if line is not None:
+            stream.write(line)
     return SweepReport(
         family=config.family,
         t_max=config.t_max,
@@ -709,13 +698,12 @@ def write_sweep_csv(config: SweepConfig, stream: TextIO) -> SweepReport:
     return _sweep(config, stream)
 
 
-def _csv_line(row: dict, columns: tuple[str, ...]) -> str:
-    """The CSV line of ``row``'s cells in ``columns``, each of which it
-    must hold: None is empty, a boolean is true or false, anything else
-    its str."""
+def _csv_line(cells: Iterable) -> str:
+    """The CSV line of some cells: None is empty, a boolean is true or
+    false, anything else its str."""
     return ",".join([
         "" if x is None else "true" if x is True else "false" if x is False else str(x)
-        for x in map(row.__getitem__, columns)
+        for x in cells
     ]) + "\n"
 
 
@@ -766,7 +754,8 @@ def hunt_csv(report: HuntReport) -> str:
     """Candidate list as CSV, one row per candidate, header always present."""
     lines = [",".join(HUNT_CSV_COLUMNS) + "\n"]
     for c in report.candidates:
-        row = dict.fromkeys(HUNT_CSV_COLUMNS)
-        row.update(c, **_matrix_cells(c["instance"]), target=report.target, family=report.family)
-        lines.append(_csv_line(row, HUNT_CSV_COLUMNS))
+        a, b = c["instance"]["a"], c["instance"]["b"]
+        row = {**c, "target": report.target, "family": report.family, "t": len(a),
+               "a": " ".join(map(str, a)), "b": " ".join(map(str, b)), "d": c["instance"].get("d")}
+        lines.append(_csv_line(map(row.get, HUNT_CSV_COLUMNS)))
     return "".join(lines)

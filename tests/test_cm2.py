@@ -12,6 +12,32 @@ from strategies import cm2_matrices
 EX25 = cm2.validate([2, 2, 1], [2, 2, 1])  # the 3x4 matrix of 2's over 1's
 
 
+@st.composite
+def degree_pairs(draw):
+    """(a, b) with entries in -2..8: b_i is often at least max(a_i, a_(i+1)),
+    so valid pairs are common, and b is now and then one entry longer or
+    shorter than a."""
+    a = draw(st.lists(st.integers(-2, 8), max_size=5))
+    b = [draw(st.integers(-2, 8) | st.integers(max(a[i:i + 2]), 8)) for i in range(len(a))]
+    change = draw(st.sampled_from((0,) * 6 + (1, -1)))
+    b = b + [draw(st.integers(-2, 8))] if change == 1 else b[: len(b) + change]
+    return tuple(a), tuple(b)
+
+
+def reference_validation(a, b):
+    """The check loop that DegreeMatrixCM2 falls back to on invalid input."""
+    if len(a) != len(b) or not a:
+        raise ValueError("a and b must have equal length t >= 1")
+    for i, ai in enumerate(a):
+        if ai < 1:
+            raise InvalidDiagonal(f"a_{i + 1} = {ai} < 1")
+    for i, bi in enumerate(b):
+        if bi < a[i]:
+            raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 1} = {a[i]}")
+        if i + 1 < len(a) and bi < a[i + 1]:
+            raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 2} = {a[i + 1]}")
+
+
 class TestValidate:
     def test_example_matrix(self):
         assert EX25.t == 3
@@ -34,6 +60,32 @@ class TestValidate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cm2.validate([1, 1], [1])
+
+    @given(degree_pairs())
+    @example(((), ()))
+    @example(((1, 2), (2,)))
+    @example(((3, 1), (2, 1)))
+    @example(((1, 3), (2, 3)))
+    def test_constructor_matches_reference_loop(self, ab):
+        """Construction succeeds exactly when a_i >= 1, b_i >= a_i and
+        b_i >= a_(i+1) all hold; otherwise it fails as the reference
+        loop does, with the same exception type and message."""
+        a, b = ab
+        valid = len(a) == len(b) > 0 and all(
+            ai >= 1 and bi >= ai and (i + 1 == len(a) or bi >= a[i + 1])
+            for i, (ai, bi) in enumerate(zip(a, b))
+        )
+        try:
+            reference_validation(a, b)
+        except (ValueError, InvalidDiagonal, NotMonotone) as want:
+            assert not valid
+            with pytest.raises(type(want)) as got:
+                cm2.DegreeMatrixCM2(a, b)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+        else:
+            assert valid
+            A = cm2.DegreeMatrixCM2(a, b)
+            assert (A.a, A.b) == (a, b)
 
     def test_json_round_trip(self):
         doc = EX25.to_json_dict()

@@ -292,6 +292,21 @@ class TestOneSortPerBlock:
         assert len(calls) == sorts * report.instances_checked
 
 
+class TestOneSummaryPerInstance:
+    """A cm2 sweep with every check on builds each instance's shift
+    summary and reads its shifts off the matrix once: purity, the bounds
+    and the CSV row share them."""
+
+    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (cm2, "shifts")])
+    def test_once_per_instance(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda X: calls.append(X) or real(X))
+        report = sweep.write_sweep_csv(sweep.SweepConfig("cm2", 3, 4), io.StringIO())
+        assert report.ok and report.sharp_cases
+        assert len(calls) == report.instances_checked
+
+
 def appended_children(config):
     """(instance, child a, child b) of every pair the extension check appends."""
     enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
