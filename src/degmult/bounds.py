@@ -144,12 +144,8 @@ def prop24_bound(
     """
     s = cm2mod.shifts(A) if s is None else s
     hyp_i = s.m2 - s.M1 >= 2
-    if A.t >= 2:
-        margin: int | None = A.a[0] - 2 * A.b[0] + 1
-        hyp_ii = margin >= 0
-    else:
-        margin = None
-        hyp_ii = False
+    margin = A.a[0] - 2 * A.b[0] + 1 if A.t >= 2 else None
+    hyp_ii = margin is not None and margin >= 0
     rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
     verdict = BoundVerdict("prop24_upper", 2 * e, "<=", rhs, 2)
     return Prop24Verdict(hyp_i=hyp_i, hyp_ii=hyp_ii, hyp_ii_margin=margin, verdict=verdict)

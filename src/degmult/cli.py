@@ -40,13 +40,13 @@ _INT = re.compile(r"-?[0-9]+")
 def _parse_int(text: str, flag: str) -> int:
     """An integer flag value: ASCII digits with an optional leading minus,
     nothing else (no underscores, spaces, '+' or non-ASCII digits)."""
-    if not _INT.fullmatch(text):
+    if not isinstance(text, str) or not _INT.fullmatch(text):  # argparse reads --x=-- as []
         raise ParseError(f"{flag} expects an integer, got {text!r}")
     return int(text)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    if not all(map(_INT.fullmatch, text.split(","))):
+    if not isinstance(text, str) or not all(map(_INT.fullmatch, text.split(","))):
         raise ParseError(f"{flag} expects comma-separated integers, got {text!r}")
     return [int(part) for part in text.split(",")]
 
@@ -301,10 +301,7 @@ def _render_compute_text(result: dict) -> str:
     lines: list[str] = []
     if "colength" in result:
         gens = " ".join(f"({p},{q})" for p, q in inst["gens"])
-        lines.append("family: monomial2")
-        lines.append(f"minimal generators: {gens}")
-        lines.append(f"colength: {result['colength']}")
-        return "\n".join(lines)
+        return f"family: monomial2\nminimal generators: {gens}\ncolength: {result['colength']}"
     if "k_polynomial" in result:
         lines.append("family: betti")
         lines.append(f"projective dimension: {result['projective_dimension']}")
@@ -312,9 +309,7 @@ def _render_compute_text(result: dict) -> str:
         lines.append(f"k_polynomial: {result['k_polynomial']}")
         lines.append("m: " + " ".join(map(str, result["shifts"]["m"])))
         lines.append("M: " + " ".join(map(str, result["shifts"]["M"])))
-        lines.append(
-            f"pure: {_flag(result['pure'])}  quasi_pure: {_flag(result['quasi_pure'])}"
-        )
+        lines.append(f"pure: {_flag(result['pure'])}  quasi_pure: {_flag(result['quasi_pure'])}")
         lines.append(f"multiplicity: {result['multiplicity']}")
         lines.append(f"genus_dim2: {result['genus_dim2']}")
         if "huneke_miller" in result:

@@ -124,29 +124,18 @@ def validate(a: Sequence[int], b: Sequence[int]) -> DegreeMatrixCM2:
 
 def generator_degrees(A: DegreeMatrixCM2) -> tuple[int, ...]:
     """Degrees a_1+..+a_j + b_{j+1}+..+b_t of the maximal minors, j = 0..t."""
-    acc = sum(A.b)
-    degs = [acc]
-    for aj, bj in zip(A.a, A.b):
-        acc += aj - bj
-        degs.append(acc)
-    return tuple(degs)
+    return tuple(accumulate(map(sub, A.a, A.b), initial=sum(A.b)))
 
 
 def syzygy_degrees(A: DegreeMatrixCM2) -> tuple[int, ...]:
     """Degrees a_1+..+a_j + b_j+..+b_t of the syzygies, j = 1..t."""
-    acc = A.a[0] + sum(A.b)
-    degs = [acc]
-    for j in range(1, len(A.a)):
-        acc += A.a[j] - A.b[j - 1]
-        degs.append(acc)
-    return tuple(degs)
+    return tuple(accumulate(map(sub, A.a[1:], A.b), initial=A.a[0] + sum(A.b)))
 
 
 def shifts(A: DegreeMatrixCM2) -> ShiftsCM2:
     """Extreme resolution shifts: m1 = sum(a), M1 = sum(b), m2 = m1 + b_t,
     M2 = a_1 + sum(b)."""
-    m1 = sum(A.a)
-    M1 = sum(A.b)
+    m1, M1 = sum(A.a), sum(A.b)
     return ShiftsCM2(m1, m1 + A.b[-1], M1, A.a[0] + M1)
 
 
@@ -234,22 +223,25 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     return oracle.MonomialStaircase(tuple(zip(xs, ys)))
 
 
-def appended_degrees(
-    lists: tuple[Sequence[int], Sequence[int]], m1: int, a: int, b: int
-) -> tuple[list[int], list[int]]:
-    """Ascending degree lists after appending (a, b) to a matrix whose
-    ascending generator and syzygy degrees are ``lists`` and whose
-    m1 = sum(a) is ``m1``.
-
-    Every old generator and syzygy degree moves up by b; the new row
-    and column add the generator m1 + a and the syzygy m1 + a + b.
-    """
+def appender(lists: DegreeLists, m1: int) -> Callable[[int, int], tuple[list, list]]:
+    """The sorted degree lists after appending (a, b), as a function of
+    (a, b), to a matrix with sorted lists ``lists`` and m1 = sum(a) = ``m1``:
+    every old degree moves up by b, and the new row and column add the
+    generator m1 + a and the syzygy m1 + a + b.  The lists shifted by
+    each b are kept, so the calls with one b shift them once."""
     gens, syz = lists
-    e = [g + b for g in gens]
-    insort(e, m1 + a)
-    f = [x + b for x in syz]
-    insort(f, m1 + a + b)
-    return e, f
+    shifted: dict[int, tuple[list[int], list[int]]] = {}
+
+    def append(a: int, b: int) -> tuple[list[int], list[int]]:
+        if b not in shifted:
+            shifted[b] = [g + b for g in gens], [x + b for x in syz]
+        gens_b, syz_b = shifted[b]
+        e, f = gens_b.copy(), syz_b.copy()
+        insort(e, m1 + a)
+        insort(f, m1 + a + b)
+        return e, f
+
+    return append
 
 
 def extender(
@@ -259,11 +251,10 @@ def extender(
     shifts are s, multiplicity e and sorted degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
-    b >= a and b_t >= a.  It forms the child's degree lists as
-    :func:`appended_degrees` does, but shifts the base's lists once per
-    run of calls with the same b.  The child's shifts, read off the
-    lists' ends as (e_1, f_1, e_m, f_{m-1}), must equal s plus the deltas
-    (a, a+b-b_t, b, b) with b_t = f_1 - e_1 read off the base's lists.
+    b >= a and b_t >= a.  It forms the child's degree lists with
+    :func:`appender` and reads the child's shifts off their ends as
+    (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
+    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's lists.
     The recursion e' = e + (m1 + a) b must equal the child's own
     multiplicity from :func:`multiplicity_from_degrees`.  It returns the
     deltas and e', or raises InternalMismatch.
@@ -271,16 +262,10 @@ def extender(
     m1, m2, M1, M2 = s
     gens, syz = lists
     c = syz[0] - gens[0]
-    shift = gens_b = syz_b = None  # the last b, and the base's lists shifted by it
+    append = appender(lists, m1)
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        nonlocal shift, gens_b, syz_b
-        if b != shift:
-            shift, gens_b, syz_b = b, [g + b for g in gens], [x + b for x in syz]
-        e2 = gens_b.copy()
-        insort(e2, m1 + a)
-        f2 = syz_b.copy()
-        insort(f2, m1 + a + b)
+        e2, f2 = append(a, b)
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
         if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas

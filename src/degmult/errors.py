@@ -59,9 +59,8 @@ def as_int_tuple(xs: Iterable[object], name: str) -> tuple[int, ...]:
     Bools, floats and strings raise ValueError rather than being
     coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``.
     """
-    out = []
-    for x in xs:
+    out = tuple(xs)
+    for x in out:
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"{name} entries must be integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    return out

@@ -14,7 +14,7 @@ basic-double-link extension recursion.
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's values and checks each appended (a, b) without building a
 child matrix or Betti table: the shifts come from the block's shifted
-degree lists (:func:`cm2.appended_degrees`), the multiplicity from
+degree lists (:func:`cm2.appender`), the multiplicity from
 :func:`pfaffian_formula` on the child's entries, and the block curve's
 genus from the binomial moments of those lists, through the same
 :func:`betti._quotient_at_one` every table uses.
@@ -91,8 +91,7 @@ def multiplicity_pfaffian(G: DegreeMatrixGor3) -> int:
 def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
     """e(R/I) = sum_{j=1}^t b_j (a_1+..+a_j) (d + sum_{i<j} (2 b_i - a_i)
     + b_j - a_j), exactly, for the block (a, b) and center d."""
-    total = 0
-    prefix_a = 0
+    total = prefix_a = 0
     acc = d  # d + sum_{i<j} (2 b_i - a_i)
     for aj, bj in zip(a, b):
         prefix_a += aj
@@ -143,7 +142,7 @@ def extender(
 
     The returned function grows the block by (a, b), keeping d; it needs
     b >= a and b_t >= a.  From the block's degree lists after
-    :func:`cm2.appended_degrees` it reads the six shifts (m1 and m2 are
+    :func:`cm2.appender` it reads the six shifts (m1 and m2 are
     the least generator and syzygy degree, m3 = d + 2 M1(J)) and checks
     them against s plus the deltas; it checks the multiplicity recursion
     e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula` on
@@ -159,9 +158,10 @@ def extender(
     e_j, g = curve
     gens, syz = base = cm2.degrees(G.base) if lists is None else lists
     ranks = [1] + [-1] * (len(gens) + 1) + [1] * (len(syz) + 1)
+    append = cm2.appender(base, m1)
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = cm2.appended_degrees(base, m1, a, b)
+        e2, f2 = append(a, b)
         m3 = d + 2 * e2[-1]
         got = (e2[0], f2[0], m3, m3 - f2[0], m3 - e2[0], m3)
         deltas = (a, a + b - c, 2 * b, b + c - a, 2 * b - a, 2 * b)

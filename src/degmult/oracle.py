@@ -77,8 +77,5 @@ def colength(s: MonomialStaircase) -> int:
     count is sum_k p_k (q_{k-1} - q_k); no individual lattice points
     are enumerated.  (x^5, x^4 y, x^2 y^3, y^5) gives 17.
     """
-    total = 0
-    for (_, q_prev), (p, q) in zip(s.gens, s.gens[1:]):
-        total += p * (q_prev - q)
-    return total
+    return sum(p * (q_prev - q) for (_, q_prev), (p, q) in zip(s.gens, s.gens[1:]))
 

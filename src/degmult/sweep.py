@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
+from operator import itemgetter
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -76,6 +77,10 @@ SWEEP_CSV_COLUMNS = (
     "srinivasan_lower_holds", "srinivasan_upper_holds",
 )
 
+# The sweep CSV columns every family fills, in Evaluation.csv_line's order.
+_SHARED_COLUMNS = tuple("family t a b e pure quasi_pure hhs_lower_holds hhs_lower_sharp "
+                        "hhs_upper_holds hhs_upper_sharp".split())
+
 HUNT_CSV_COLUMNS = (
     "target", "family", "t", "a", "b", "d",
     "m1", "m2", "m3", "M1", "M2", "M3", "e",
@@ -103,15 +108,12 @@ class SweepConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         allowed = CM2_CHECKS if self.family == "cm2" else GOR3_CHECKS
-        if self.checks is None:
-            object.__setattr__(self, "checks", allowed)
-        else:
-            object.__setattr__(self, "checks", tuple(self.checks))
-            unknown = set(self.checks) - set(allowed)
-            if unknown:
-                raise ValueError(f"unknown checks for {self.family}: {sorted(unknown)}")
-            if len(set(self.checks)) != len(self.checks):
-                raise ValueError(f"checks named more than once: {','.join(self.checks)}")
+        object.__setattr__(self, "checks", allowed if self.checks is None else tuple(self.checks))
+        unknown = set(self.checks) - set(allowed)
+        if unknown:
+            raise ValueError(f"unknown checks for {self.family}: {sorted(unknown)}")
+        if len(set(self.checks)) != len(self.checks):
+            raise ValueError(f"checks named more than once: {','.join(self.checks)}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,24 @@ def _cells(verdicts: tuple[BoundVerdict, BoundVerdict]) -> tuple[bool, ...]:
     return lower.holds, lower.sharp, upper.holds, upper.sharp
 
 
+def _csv_layout(names: str) -> Callable[[tuple], tuple]:
+    """The function putting a row's cells, one per shared column and then
+    one per column in ``names``, in SWEEP_CSV_COLUMNS order; the columns
+    neither names are left None, and a row of any other length raises."""
+    columns = _SHARED_COLUMNS + tuple(names.split())
+    if not set(columns) <= set(SWEEP_CSV_COLUMNS) or len(set(columns)) < len(columns):
+        raise ValueError(f"not distinct sweep CSV columns: {columns}")
+    n = len(columns)
+    pick = itemgetter(*(columns.index(c) if c in columns else n for c in SWEEP_CSV_COLUMNS))
+
+    def layout(cells: tuple) -> tuple:
+        if len(cells) != n:
+            raise ValueError(f"{len(cells)} cells for {n} CSV columns")
+        return pick((*cells, None))
+
+    return layout
+
+
 def _failed(verdicts: tuple[BoundVerdict, ...]) -> Iterator[tuple]:
     return ((f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds)
 
@@ -275,8 +295,10 @@ class Evaluation:
     family: str
     codim: int
     MODULE: ModuleType
+    INSTANCE: type
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
+    csv_layout: Callable[[tuple], tuple]
 
     def __init__(self, instance) -> None:
         self.instance = instance
@@ -344,18 +366,17 @@ class Evaluation:
 
     @classmethod
     def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, ...]:
-        """(name, method) of each enabled check in report order, the
-        extension check's bound to ``entry_max``; a sweep resolves them once."""
-        return tuple(
-            (name, partial(cls._extension, entry_max=entry_max) if name == "extension"
-             else getattr(cls, f"_{name}"))
-            for name in cls.CHECKS if name in checks
-        )
+        """(name, method) of each enabled check in report order, with what
+        a check reads of the sweep bound to it; a sweep resolves them once."""
+        bound = {"extension": {"entry_max": entry_max},
+                 "hs_identities": {"report_uv": "uv_facts" not in checks}}
+        methods = {name: getattr(cls, f"_{name}") for name in cls.CHECKS if name in checks}
+        return tuple((name, partial(method, **bound[name]) if name in bound else method)
+                     for name, method in methods.items())
 
-    def anomalies(self, checks: tuple[str, ...], methods: tuple) -> tuple[Anomaly, ...]:
+    def anomalies(self, methods: tuple) -> tuple[Anomaly, ...]:
         """Failures of the enabled checks, run by their :meth:`check_methods`;
-        disabled ones compute nothing.  A check may read ``self.checks``."""
-        self.checks = checks
+        disabled ones compute nothing."""
         return tuple(
             Anomaly(self.inst, name, str(lhs), str(rhs))
             for name, method in methods for lhs, rhs in method(self)
@@ -419,13 +440,13 @@ class Evaluation:
         return None
 
     def csv_line(self) -> str:
-        """The sweep CSV line, its cells built in SWEEP_CSV_COLUMNS order."""
+        """The sweep CSV line: the shared cells, then the family's, put in
+        SWEEP_CSV_COLUMNS order by the family's :func:`_csv_layout`."""
         block, pur = self.block, self.purity
-        shift_cells, bound_cells = self._family_cells()
-        return _csv_line((
+        return _csv_line(self.csv_layout((
             self.family, block.t, " ".join(map(str, block.a)), " ".join(map(str, block.b)),
-            *shift_cells, self.e, pur.pure, pur.quasi_pure, *_cells(self.hhs), *bound_cells,
-        ))
+            self.e, pur.pure, pur.quasi_pure, *_cells(self.hhs), *self._family_cells(),
+        )))
 
     def _candidate(self, v: BoundVerdict) -> dict:
         return {
@@ -442,6 +463,7 @@ class CM2Evaluation(Evaluation):
     family = "cm2"
     codim = 2
     MODULE = cm2
+    INSTANCE = cm2.DegreeMatrixCM2
     ROUTES = {
         "uv": lambda ev: ev.uv.multiplicity,
         "resolution": lambda ev: betti.multiplicity(ev.table),
@@ -451,6 +473,9 @@ class CM2Evaluation(Evaluation):
         "multiplicity_agreement", "shift_agreement", "hs_identities", "uv_facts",
         "cm2_bounds", "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
     )
+    csv_layout = staticmethod(_csv_layout(
+        "m1 m2 M1 M2 cm2_lower_holds cm2_lower_sharp cm2_upper_holds cm2_upper_sharp "
+        "prop24_hyp_i prop24_hyp_ii prop24_holds"))
 
     @lazy
     def uv(self) -> cm2.UVData:
@@ -474,14 +499,14 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _hs_identities(self) -> Iterator[tuple]:
-        """The identity sums; a failure of the u/v data itself is filed
-        here only when the uv_facts check, which reports it, is off."""
+    def _hs_identities(self, report_uv: bool) -> Iterator[tuple]:
+        """The identity sums; a failure of the u/v data itself is filed here
+        only with ``report_uv``, set when the uv_facts check is off."""
         try:
             if not self.uv.hs_identities():
                 yield "identity sums", "disagree"
         except InternalMismatch as exc:
-            if "uv_facts" not in self.checks:
+            if report_uv:
                 yield "uv data", exc
 
     def _uv_facts(self) -> Iterator[tuple]:
@@ -506,13 +531,10 @@ class CM2Evaluation(Evaluation):
         v = self.prop24.verdict
         return {"instance": self.inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
 
-    def _family_cells(self) -> tuple[tuple, tuple]:
-        """The CSV cells from d to M3, and those from cm2_lower_holds on."""
-        (m1, m2, M1, M2), p24 = self.shifts, self.prop24
-        return (None, m1, m2, None, M1, M2, None), (
-            *_cells(self.sharper), *(None,) * 4,
-            p24.hyp_i, p24.hyp_ii, p24.bound_holds, None, None,
-        )
+    def _family_cells(self) -> tuple:
+        """The CSV cells of the family's columns, in :attr:`csv_layout` order."""
+        p24 = self.prop24
+        return (*self.shifts, *_cells(self.sharper), p24.hyp_i, p24.hyp_ii, p24.bound_holds)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of the prop24 bound, optionally only under a hypothesis."""
@@ -526,6 +548,7 @@ class Gor3Evaluation(Evaluation):
     family = "gor3"
     codim = 3
     MODULE = gor3
+    INSTANCE = gor3.DegreeMatrixGor3
     ROUTES = {
         "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
         "resolution": lambda ev: betti.multiplicity(ev.table),
@@ -535,6 +558,9 @@ class Gor3Evaluation(Evaluation):
         "multiplicity_agreement", "shift_agreement", "self_duality", "gor3_bounds",
         "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
     )
+    csv_layout = staticmethod(_csv_layout(
+        "d m1 m2 m3 M1 M2 M3 gor3_lower_holds gor3_lower_sharp gor3_upper_holds "
+        "gor3_upper_sharp srinivasan_lower_holds srinivasan_upper_holds"))
 
     @lazy
     def block_curve(self) -> tuple[int, int]:
@@ -582,16 +608,14 @@ class Gor3Evaluation(Evaluation):
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
         return gor3.extender(self.instance, self.shifts, e, self.block_curve, self.degrees)
 
-    def _family_cells(self) -> tuple[tuple, tuple]:
-        """The CSV cells from d to M3, and those from cm2_lower_holds on."""
+    def _family_cells(self) -> tuple:
+        """The CSV cells of the family's columns, in :attr:`csv_layout` order."""
         try:
             sharper = _cells(self.sharper)
         except ValueError:
             sharper = (None,) * 4  # left blank; the gor3_bounds check reports the failure
         lower, upper, _ = self.srinivasan
-        return (self.instance.d, *self.shifts), (
-            *(None,) * 4, *sharper, None, None, None, lower.holds, upper.holds,
-        )
+        return (self.instance.d, *self.shifts, *sharper, lower.holds, upper.holds)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
@@ -599,12 +623,15 @@ class Gor3Evaluation(Evaluation):
         return None if upper.holds else self._candidate(upper)
 
 
+# The evaluation class of each family.
+EVALUATIONS: dict[str, type[Evaluation]] = {"cm2": CM2Evaluation, "gor3": Gor3Evaluation}
+
+
 def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluation:
     """The lazy evaluation of one cm2 or gor3 matrix."""
-    if isinstance(instance, cm2.DegreeMatrixCM2):
-        return CM2Evaluation(instance)
-    if isinstance(instance, gor3.DegreeMatrixGor3):
-        return Gor3Evaluation(instance)
+    for cls in EVALUATIONS.values():
+        if isinstance(instance, cls.INSTANCE):
+            return cls(instance)
     raise TypeError(f"cannot evaluate {type(instance).__name__}")
 
 
@@ -644,7 +671,7 @@ def _sweep_instance(item, cls: type, checks: tuple, methods: tuple, csv: bool) -
     ev = cls(item)
     return (
         ev.csv_line() if csv else None,
-        ev.anomalies(checks, methods),
+        ev.anomalies(methods),
         ev.sharp_case(),
         ev.finding(checks),
     )
@@ -656,7 +683,7 @@ def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     anomalies: list[Anomaly] = []
     sharps: list[dict] = []
     findings: list[dict] = []
-    cls = CM2Evaluation if config.family == "cm2" else Gor3Evaluation
+    cls = EVALUATIONS[config.family]
     fn = partial(
         _sweep_instance,
         cls=cls,
@@ -716,8 +743,8 @@ def target_family(target: str) -> str:
     return HUNT_TARGETS[target]
 
 
-def _hunt_instance(item, require_hypotheses: bool) -> dict | None:
-    return evaluate(item).hunt_candidate(require_hypotheses)
+def _hunt_instance(item, cls: type, require_hypotheses: bool) -> dict | None:
+    return cls(item).hunt_candidate(require_hypotheses)
 
 
 def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> HuntReport:
@@ -733,7 +760,7 @@ def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> 
     start = time.perf_counter()
     n = 0
     candidates: list[dict] = []
-    fn = partial(_hunt_instance, require_hypotheses=require_hypotheses)
+    fn = partial(_hunt_instance, cls=EVALUATIONS[family], require_hypotheses=require_hypotheses)
     for cand in _ordered(fn, config):
         n += 1
         if cand is not None:

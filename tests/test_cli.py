@@ -372,6 +372,16 @@ class TestStrictIntegers:
         assert err.startswith(f"error: {flag} expects") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", list(FLAG_ARGV))
+    def test_double_dash_value_refused(self, capsys, flag):
+        """``--flag=--``, which argparse hands over as an empty list."""
+        argv = list(self.FLAG_ARGV[flag]("2"))
+        i = len(argv) - 1 - argv[::-1].index(flag)
+        argv[i: i + 2] = [f"{flag}=--"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} expects") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", list(FLAG_ARGV))
     def test_plain_digits_accepted(self, capsys, flag):
         code, _, err = run(capsys, *self.FLAG_ARGV[flag]("2"))
         assert code in (0, 1) and err == ""

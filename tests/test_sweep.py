@@ -307,6 +307,43 @@ class TestOneSummaryPerInstance:
         assert len(calls) == report.instances_checked
 
 
+class TestCSVLayout:
+    """Each family names the columns it fills; every row has one cell per
+    column, and the columns a family does not fill are empty."""
+
+    # The columns, or column-name prefixes, each family leaves blank.
+    BLANK = {"cm2": {"d", "m3", "M3", "gor3", "srinivasan"}, "gor3": {"cm2", "prop24"}}
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_one_cell_per_column(self, family):
+        out = io.StringIO()
+        sweep.write_sweep_csv(sweep.SweepConfig(family, 2, 3), out)
+        header, *lines = out.getvalue().splitlines()
+        assert header.split(",") == list(sweep.SWEEP_CSV_COLUMNS)
+        assert lines
+        for line in lines:
+            cells = dict(zip(sweep.SWEEP_CSV_COLUMNS, line.split(","), strict=True))
+            assert cells["family"] == family
+            blank = {c for c in cells if {c, c.split("_")[0]} & self.BLANK[family]}
+            assert all(cells[c] == "" for c in blank)
+            assert all(cells[c] != "" for c in set(cells) - blank)
+
+    @pytest.mark.parametrize("matrix", [cm2.validate([1], [1]), gor3.validate([1], [1], 1)])
+    def test_row_of_wrong_length_raises(self, matrix):
+        ev = sweep.evaluate(matrix)
+        cells = (ev.family, 1, "1", "1", 1, True, True, *[True] * 4, *ev._family_cells())
+        assert len(ev.csv_layout(cells)) == len(sweep.SWEEP_CSV_COLUMNS)
+        for wrong in (cells[:-1], (*cells, None)):
+            with pytest.raises(ValueError, match="CSV columns"):
+                ev.csv_layout(wrong)
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ValueError, match="sweep CSV columns"):
+            sweep._csv_layout("m1 m4")
+        with pytest.raises(ValueError, match="sweep CSV columns"):
+            sweep._csv_layout("m1 m1")
+
+
 def appended_children(config):
     """(instance, child a, child b) of every pair the extension check appends."""
     enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
