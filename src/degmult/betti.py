@@ -8,6 +8,8 @@ never expanded: substituting s = 1+u turns K into sum_k S_k u^k, where
 the binomial moment S_k = sum_j beta_j C(j, k) runs over the table's
 signed entries only, so (1-s)^c divides K exactly when S_0..S_{c-1}
 vanish, and then Q(1) and Q'(1) are (-1)^c S_c and (-1)^c S_{c+1}.
+The multiplicity takes S_0..S_c, each from the last one's terms by
+falling factorials, and the genus one math.comb pass more for S_{c+1}.
 The cost is O(entries * c) whatever the size of the shifts.
 Everything here is exact arithmetic on unbounded integers: no
 derivatives, no floats, no factorial overflow.
@@ -18,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import ge, mul, neg
+from operator import ge, mul, neg, sub
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -178,23 +180,27 @@ def _signed_entries(table: BettiTable) -> tuple[list[int], list[int]]:
     return shifts, ranks
 
 
-def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
-    """(Q(1), Q'(1)) for K = (1-s)^c Q, K = sum_j ranks_j s^shifts_j.
+def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
+    """Q(1) for K = (1-s)^c Q, K = sum_j ranks_j s^shifts_j.
 
     K(1+u) = sum_k S_k u^k with S_k = sum_j ranks_j C(shifts_j, k).
     Since 1-s = -u, K(1+u) = (-1)^c u^c Q(1+u): the moments below S_c
-    must vanish, and S_c, S_{c+1} are (-1)^c times Q(1), Q'(1).  The
-    terms may come in any order and repeat a shift.
+    must vanish, and S_c is (-1)^c Q(1).  Only S_0..S_c are taken, each
+    from the last one's terms: multiplying ranks_j shifts_j^(k-1 falling)
+    by shifts_j - k + 1 gives k! ranks_j C(shifts_j, k), so S_k is their
+    sum divided by k!, exactly.  The terms may come in any order and
+    repeat a shift.
     """
-    moments = [
-        sum(map(mul, ranks, map(math.comb, shifts, repeat(k)))) for k in range(c + 2)
-    ]
-    if any(moments[:c]):
-        raise DivisionError(
-            "K-polynomial is not divisible by (1-s) to the declared codimension"
-        )
-    sign = -1 if c % 2 else 1
-    return sign * moments[c], sign * moments[c + 1]
+    terms, moment, fact = ranks, sum(ranks), 1
+    for k in range(1, c + 1):
+        if moment:
+            raise DivisionError(
+                "K-polynomial is not divisible by (1-s) to the declared codimension"
+            )
+        terms = list(map(mul, terms, map(sub, shifts, repeat(k - 1))))
+        fact *= k
+        moment = sum(terms) // fact
+    return -moment if c % 2 else moment
 
 
 def multiplicity(table: BettiTable) -> int:
@@ -204,7 +210,7 @@ def multiplicity(table: BettiTable) -> int:
     DivisionError when (1-s)^c does not divide K exactly, which flags a
     table/codimension pair no Cohen-Macaulay quotient can have.
     """
-    return _quotient_at_one(table.codim, *_signed_entries(table))[0]
+    return _quotient_at_one(table.codim, *_signed_entries(table))
 
 
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
@@ -219,9 +225,11 @@ def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
 
 
 def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
-    """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial."""
-    e, slope = _quotient_at_one(c, shifts, ranks)
-    return e, 1 + slope - e
+    """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial;
+    Q'(1) is (-1)^c S_{c+1}, one more moment than e needs."""
+    e = _quotient_at_one(c, shifts, ranks)
+    slope = sum(map(mul, ranks, map(math.comb, shifts, repeat(c + 1))))
+    return e, 1 + (-slope if c % 2 else slope) - e
 
 
 def shift_summary(table: BettiTable) -> ShiftSummary:

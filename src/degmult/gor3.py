@@ -17,7 +17,7 @@ child matrix or Betti table: the shifts come from the block's shifted
 degree lists (:func:`cm2.appender`), the multiplicity from
 :func:`pfaffian_formula` on the child's entries, and the block curve's
 genus from the binomial moments of those lists, through the same
-:func:`betti._quotient_at_one` every table uses.
+:func:`betti._multiplicity_and_genus` every table uses.
 """
 from __future__ import annotations
 

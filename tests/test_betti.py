@@ -1,4 +1,5 @@
 """Tests for Betti tables, K-polynomials, and the Hilbert-series route."""
+import math
 from itertools import groupby
 
 import pytest
@@ -99,16 +100,35 @@ class TestMultiplicity:
         with pytest.raises(DivisionError):
             betti.multiplicity(bad)
 
-    @given(st.one_of(betti_tables(), divisible_betti_tables()))
+    @given(st.one_of(
+        betti_tables(),
+        divisible_betti_tables(),
+        # Shifts up to 10^4 at codimension up to 6, where the moments'
+        # falling-factorial terms pass 2^63.
+        betti_tables(max_p=6, max_shift=10**4),
+        divisible_betti_tables(max_p=6, max_degree=10**4),
+    ))
     def test_moments_match_dense_division(self, t):
         try:
             q = hilbert_quotient(t)
         except DivisionError:
-            with pytest.raises(DivisionError):
-                betti.multiplicity_and_genus(t)
+            for route in (betti.multiplicity, betti.multiplicity_and_genus):
+                with pytest.raises(DivisionError):
+                    route(t)
             return
         genus = 1 + sum(c * (i - 1) for i, c in enumerate(q))
+        assert betti.multiplicity(t) == sum(q)
         assert betti.multiplicity_and_genus(t) == (sum(q), genus)
+
+    @pytest.mark.parametrize("c", [1, 3, 5, 6])
+    def test_koszul_of_large_degree(self, c):
+        """c forms of degree d: e = d^c and Q'(1) = e c (d-1)/2, with
+        terms up to (c d)^c, past 2^63 from c = 5 on."""
+        d = 10**4
+        t = table(c, [(i, i * d, math.comb(c, i)) for i in range(1, c + 1)])
+        e = d**c
+        assert betti.multiplicity(t) == e
+        assert betti.multiplicity_and_genus(t) == (e, 1 + e * c * (d - 1) // 2 - e)
 
     @given(divisible_betti_tables())
     def test_divisible_tables_divide(self, t):

@@ -1,4 +1,5 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
+import io
 import json
 import os
 import random
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import degmult
 from degmult import cli
@@ -385,6 +388,63 @@ class TestStrictIntegers:
     def test_plain_digits_accepted(self, capsys, flag):
         code, _, err = run(capsys, *self.FLAG_ARGV[flag]("2"))
         assert code in (0, 1) and err == ""
+
+
+class TestDocumentKeys:
+    """Each input type reads only its own keys; any other key is refused
+    with exit 2 and one error line, as an inline flag of another type is."""
+
+    DOCS = {
+        "cm2": ({"type": "cm2", "a": [2], "b": [2], "d": 5}, "d"),
+        "gor3": ({"type": "gor3", "a": [2], "b": [2], "d": 5, "codim": 3}, "codim"),
+        "monomial2": ({"type": "monomial2", "gens": [[0, 1], [1, 0]], "a": [1]}, "a"),
+        "Betti table": ({"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]], "b": 1}, "b"),
+    }
+
+    @pytest.mark.parametrize("verb", ["compute", "validate", "oracle-check"])
+    @pytest.mark.parametrize("kind", list(DOCS))
+    def test_unexpected_key_exits_2(self, capsys, tmp_path, verb, kind):
+        doc, key = self.DOCS[kind]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps([{"type": "cm2", "a": [1], "b": [1]}, doc]))
+        code, out, err = run(capsys, verb, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected key {key!r} in a {kind} document\n"
+
+
+# Strings with non-ASCII, quote, backslash and control characters.
+json_strings = st.text(
+    st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\xe9'), max_size=8
+)
+json_ints = st.integers() | st.integers(-(10**40), 10**40)
+json_docs = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings
+    | st.lists(json_ints | st.booleans(), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """The JSON writer renders what ``json.dumps(doc, indent=2)`` does."""
+
+    @given(json_docs)
+    def test_matches_json_dumps(self, doc):
+        text = json.dumps(doc, indent=2)
+        assert cli._json_text(doc, "\n") == text
+        assert cli._json_text(doc, "\n  ") == text.replace("\n", "\n  ")
+
+    @given(st.lists(json_docs, min_size=1, max_size=3))
+    def test_write_json(self, docs):
+        out = io.StringIO()
+        cli._write_json(out, docs, many=True)
+        assert out.getvalue() == json.dumps(docs, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [1.5, {"a": {1, 2}}, [object()], {1: 2}])
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc, "\n")
 
 
 class TestOutFile:

@@ -10,11 +10,14 @@ clock and are left out; their JSON and CSV forms are pinned at
 cases run ``compute`` on seeded matrices with t in the hundreds, so the
 K-polynomial division, the genus, the staircase and the prop24
 hypotheses are pinned at size; their digests were recorded before
-those kernels were made linear in t.
+those kernels were made linear in t.  The ``validate`` JSON cases and
+the partial report cut by the int-to-str limit were recorded before the
+JSON reports stopped going through ``json.dumps``.
 """
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -45,6 +48,9 @@ LARGE_CM2 = {"type": "cm2", "a": LARGE_A, "b": LARGE_B}
 GOR3_A, GOR3_B = _seeded_block(120, 120)
 LARGE_GOR3 = {"type": "gor3", "a": GOR3_A, "b": GOR3_B, "d": 162}
 LARGE_CM2_TABLE = cm2.betti_table(cm2.validate(LARGE_A, LARGE_B)).to_json_dict()
+# The second matrix's multiplicity, 10**4400, passes the 4,300 digits
+# that Python converts an int to a str by default.
+HUGE_RESULT = [MIXED[0], {"type": "cm2", "a": [10**2200], "b": [10**2200]}, MIXED[1]]
 
 FILES = {
     "cm2_table.json": CM2_TABLE,
@@ -55,6 +61,7 @@ FILES = {
     "large_cm2.json": LARGE_CM2,
     "large_gor3.json": LARGE_GOR3,
     "large_cm2_table.json": LARGE_CM2_TABLE,
+    "huge_result.json": HUGE_RESULT,
 }
 
 CM2 = ["--cm2", "--a", "2,2,1", "--b", "2,2,1"]
@@ -111,6 +118,12 @@ GOLDEN = {
     "compute_mixed_json_out": (
         ["compute", "--in", "{mixed.json}", "--format", "json", "--out", "{OUT}"], 0,
         "81c0e3269c776ca997b99f042f721511e1962fb47d8ec7606520fe181f5211ce"),
+    "validate_mixed_json": (
+        ["validate", "--in", "{mixed.json}", "--format", "json"], 0,
+        "87f750d1ef28727696d4c2a468fd27fd231eadaac8e6a796ffb1176e2c975c76"),
+    "validate_cm2_table_json": (
+        ["validate", "--in", "{cm2_table.json}", "--format", "json"], 0,
+        "3cc023ae592d8b5632e41e02d302e59ed5f1938d7517ec6f65cf27419db0183c"),
     "oracle_cm2_text": (
         ["oracle-check", *CM2], 0,
         "f7ea26a777c177ac5659dcb26cc24b12daa3ab2770d888585ec66410feb83ccc"),
@@ -203,6 +216,10 @@ GOLDEN = {
         "98b480f1199cb61671245d32889b0bdadc694d619012319dc9b41878846a7b73"),
 }
 
+# compute stops at the matrix whose multiplicity passes the int-to-str
+# limit; stdout keeps the report before it, ended by a newline.
+HUGE_PARTIAL_DIGEST = "caebbb2de64565f983ae8913e321c69c9c3e788dde3ebd97002121d662917a5a"
+
 # Serialized sweep and hunt reports must not depend on --jobs.
 PARALLEL = [name for name in GOLDEN if name.startswith(("sweep", "hunt"))]
 
@@ -236,3 +253,34 @@ def test_golden(name, tmp_path, capsys):
 def test_golden_jobs_2(name, tmp_path, capsys):
     argv, exit_code, digest = GOLDEN[name]
     assert _run([*argv, "--jobs", "2"], tmp_path, capsys) == (exit_code, digest)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestIntStrLimit:
+    """A result integer past the int-to-str limit, partway through a list,
+    ends the run with exit 2 and one error line; the reports before it
+    stay on stdout, ended by a newline, and --out leaves neither the
+    file nor a temporary one."""
+
+    ERROR = "error: Exceeds the limit (4300"
+
+    def run(self, tmp_path, capsys, *out):
+        for fname, doc in FILES.items():
+            (tmp_path / fname).write_text(json.dumps(doc))
+        path = tmp_path / "huge_result.json"
+        code = main(["compute", "--in", str(path), "--format", "json", *out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(self.ERROR) and captured.err.count("\n") == 1
+        return captured.out
+
+    def test_stdout(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == HUGE_PARTIAL_DIGEST
+        assert out.startswith("[\n  {") and out.endswith("\n  }\n")
+
+    def test_out_file(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "--out", str(tmp_path / "out.json")) == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FILES)
