@@ -28,7 +28,7 @@ from .bounds import (
     sharpness,
     srinivasan_bounds,
 )
-from .cm2 import DegreeMatrixCM2, UVData
+from .cm2 import DegreeMatrixCM2
 from .errors import DegmultError
 from .gor3 import DegreeMatrixGor3
 from .oracle import MonomialStaircase, colength, minimalize
@@ -59,7 +59,6 @@ __all__ = [
     "ShiftSummary",
     "SweepConfig",
     "SweepReport",
-    "UVData",
     "cm2_bounds",
     "colength",
     "enumerate_cm2",

@@ -171,24 +171,18 @@ def srinivasan_bounds(
     return lower, upper, quasi_pure
 
 
-def sharpness(shifts: ShiftSummary, codim: int, e: int) -> SharpnessVerdict:
-    """Sharpness flags for the conjectured bounds, checked against purity.
+def sharpness(lower: BoundVerdict, upper: BoundVerdict, pure: bool) -> SharpnessVerdict:
+    """Sharpness flags of the :func:`hhs_bounds` verdicts, checked against purity.
 
     Either bound is attained exactly when the resolution is pure, and
     then both are; three disagreeing flags raise
     CharacterizationViolated, which no Cohen-Macaulay codimension-2 or
     Gorenstein codimension-3 quotient can trigger.
     """
-    p = len(shifts.m)
-    if codim != p:
-        raise ValueError(f"need codim = number of steps, got {codim} vs {p}")
-    fact = math.factorial(p)
-    lower_sharp = fact * e == math.prod(shifts.m)
-    upper_sharp = fact * e == math.prod(shifts.M)
-    pure = shifts.m == shifts.M
+    lower_sharp, upper_sharp = lower.sharp, upper.sharp
     if not (lower_sharp == upper_sharp == pure):
         raise CharacterizationViolated(
             f"sharpness/purity flags disagree: lower={lower_sharp}, "
-            f"upper={upper_sharp}, pure={pure} for shifts {shifts}, e={e}"
+            f"upper={upper_sharp}, pure={pure} for {lower} and {upper}"
         )
     return SharpnessVerdict(lower_sharp=lower_sharp, upper_sharp=upper_sharp, pure=pure)

@@ -12,10 +12,10 @@ matrix, and the basic-double-link extension that appends a row and a
 column.
 
 The sorted generator and syzygy degrees (:func:`degrees`) feed the
-u/v data, the Betti table and the extension kernel, so a caller that
-holds them sorts a matrix once: the kernel takes them as its ``lists``
-argument, the u/v data and the Betti table as an optional one.  The
-u/v multiplicity is one forward pass over the lists,
+u/v multiplicity, the Betti table and the extension kernel, so a
+caller that holds them sorts a matrix once: the kernel takes them as
+its ``lists`` argument, the Betti table as an optional one.  The u/v
+multiplicity is one forward pass over the lists,
 :func:`multiplicity_from_degrees`, which checks every u/v fact and
 forms no u or v list.
 
@@ -23,8 +23,8 @@ The extension kernel, :func:`extender`, is bound once to a base
 matrix's shifts, multiplicity and degree lists, and then checks each
 appended (a, b) on the child's degree lists alone: the base's lists
 shifted by b with one generator and one syzygy inserted, and no child
-matrix, table or u/v record.  :func:`extend` binds it to one matrix and
-one pair; it stays only for the benchmark's replay of the cm2 sweep
+matrix or table.  :func:`extend` binds it to one matrix and one
+pair; it stays only for the benchmark's replay of the cm2 sweep
 (``benchmarks/worker.py``).
 """
 from __future__ import annotations
@@ -80,43 +80,6 @@ class ShiftsCM2(NamedTuple):
     M2: int
 
 
-class UVData(NamedTuple):
-    """Successive differences of sorted generator (e) and syzygy (f) degrees.
-
-    u_i = f_i - e_i and v_i = f_i - e_{i+1} for i = 1..m-1, where m is
-    the number of generators.  They satisfy u_i >= v_i >= 0 and
-    u_{i+1} >= v_i, and determine the extreme degrees through
-    e_1 = sum(v), e_m = sum(u), f_1 = sum(v) + u_1,
-    f_{m-1} = sum(u) + v_{m-1}; :func:`multiplicity_from_degrees`
-    checks all of these.
-    The multiplicity is e(R/I) = sum_i u_i (v_i + .. + v_{m-1}), the
-    double sum that also reads sum_i v_i (u_1 + .. + u_i).
-    """
-
-    m: int
-    e: tuple[int, ...]
-    f: tuple[int, ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    multiplicity: int
-
-    def hs_identities(self) -> bool:
-        """Whether both Herzog-Srinivasan summation identities hold.
-
-        In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
-                     = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
-        and the mirror identity in the u's.  Both sides telescope to the
-        same sum for any integer lists, so this never returns False; it
-        stays because the ``hs_identities`` check reports it.
-        """
-        u, v, m = self.u, self.v, self.m
-        lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
-        rhs_v = sum(v) * sum(v[1:])
-        lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
-        rhs_u = sum(u) * sum(u[: m - 2])
-        return lhs_v == rhs_v and lhs_u == rhs_u
-
-
 def validate(a: Sequence[int], b: Sequence[int]) -> DegreeMatrixCM2:
     """Check a_i >= 1, b_i >= a_i, b_i >= a_{i+1} and build the matrix."""
     return DegreeMatrixCM2(as_int_tuple(a, "a"), as_int_tuple(b, "b"))
@@ -160,9 +123,9 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
 
     With u_i = f_i - e_i and v_i = f_i - e_(i+1), the pass checks
     u_i >= v_i >= 0 and u_(i+1) >= v_i, accumulates sum(u) and sum(v),
-    and sums e(R/I) = sum_k v_k (u_1 + .. + u_k), the double sum of
-    :class:`UVData`.  The four extreme-degree identities must hold.
-    Raises InternalMismatch otherwise.
+    and sums e(R/I) = sum_k v_k (u_1 + .. + u_k).  The extreme degrees
+    must be (e_1, e_m, f_1, f_(m-1)) = (sum(v), sum(u), sum(v) + u_1,
+    sum(u) + v_(m-1)).  Raises InternalMismatch otherwise.
     """
     head = tail = prev = total = 0  # head = u_1 + .. + u_i, tail = v_1 + .. + v_i
     for i in range(len(e) - 1):
@@ -186,21 +149,30 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
     return total
 
 
-# uv_data reads the pass under this private name, so patching
+# The uv route reads the pass under this private name, so patching
 # multiplicity_from_degrees, as the fault-injection tests do to fault
 # the extension kernel's children, leaves every base value alone.
 _multiplicity = multiplicity_from_degrees
 
 
-def uv_data(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> UVData:
-    """Sorted degree lists, their u/v differences and the multiplicity,
-    with the checks of :func:`multiplicity_from_degrees`; ``lists`` is
-    :func:`degrees` of A if the caller already holds it."""
-    e, f = degrees(A) if lists is None else lists
-    mult = _multiplicity(e, f)
-    u = tuple(map(sub, f, e))
-    v = tuple(map(sub, f, e[1:]))
-    return UVData(len(e), e, f, u, v, mult)
+def hs_identities(e: Sequence[int], f: Sequence[int]) -> bool:
+    """Whether both Herzog-Srinivasan summation identities hold for the
+    u/v differences of ascending generator degrees e and syzygy degrees
+    f, one fewer than e.
+
+    In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
+                 = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
+    and the mirror identity in the u's.  Both sides telescope to the
+    same sum for any integer lists, so this never returns False; it
+    stays because the ``hs_identities`` check reports it.  The u/v facts
+    are :func:`multiplicity_from_degrees`'s to check, not this one's.
+    """
+    u, v, m = list(map(sub, f, e)), list(map(sub, f, e[1:])), len(e)
+    lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
+    rhs_v = sum(v) * sum(v[1:])
+    lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
+    rhs_u = sum(u) * sum(u[: m - 2])
+    return lhs_v == rhs_v and lhs_u == rhs_u
 
 
 def betti_table(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> betti.BettiTable:
@@ -283,4 +255,4 @@ def extend(A: DegreeMatrixCM2, a: int, b: int) -> tuple[tuple[int, ...], int]:
     """The shift deltas and multiplicity of A with (a, b) appended, as
     checked by :func:`extender`; b >= a and b_t >= a are not checked."""
     lists = degrees(A)
-    return extender(shifts(A), uv_data(A, lists).multiplicity, lists)(a, b)
+    return extender(shifts(A), multiplicity_from_degrees(*lists), lists)(a, b)

@@ -56,11 +56,11 @@ class ParseError(DegmultError):
 def as_int_tuple(xs: Iterable[object], name: str) -> tuple[int, ...]:
     """The entries as a tuple, refusing anything but true integers.
 
-    Bools, floats and strings raise ValueError rather than being
-    coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``.
+    Bools and other int subclasses, floats and strings raise ValueError rather
+    than being coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``.
     """
     out = tuple(xs)
-    for x in out:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"{name} entries must be integers, got {x!r}")
-    return out
+    if set(map(type, out)) <= {int}:
+        return out
+    bad = next(x for x in out if type(x) is not int)
+    raise ValueError(f"{name} entries must be integers, got {bad!r}")

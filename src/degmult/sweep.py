@@ -336,7 +336,7 @@ class Evaluation:
     @lazy
     def degrees(self) -> cm2.DegreeLists:
         """The block's sorted degree lists, shared by the Betti table, the
-        extension kernel and, for cm2, the u/v data."""
+        extension kernel and, for cm2, the uv route and hs_identities."""
         return cm2.degrees(self.block)
 
     @lazy
@@ -362,17 +362,16 @@ class Evaluation:
 
     @lazy
     def sharpness(self) -> bounds.SharpnessVerdict:
-        return bounds.sharpness(self.summary, self.codim, self.e)
+        return bounds.sharpness(*self.hhs, self.purity.pure)
 
     @classmethod
     def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, ...]:
         """(name, method) of each enabled check in report order, with what
         a check reads of the sweep bound to it; a sweep resolves them once."""
-        bound = {"extension": {"entry_max": entry_max},
-                 "hs_identities": {"report_uv": "uv_facts" not in checks}}
         methods = {name: getattr(cls, f"_{name}") for name in cls.CHECKS if name in checks}
-        return tuple((name, partial(method, **bound[name]) if name in bound else method)
-                     for name, method in methods.items())
+        if "extension" in methods:
+            methods["extension"] = partial(methods["extension"], entry_max=entry_max)
+        return tuple(methods.items())
 
     def anomalies(self, methods: tuple) -> tuple[Anomaly, ...]:
         """Failures of the enabled checks, run by their :meth:`check_methods`;
@@ -465,7 +464,7 @@ class CM2Evaluation(Evaluation):
     MODULE = cm2
     INSTANCE = cm2.DegreeMatrixCM2
     ROUTES = {
-        "uv": lambda ev: ev.uv.multiplicity,
+        "uv": lambda ev: cm2._multiplicity(*ev.degrees),
         "resolution": lambda ev: betti.multiplicity(ev.table),
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
@@ -476,11 +475,6 @@ class CM2Evaluation(Evaluation):
     csv_layout = staticmethod(_csv_layout(
         "m1 m2 M1 M2 cm2_lower_holds cm2_lower_sharp cm2_upper_holds cm2_upper_sharp "
         "prop24_hyp_i prop24_hyp_ii prop24_holds"))
-
-    @lazy
-    def uv(self) -> cm2.UVData:
-        """The u/v data, shared by the uv route and the hs_identities and uv_facts checks."""
-        return cm2.uv_data(self.instance, self.degrees)
 
     @lazy
     def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
@@ -499,21 +493,15 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _hs_identities(self, report_uv: bool) -> Iterator[tuple]:
-        """The identity sums; a failure of the u/v data itself is filed here
-        only with ``report_uv``, set when the uv_facts check is off."""
-        try:
-            if not self.uv.hs_identities():
-                yield "identity sums", "disagree"
-        except InternalMismatch as exc:
-            if report_uv:
-                yield "uv data", exc
+    def _hs_identities(self) -> Iterator[tuple]:
+        if not cm2.hs_identities(*self.degrees):
+            yield "identity sums", "disagree"
 
     def _uv_facts(self) -> Iterator[tuple]:
-        try:
-            self.uv
-        except InternalMismatch as exc:
-            yield "extreme-degree identities", exc
+        """The u/v facts, checked by the uv route, which holds their failure."""
+        uv = self.route("uv")
+        if not isinstance(uv, int):
+            yield "extreme-degree identities", uv
 
     def _cm2_bounds(self) -> Iterator[tuple]:
         return _failed(self.sharper)
@@ -581,16 +569,9 @@ class Gor3Evaluation(Evaluation):
         return (*self.hhs, *self.sharper, *self.srinivasan[:2])
 
     def _self_duality(self) -> Iterator[tuple]:
-        s, summary = self.shifts, self.summary
-        step1, step2, step3 = self.table.steps
-        mirrored = tuple(sorted((s.m3 - shift, rank) for shift, rank in step1))
-        if mirrored != step2:
-            yield mirrored, step2
-        if step3 != ((s.m3, 1),):
-            yield step3, (s.m3, 1)
-        if summary.M[0] != s.m3 - summary.m[1] or summary.M[1] != s.m3 - summary.m[0]:
-            yield summary, f"m3={s.m3}"
-        if not all(0 < shift < s.m3 for shift, _ in step1):
+        """Step-1 shifts inside (0, m3); shift_agreement compares m3 itself."""
+        step1, m3 = self.table.steps[0], self.shifts.m3
+        if not all(0 < shift < m3 for shift, _ in step1):
             yield "step-1 shifts inside (0, m3)", step1
 
     def _gor3_bounds(self) -> Iterator[tuple]:

@@ -38,7 +38,7 @@ def test_criterion_1_example_reproduction():
     start = time.perf_counter()
     A = cm2.validate([2, 2, 1], [2, 2, 1])
     s = cm2.shifts(A)
-    e_uv = cm2.uv_data(A).multiplicity
+    e_uv = cm2.multiplicity_from_degrees(*cm2.degrees(A))
     e_res = betti.multiplicity(cm2.betti_table(A))
     e_st = oracle.colength(cm2.witness_monomial_ideal(A))
     p24 = bounds.prop24_bound(A, e_uv)
@@ -68,7 +68,7 @@ def test_criterion_2_family_of_violations():
         a = (2,) * (t - 1) + (1,)
         A = cm2.validate(list(a), list(a))
         s = cm2.shifts(A)
-        e = cm2.uv_data(A).multiplicity
+        e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         cleared_rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
         if not (
             s.m1 == s.M1 == 2 * t - 1

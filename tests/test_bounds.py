@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from degmult import bounds, cm2, sweep
+from degmult import betti, bounds, cm2, sweep
 from degmult.betti import ShiftSummary
 from degmult.errors import CharacterizationViolated
 
@@ -84,7 +84,7 @@ class TestProp24:
 
     def test_all_entries_at_least_two(self):
         A = cm2.validate([2, 2], [2, 2])
-        e = cm2.uv_data(A).multiplicity
+        e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 12
         assert naive_colength([(0, 4), (2, 2), (4, 0)]) == 12
         res = bounds.prop24_bound(A, e)
@@ -93,7 +93,7 @@ class TestProp24:
 
     def test_margin_zero(self):
         A = cm2.validate([1, 1], [1, 2])
-        e = cm2.uv_data(A).multiplicity
+        e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 5
         assert naive_colength([(0, 3), (1, 2), (2, 0)]) == 5
         res = bounds.prop24_bound(A, e)
@@ -103,7 +103,7 @@ class TestProp24:
     def test_margin_uses_superdiagonal_entry(self):
         # bound holds here (16 <= 18) but the margin 1 - 2*2 + 1 is negative
         A = cm2.validate([1, 2], [2, 2])
-        e = cm2.uv_data(A).multiplicity
+        e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 8
         assert naive_colength([(0, 4), (1, 2), (3, 0)]) == 8
         res = bounds.prop24_bound(A, e)
@@ -115,7 +115,7 @@ class TestProp24:
         # a_1 + a_2 - b_1 = 1 would leave a nonnegative margin k - 1.
         for k in range(2, 7):
             A = cm2.validate([k, 1], [k, 1])
-            e = cm2.uv_data(A).multiplicity
+            e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
             assert e == k * k + k + 1
             res = bounds.prop24_bound(A, e)
             assert not res.bound_holds
@@ -149,7 +149,7 @@ class TestProp24Hypotheses:
     def _check(self, matrices):
         seen = set()
         for A in matrices:
-            p24 = bounds.prop24_bound(A, cm2.uv_data(A).multiplicity)
+            p24 = bounds.prop24_bound(A, cm2.multiplicity_from_degrees(*cm2.degrees(A)))
             got = (p24.hyp_i, p24.hyp_ii, p24.hyp_ii_margin)
             assert got == _grid_hypotheses(A), A
             seen.add(got[:2])
@@ -187,22 +187,27 @@ class TestSrinivasanBounds:
             bounds.srinivasan_bounds(summary((1, 2), (1, 2)), 1)
 
 
+def sharpness(s, codim, e):
+    """The sharpness flags of the HHS verdicts of shifts s, codim and e."""
+    return bounds.sharpness(*bounds.hhs_bounds(s, codim, e), betti.summary_purity(s).pure)
+
+
 class TestSharpness:
     def test_pure(self):
-        v = bounds.sharpness(summary((2, 3, 5), (2, 3, 5)), 3, 5)
+        v = sharpness(summary((2, 3, 5), (2, 3, 5)), 3, 5)
         assert v == (True, True, True)
 
     def test_example_matrix(self):
-        v = bounds.sharpness(summary((5, 6), (5, 7)), 2, 17)
+        v = sharpness(summary((5, 6), (5, 7)), 2, 17)
         assert v == (False, False, False)
 
     def test_mixed_gor3(self):
-        v = bounds.sharpness(summary((2, 3, 7), (4, 5, 7)), 3, 12)
+        v = sharpness(summary((2, 3, 7), (4, 5, 7)), 3, 12)
         assert v == (False, False, False)
 
     def test_disagreeing_flags_raise(self):
-        with pytest.raises(CharacterizationViolated):
-            bounds.sharpness(summary((1, 2), (1, 3)), 2, 1)
+        with pytest.raises(CharacterizationViolated, match="lower=True, upper=False, pure=False"):
+            sharpness(summary((1, 2), (1, 3)), 2, 1)
 
 
 class TestVerdictSerialization:
@@ -224,7 +229,7 @@ class TestVerdictSerialization:
         for a, b in (([1, 1], [2, 1]), ([2, 2, 1], [2, 2, 1]), ([3], [4])):
             A = cm2.validate(a, b)
             s = cm2.shifts(A)
-            e = cm2.uv_data(A).multiplicity
+            e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
             lo, up = bounds.cm2_bounds(s.m1, s.m2, s.M1, s.M2, e)
             assert lo.rhs >= s.m1 * s.m2
             assert up.rhs <= s.M1 * s.M2

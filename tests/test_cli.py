@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 import degmult
 from degmult import cli
 from degmult.cli import main
+from degmult.errors import as_int_tuple
 
 
 # The environment of a child interpreter that imports this degmult.
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(degmult.__file__)))
+
+
+class Subint(int):
+    """An int subclass, which the loaders refuse as they refuse bool."""
 
 
 def run(capsys, *argv):
@@ -354,6 +359,21 @@ class TestStrictIntegers:
             code, out, err = run(capsys, verb, "--in", str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @given(st.lists(st.one_of(
+        st.integers(), st.booleans(), st.floats(), st.text(max_size=3),
+        st.integers().map(Subint),
+    )))
+    def test_only_true_integers_loaded(self, xs):
+        """Every entry must be exactly an int; the error names the first
+        entry that is not, and an int subclass is refused like a bool."""
+        bad = [x for x in xs if type(x) is not int]
+        if not bad:
+            assert as_int_tuple(xs, "a") == tuple(xs)
+            return
+        with pytest.raises(ValueError) as exc:
+            as_int_tuple(xs, "a")
+        assert str(exc.value) == f"a entries must be integers, got {bad[0]!r}"
 
     BAD_INTEGERS = ["1_0", "0_2", "\u0663", "\uff12", " 2", "2 ", "+2", "2\n"]
     FLAG_ARGV = {

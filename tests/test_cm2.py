@@ -130,41 +130,48 @@ class TestFullMatrix:
             assert all(x >= y for x, y in zip(upper, lower))
 
 
+def uv(A):
+    """The sorted degree lists of A and their u and v lists, as tuples,
+    from the two-pass reference."""
+    e, f = cm2.degrees(A)
+    u, v, _ = uv_two_pass(e, f)
+    return e, f, tuple(u), tuple(v)
+
+
 class TestUVData:
     def test_linear_ci(self):
-        uv = cm2.uv_data(cm2.validate([1], [1]))
-        assert (uv.e, uv.f, uv.u, uv.v) == ((1, 1), (2,), (1,), (1,))
+        assert uv(cm2.validate([1], [1])) == ((1, 1), (2,), (1,), (1,))
 
     def test_sorted_subtraction(self):
-        uv = cm2.uv_data(cm2.validate([1, 1], [2, 1]))
-        assert (uv.e, uv.f) == ((2, 2, 3), (3, 4))
-        assert (uv.u, uv.v) == ((1, 2), (1, 1))
+        e, f, u, v = uv(cm2.validate([1, 1], [2, 1]))
+        assert (e, f) == ((2, 2, 3), (3, 4))
+        assert (u, v) == ((1, 2), (1, 1))
 
     def test_extreme_degree_sums(self):
-        uv = cm2.uv_data(EX25)
-        assert sum(uv.u) == 5 == uv.e[-1]
-        assert sum(uv.v) == 5 == uv.e[0]
+        e, _, u, v = uv(EX25)
+        assert sum(u) == 5 == e[-1]
+        assert sum(v) == 5 == e[0]
 
     @given(cm2_matrices())
     def test_facts_hold(self, A):
-        uv = cm2.uv_data(A)  # raises InternalMismatch on any fact failure
-        assert uv.m == A.t + 1
-        assert uv.e[0] == sum(uv.v)
-        assert uv.e[-1] == sum(uv.u)
-        assert uv.f[0] == sum(uv.v) + uv.u[0]
-        assert uv.f[-1] == sum(uv.u) + uv.v[-1]
+        e, f, u, v = uv(A)  # raises InternalMismatch on any fact failure
+        assert len(e) == A.t + 1
+        assert e[0] == sum(v)
+        assert e[-1] == sum(u)
+        assert f[0] == sum(v) + u[0]
+        assert f[-1] == sum(u) + v[-1]
 
 
 class TestMultiplicity:
     def test_example_matrix(self):
-        assert cm2.uv_data(EX25).multiplicity == 17
+        assert cm2.multiplicity_from_degrees(*cm2.degrees(EX25)) == 17
 
     def test_smallest(self):
-        assert cm2.uv_data(cm2.validate([1], [1])).multiplicity == 1
+        assert cm2.multiplicity_from_degrees(*cm2.degrees(cm2.validate([1], [1]))) == 1
 
     def test_against_staircase(self):
         A = cm2.validate([1, 1], [2, 1])
-        assert cm2.uv_data(A).multiplicity == 4
+        assert cm2.multiplicity_from_degrees(*cm2.degrees(A)) == 4
         w = cm2.witness_monomial_ideal(A)
         assert w.gens == ((0, 3), (1, 1), (2, 0))
         assert naive_colength(list(w.gens)) == 4
@@ -210,9 +217,9 @@ class TestMultiplicityFromDegrees:
 
     @given(cm2_matrices())
     def test_uv_data_matches_reference(self, A):
-        uv = cm2.uv_data(A)
-        u, v, mult = uv_two_pass(uv.e, uv.f)
-        assert (uv.u, uv.v, uv.multiplicity) == (tuple(u), tuple(v), mult)
+        """On a valid matrix's degree lists the kernel passes and agrees."""
+        lists = cm2.degrees(A)
+        assert cm2.multiplicity_from_degrees(*lists) == uv_two_pass(*lists)[2]
 
 
 class TestHSIdentities:
@@ -221,13 +228,21 @@ class TestHSIdentities:
         [([1], [1]), ([1, 1], [2, 1]), ([2, 2, 1], [2, 2, 1])],
     )
     def test_examples(self, a, b):
-        assert cm2.uv_data(cm2.validate(a, b)).hs_identities() is True
+        assert cm2.hs_identities(*cm2.degrees(cm2.validate(a, b))) is True
 
     def test_hand_value_u_identity(self):
         # u = (1, 2): lhs = (u1+u2)*u1 = 3, rhs = (u1+u2)*(u1) = 3
-        uv = cm2.uv_data(cm2.validate([1, 1], [2, 1]))
-        u = uv.u
+        _, _, u, _ = uv(cm2.validate([1, 1], [2, 1]))
         assert (u[0] + u[1]) * u[0] == 3 == sum(u) * sum(u[:1])
+
+    @given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(-10**6, 10**6), min_size=m, max_size=m),
+        st.lists(st.integers(-10**6, 10**6), min_size=m - 1, max_size=m - 1),
+    )))
+    def test_telescopes_on_any_integer_lists(self, lists):
+        """Both sides of each identity telescope to one sum whatever the
+        lists, sorted, valid or neither."""
+        assert cm2.hs_identities(*lists) is True
 
 
 class TestBettiTable:
@@ -284,14 +299,14 @@ class TestExtend:
 class TestProperties:
     @given(cm2_matrices())
     def test_three_route_agreement(self, A):
-        e = cm2.uv_data(A).multiplicity
+        e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert betti.multiplicity(cm2.betti_table(A)) == e
         assert oracle.colength(cm2.witness_monomial_ideal(A)) == e
         assert e >= 1
 
     @given(cm2_matrices())
     def test_hs_identities_always_hold(self, A):
-        assert cm2.uv_data(A).hs_identities()
+        assert cm2.hs_identities(*cm2.degrees(A))
 
     @given(cm2_matrices())
     def test_shift_agreement_with_table(self, A):

@@ -584,8 +584,8 @@ def _set_shift(monkeypatch, module, name, value):
 
 
 def _break_uv_data(monkeypatch):
-    """Raise the last syzygy degree by 1 in the lists uv_data reads, so
-    e_1 = sum(v) fails."""
+    """Raise the last syzygy degree by 1 in the lists the uv route reads,
+    so e_1 = sum(v) fails."""
     real = cm2.degrees
     monkeypatch.setattr(
         cm2, "degrees", lambda A: (real(A)[0], (*real(A)[1][:-1], real(A)[1][-1] + 1))
@@ -632,15 +632,12 @@ class TestCheckFaults:
             lambda mp: _skew_route(mp, "gor3", "linkage"), [r"pfaffian=\d+"]
         ),
         ("cm2", "hs_identities", "sums"): (
-            lambda mp: mp.setattr(cm2.UVData, "hs_identities", lambda uv: False),
+            lambda mp: mp.setattr(cm2, "hs_identities", lambda e, f: False),
             ["identity sums"],
         ),
-        ("cm2", "hs_identities", "uv_data"): (_break_uv_data, ["uv data"]),
         ("cm2", "uv_facts", "uv_data"): (_break_uv_data, ["extreme-degree identities"]),
-        ("gor3", "self_duality", "m3"): (
-            lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1),
-            # step 1 mirrored through m3, step 3, and the summary's maxima
-            [r"\(\(\d+, \d+\), \(.*", r"\(\(\d+, 1\),\)", r"ShiftSummary\(.*"],
+        ("gor3", "shift_agreement", "m3"): (
+            lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1), [r"ShiftsGor3\(.*\)"]
         ),
         ("gor3", "self_duality", "m3_zero"): (
             lambda mp: _set_shift(mp, gor3, "m3", lambda s: 0),
@@ -664,8 +661,8 @@ class TestCheckFaults:
             assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
 
     def test_uv_failure_filed_once(self, monkeypatch):
-        """With hs_identities and uv_facts both on, a failing u/v record
-        is filed once, under uv_facts."""
+        """With hs_identities and uv_facts both on, a failing u/v fact is
+        filed once, under uv_facts."""
         _break_uv_data(monkeypatch)
         config = sweep.SweepConfig("cm2", 2, 4, checks=("hs_identities", "uv_facts"))
         report = sweep.verify_all(config)
