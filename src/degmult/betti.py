@@ -28,6 +28,7 @@ from .errors import (
     DivisionError,
     InternalMismatch,
     NotPure,
+    as_int_pair,
     as_int_tuple,
 )
 
@@ -99,7 +100,7 @@ class BettiTable:
     def from_json_dict(cls, obj: dict) -> BettiTable:
         (codim,) = as_int_tuple([obj["codim"]], "codim")
         entries = [
-            (i + 1, *as_int_tuple(pair, "shift and rank"))
+            (i + 1, *as_int_pair(pair, "steps", "[shift, rank]"))
             for i, step in enumerate(obj["steps"])
             for pair in step
         ]

@@ -155,26 +155,6 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
 _multiplicity = multiplicity_from_degrees
 
 
-def hs_identities(e: Sequence[int], f: Sequence[int]) -> bool:
-    """Whether both Herzog-Srinivasan summation identities hold for the
-    u/v differences of ascending generator degrees e and syzygy degrees
-    f, one fewer than e.
-
-    In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
-                 = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
-    and the mirror identity in the u's.  Both sides telescope to the
-    same sum for any integer lists, so this never returns False; it
-    stays because the ``hs_identities`` check reports it.  The u/v facts
-    are :func:`multiplicity_from_degrees`'s to check, not this one's.
-    """
-    u, v, m = list(map(sub, f, e)), list(map(sub, f, e[1:])), len(e)
-    lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
-    rhs_v = sum(v) * sum(v[1:])
-    lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
-    rhs_u = sum(u) * sum(u[: m - 2])
-    return lhs_v == rhs_v and lhs_u == rhs_u
-
-
 def betti_table(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> betti.BettiTable:
     """Two-step Betti table: generator degrees, then syzygy degrees
     (``lists``, or :func:`degrees` of A)."""

@@ -64,3 +64,11 @@ def as_int_tuple(xs: Iterable[object], name: str) -> tuple[int, ...]:
         return out
     bad = next(x for x in out if type(x) is not int)
     raise ValueError(f"{name} entries must be integers, got {bad!r}")
+
+
+def as_int_pair(xs: Iterable[object], name: str, pair: str) -> tuple[int, int]:
+    """An item of field ``name`` as two true integers, else ValueError."""
+    out = as_int_tuple(xs, name)
+    if len(out) != 2:
+        raise ValueError(f"{name} entries must be {pair} pairs, got {list(out)}")
+    return out

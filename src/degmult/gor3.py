@@ -37,7 +37,7 @@ class DegreeMatrixGor3:
     d: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int):
+        if type(self.d) is not int:
             raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < self.base.a[0]:
             raise CenterTooSmall(f"d = {self.d} < a_1 = {self.base.a[0]}")

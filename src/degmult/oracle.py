@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotArtinian, as_int_tuple
+from .errors import NotArtinian, as_int_pair
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class MonomialStaircase:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> MonomialStaircase:
-        return minimalize(as_int_tuple(g, "gens") for g in obj["gens"])
+        return minimalize(obj["gens"])
 
 
 def minimalize(gens: Iterable[tuple[int, int]]) -> MonomialStaircase:
@@ -56,10 +56,10 @@ def minimalize(gens: Iterable[tuple[int, int]]) -> MonomialStaircase:
     one sort by (p, q), every point before a given one has p1 <= p2, and
     the smallest y-exponent among them is that of the last point kept;
     so one sweep keeps a point exactly when its y-exponent is below the
-    last one kept, in O(n log n) overall.  Exponents must be true
-    integers: bools, floats and strings raise ValueError.
+    last one kept, in O(n log n) overall.  Each generator must be a
+    pair of true integers; anything else raises ValueError.
     """
-    pts = sorted({as_int_tuple((p, q), "gens") for p, q in gens})
+    pts = sorted({as_int_pair(g, "gens", "[p, q]") for g in gens})
     if not pts:
         raise ValueError("no generators given")
     keep = [pts[0]]

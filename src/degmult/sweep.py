@@ -37,30 +37,6 @@ from .errors import (
     UnknownTarget,
 )
 
-CM2_CHECKS = (
-    "multiplicity_agreement",
-    "hs_identities",
-    "uv_facts",
-    "cm2_bounds",
-    "hhs_bounds",
-    "sharpness_purity",
-    "huneke_miller",
-    "extension",
-    "shift_agreement",
-    "prop24",
-)
-
-GOR3_CHECKS = (
-    "multiplicity_agreement",
-    "self_duality",
-    "gor3_bounds",
-    "hhs_bounds",
-    "sharpness_purity",
-    "huneke_miller",
-    "extension",
-    "shift_agreement",
-)
-
 HUNT_TARGETS = {
     "srinivasan_upper_gor3": "gor3",
     "prop24_bound": "cm2",
@@ -99,7 +75,7 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.family not in ("cm2", "gor3"):
+        if self.family not in EVALUATIONS:
             raise ValueError(f"family must be cm2 or gor3, got {self.family!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
@@ -107,7 +83,8 @@ class SweepConfig:
             raise ValueError("entry_max must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        allowed = CM2_CHECKS if self.family == "cm2" else GOR3_CHECKS
+        cls = EVALUATIONS[self.family]
+        allowed = cls.CHECKS + cls.FINDINGS
         object.__setattr__(self, "checks", allowed if self.checks is None else tuple(self.checks))
         unknown = set(self.checks) - set(allowed)
         if unknown:
@@ -287,9 +264,10 @@ class Evaluation:
 
     ``ROUTES`` maps each multiplicity route to the function computing it,
     the value route first; a route that fails holds its exception in
-    place of a value.  ``CHECKS`` lists the family's anomaly checks in
-    report order; check ``name`` is the generator method ``_name``,
-    yielding the two disagreeing sides of each failure.
+    place of a value.  ``CHECKS``, the family's one table of anomaly
+    checks, is in report order; check ``name`` is the generator method
+    ``_name``, yielding the two disagreeing sides of each failure.
+    ``FINDINGS`` names the open bounds a sweep reports as findings.
     """
 
     family: str
@@ -298,6 +276,7 @@ class Evaluation:
     INSTANCE: type
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
+    FINDINGS: tuple[str, ...]
     csv_layout: Callable[[tuple], tuple]
 
     def __init__(self, instance) -> None:
@@ -336,7 +315,7 @@ class Evaluation:
     @lazy
     def degrees(self) -> cm2.DegreeLists:
         """The block's sorted degree lists, shared by the Betti table, the
-        extension kernel and, for cm2, the uv route and hs_identities."""
+        extension kernel and, for cm2, the uv route."""
         return cm2.degrees(self.block)
 
     @lazy
@@ -365,13 +344,14 @@ class Evaluation:
         return bounds.sharpness(*self.hhs, self.purity.pure)
 
     @classmethod
-    def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, ...]:
-        """(name, method) of each enabled check in report order, with what
-        a check reads of the sweep bound to it; a sweep resolves them once."""
-        methods = {name: getattr(cls, f"_{name}") for name in cls.CHECKS if name in checks}
+    def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, bool]:
+        """(name, method) of each enabled anomaly check, in the order
+        ``checks`` names them and with what a check reads of the sweep
+        bound to it, and whether findings are on; a sweep resolves them once."""
+        methods = {name: getattr(cls, f"_{name}") for name in checks if name not in cls.FINDINGS}
         if "extension" in methods:
-            methods["extension"] = partial(methods["extension"], entry_max=entry_max)
-        return tuple(methods.items())
+            methods["extension"] = partial(cls._extension, entry_max=entry_max)
+        return tuple(methods.items()), not set(cls.FINDINGS).isdisjoint(checks)
 
     def anomalies(self, methods: tuple) -> tuple[Anomaly, ...]:
         """Failures of the enabled checks, run by their :meth:`check_methods`;
@@ -434,10 +414,6 @@ class Evaluation:
     def sharp_case(self) -> dict | None:
         return {"instance": self.inst, "e": self.e} if self.purity.pure else None
 
-    def finding(self, checks: tuple[str, ...]) -> dict | None:
-        """A sweep finding on an open bound; none unless the family has one."""
-        return None
-
     def csv_line(self) -> str:
         """The sweep CSV line: the shared cells, then the family's, put in
         SWEEP_CSV_COLUMNS order by the family's :func:`_csv_layout`."""
@@ -469,9 +445,10 @@ class CM2Evaluation(Evaluation):
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
     CHECKS = (
-        "multiplicity_agreement", "shift_agreement", "hs_identities", "uv_facts",
-        "cm2_bounds", "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
+        "multiplicity_agreement", "uv_facts", "cm2_bounds", "hhs_bounds",
+        "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
+    FINDINGS = ("prop24",)
     csv_layout = staticmethod(_csv_layout(
         "m1 m2 M1 M2 cm2_lower_holds cm2_lower_sharp cm2_upper_holds cm2_upper_sharp "
         "prop24_hyp_i prop24_hyp_ii prop24_holds"))
@@ -493,10 +470,6 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _hs_identities(self) -> Iterator[tuple]:
-        if not cm2.hs_identities(*self.degrees):
-            yield "identity sums", "disagree"
-
     def _uv_facts(self) -> Iterator[tuple]:
         """The u/v facts, checked by the uv route, which holds their failure."""
         uv = self.route("uv")
@@ -513,8 +486,8 @@ class CM2Evaluation(Evaluation):
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
         return cm2.extender(self.shifts, e, self.degrees)
 
-    def finding(self, checks: tuple[str, ...]) -> dict | None:
-        if "prop24" not in checks or self.prop24.bound_holds:
+    def finding(self) -> dict | None:
+        if self.prop24.bound_holds:
             return None
         v = self.prop24.verdict
         return {"instance": self.inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
@@ -543,9 +516,10 @@ class Gor3Evaluation(Evaluation):
         "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.block_curve),
     }
     CHECKS = (
-        "multiplicity_agreement", "shift_agreement", "self_duality", "gor3_bounds",
-        "hhs_bounds", "sharpness_purity", "huneke_miller", "extension",
+        "multiplicity_agreement", "self_duality", "gor3_bounds", "hhs_bounds",
+        "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
+    FINDINGS = ()
     csv_layout = staticmethod(_csv_layout(
         "d m1 m2 m3 M1 M2 M3 gor3_lower_holds gor3_lower_sharp gor3_upper_holds "
         "gor3_upper_sharp srinivasan_lower_holds srinivasan_upper_holds"))
@@ -647,14 +621,14 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
         yield from pool.imap(fn, items, BATCH)
 
 
-def _sweep_instance(item, cls: type, checks: tuple, methods: tuple, csv: bool) -> tuple:
-    """(CSV line or None, anomalies, sharp case, finding) of one instance."""
+def _sweep_instance(item, cls: type, methods: tuple, findings: bool, csv: bool) -> tuple:
+    """(CSV line or None, anomalies, sharp case, finding or None) of one instance."""
     ev = cls(item)
     return (
         ev.csv_line() if csv else None,
         ev.anomalies(methods),
         ev.sharp_case(),
-        ev.finding(checks),
+        ev.finding() if findings else None,
     )
 
 
@@ -665,12 +639,9 @@ def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     sharps: list[dict] = []
     findings: list[dict] = []
     cls = EVALUATIONS[config.family]
+    methods, findings_on = cls.check_methods(config.checks, config.entry_max)
     fn = partial(
-        _sweep_instance,
-        cls=cls,
-        checks=config.checks,
-        methods=cls.check_methods(config.checks, config.entry_max),
-        csv=stream is not None,
+        _sweep_instance, cls=cls, methods=methods, findings=findings_on, csv=stream is not None
     )
     for line, found, sharp, finding in _ordered(fn, config):
         n += 1

@@ -10,12 +10,14 @@ instead of constructive ranges, the basic double link by building
 each child matrix and reading its multiplicity and genus off its dense
 Hilbert quotient instead of shifting the base's degree lists, and the
 u/v multiplicity from explicit u and v lists and a backward pass
-instead of one list-free forward pass.
+instead of one list-free forward pass.  The Herzog-Srinivasan
+summation identities are kept here too, as a reference: they telescope
+for any integer lists, so no sweep check reports them.
 """
 from __future__ import annotations
 
 from itertools import accumulate, product
-from operator import add
+from operator import add, sub
 
 from degmult import betti, cm2, gor3
 from degmult.errors import DegmultError, DivisionError, InternalMismatch
@@ -140,6 +142,25 @@ def uv_two_pass(e, f) -> tuple[list[int], list[int], int]:
             f"sum(u) = {head}, sum(v) = {tail}"
         )
     return u, v, first
+
+
+def hs_identities(e, f) -> bool:
+    """Whether both Herzog-Srinivasan summation identities hold for the
+    u/v differences of ascending generator degrees e and syzygy degrees
+    f, one fewer than e.
+
+    In the v's: sum_{i=2}^{m-1} (v_{i-1}+v_i)(v_i+..+v_{m-1})
+                 = (v_1+..+v_{m-1})(v_2+..+v_{m-1}),
+    and the mirror identity in the u's.  Both sides telescope to the
+    same sum for any integer lists, so this never returns False; the
+    tests keep it as a reference, and no sweep check reports it.
+    """
+    u, v, m = list(map(sub, f, e)), list(map(sub, f, e[1:])), len(e)
+    lhs_v = sum((v[i - 1] + v[i]) * sum(v[i:]) for i in range(1, m - 1))
+    rhs_v = sum(v) * sum(v[1:])
+    lhs_u = sum((u[i] + u[i + 1]) * sum(u[: i + 1]) for i in range(m - 2))
+    rhs_u = sum(u) * sum(u[: m - 2])
+    return lhs_v == rhs_v and lhs_u == rhs_u
 
 
 def degree_grid(A: cm2.DegreeMatrixCM2) -> list[list[int]]:

@@ -121,7 +121,7 @@ def test_criterion_3_srinivasan_counterexample():
 def test_criterion_4_cm2_exhaustive_sweep(cm2_sweep):
     report, elapsed = cm2_sweep
     needed = {
-        "multiplicity_agreement", "hs_identities", "uv_facts",
+        "multiplicity_agreement", "uv_facts",
         "cm2_bounds", "hhs_bounds", "sharpness_purity", "extension",
     }
     ok = (

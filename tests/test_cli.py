@@ -360,6 +360,23 @@ class TestStrictIntegers:
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, line", [
+        ({"codim": 2, "steps": [[[2, 1, 1], [3, 1]], [[5, 1]]]},
+         "error: steps entries must be [shift, rank] pairs, got [2, 1, 1]\n"),
+        ({"codim": 2, "steps": [[[2], [3, 1]], [[5, 1]]]},
+         "error: steps entries must be [shift, rank] pairs, got [2]\n"),
+        ({"type": "monomial2", "gens": [[0, 1], [1]]},
+         "error: gens entries must be [p, q] pairs, got [1]\n"),
+        ({"type": "monomial2", "gens": [[0, 1, 2], [1, 0]]},
+         "error: gens entries must be [p, q] pairs, got [0, 1, 2]\n"),
+    ])
+    def test_pairs_of_another_length(self, capsys, tmp_path, doc, line):
+        """An entry that is not a pair is named with its field."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "compute"):
+            assert run(capsys, verb, "--in", str(path)) == (2, "", line)
+
     @given(st.lists(st.one_of(
         st.integers(), st.booleans(), st.floats(), st.text(max_size=3),
         st.integers().map(Subint),

@@ -27,6 +27,13 @@ class TestValidate:
         with pytest.raises(CenterTooSmall):
             gor3.validate([2], [2], 1)
 
+    @pytest.mark.parametrize("d", [True, 3.0, "3", type("IntSub", (int,), {})(3)])
+    def test_center_must_be_a_true_integer(self, d):
+        """d is refused like a and b when it is anything but an int,
+        an int subclass included."""
+        with pytest.raises(ValueError, match="d must be an integer"):
+            gor3.validate([1], [1], d)
+
     def test_block_errors_propagate(self):
         with pytest.raises(NotMonotone):
             gor3.validate([1, 2], [1, 2], 3)

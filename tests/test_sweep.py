@@ -112,8 +112,9 @@ class TestVerifyAll:
         assert report.ok and report.prop24_findings == ()
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError):
-            sweep.SweepConfig("cm2", 1, 2, checks=("self_duality",))
+        for check in ("self_duality", "hs_identities"):
+            with pytest.raises(ValueError, match="unknown checks"):
+                sweep.SweepConfig("cm2", 1, 2, checks=(check,))
 
     def test_parallel_report_identical(self):
         seq = sweep.verify_all(sweep.SweepConfig("cm2", 3, 3, jobs=1))
@@ -631,10 +632,6 @@ class TestCheckFaults:
         ("gor3", "multiplicity_agreement", "route"): (
             lambda mp: _skew_route(mp, "gor3", "linkage"), [r"pfaffian=\d+"]
         ),
-        ("cm2", "hs_identities", "sums"): (
-            lambda mp: mp.setattr(cm2, "hs_identities", lambda e, f: False),
-            ["identity sums"],
-        ),
         ("cm2", "uv_facts", "uv_data"): (_break_uv_data, ["extreme-degree identities"]),
         ("gor3", "shift_agreement", "m3"): (
             lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1), [r"ShiftsGor3\(.*\)"]
@@ -661,15 +658,28 @@ class TestCheckFaults:
             assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
 
     def test_uv_failure_filed_once(self, monkeypatch):
-        """With hs_identities and uv_facts both on, a failing u/v fact is
-        filed once, under uv_facts."""
+        """A failing u/v fact is filed once per instance, under uv_facts."""
         _break_uv_data(monkeypatch)
-        config = sweep.SweepConfig("cm2", 2, 4, checks=("hs_identities", "uv_facts"))
+        config = sweep.SweepConfig("cm2", 2, 4, checks=("uv_facts",))
         report = sweep.verify_all(config)
         assert report.instances_checked > 0
         assert [(x.instance, x.check) for x in report.anomalies] == [
             (A.to_json_dict(), "uv_facts") for A in sweep.enumerate_cm2(2, 4)
         ]
+
+    @pytest.mark.parametrize("checks", [None, ("extension", "cm2_bounds", "shift_agreement")])
+    def test_anomalies_follow_the_checks_order(self, monkeypatch, checks):
+        """Checks run in the order the config names them, by default the
+        report's, so checks failing on one instance file in that order."""
+        _skew_shift(monkeypatch, cm2)
+        report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4, checks=checks))
+        orders = [
+            [report.checks.index(x.check) for x in group]
+            for _, group in itertools.groupby(report.anomalies, key=lambda x: x.instance)
+        ]
+        both = {report.checks.index("extension"), report.checks.index("shift_agreement")}
+        assert any(both <= set(order) for order in orders)
+        assert all(order == sorted(order) for order in orders)
 
     def test_every_check_but_extension_faulted(self):
         faulted = {(family, check) for family, check, _ in self.FAULTS}
