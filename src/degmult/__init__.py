@@ -14,7 +14,6 @@ from .betti import (
     huneke_miller,
     k_polynomial,
     multiplicity,
-    purity,
     shift_summary,
 )
 from .bounds import (
@@ -71,7 +70,6 @@ __all__ = [
     "minimalize",
     "multiplicity",
     "prop24_bound",
-    "purity",
     "sharpness",
     "shift_summary",
     "srinivasan_bounds",

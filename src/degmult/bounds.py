@@ -74,12 +74,10 @@ class Prop24Verdict(NamedTuple):
         return self.verdict.holds
 
 
-def hhs_bounds(shifts: ShiftSummary, codim: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
-    """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!."""
-    p = len(shifts.m)
-    if codim != p:
-        raise ValueError(f"need codim = number of steps, got {codim} vs {p}")
-    fact = math.factorial(p)
+def hhs_bounds(shifts: ShiftSummary, e: int) -> tuple[BoundVerdict, BoundVerdict]:
+    """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!,
+    with p the number of steps of the shifts."""
+    fact = math.factorial(len(shifts.m))
     lower = BoundVerdict("hhs_lower", fact * e, ">=", math.prod(shifts.m), fact)
     upper = BoundVerdict("hhs_upper", fact * e, "<=", math.prod(shifts.M), fact)
     return lower, upper
@@ -97,20 +95,14 @@ def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict
     return lower, upper
 
 
-def gor3_bounds(
-    m1: int, m2: int, m3: int, M1: int, M2: int, M3: int, e: int
-) -> tuple[BoundVerdict, BoundVerdict]:
+def gor3_bounds(m1: int, m2: int, m3: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
     """Sharper Gorenstein codimension-3 bounds, cleared by 6 and 12.
 
     6e >= m1 m2 m3 + (M3 - M2)^2 (M2 - m2 + M1 - m1) and
-    12e <= 2 M1 M2 M3 - M3 (M2 - m2 + M1 - m1).  The shifts must be
-    self-dual (M1 = m3 - m2, M2 = m3 - m1, M3 = m3), or ValueError is
-    raised.
+    12e <= 2 M1 M2 M3 - M3 (M2 - m2 + M1 - m1), with the maxima of the
+    self-dual resolution, M1 = m3 - m2, M2 = m3 - m1 and M3 = m3.
     """
-    if (M1, M2, M3) != (m3 - m2, m3 - m1, m3):
-        raise ValueError(
-            f"shifts are not self-dual: M = {(M1, M2, M3)}, m = {(m1, m2, m3)}"
-        )
+    M1, M2, M3 = m3 - m2, m3 - m1, m3
     spread = (M2 - m2) + (M1 - m1)
     lower_rhs = m1 * m2 * m3 + (M3 - M2) ** 2 * spread
     upper_rhs = 2 * M1 * M2 * M3 - M3 * spread

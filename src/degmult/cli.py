@@ -281,7 +281,7 @@ def _compute_betti(table: betti.BettiTable) -> dict:
         "genus_dim2": genus,
     }
     if table.codim == table.projective_dimension:
-        lo, up = bounds.hhs_bounds(summary, table.codim, e)
+        lo, up = bounds.hhs_bounds(summary, e)
         result["bounds"] = [lo.to_json_dict(), up.to_json_dict()]
         if pur.pure:
             result["huneke_miller"] = betti.huneke_miller(table, summary)
@@ -343,9 +343,8 @@ def _render_compute_text(result: dict) -> str:
     lines.append(f"pure: {_flag(result['pure'])}  quasi_pure: {_flag(result['quasi_pure'])}")
     mult = result["multiplicity"]
     lines.append(f"multiplicity: {mult['value']}")
-    for route in ("uv", "pfaffian", "resolution", "staircase", "linkage"):
-        if route in mult:
-            lines.append(f"  {route}: {mult[route]}")
+    for route in list(mult)[1:-1]:  # the routes, between value and agree
+        lines.append(f"  {route}: {mult[route]}")
     lines.append(f"  agree: {'yes' if mult['agree'] else 'NO'}")
     lines.append("bounds:")
     lines.extend(_bound_line(v) for v in result["bounds"])

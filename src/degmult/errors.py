@@ -2,8 +2,6 @@
 integer rule every loader applies to input from outside the program."""
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class DegmultError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,22 +51,29 @@ class ParseError(DegmultError):
     """Malformed JSON document or command-line value."""
 
 
-def as_int_tuple(xs: Iterable[object], name: str) -> tuple[int, ...]:
-    """The entries as a tuple, refusing anything but true integers.
+def as_list(xs: object, name: str) -> list | tuple:
+    """``xs`` if it is a list or tuple, else ValueError naming field ``name``."""
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {xs!r}")
+    return xs
+
+
+def as_int_tuple(xs: object, name: str) -> tuple[int, ...]:
+    """The entries of list ``xs`` as a tuple, refusing anything but true integers.
 
     Bools and other int subclasses, floats and strings raise ValueError rather
-    than being coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``.
+    than being coerced, so ``2.7`` never becomes ``2`` and ``true`` never ``1``;
+    a string or object ``xs`` is refused whole, never split into characters.
     """
-    out = tuple(xs)
+    out = tuple(as_list(xs, name))
     if set(map(type, out)) <= {int}:
         return out
     bad = next(x for x in out if type(x) is not int)
     raise ValueError(f"{name} entries must be integers, got {bad!r}")
 
 
-def as_int_pair(xs: Iterable[object], name: str, pair: str) -> tuple[int, int]:
+def as_int_pair(xs: object, name: str, pair: str) -> tuple[int, int]:
     """An item of field ``name`` as two true integers, else ValueError."""
-    out = as_int_tuple(xs, name)
-    if len(out) != 2:
-        raise ValueError(f"{name} entries must be {pair} pairs, got {list(out)}")
-    return out
+    if not isinstance(xs, (list, tuple)) or len(xs) != 2:
+        raise ValueError(f"{name} entries must be {pair} pairs, got {xs!r}")
+    return as_int_tuple(xs, name)

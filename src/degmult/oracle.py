@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotArtinian, as_int_pair
+from .errors import NotArtinian, as_int_pair, as_list
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class MonomialStaircase:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> MonomialStaircase:
-        return minimalize(obj["gens"])
+        return minimalize(as_list(obj["gens"], "gens"))
 
 
 def minimalize(gens: Iterable[tuple[int, int]]) -> MonomialStaircase:

@@ -33,7 +33,6 @@ from .errors import (
     DivisibilityError,
     DivisionError,
     InternalMismatch,
-    NotPure,
     UnknownTarget,
 )
 
@@ -101,9 +100,6 @@ class Anomaly:
     check: str
     lhs: str
     rhs: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _without_runtime(report) -> dict:
@@ -337,7 +333,7 @@ class Evaluation:
 
     @lazy
     def hhs(self) -> tuple[BoundVerdict, BoundVerdict]:
-        return bounds.hhs_bounds(self.summary, self.codim, self.e)
+        return bounds.hhs_bounds(self.summary, self.e)
 
     @lazy
     def sharpness(self) -> bounds.SharpnessVerdict:
@@ -392,7 +388,7 @@ class Evaluation:
             return
         try:
             hm = betti.huneke_miller(self.table, self.summary)
-        except (NotPure, DivisibilityError, InternalMismatch, ValueError) as exc:
+        except DivisibilityError as exc:
             yield "pure-shift formula", exc
             return
         if hm != self.e:
@@ -445,7 +441,7 @@ class CM2Evaluation(Evaluation):
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
     CHECKS = (
-        "multiplicity_agreement", "uv_facts", "cm2_bounds", "hhs_bounds",
+        "multiplicity_agreement", "cm2_bounds", "hhs_bounds",
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ("prop24",)
@@ -469,12 +465,6 @@ class CM2Evaluation(Evaluation):
     @property
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
-
-    def _uv_facts(self) -> Iterator[tuple]:
-        """The u/v facts, checked by the uv route, which holds their failure."""
-        uv = self.route("uv")
-        if not isinstance(uv, int):
-            yield "extreme-degree identities", uv
 
     def _cm2_bounds(self) -> Iterator[tuple]:
         return _failed(self.sharper)
@@ -532,7 +522,7 @@ class Gor3Evaluation(Evaluation):
 
     @lazy
     def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
-        return bounds.gor3_bounds(*self.shifts, self.e)
+        return bounds.gor3_bounds(*self.shifts[:3], self.e)
 
     @lazy
     def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool]:
@@ -549,12 +539,7 @@ class Gor3Evaluation(Evaluation):
             yield "step-1 shifts inside (0, m3)", step1
 
     def _gor3_bounds(self) -> Iterator[tuple]:
-        try:
-            sharper = self.sharper
-        except ValueError as exc:
-            yield "bound forms", exc
-            return
-        yield from _failed(sharper)
+        return _failed(self.sharper)
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
@@ -565,12 +550,8 @@ class Gor3Evaluation(Evaluation):
 
     def _family_cells(self) -> tuple:
         """The CSV cells of the family's columns, in :attr:`csv_layout` order."""
-        try:
-            sharper = _cells(self.sharper)
-        except ValueError:
-            sharper = (None,) * 4  # left blank; the gor3_bounds check reports the failure
         lower, upper, _ = self.srinivasan
-        return (self.instance.d, *self.shifts, *sharper, lower.holds, upper.holds)
+        return (self.instance.d, *self.shifts, *_cells(self.sharper), lower.holds, upper.holds)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, which has no hypothesis to require."""

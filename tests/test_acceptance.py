@@ -99,7 +99,7 @@ def test_criterion_3_srinivasan_counterexample():
     e = gor3.multiplicity_pfaffian(G)
     summary = betti.shift_summary(gor3.betti_table(G))
     sri_lower, sri_upper, _ = bounds.srinivasan_bounds(summary, e)
-    lo, up = bounds.gor3_bounds(s.m1, s.m2, s.m3, s.M1, s.M2, s.M3, e)
+    lo, up = bounds.gor3_bounds(s.m1, s.m2, s.m3, e)
     elapsed = time.perf_counter() - start
     ok = (
         e == 20
@@ -121,7 +121,7 @@ def test_criterion_3_srinivasan_counterexample():
 def test_criterion_4_cm2_exhaustive_sweep(cm2_sweep):
     report, elapsed = cm2_sweep
     needed = {
-        "multiplicity_agreement", "uv_facts",
+        "multiplicity_agreement",
         "cm2_bounds", "hhs_bounds", "sharpness_purity", "extension",
     }
     ok = (

@@ -16,24 +16,20 @@ def summary(m, M):
 
 class TestHHSBounds:
     def test_example_matrix(self):
-        lo, up = bounds.hhs_bounds(summary((5, 6), (5, 7)), 2, 17)
+        lo, up = bounds.hhs_bounds(summary((5, 6), (5, 7)), 17)
         assert (lo.lhs, lo.rhs, lo.holds, lo.sharp) == (34, 30, True, False)
         assert (up.lhs, up.rhs, up.holds, up.sharp) == (34, 35, True, False)
 
     def test_pure_235(self):
-        lo, up = bounds.hhs_bounds(summary((2, 3, 5), (2, 3, 5)), 3, 5)
+        lo, up = bounds.hhs_bounds(summary((2, 3, 5), (2, 3, 5)), 5)
         assert lo.sharp and up.sharp
         assert lo.lhs == lo.rhs == 30
 
     def test_ci_225(self):
-        lo, up = bounds.hhs_bounds(summary((2, 4, 9), (5, 7, 9)), 3, 20)
+        lo, up = bounds.hhs_bounds(summary((2, 4, 9), (5, 7, 9)), 20)
         assert (lo.lhs, lo.rhs) == (120, 72)
         assert (up.lhs, up.rhs) == (120, 315)
         assert lo.holds and up.holds
-
-    def test_codim_mismatch(self):
-        with pytest.raises(ValueError):
-            bounds.hhs_bounds(summary((2, 3), (2, 3)), 3, 5)
 
 
 class TestCM2Bounds:
@@ -54,22 +50,18 @@ class TestCM2Bounds:
 
 class TestGor3Bounds:
     def test_mixed(self):
-        lo, up = bounds.gor3_bounds(2, 3, 7, 4, 5, 7, 12)
+        lo, up = bounds.gor3_bounds(2, 3, 7, 12)
         assert (lo.lhs, lo.rhs, lo.holds) == (72, 58, True)
         assert (up.lhs, up.rhs, up.holds) == (144, 252, True)
 
     def test_pure_quadrics(self):
-        lo, up = bounds.gor3_bounds(2, 3, 5, 2, 3, 5, 5)
+        lo, up = bounds.gor3_bounds(2, 3, 5, 5)
         assert lo.sharp and up.sharp
 
     def test_ci_225(self):
-        lo, up = bounds.gor3_bounds(2, 4, 9, 5, 7, 9, 20)
+        lo, up = bounds.gor3_bounds(2, 4, 9, 20)
         assert (lo.lhs, lo.rhs) == (120, 96)
         assert (up.lhs, up.rhs) == (240, 576)
-
-    def test_rejects_non_self_dual(self):
-        with pytest.raises(ValueError):
-            bounds.gor3_bounds(2, 3, 7, 4, 6, 7, 12)
 
 
 class TestProp24:
@@ -187,27 +179,27 @@ class TestSrinivasanBounds:
             bounds.srinivasan_bounds(summary((1, 2), (1, 2)), 1)
 
 
-def sharpness(s, codim, e):
-    """The sharpness flags of the HHS verdicts of shifts s, codim and e."""
-    return bounds.sharpness(*bounds.hhs_bounds(s, codim, e), betti.summary_purity(s).pure)
+def sharpness(s, e):
+    """The sharpness flags of the HHS verdicts of shifts s and e."""
+    return bounds.sharpness(*bounds.hhs_bounds(s, e), betti.summary_purity(s).pure)
 
 
 class TestSharpness:
     def test_pure(self):
-        v = sharpness(summary((2, 3, 5), (2, 3, 5)), 3, 5)
+        v = sharpness(summary((2, 3, 5), (2, 3, 5)), 5)
         assert v == (True, True, True)
 
     def test_example_matrix(self):
-        v = sharpness(summary((5, 6), (5, 7)), 2, 17)
+        v = sharpness(summary((5, 6), (5, 7)), 17)
         assert v == (False, False, False)
 
     def test_mixed_gor3(self):
-        v = sharpness(summary((2, 3, 7), (4, 5, 7)), 3, 12)
+        v = sharpness(summary((2, 3, 7), (4, 5, 7)), 12)
         assert v == (False, False, False)
 
     def test_disagreeing_flags_raise(self):
         with pytest.raises(CharacterizationViolated, match="lower=True, upper=False, pure=False"):
-            sharpness(summary((1, 2), (1, 3)), 2, 1)
+            sharpness(summary((1, 2), (1, 3)), 1)
 
 
 class TestVerdictSerialization:

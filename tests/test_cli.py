@@ -369,9 +369,34 @@ class TestStrictIntegers:
          "error: gens entries must be [p, q] pairs, got [1]\n"),
         ({"type": "monomial2", "gens": [[0, 1, 2], [1, 0]]},
          "error: gens entries must be [p, q] pairs, got [0, 1, 2]\n"),
+        ({"type": "monomial2", "gens": [{"p": 1, "q": 2}, [1, 0]]},
+         "error: gens entries must be [p, q] pairs, got {'p': 1, 'q': 2}\n"),
+        ({"type": "monomial2", "gens": [3, [0, 1]]},
+         "error: gens entries must be [p, q] pairs, got 3\n"),
     ])
     def test_pairs_of_another_length(self, capsys, tmp_path, doc, line):
-        """An entry that is not a pair is named with its field."""
+        """An entry that is not a pair, a non-list among them, is named
+        with its field."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "compute"):
+            assert run(capsys, verb, "--in", str(path)) == (2, "", line)
+
+    @pytest.mark.parametrize("doc, line", [
+        ({"type": "cm2", "a": "12", "b": "21"},
+         "error: a must be a list, got '12'\n"),
+        ({"type": "gor3", "a": [2], "b": None, "d": 5},
+         "error: b must be a list, got None\n"),
+        ({"type": "monomial2", "gens": "ab"},
+         "error: gens must be a list, got 'ab'\n"),
+        ({"codim": 1, "steps": [5]},
+         "error: steps entries must be a list, got 5\n"),
+        ({"codim": 1, "steps": 5},
+         "error: steps must be a list, got 5\n"),
+    ])
+    def test_non_lists_refused(self, capsys, tmp_path, doc, line):
+        """A field or entry that is not a list is refused whole and named,
+        never split into characters or keys."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         for verb in ("validate", "compute"):

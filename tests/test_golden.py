@@ -144,7 +144,7 @@ GOLDEN = {
         "82c19ae4da140cbf013a36dfeb6fb428f3036bce5c27c0c6324aa358f6d66bae"),
     "sweep_cm2_json": (
         [*SWEEP_CM2, "--format", "json"], 0,
-        "f8460af5cb614a7a1d61044aea4b2e8c44b961b26177fd2c9a247229df6a9dab"),
+        "32fe7db6ebc0228fec6465574fc40957d5652f7f2bad6ab3414df0ac684b4f01"),
     "sweep_cm2_csv": (
         [*SWEEP_CM2, "--format", "csv"], 0,
         "86d8f5074c0e7a1a7c62f5efc3d49340b84e5d45e83b5e134e2bd760ed4cb7fe"),

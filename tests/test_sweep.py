@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from degmult import betti, cm2, gor3, oracle, sweep
-from degmult.errors import DivisionError, UnknownTarget
+from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
 
 from bruteforce import brute_cm2, brute_gor3, extend_from
 
@@ -427,8 +427,8 @@ class TestExtensionCheck:
     def test_gor3_block_curve_once_per_instance(self, monkeypatch):
         """A full gor3 sweep takes one quotient per instance for the
         resolution route, one for the block curve that the linkage route
-        and the extension base share, one per appended child and one per
-        pure instance (Huneke-Miller)."""
+        and the extension base share, and one per appended child; the
+        Huneke-Miller check takes none."""
         calls = []
         real = betti._quotient_at_one
         monkeypatch.setattr(
@@ -438,8 +438,7 @@ class TestExtensionCheck:
         report = sweep.verify_all(config)
         assert report.ok
         children = len(list(appended_children(config)))
-        pure = len(report.sharp_cases)
-        assert len(calls) == children + 2 * report.instances_checked + pure
+        assert len(calls) == children + 2 * report.instances_checked
 
     def test_cm2_computes_each_child_once(self, monkeypatch):
         calls = []
@@ -593,12 +592,6 @@ def _break_uv_data(monkeypatch):
     )
 
 
-def _skew_series(monkeypatch):
-    """Skew the Hilbert-series value that betti.huneke_miller compares with."""
-    real = betti.multiplicity
-    monkeypatch.setattr(betti, "multiplicity", lambda table: real(table) + 1)
-
-
 def _family_faults(family, module):
     """The faults both families share: skewed shifts, and a value route
     skewed by 1, which breaks every bound and flag that is sharp on the
@@ -617,7 +610,6 @@ def _family_faults(family, module):
         (family, "hhs_bounds", "value"): (skew_value, [r"hhs_upper: \d+"]),
         (family, "sharpness_purity", "value"): (skew_value, ["flags"]),
         (family, "huneke_miller", "value"): (skew_value, [r"\d+"]),
-        (family, "huneke_miller", "series"): (_skew_series, ["pure-shift formula"]),
     }
 
 
@@ -632,16 +624,13 @@ class TestCheckFaults:
         ("gor3", "multiplicity_agreement", "route"): (
             lambda mp: _skew_route(mp, "gor3", "linkage"), [r"pfaffian=\d+"]
         ),
-        ("cm2", "uv_facts", "uv_data"): (_break_uv_data, ["extreme-degree identities"]),
+        ("cm2", "multiplicity_agreement", "uv_data"): (_break_uv_data, ["uv route"]),
         ("gor3", "shift_agreement", "m3"): (
             lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1), [r"ShiftsGor3\(.*\)"]
         ),
         ("gor3", "self_duality", "m3_zero"): (
             lambda mp: _set_shift(mp, gor3, "m3", lambda s: 0),
             [re.escape("step-1 shifts inside (0, m3)")],
-        ),
-        ("gor3", "gor3_bounds", "not_self_dual"): (
-            lambda mp: _skew_shift(mp, gor3), ["bound forms"]
         ),
         **_family_faults("cm2", cm2),
         **_family_faults("gor3", gor3),
@@ -658,14 +647,19 @@ class TestCheckFaults:
             assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
 
     def test_uv_failure_filed_once(self, monkeypatch):
-        """A failing u/v fact is filed once per instance, under uv_facts."""
+        """Under the default checks a failing u/v fact is filed once per
+        instance, as the failed uv route of multiplicity_agreement."""
         _break_uv_data(monkeypatch)
-        config = sweep.SweepConfig("cm2", 2, 4, checks=("uv_facts",))
-        report = sweep.verify_all(config)
-        assert report.instances_checked > 0
-        assert [(x.instance, x.check) for x in report.anomalies] == [
-            (A.to_json_dict(), "uv_facts") for A in sweep.enumerate_cm2(2, 4)
+        report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4))
+        failures = [
+            (A.to_json_dict(), sweep.CM2Evaluation(A).route("uv")) for A in sweep.enumerate_cm2(2, 4)
         ]
+        assert report.instances_checked == len(failures) > 0
+        for inst, exc in failures:
+            assert isinstance(exc, InternalMismatch)
+            filed = [(x.check, x.lhs) for x in report.anomalies
+                     if x.instance == inst and x.rhs == str(exc)]
+            assert filed == [("multiplicity_agreement", "uv route")]
 
     @pytest.mark.parametrize("checks", [None, ("extension", "cm2_bounds", "shift_agreement")])
     def test_anomalies_follow_the_checks_order(self, monkeypatch, checks):
