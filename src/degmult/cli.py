@@ -70,6 +70,15 @@ def _from_json_obj(obj: object) -> Input:
         raise ParseError(f"malformed input document: {exc}") from exc
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"duplicate key {key!r} in a JSON object")
+    return obj
+
+
 def _load_inputs(args: argparse.Namespace) -> list[Input]:
     inline = args.cm2 or args.gor3
     if args.infile and (inline or (args.a, args.b, args.d) != (None, None, None)):
@@ -91,7 +100,7 @@ def _load_inputs(args: argparse.Namespace) -> list[Input]:
     if args.infile:
         try:
             with open(args.infile) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_json_object)
         except OSError as exc:
             raise ParseError(f"cannot read {args.infile}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -107,6 +116,8 @@ def _load_inputs(args: argparse.Namespace) -> list[Input]:
 
 def _check_out(path: str) -> None:
     """Refuse an --out target that cannot be written, before any work runs."""
+    if not path:
+        raise ParseError("--out needs a file name")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise ParseError(f"--out {path}: directory does not exist")
     if os.path.isdir(path):
@@ -564,7 +575,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.func(args)
     except (InternalMismatch, CharacterizationViolated) as exc:

@@ -11,25 +11,24 @@ formula, the Betti table, a witness monomial ideal with the same degree
 matrix, and the basic-double-link extension that appends a row and a
 column.
 
-The sorted generator and syzygy degrees (:func:`degrees`) feed the
-u/v multiplicity, the Betti table and the extension kernel, so a
-caller that holds them sorts a matrix once: the kernel takes them as
-its ``lists`` argument, the Betti table as an optional one.  The u/v
-multiplicity is one forward pass over the lists,
-:func:`multiplicity_from_degrees`, which checks every u/v fact and
-forms no u or v list.
+The ascending generator and syzygy degrees (:func:`degrees`) feed the
+u/v multiplicity, the Betti table and the extension kernel; they come
+out of their prefix sums in order, and a caller that holds them passes
+them on: the kernel takes them as its ``lists`` argument, the Betti
+table as an optional one.  The u/v multiplicity is one forward pass
+over the lists, :func:`multiplicity_from_degrees`, which checks every
+u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's shifts, multiplicity and degree lists, and then checks each
-appended (a, b) on the child's degree lists alone: the base's lists
-shifted by b with one generator and one syzygy inserted, and no child
-matrix or table.  :func:`extend` binds it to one matrix and one
-pair; it stays only for the benchmark's replay of the cm2 sweep
-(``benchmarks/worker.py``).
+appended (a, b) on the child's degree lists alone
+(:func:`child_degrees`: the base's lists shifted by b, each led by
+its one new degree), with no child matrix or table.  :func:`extend`
+binds it to one matrix and one pair; it stays only for the benchmark's
+replay of the cm2 sweep (``benchmarks/worker.py``).
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge, sub
@@ -85,16 +84,6 @@ def validate(a: Sequence[int], b: Sequence[int]) -> DegreeMatrixCM2:
     return DegreeMatrixCM2(as_int_tuple(a, "a"), as_int_tuple(b, "b"))
 
 
-def generator_degrees(A: DegreeMatrixCM2) -> tuple[int, ...]:
-    """Degrees a_1+..+a_j + b_{j+1}+..+b_t of the maximal minors, j = 0..t."""
-    return tuple(accumulate(map(sub, A.a, A.b), initial=sum(A.b)))
-
-
-def syzygy_degrees(A: DegreeMatrixCM2) -> tuple[int, ...]:
-    """Degrees a_1+..+a_j + b_j+..+b_t of the syzygies, j = 1..t."""
-    return tuple(accumulate(map(sub, A.a[1:], A.b), initial=A.a[0] + sum(A.b)))
-
-
 def shifts(A: DegreeMatrixCM2) -> ShiftsCM2:
     """Extreme resolution shifts: m1 = sum(a), M1 = sum(b), m2 = m1 + b_t,
     M2 = a_1 + sum(b)."""
@@ -107,14 +96,13 @@ DegreeLists = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def degrees(A: DegreeMatrixCM2) -> DegreeLists:
-    """Generator and syzygy degrees, each sorted ascending.
-
-    The degree-matrix convention orders degrees decreasingly; sorting
-    ascending reconciles it with the resolution convention.  The
-    functions below that read these lists take them as a ``lists``
-    argument, so a caller holding them sorts A once.
-    """
-    return tuple(sorted(generator_degrees(A))), tuple(sorted(syzygy_degrees(A)))
+    """Generator degrees a_1+..+a_j + b_(j+1)+..+b_t (j = 0..t) and
+    syzygy degrees a_1+..+a_j + b_j+..+b_t (j = 1..t), each ascending:
+    their prefix sums step by a_j - b_j <= 0 and a_(j+1) - b_j <= 0, so
+    on a valid matrix they come out non-increasing, and are reversed."""
+    gens = tuple(accumulate(map(sub, A.a, A.b), initial=sum(A.b)))
+    syz = tuple(accumulate(map(sub, A.a[1:], A.b), initial=A.a[0] + sum(A.b)))
+    return gens[::-1], syz[::-1]
 
 
 def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
@@ -175,36 +163,25 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     return oracle.MonomialStaircase(tuple(zip(xs, ys)))
 
 
-def appender(lists: DegreeLists, m1: int) -> Callable[[int, int], tuple[list, list]]:
-    """The sorted degree lists after appending (a, b), as a function of
-    (a, b), to a matrix with sorted lists ``lists`` and m1 = sum(a) = ``m1``:
-    every old degree moves up by b, and the new row and column add the
-    generator m1 + a and the syzygy m1 + a + b.  The lists shifted by
-    each b are kept, so the calls with one b shift them once."""
+def child_degrees(lists: DegreeLists, m1: int, a: int, b: int) -> tuple[list[int], list[int]]:
+    """The ascending degree lists after appending (a, b) to a matrix with
+    ascending lists ``lists`` and m1 = sum(a) = ``m1``: every old degree
+    moves up by b, and the new row and column add the generator m1 + a
+    and the syzygy m1 + a + b.  These lead their lists: the base's least
+    generator is m1 and its least syzygy m1 + b_t, and a <= b, a <= b_t."""
     gens, syz = lists
-    shifted: dict[int, tuple[list[int], list[int]]] = {}
-
-    def append(a: int, b: int) -> tuple[list[int], list[int]]:
-        if b not in shifted:
-            shifted[b] = [g + b for g in gens], [x + b for x in syz]
-        gens_b, syz_b = shifted[b]
-        e, f = gens_b.copy(), syz_b.copy()
-        insort(e, m1 + a)
-        insort(f, m1 + a + b)
-        return e, f
-
-    return append
+    return [m1 + a, *[g + b for g in gens]], [m1 + a + b, *[x + b for x in syz]]
 
 
 def extender(
     s: ShiftsCM2, e: int, lists: DegreeLists
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
     """The basic-double-link check for every child of a matrix whose
-    shifts are s, multiplicity e and sorted degree lists ``lists``.
+    shifts are s, multiplicity e and ascending degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
     b >= a and b_t >= a.  It forms the child's degree lists with
-    :func:`appender` and reads the child's shifts off their ends as
+    :func:`child_degrees` and reads the child's shifts off their ends as
     (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
     (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's lists.
     The recursion e' = e + (m1 + a) b must equal the child's own
@@ -214,10 +191,9 @@ def extender(
     m1, m2, M1, M2 = s
     gens, syz = lists
     c = syz[0] - gens[0]
-    append = appender(lists, m1)
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = append(a, b)
+        e2, f2 = child_degrees(lists, m1, a, b)
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
         if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas

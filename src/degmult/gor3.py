@@ -14,7 +14,7 @@ basic-double-link extension recursion.
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's values and checks each appended (a, b) without building a
 child matrix or Betti table: the shifts come from the block's shifted
-degree lists (:func:`cm2.appender`), the multiplicity from
+degree lists (:func:`cm2.child_degrees`), the multiplicity from
 :func:`pfaffian_formula` on the child's entries, and the block curve's
 genus from the binomial moments of those lists, through the same
 :func:`betti._multiplicity_and_genus` every table uses.
@@ -110,7 +110,7 @@ def betti_table(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> be
     """
     gens, syz = cm2.degrees(G.base) if lists is None else lists
     m3 = G.d + 2 * sum(G.base.b)
-    step1 = sorted([*gens, *(m3 - x for x in syz)])
+    step1 = [*gens, *(m3 - x for x in reversed(syz))]
     step2 = [m3 - x for x in reversed(step1)]
     return betti.BettiTable(3, (betti.ranked(step1), betti.ranked(step2), ((m3, 1),)))
 
@@ -138,11 +138,11 @@ def extender(
 ) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
     """The basic-double-link check for every child of G, whose shifts
     are s, multiplicity e, block curve ``curve`` = (e(R/J), g) and
-    block degree lists ``lists`` (sorted here if not given).
+    block degree lists ``lists`` (:func:`cm2.degrees` if not given).
 
     The returned function grows the block by (a, b), keeping d; it needs
     b >= a and b_t >= a.  From the block's degree lists after
-    :func:`cm2.appender` it reads the six shifts (m1 and m2 are
+    :func:`cm2.child_degrees` it reads the six shifts (m1 and m2 are
     the least generator and syzygy degree, m3 = d + 2 M1(J)) and checks
     them against s plus the deltas; it checks the multiplicity recursion
     e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula` on
@@ -158,10 +158,9 @@ def extender(
     e_j, g = curve
     gens, syz = base = cm2.degrees(G.base) if lists is None else lists
     ranks = [1] + [-1] * (len(gens) + 1) + [1] * (len(syz) + 1)
-    append = cm2.appender(base, m1)
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = append(a, b)
+        e2, f2 = cm2.child_degrees(base, m1, a, b)
         m3 = d + 2 * e2[-1]
         got = (e2[0], f2[0], m3, m3 - f2[0], m3 - e2[0], m3)
         deltas = (a, a + b - c, 2 * b, b + c - a, 2 * b - a, 2 * b)

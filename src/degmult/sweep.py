@@ -310,7 +310,7 @@ class Evaluation:
 
     @lazy
     def degrees(self) -> cm2.DegreeLists:
-        """The block's sorted degree lists, shared by the Betti table, the
+        """The block's ascending degree lists, shared by the Betti table, the
         extension kernel and, for cm2, the uv route."""
         return cm2.degrees(self.block)
 

@@ -10,9 +10,11 @@ instead of constructive ranges, the basic double link by building
 each child matrix and reading its multiplicity and genus off its dense
 Hilbert quotient instead of shifting the base's degree lists, and the
 u/v multiplicity from explicit u and v lists and a backward pass
-instead of one list-free forward pass.  The Herzog-Srinivasan
-summation identities are kept here too, as a reference: they telescope
-for any integer lists, so no sweep check reports them.
+instead of one list-free forward pass, and the degree lists summed
+term by term and sorted instead of built in order.  The
+Herzog-Srinivasan summation identities are kept here too, as a
+reference: they telescope for any integer lists, so no sweep check
+reports them.
 """
 from __future__ import annotations
 
@@ -163,11 +165,38 @@ def hs_identities(e, f) -> bool:
     return lhs_v == rhs_v and lhs_u == rhs_u
 
 
+def matrix_degrees(A: cm2.DegreeMatrixCM2) -> tuple[list[int], list[int]]:
+    """Generator degrees a_1+..+a_j + b_(j+1)+..+b_t (j = 0..t) and syzygy
+    degrees a_1+..+a_j + b_j+..+b_t (j = 1..t), in the degree matrix's
+    order, each summed term by term."""
+    a, b, t = A.a, A.b, A.t
+    gens = [sum(a[:j]) + sum(b[j:]) for j in range(t + 1)]
+    syz = [sum(a[:j]) + sum(b[j - 1:]) for j in range(1, t + 1)]
+    return gens, syz
+
+
+def sorted_degrees(A: cm2.DegreeMatrixCM2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The :func:`matrix_degrees` of A, each sorted ascending, with no use
+    of their order."""
+    gens, syz = matrix_degrees(A)
+    return tuple(sorted(gens)), tuple(sorted(syz))
+
+
+def sorted_gor3_steps(G: gor3.DegreeMatrixGor3) -> tuple[list[int], list[int]]:
+    """Step-1 and step-2 shifts of G's self-dual table, each sorted: the
+    block's generator degrees and m3 minus its syzygy degrees, then m3
+    minus those, with m3 = d + 2 (b_1+..+b_t)."""
+    gens, syz = sorted_degrees(G.base)
+    m3 = G.d + 2 * sum(G.base.b)
+    step1 = sorted([*gens, *(m3 - x for x in syz)])
+    return step1, sorted(m3 - x for x in step1)
+
+
 def degree_grid(A: cm2.DegreeMatrixCM2) -> list[list[int]]:
     """Full degree matrix straight from the degree lists: row i holds
-    syzygy degree s_i minus each generator degree g_0..g_t."""
-    gens = cm2.generator_degrees(A)
-    syz = cm2.syzygy_degrees(A)
+    syzygy degree s_i minus each generator degree g_0..g_t, both in the
+    order of :func:`matrix_degrees`."""
+    gens, syz = matrix_degrees(A)
     return [[s - g for g in gens] for s in syz]
 
 

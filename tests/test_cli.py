@@ -474,6 +474,25 @@ class TestDocumentKeys:
         assert err == f"error: unexpected key {key!r} in a {kind} document\n"
 
 
+class TestDuplicateKeys:
+    """A key repeated in one JSON object is refused, not overwritten by
+    its last value, with exit 2 and one error line naming the key."""
+
+    DOCS = {
+        "a": '{"type": "cm2", "a": [1], "a": [2], "b": [2]}',
+        "type": '{"type": "cm2", "a": [1], "b": [2], "type": "gor3", "d": 1}',
+    }
+
+    @pytest.mark.parametrize("verb", ["validate", "compute"])
+    @pytest.mark.parametrize("key", list(DOCS))
+    def test_duplicate_key_exits_2(self, capsys, tmp_path, verb, key):
+        path = tmp_path / "doc.json"
+        path.write_text(self.DOCS[key])
+        code, out, err = run(capsys, verb, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: duplicate key {key!r} in a JSON object\n"
+
+
 # Strings with non-ASCII, quote, backslash and control characters.
 json_strings = st.text(
     st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\xe9'), max_size=8
@@ -534,6 +553,18 @@ class TestOutFile:
                 "--format", fmt, "--out", str(target),
             )
             assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--cm2", "--a", "1", "--b", "1"),
+        ("compute", "--cm2", "--a", "1", "--b", "1"),
+        ("oracle-check", "--cm2", "--a", "1", "--b", "1"),
+        ("sweep", "--cm2", "--t-max", "1", "--entry-max", "2", "--format", "csv"),
+        ("hunt", "--target", "prop24_bound", "--t-max", "1", "--entry-max", "2"),
+    ])
+    def test_empty_name_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "error: --out needs a file name\n"
 
     def test_directory_target_exits_2(self, capsys, tmp_path):
         code, _, err = run(

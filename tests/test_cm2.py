@@ -3,10 +3,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from degmult import betti, cm2, oracle
+from degmult import betti, cm2, oracle, sweep
 from degmult.errors import InternalMismatch, InvalidDiagonal, NotMonotone
 
-from bruteforce import degree_grid, extend_from, hs_identities, naive_colength, uv_two_pass
+from bruteforce import (
+    brute_cm2, degree_grid, extend_from, hs_identities, naive_colength, sorted_degrees, uv_two_pass,
+)
 from strategies import cm2_matrices
 
 EX25 = cm2.validate([2, 2, 1], [2, 2, 1])  # the 3x4 matrix of 2's over 1's
@@ -269,6 +271,30 @@ class TestWitness:
     def test_formula(self):
         w = cm2.witness_monomial_ideal(cm2.validate([1, 1], [2, 1]))
         assert w.gens == ((0, 3), (1, 1), (2, 0))
+
+
+class TestDegreeOrder:
+    """The degree lists come out ascending by construction; the reference
+    sums each degree term by term and sorts."""
+
+    def test_degrees(self):
+        for A in brute_cm2(3, 5):
+            assert cm2.degrees(A) == sorted_degrees(A)
+
+    def test_child_degrees(self):
+        for A in brute_cm2(3, 5):
+            lists = sorted_degrees(A)
+            for a, b in sweep._appended(A.b[-1], 5):
+                e, f = cm2.child_degrees(lists, sum(A.a), a, b)
+                assert (tuple(e), tuple(f)) == sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
+
+    @given(cm2_matrices(max_t=40), st.data())
+    def test_long_matrices(self, A, data):
+        a = data.draw(st.integers(1, A.b[-1]))
+        b = data.draw(st.integers(a, a + 5))
+        assert cm2.degrees(A) == sorted_degrees(A)
+        e, f = cm2.child_degrees(cm2.degrees(A), sum(A.a), a, b)
+        assert (tuple(e), tuple(f)) == sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
 
 
 class TestExtend:

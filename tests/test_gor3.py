@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from degmult import betti, cm2, gor3
 from degmult.errors import CenterTooSmall, NotMonotone
 
-from bruteforce import extend_from, quotient_values
+from bruteforce import brute_gor3, extend_from, quotient_values, sorted_gor3_steps
 from strategies import gor3_matrices
 
 CI_225 = gor3.validate([2], [2], 5)
@@ -82,6 +82,24 @@ class TestBettiTable:
     def test_three_linear_forms(self):
         t = gor3.betti_table(gor3.validate([1], [1], 1))
         assert t.steps == (((1, 3),), ((2, 3),), ((3, 1),))
+
+
+def shift_lists(table):
+    """Steps 1 and 2 of a table as shift lists, each shift repeated by its
+    rank, in the table's order."""
+    return tuple([shift for shift, rank in step for _ in range(rank)] for step in table.steps[:2])
+
+
+class TestStepOrder:
+    """Step 1 comes out ascending with no sort; the reference sorts it."""
+
+    def test_small_range(self):
+        for G in brute_gor3(2, 4):
+            assert shift_lists(gor3.betti_table(G)) == sorted_gor3_steps(G)
+
+    @given(gor3_matrices(max_t=40))
+    def test_long_matrices(self, G):
+        assert shift_lists(gor3.betti_table(G)) == sorted_gor3_steps(G)
 
 
 def linkage(G):
