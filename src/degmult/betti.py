@@ -17,7 +17,6 @@ derivatives, no floats, no factorial overflow.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import ge, mul, neg, sub
@@ -109,9 +108,20 @@ class BettiTable:
 
 def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The (shift, rank) pairs of an ascending shift list, equal shifts
-    counted together; a Counter keeps its keys in first-seen order, which
-    is ascending here."""
-    return tuple(Counter(shifts).items())
+    counted together in one run-length pass (less time than a Counter
+    takes on lists of 5 and of 300 entries alike)."""
+    runs = []
+    prev, n = None, 0
+    for shift in shifts:
+        if shift != prev:
+            if n:
+                runs.append((prev, n))
+            prev, n = shift, 1
+        else:
+            n += 1
+    if n:
+        runs.append((prev, n))
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -231,16 +241,15 @@ def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tupl
 
 def shift_summary(table: BettiTable) -> ShiftSummary:
     """Per-step minimal and maximal shifts."""
+    steps = table.steps
     return ShiftSummary(
-        m=tuple(step[0][0] for step in table.steps),
-        M=tuple(step[-1][0] for step in table.steps),
-    )
+        tuple([step[0][0] for step in steps]), tuple([step[-1][0] for step in steps]))
 
 
 def summary_purity(s: ShiftSummary) -> Purity:
     """Purity (m_i = M_i at every step) and quasi-purity (m_i >= M_{i-1})
     of the table whose :func:`shift_summary` is s."""
-    return Purity(pure=s.m == s.M, quasi_pure=all(map(ge, s.m[1:], s.M)))
+    return Purity(s.m == s.M, all(map(ge, s.m[1:], s.M)))
 
 
 def huneke_miller(table: BettiTable, s: ShiftSummary | None = None) -> int:

@@ -24,16 +24,12 @@ class BoundVerdict(namedtuple("_BoundVerdict", "name lhs relation rhs factor")):
 
     ``lhs`` is the cleared multiple of the multiplicity, ``rhs`` the
     bound expression, ``relation`` ">=" or "<=", and ``factor`` the
-    denominator that was cleared.  A named tuple, cheap to build, as a
-    sweep builds several per instance.
+    denominator that was cleared.  A plain named tuple, cheap to build,
+    as a sweep builds five per instance; only the bound functions below
+    build verdicts, each with a constant relation.
     """
 
     __slots__ = ()
-
-    def __new__(cls, name: str, lhs: int, relation: str, rhs: int, factor: int):
-        if relation not in (">=", "<="):
-            raise ValueError(f"relation must be >= or <=, got {relation!r}")
-        return tuple.__new__(cls, (name, lhs, relation, rhs, factor))
 
     @property
     def holds(self) -> bool:
@@ -77,10 +73,13 @@ class Prop24Verdict(NamedTuple):
 def hhs_bounds(shifts: ShiftSummary, e: int) -> tuple[BoundVerdict, BoundVerdict]:
     """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!,
     with p the number of steps of the shifts."""
-    fact = math.factorial(len(shifts.m))
-    lower = BoundVerdict("hhs_lower", fact * e, ">=", math.prod(shifts.m), fact)
-    upper = BoundVerdict("hhs_upper", fact * e, "<=", math.prod(shifts.M), fact)
-    return lower, upper
+    m, M = shifts
+    if len(m) == 2:  # codimension 2, a sweep's commonest case, in plain arithmetic
+        fact, low, high = 2, m[0] * m[1], M[0] * M[1]
+    else:
+        fact, low, high = math.factorial(len(m)), math.prod(m), math.prod(M)
+    return (BoundVerdict("hhs_lower", fact * e, ">=", low, fact),
+            BoundVerdict("hhs_upper", fact * e, "<=", high, fact))
 
 
 def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
@@ -111,6 +110,16 @@ def gor3_bounds(m1: int, m2: int, m3: int, e: int) -> tuple[BoundVerdict, BoundV
     return lower, upper
 
 
+def prop24_hypotheses(
+    A: cm2mod.DegreeMatrixCM2, s: cm2mod.ShiftsCM2
+) -> tuple[bool, bool, int | None]:
+    """The hypothesis flags and margin of :func:`prop24_bound`, which read
+    no e: (hyp_i, hyp_ii, a_1 - 2 b_1 + 1 or None when t = 1).  The margin
+    is never positive (see :func:`prop24_bound`), so hyp_ii is margin = 0."""
+    margin = A.a[0] - 2 * A.b[0] + 1 if len(A.a) >= 2 else None
+    return s.m2 - s.M1 >= 2, margin == 0, margin
+
+
 def prop24_bound(
     A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2 | None = None
 ) -> Prop24Verdict:
@@ -132,12 +141,16 @@ def prop24_bound(
     down a column by a_{i+1} - b_i <= 0 from row i to i+1: rows
     increase and columns decrease.  The smallest entry is therefore the
     bottom-left one, sum(a) - sum(b[:-1]) = m2 - M1, and the (1,2)
-    entry is b_1.  ``s`` is the shifts of A if the caller already holds them.
+    entry is b_1.
+
+    Hypothesis (ii) has a closed form: it holds iff t >= 2 and
+    a_1 = b_1 = 1.  Since b_1 >= a_1 >= 1, the margin is
+    a_1 - 2 b_1 + 1 <= 1 - a_1 <= 0, with equality throughout iff
+    b_1 = a_1 = 1; so it is nonnegative iff it is 0, iff a_1 = b_1 = 1.
+    ``s`` is the shifts of A if the caller already holds them.
     """
     s = cm2mod.shifts(A) if s is None else s
-    hyp_i = s.m2 - s.M1 >= 2
-    margin = A.a[0] - 2 * A.b[0] + 1 if A.t >= 2 else None
-    hyp_ii = margin is not None and margin >= 0
+    hyp_i, hyp_ii, margin = prop24_hypotheses(A, s)
     rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
     verdict = BoundVerdict("prop24_upper", 2 * e, "<=", rhs, 2)
     return Prop24Verdict(hyp_i=hyp_i, hyp_ii=hyp_ii, hyp_ii_margin=margin, verdict=verdict)
@@ -177,4 +190,4 @@ def sharpness(lower: BoundVerdict, upper: BoundVerdict, pure: bool) -> Sharpness
             f"sharpness/purity flags disagree: lower={lower_sharp}, "
             f"upper={upper_sharp}, pure={pure} for {lower} and {upper}"
         )
-    return SharpnessVerdict(lower_sharp=lower_sharp, upper_sharp=upper_sharp, pure=pure)
+    return SharpnessVerdict(lower_sharp, upper_sharp, pure)

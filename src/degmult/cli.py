@@ -248,7 +248,7 @@ def _routes(ev: sweep.Evaluation) -> dict[str, int]:
 def _compute_matrix(ev: sweep.Evaluation) -> dict:
     routes = _routes(ev)
     result = {
-        "instance": ev.inst,
+        "instance": ev.instance.to_json_dict(),
         "shifts": ev.shifts._asdict(),
         "pure": ev.purity.pure,
         "quasi_pure": ev.purity.quasi_pure,
@@ -259,7 +259,7 @@ def _compute_matrix(ev: sweep.Evaluation) -> dict:
         result["prop24"] = ev.prop24_flags
     else:
         result["srinivasan_quasi_pure"] = ev.srinivasan[2]
-    result["sharpness"] = ev.sharpness._asdict()
+    result["sharpness"] = bounds.sharpness(*ev.hhs, ev.purity.pure)._asdict()
     return result
 
 

@@ -21,9 +21,10 @@ u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's shifts, multiplicity and degree lists, and then checks each
-appended (a, b) on the child's degree lists alone
-(:func:`child_degrees`: the base's lists shifted by b, each led by
-its one new degree), with no child matrix or table.  :func:`extend`
+appended (a, b) on the child's degree lists alone (as
+:func:`child_degrees` forms them: the base's lists shifted by b, each
+led by its one new degree), with no child matrix or table; a run of
+children with the same b shares one shifted copy.  :func:`extend`
 binds it to one matrix and one pair; it stays only for the benchmark's
 replay of the cm2 sweep (``benchmarks/worker.py``).
 """
@@ -59,6 +60,15 @@ class DegreeMatrixCM2:
                 raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 1} = {a[i]}")
             if i + 1 < len(a) and bi < a[i + 1]:
                 raise NotMonotone(f"b_{i + 1} = {bi} < a_{i + 2} = {a[i + 1]}")
+
+    @classmethod
+    def unchecked(cls, a: tuple[int, ...], b: tuple[int, ...]) -> DegreeMatrixCM2:
+        """The matrix (a, b), built without the checks: only for matrices
+        valid by construction, as the sweep's enumerator forms them."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "a", a)
+        object.__setattr__(A, "b", b)
+        return A
 
     @property
     def t(self) -> int:
@@ -115,19 +125,21 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
     must be (e_1, e_m, f_1, f_(m-1)) = (sum(v), sum(u), sum(v) + u_1,
     sum(u) + v_(m-1)).  Raises InternalMismatch otherwise.
     """
-    head = tail = prev = total = 0  # head = u_1 + .. + u_i, tail = v_1 + .. + v_i
-    for i in range(len(e) - 1):
-        fi = f[i]
-        ui = fi - e[i]
-        vi = fi - e[i + 1]
+    head = tail = prev = total = i = 0  # head = u_1 + .. + u_i, tail = v_1 + .. + v_i
+    ei = e[0]
+    for fi, ej in zip(f, e[1:]):  # ei = e_i, ej = e_(i+1)
+        i += 1
+        ui = fi - ei
+        vi = fi - ej
         if not ui >= vi >= 0:
-            raise InternalMismatch(f"u_i >= v_i >= 0 fails at i={i + 1}: e={e}, f={f}")
+            raise InternalMismatch(f"u_i >= v_i >= 0 fails at i={i}: e={e}, f={f}")
         if ui < prev:
-            raise InternalMismatch(f"u_(i+1) >= v_i fails at i={i}: e={e}, f={f}")
+            raise InternalMismatch(f"u_(i+1) >= v_i fails at i={i - 1}: e={e}, f={f}")
         prev = vi
         head += ui
         tail += vi
         total += vi * head
+        ei = ej
     extremes = (e[0], e[-1], f[0], f[-1])
     if extremes != (tail, head, tail + f[0] - e[0], head + prev):
         raise InternalMismatch(
@@ -156,11 +168,11 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     Generators x^(a_1+..+a_j) y^(b_{j+1}+..+b_t) for j = 0..t; the
     exponents are strictly monotone, so the generating set is minimal
     and contains pure powers of both variables: it is already the
-    canonical staircase, which its constructor checks.
+    canonical staircase, built without the constructor's checks.
     """
     xs = accumulate(A.a, initial=0)
     ys = reversed(list(accumulate(reversed(A.b), initial=0)))
-    return oracle.MonomialStaircase(tuple(zip(xs, ys)))
+    return oracle.MonomialStaircase.unchecked(tuple(zip(xs, ys)))
 
 
 def child_degrees(lists: DegreeLists, m1: int, a: int, b: int) -> tuple[list[int], list[int]]:
@@ -180,25 +192,31 @@ def extender(
     shifts are s, multiplicity e and ascending degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
-    b >= a and b_t >= a.  It forms the child's degree lists with
-    :func:`child_degrees` and reads the child's shifts off their ends as
-    (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
-    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's lists.
-    The recursion e' = e + (m1 + a) b must equal the child's own
-    multiplicity from :func:`multiplicity_from_degrees`.  It returns the
-    deltas and e', or raises InternalMismatch.
+    b >= a and b_t >= a.  It forms the child's degree lists as
+    :func:`child_degrees` does, shifting the base's lists by b once for
+    a run of calls with the same b, and reads the child's shifts off
+    their ends as (e_1, f_1, e_m, f_{m-1}); they must equal s plus the
+    deltas (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's
+    lists.  The recursion e' = e + (m1 + a) b must equal the child's
+    own multiplicity from :func:`multiplicity_from_degrees`.  It returns
+    the deltas and e', or raises InternalMismatch.
     """
     m1, m2, M1, M2 = s
     gens, syz = lists
     c = syz[0] - gens[0]
+    last_b = gens_b = syz_b = None
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = child_degrees(lists, m1, a, b)
+        nonlocal last_b, gens_b, syz_b
+        if b != last_b:
+            last_b, gens_b, syz_b = b, [g + b for g in gens], [x + b for x in syz]
+        g1 = m1 + a
+        e2, f2 = [g1, *gens_b], [g1 + b, *syz_b]
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
-        if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas
+        if got != (g1, m2 + deltas[1], M1 + b, M2 + b):  # s + deltas
             raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {got}")
-        recursion = e + (m1 + a) * b
+        recursion = e + g1 * b
         direct = multiplicity_from_degrees(e2, f2)
         if recursion != direct:
             raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")

@@ -40,6 +40,14 @@ class MonomialStaircase:
                 "staircase must contain a pure power of x and of y"
             )
 
+    @classmethod
+    def unchecked(cls, gens: tuple[tuple[int, int], ...]) -> MonomialStaircase:
+        """The staircase of ``gens``, built without the checks: only for
+        staircases the package builds canonical, never for outside input."""
+        staircase = object.__new__(cls)
+        object.__setattr__(staircase, "gens", gens)
+        return staircase
+
     def to_json_dict(self) -> dict:
         return {"type": "monomial2", "gens": [[p, q] for p, q in self.gens]}
 

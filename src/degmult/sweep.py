@@ -6,12 +6,15 @@ is verified on it.  Violations are collected as data, never raised, so
 a report always comes back; a nonempty anomaly list means either an
 implementation bug (all the checked identities are theorems) or, for
 the hunted open questions, a genuine discovery.  Every verb reads an
-instance through one :class:`Evaluation`, which computes each part on
-first use, so a verb pays only for what it reads; sweeps and hunts
-stream the enumeration through one ordered driver.  A sweep resolves
-its enabled check methods once, and each instance hands back its
-finished CSV line.  Reports are deterministic: byte-identical across
-runs and across worker counts, so wall-clock runtime is kept off them.
+instance through one :class:`Evaluation`, whose facts come in two
+tiers, each computed once in dependency order: the value tier (shifts,
+degree lists, routes, e), all a hunt reads, and the table tier (Betti
+table, shift summary, purity, bound verdicts).  Sweeps and hunts
+stream the enumeration through one ordered driver; a sweep makes one
+pass per instance, running the enabled checks as plain code and
+rendering the family's CSV line with one f-string.  Reports are
+deterministic: byte-identical across runs and across worker counts,
+so wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
-from operator import itemgetter
+from operator import lt
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -29,7 +32,6 @@ from .betti import ShiftSummary
 from .bounds import BoundVerdict
 from .errors import (
     CharacterizationViolated,
-    DegmultError,
     DivisibilityError,
     DivisionError,
     InternalMismatch,
@@ -51,10 +53,6 @@ SWEEP_CSV_COLUMNS = (
     "prop24_hyp_i", "prop24_hyp_ii", "prop24_holds",
     "srinivasan_lower_holds", "srinivasan_upper_holds",
 )
-
-# The sweep CSV columns every family fills, in Evaluation.csv_line's order.
-_SHARED_COLUMNS = tuple("family t a b e pure quasi_pure hhs_lower_holds hhs_lower_sharp "
-                        "hhs_upper_holds hhs_upper_sharp".split())
 
 HUNT_CSV_COLUMNS = (
     "target", "family", "t", "a", "b", "d",
@@ -179,7 +177,7 @@ def enumerate_cm2(t_max: int, entry_max: int) -> Iterator[cm2.DegreeMatrixCM2]:
     """All valid matrices with t <= t_max, entries <= entry_max, (a, b)-lex order.
 
     The b-ranges start at max(a_i, a_{i+1}), so only valid matrices are
-    ever formed; no generate-and-filter.
+    ever formed, with no generate-and-filter and no re-check.
     """
     for t in range(1, t_max + 1):
         for a in product(range(1, entry_max + 1), repeat=t):
@@ -187,7 +185,7 @@ def enumerate_cm2(t_max: int, entry_max: int) -> Iterator[cm2.DegreeMatrixCM2]:
                 max(a[i], a[i + 1]) if i + 1 < t else a[i] for i in range(t)
             ]
             for b in product(*(range(lo, entry_max + 1) for lo in lows)):
-                yield cm2.DegreeMatrixCM2(a, b)
+                yield cm2.DegreeMatrixCM2.unchecked(a, b)
 
 
 def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3]:
@@ -197,73 +195,40 @@ def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3
             yield gor3.DegreeMatrixGor3(base, d)
 
 
-def _cells(verdicts: tuple[BoundVerdict, BoundVerdict]) -> tuple[bool, ...]:
-    """The holds and sharp CSV cells of a lower and an upper verdict."""
-    lower, upper = verdicts
-    return lower.holds, lower.sharp, upper.holds, upper.sharp
+# A CSV cell's text for each flag, and blank where no value was bounded.
+_FLAG = {True: "true", False: "false", None: ""}
 
 
-def _csv_layout(names: str) -> Callable[[tuple], tuple]:
-    """The function putting a row's cells, one per shared column and then
-    one per column in ``names``, in SWEEP_CSV_COLUMNS order; the columns
-    neither names are left None, and a row of any other length raises."""
-    columns = _SHARED_COLUMNS + tuple(names.split())
-    if not set(columns) <= set(SWEEP_CSV_COLUMNS) or len(set(columns)) < len(columns):
-        raise ValueError(f"not distinct sweep CSV columns: {columns}")
-    n = len(columns)
-    pick = itemgetter(*(columns.index(c) if c in columns else n for c in SWEEP_CSV_COLUMNS))
-
-    def layout(cells: tuple) -> tuple:
-        if len(cells) != n:
-            raise ValueError(f"{len(cells)} cells for {n} CSV columns")
-        return pick((*cells, None))
-
-    return layout
+def _verdict_cells(pair: tuple[BoundVerdict, BoundVerdict] | None) -> str:
+    """The holds and sharp CSV cells of a lower and an upper verdict,
+    or four blank cells when there is no value to bound."""
+    if pair is None:
+        return ",,,"
+    lower, upper = pair
+    return f"{_FLAG[lower.holds]},{_FLAG[lower.sharp]},{_FLAG[upper.holds]},{_FLAG[upper.sharp]}"
 
 
-def _failed(verdicts: tuple[BoundVerdict, ...]) -> Iterator[tuple]:
-    return ((f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds)
-
-
-def _appended(cap: int, entry_max: int) -> Iterator[tuple[int, int]]:
-    """The (a, b) pairs the extension check appends to a block ending in b_t = cap."""
-    for b in range(1, entry_max + 1):
-        for a in range(1, min(b, cap) + 1):
-            yield a, b
-
-
-class lazy:
-    """An attribute computed by ``fn`` on first read and then stored on
-    the instance, as :class:`functools.cached_property` does, but
-    without the lock that one takes on each first read before Python
-    3.12.  If ``fn`` raises, nothing is stored and the next read calls
-    it again.  Evaluations are never shared between threads.
-    """
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
+def _failed(check: str, verdicts: tuple[BoundVerdict, ...]) -> list[tuple]:
+    return [(check, f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds]
 
 
 class Evaluation:
-    """Everything a verb may read about one matrix, each part computed on
-    first use and then kept.
+    """Everything a verb reads about one matrix, as plain attributes in
+    two tiers, each filled by one method in dependency order.
 
-    ``ROUTES`` maps each multiplicity route to the function computing it,
-    the value route first; a route that fails holds its exception in
-    place of a value.  ``CHECKS``, the family's one table of anomaly
-    checks, is in report order; check ``name`` is the generator method
-    ``_name``, yielding the two disagreeing sides of each failure.
-    ``FINDINGS`` names the open bounds a sweep reports as findings.
+    The value tier, :meth:`values`, holds ``shifts``, the block's
+    ascending ``degrees``, ``routes`` and ``e``.  ``ROUTES`` maps each
+    multiplicity route to the function computing it, the value route
+    first; a route that fails holds its exception in place of a value.
+    The other routes run only when asked for or when the value route
+    fails, and ``e`` is the first value in route order, or None when
+    every route failed.  The table tier, :meth:`tables`, holds the Betti
+    ``table``, its ``summary`` and ``purity``, and the bound verdicts,
+    None without a value.  A hunt reads the value tier alone.
+
+    ``CHECKS``, the family's one table of anomaly checks, is in report
+    order, and ``FINDINGS`` names the open bounds a sweep reports as
+    findings; :meth:`sweep_row` runs the enabled ones as plain code.
     """
 
     family: str
@@ -273,155 +238,137 @@ class Evaluation:
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
     FINDINGS: tuple[str, ...]
-    csv_layout: Callable[[tuple], tuple]
+    # Set by the value tier when a route after the value route reads it.
+    table: betti.BettiTable | None = None
 
     def __init__(self, instance) -> None:
         self.instance = instance
-        self._routes: dict[str, int | DegmultError] = {}
 
-    def route(self, name: str) -> int | DegmultError:
-        if name not in self._routes:
+    def values(self, every_route: bool) -> None:
+        """The value tier; later routes run if ``every_route``, else until one gives a value."""
+        self.shifts = self.MODULE.shifts(self.instance)
+        self.degrees = cm2.degrees(self.block)
+        self.e = None
+        routes = self.routes = {}
+        for name, route in self.ROUTES.items():
+            if len(routes) == 1:
+                self._route_inputs()
             try:
-                self._routes[name] = self.ROUTES[name](self)
+                value = routes[name] = route(self)
             except (InternalMismatch, DivisionError) as exc:
-                self._routes[name] = exc
-        return self._routes[name]
+                routes[name] = exc
+                continue
+            if self.e is None:
+                self.e = value
+                if not every_route:
+                    break
 
-    @property
-    def routes(self) -> dict[str, int | DegmultError]:
-        return {name: self.route(name) for name in self.ROUTES}
+    def _route_inputs(self) -> None:
+        """What the routes after the value route read: the Betti table."""
+        self.table = self.MODULE.betti_table(self.instance, self.degrees)
 
-    @lazy
-    def e(self) -> int:
-        """The value route, or should it fail the first other route that succeeds."""
-        for name in self.ROUTES:
-            value = self.route(name)
-            if isinstance(value, int):
-                return value
-        raise value
+    def tables(self) -> None:
+        """The table tier, read after :meth:`values`."""
+        if self.table is None:
+            self.table = self.MODULE.betti_table(self.instance, self.degrees)
+        self.summary = betti.shift_summary(self.table)
+        self.purity = betti.summary_purity(self.summary)
+        self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
+        self._verdicts()
 
-    @lazy
-    def inst(self) -> dict:
-        return self.instance.to_json_dict()
+    def _hunted_value(self) -> int:
+        """The value tier's e for a hunt, which files no anomalies: with
+        no value the last route's failure is raised."""
+        self.values(False)
+        if self.e is None:
+            raise list(self.routes.values())[-1]
+        return self.e
 
-    @lazy
-    def shifts(self) -> cm2.ShiftsCM2 | gor3.ShiftsGor3:
-        return self.MODULE.shifts(self.instance)
-
-    @lazy
-    def degrees(self) -> cm2.DegreeLists:
-        """The block's ascending degree lists, shared by the Betti table, the
-        extension kernel and, for cm2, the uv route."""
-        return cm2.degrees(self.block)
-
-    @lazy
-    def table(self) -> betti.BettiTable:
-        return self.MODULE.betti_table(self.instance, self.degrees)
-
-    @lazy
-    def summary(self) -> ShiftSummary:
-        return betti.shift_summary(self.table)
-
-    @lazy
-    def purity(self) -> betti.Purity:
-        return betti.summary_purity(self.summary)
-
-    @lazy
-    def extremes(self) -> ShiftSummary:
-        """The shifts computed from the matrix, as a ShiftSummary."""
-        return ShiftSummary(m=self.shifts[: self.codim], M=self.shifts[self.codim:])
-
-    @lazy
-    def hhs(self) -> tuple[BoundVerdict, BoundVerdict]:
-        return bounds.hhs_bounds(self.summary, self.e)
-
-    @lazy
-    def sharpness(self) -> bounds.SharpnessVerdict:
-        return bounds.sharpness(*self.hhs, self.purity.pure)
-
-    @classmethod
-    def check_methods(cls, checks: tuple[str, ...], entry_max: int) -> tuple[tuple, bool]:
-        """(name, method) of each enabled anomaly check, in the order
-        ``checks`` names them and with what a check reads of the sweep
-        bound to it, and whether findings are on; a sweep resolves them once."""
-        methods = {name: getattr(cls, f"_{name}") for name in checks if name not in cls.FINDINGS}
-        if "extension" in methods:
-            methods["extension"] = partial(cls._extension, entry_max=entry_max)
-        return tuple(methods.items()), not set(cls.FINDINGS).isdisjoint(checks)
-
-    def anomalies(self, methods: tuple) -> tuple[Anomaly, ...]:
-        """Failures of the enabled checks, run by their :meth:`check_methods`;
-        disabled ones compute nothing."""
-        return tuple(
-            Anomaly(self.inst, name, str(lhs), str(rhs))
-            for name, method in methods for lhs, rhs in method(self)
+    def sweep_row(self, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
+        """(CSV line or None, anomalies, sharp case, finding or None): one
+        pass over the instance for a sweep whose checks are the keys of
+        ``order``, each mapped to its place in the report."""
+        self.values("multiplicity_agreement" in order)
+        self.tables()
+        found = self._anomalies(order, entry_max)
+        anomalies = ()
+        if found:
+            inst = self.instance.to_json_dict()
+            found.sort(key=lambda x: order.get(x[0], -1))
+            anomalies = tuple(Anomaly(inst, check, str(lhs), str(rhs)) for check, lhs, rhs in found)
+        pure = self.e is not None and self.purity.pure
+        return (
+            self.csv_line() if csv else None,
+            anomalies,
+            {"instance": self.instance.to_json_dict(), "e": self.e} if pure else None,
+            self._finding(order),
         )
 
-    def _multiplicity_agreement(self) -> Iterator[tuple]:
-        routes = self.routes
-        for name, value in routes.items():
-            if not isinstance(value, int):
-                yield f"{name} route", value
-        (first, value), *others = routes.items()
-        if isinstance(value, int):
-            for name, other in others:
-                if isinstance(other, int) and other != value:
-                    yield f"{first}={value}", f"{name}={other}"
+    def _anomalies(self, on: dict[str, int], entry_max: int) -> list[tuple]:
+        """(check, lhs, rhs) of each failure of the checks in ``on``.  An
+        instance with no value files its failed routes under
+        multiplicity_agreement, enabled or not, and every check that
+        reads e skips it."""
+        found = []
+        e, routes = self.e, self.routes
+        # One distinct value among the routes means they all agree.
+        if e is None or ("multiplicity_agreement" in on and len(set(routes.values())) > 1):
+            found += [("multiplicity_agreement", f"{name} route", value)
+                      for name, value in routes.items() if not isinstance(value, int)]
+            (first, value), *others = routes.items()
+            if isinstance(value, int):
+                found += [("multiplicity_agreement", f"{first}={value}", f"{name}={other}")
+                          for name, other in others if isinstance(other, int) and other != value]
+        if "shift_agreement" in on:
+            m, M = self.shifts[: self.codim], self.shifts[self.codim:]
+            if self.summary != (m, M):
+                found.append(("shift_agreement", self.shifts, self.summary))
+            if not (all(map(lt, m, m[1:])) and all(map(lt, M, M[1:]))):
+                found.append(("shift_agreement", "strictly increasing shifts", self.shifts))
+        if e is not None:
+            if "hhs_bounds" in on:
+                found += _failed("hhs_bounds", self.hhs)
+            if f"{self.family}_bounds" in on:
+                found += _failed(f"{self.family}_bounds", self.sharper)
+            if "sharpness_purity" in on:
+                try:
+                    bounds.sharpness(*self.hhs, self.purity.pure)
+                except CharacterizationViolated as exc:
+                    found.append(("sharpness_purity", "flags", exc))
+            if "huneke_miller" in on and self.purity.pure:
+                try:
+                    hm = betti.huneke_miller(self.table, self.summary)
+                except DivisibilityError as exc:
+                    found.append(("huneke_miller", "pure-shift formula", exc))
+                else:
+                    if hm != e:
+                        found.append(("huneke_miller", hm, e))
+        if "extension" in on:
+            self._extension(entry_max, found)
+        return found
 
-    def _shift_agreement(self) -> Iterator[tuple]:
-        if self.summary != self.extremes:
-            yield self.shifts, self.summary
-        if not all(x < y for seq in self.extremes for x, y in zip(seq, seq[1:])):
-            yield "strictly increasing shifts", self.shifts
-
-    def _hhs_bounds(self) -> Iterator[tuple]:
-        return _failed(self.hhs)
-
-    def _sharpness_purity(self) -> Iterator[tuple]:
-        try:
-            self.sharpness
-        except CharacterizationViolated as exc:
-            yield "flags", exc
-
-    def _huneke_miller(self) -> Iterator[tuple]:
-        if not self.purity.pure:
+    def _extension(self, entry_max: int, found: list) -> None:
+        """Every appended pair (a, b), b-major, through the family's
+        extension kernel, bound once to the base values; skipped when the
+        value route failed."""
+        value = next(iter(self.routes.values()))
+        if not isinstance(value, int):
             return
-        try:
-            hm = betti.huneke_miller(self.table, self.summary)
-        except DivisibilityError as exc:
-            yield "pure-shift formula", exc
-            return
-        if hm != self.e:
-            yield hm, self.e
+        child = self._extender(value)
+        cap = self.block.b[-1]
+        for b in range(1, entry_max + 1):
+            for a in range(1, min(b, cap) + 1):
+                try:
+                    child(a, b)
+                except (InternalMismatch, DivisionError) as exc:
+                    found.append(("extension", f"append (a={a}, b={b})", exc))
 
-    def _extension(self, entry_max: int) -> Iterator[tuple]:
-        """Every appended pair through the family's extension kernel, bound
-        once to the base values; skipped when the value route failed."""
-        e = self.route(next(iter(self.ROUTES)))
-        if not isinstance(e, int):
-            return
-        extend = self._extender(e)
-        for a, b in _appended(self.block.b[-1], entry_max):
-            try:
-                extend(a, b)
-            except (InternalMismatch, DivisionError) as exc:
-                yield f"append (a={a}, b={b})", exc
-
-    def sharp_case(self) -> dict | None:
-        return {"instance": self.inst, "e": self.e} if self.purity.pure else None
-
-    def csv_line(self) -> str:
-        """The sweep CSV line: the shared cells, then the family's, put in
-        SWEEP_CSV_COLUMNS order by the family's :func:`_csv_layout`."""
-        block, pur = self.block, self.purity
-        return _csv_line(self.csv_layout((
-            self.family, block.t, " ".join(map(str, block.a)), " ".join(map(str, block.b)),
-            self.e, pur.pure, pur.quasi_pure, *_cells(self.hhs), *self._family_cells(),
-        )))
+    def _finding(self, on: dict[str, int]) -> dict | None:
+        return None
 
     def _candidate(self, v: BoundVerdict) -> dict:
         return {
-            "instance": self.inst,
+            "instance": self.instance.to_json_dict(),
             **self.shifts._asdict(),
             "e": self.e,
             "lhs": v.lhs,
@@ -445,17 +392,15 @@ class CM2Evaluation(Evaluation):
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ("prop24",)
-    csv_layout = staticmethod(_csv_layout(
-        "m1 m2 M1 M2 cm2_lower_holds cm2_lower_sharp cm2_upper_holds cm2_upper_sharp "
-        "prop24_hyp_i prop24_hyp_ii prop24_holds"))
 
-    @lazy
-    def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
-        return bounds.cm2_bounds(*self.shifts, self.e)
+    @property
+    def block(self) -> cm2.DegreeMatrixCM2:
+        return self.instance
 
-    @lazy
-    def prop24(self) -> bounds.Prop24Verdict:
-        return bounds.prop24_bound(self.instance, self.e, self.shifts)
+    def _verdicts(self) -> None:
+        e = self.e
+        self.sharper = None if e is None else bounds.cm2_bounds(*self.shifts, e)
+        self.prop24 = None if e is None else bounds.prop24_bound(self.instance, e, self.shifts)
 
     @property
     def prop24_flags(self) -> dict:
@@ -466,30 +411,32 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _cm2_bounds(self) -> Iterator[tuple]:
-        return _failed(self.sharper)
-
-    @property
-    def block(self) -> cm2.DegreeMatrixCM2:
-        return self.instance
-
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
         return cm2.extender(self.shifts, e, self.degrees)
 
-    def finding(self) -> dict | None:
-        if self.prop24.bound_holds:
+    def _finding(self, on: dict[str, int]) -> dict | None:
+        if "prop24" not in on or self.prop24 is None or self.prop24.bound_holds:
             return None
         v = self.prop24.verdict
-        return {"instance": self.inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
+        inst = self.instance.to_json_dict()
+        return {"instance": inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
 
-    def _family_cells(self) -> tuple:
-        """The CSV cells of the family's columns, in :attr:`csv_layout` order."""
+    def csv_line(self) -> str:
+        A, (m1, m2, M1, M2), pur, e = self.instance, self.shifts, self.purity, self.e
         p24 = self.prop24
-        return (*self.shifts, *_cells(self.sharper), p24.hyp_i, p24.hyp_ii, p24.bound_holds)
+        hyp_i, hyp_ii, _ = bounds.prop24_hypotheses(A, self.shifts) if p24 is None else p24[:3]
+        holds = None if p24 is None else p24.verdict.holds
+        return (
+            f"cm2,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},,"
+            f"{m1},{m2},,{M1},{M2},,{'' if e is None else e},"
+            f"{_FLAG[pur.pure]},{_FLAG[pur.quasi_pure]},{_verdict_cells(self.hhs)},"
+            f"{_verdict_cells(self.sharper)},,,,,{_FLAG[hyp_i]},{_FLAG[hyp_ii]},{_FLAG[holds]},,\n"
+        )
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of the prop24 bound, optionally only under a hypothesis."""
-        p24 = self.prop24
+        e = self._hunted_value()
+        p24 = self.prop24 = bounds.prop24_bound(self.instance, e, self.shifts)
         if p24.bound_holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
             return None
         return {**self._candidate(p24.verdict), **self.prop24_flags}
@@ -510,52 +457,58 @@ class Gor3Evaluation(Evaluation):
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ()
-    csv_layout = staticmethod(_csv_layout(
-        "d m1 m2 m3 M1 M2 M3 gor3_lower_holds gor3_lower_sharp gor3_upper_holds "
-        "gor3_upper_sharp srinivasan_lower_holds srinivasan_upper_holds"))
-
-    @lazy
-    def block_curve(self) -> tuple[int, int]:
-        """(e(R/J), g) of the block curve, shared by the linkage route and
-        the extension check."""
-        return gor3.block_curve(self.instance)
-
-    @lazy
-    def sharper(self) -> tuple[BoundVerdict, BoundVerdict]:
-        return bounds.gor3_bounds(*self.shifts[:3], self.e)
-
-    @lazy
-    def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool]:
-        return bounds.srinivasan_bounds(self.extremes, self.e)
-
-    @property
-    def verdicts(self) -> tuple[BoundVerdict, ...]:
-        return (*self.hhs, *self.sharper, *self.srinivasan[:2])
-
-    def _self_duality(self) -> Iterator[tuple]:
-        """Step-1 shifts inside (0, m3); shift_agreement compares m3 itself."""
-        step1, m3 = self.table.steps[0], self.shifts.m3
-        if not all(0 < shift < m3 for shift, _ in step1):
-            yield "step-1 shifts inside (0, m3)", step1
-
-    def _gor3_bounds(self) -> Iterator[tuple]:
-        return _failed(self.sharper)
+    # (e(R/J), g) of the block curve, shared by the linkage route and the
+    # extension check; set by whichever of them runs first.
+    block_curve: tuple[int, int] | None = None
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
         return self.instance.base
 
+    def _route_inputs(self) -> None:
+        super()._route_inputs()
+        self.block_curve = gor3.block_curve(self.instance)
+
+    def _verdicts(self) -> None:
+        e = self.e
+        extremes = ShiftSummary(m=self.shifts[:3], M=self.shifts[3:])
+        self.sharper = None if e is None else bounds.gor3_bounds(*self.shifts[:3], e)
+        self.srinivasan = None if e is None else bounds.srinivasan_bounds(extremes, e)
+
+    @property
+    def verdicts(self) -> tuple[BoundVerdict, ...]:
+        return (*self.hhs, *self.sharper, *self.srinivasan[:2])
+
+    def _anomalies(self, on: dict[str, int], entry_max: int) -> list[tuple]:
+        """The shared checks, and self_duality: step-1 shifts inside
+        (0, m3); shift_agreement compares m3 itself."""
+        found = super()._anomalies(on, entry_max)
+        if "self_duality" in on:
+            step1, m3 = self.table.steps[0], self.shifts.m3
+            if not all(0 < shift < m3 for shift, _ in step1):
+                found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
+        return found
+
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
+        if self.block_curve is None:
+            self.block_curve = gor3.block_curve(self.instance)
         return gor3.extender(self.instance, self.shifts, e, self.block_curve, self.degrees)
 
-    def _family_cells(self) -> tuple:
-        """The CSV cells of the family's columns, in :attr:`csv_layout` order."""
-        lower, upper, _ = self.srinivasan
-        return (self.instance.d, *self.shifts, *_cells(self.sharper), lower.holds, upper.holds)
+    def csv_line(self) -> str:
+        G, s, pur, e, sri = self.instance, self.shifts, self.purity, self.e, self.srinivasan
+        A = G.base
+        lower, upper = (None, None) if sri is None else (sri[0].holds, sri[1].holds)
+        return (
+            f"gor3,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},{G.d},"
+            f"{s.m1},{s.m2},{s.m3},{s.M1},{s.M2},{s.M3},{'' if e is None else e},"
+            f"{_FLAG[pur.pure]},{_FLAG[pur.quasi_pure]},{_verdict_cells(self.hhs)},,,,,"
+            f"{_verdict_cells(self.sharper)},,,,{_FLAG[lower]},{_FLAG[upper]}\n"
+        )
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
-        upper = self.srinivasan[1]
+        e = self._hunted_value()
+        upper = bounds.srinivasan_bounds(ShiftSummary(m=self.shifts[:3], M=self.shifts[3:]), e)[1]
         return None if upper.holds else self._candidate(upper)
 
 
@@ -564,10 +517,13 @@ EVALUATIONS: dict[str, type[Evaluation]] = {"cm2": CM2Evaluation, "gor3": Gor3Ev
 
 
 def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluation:
-    """The lazy evaluation of one cm2 or gor3 matrix."""
+    """Both tiers of one cm2 or gor3 matrix, with every route."""
     for cls in EVALUATIONS.values():
         if isinstance(instance, cls.INSTANCE):
-            return cls(instance)
+            ev = cls(instance)
+            ev.values(True)
+            ev.tables()
+            return ev
     raise TypeError(f"cannot evaluate {type(instance).__name__}")
 
 
@@ -602,15 +558,9 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
         yield from pool.imap(fn, items, BATCH)
 
 
-def _sweep_instance(item, cls: type, methods: tuple, findings: bool, csv: bool) -> tuple:
+def _sweep_instance(item, cls: type, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
     """(CSV line or None, anomalies, sharp case, finding or None) of one instance."""
-    ev = cls(item)
-    return (
-        ev.csv_line() if csv else None,
-        ev.anomalies(methods),
-        ev.sharp_case(),
-        ev.finding() if findings else None,
-    )
+    return cls(item).sweep_row(order, entry_max, csv)
 
 
 def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
@@ -619,10 +569,12 @@ def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     anomalies: list[Anomaly] = []
     sharps: list[dict] = []
     findings: list[dict] = []
-    cls = EVALUATIONS[config.family]
-    methods, findings_on = cls.check_methods(config.checks, config.entry_max)
     fn = partial(
-        _sweep_instance, cls=cls, methods=methods, findings=findings_on, csv=stream is not None
+        _sweep_instance,
+        cls=EVALUATIONS[config.family],
+        order={name: i for i, name in enumerate(config.checks)},
+        entry_max=config.entry_max,
+        csv=stream is not None,
     )
     for line, found, sharp, finding in _ordered(fn, config):
         n += 1

@@ -10,18 +10,22 @@ instead of constructive ranges, the basic double link by building
 each child matrix and reading its multiplicity and genus off its dense
 Hilbert quotient instead of shifting the base's degree lists, and the
 u/v multiplicity from explicit u and v lists and a backward pass
-instead of one list-free forward pass, and the degree lists summed
-term by term and sorted instead of built in order.  The
+instead of one list-free forward pass, the degree lists summed
+term by term and sorted instead of built in order, and a sweep's
+CSV line rendered column by column from the columns' definitions
+instead of from an evaluation.  The
 Herzog-Srinivasan summation identities are kept here too, as a
 reference: they telescope for any integer lists, so no sweep check
 reports them.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, product
+from math import factorial, prod
 from operator import add, sub
 
-from degmult import betti, cm2, gor3
+from degmult import betti, cm2, gor3, sweep
 from degmult.errors import DegmultError, DivisionError, InternalMismatch
 
 
@@ -252,3 +256,64 @@ def _extend_gor3(G, s, e, curve, a, b):
     if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
         raise InternalMismatch(f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})")
     return G2, deltas, e2
+
+
+def appended_pairs(cap: int, entry_max: int):
+    """The (a, b) pairs the extension check appends to a block ending in
+    b_t = cap, in its order: b = 1..entry_max, then a = 1..min(b, cap)."""
+    for b in range(1, entry_max + 1):
+        for a in range(1, min(b, cap) + 1):
+            yield a, b
+
+
+def sweep_row(X) -> str:
+    """The sweep CSV line of the cm2 or gor3 matrix X, each column from
+    its definition: the table from the sorted degree lists, e from its
+    dense Hilbert quotient, the shifts as each step's least and greatest
+    shift, and every bound as written in ``degmult.bounds``' docstrings."""
+    gor = isinstance(X, gor3.DegreeMatrixGor3)
+    A = X.base if gor else X
+    if gor:
+        step1, step2 = sorted_gor3_steps(X)
+        m3 = X.d + 2 * sum(A.b)
+        steps = [step1, step2, [m3]]
+    else:
+        steps = list(sorted_degrees(A))
+    table = betti.BettiTable(len(steps), tuple(tuple(sorted(Counter(s).items())) for s in steps))
+    e = quotient_values(table)[0]
+    m, M = [min(s) for s in steps], [max(s) for s in steps]
+    p = len(steps)
+    row = dict.fromkeys(sweep.SWEEP_CSV_COLUMNS, "")
+    row.update(
+        family="gor3" if gor else "cm2", t=A.t, a=" ".join(map(str, A.a)),
+        b=" ".join(map(str, A.b)), e=e, pure=m == M,
+        quasi_pure=all(m[i] >= M[i - 1] for i in range(1, p)),
+        hhs_lower_holds=factorial(p) * e >= prod(m), hhs_lower_sharp=factorial(p) * e == prod(m),
+        hhs_upper_holds=factorial(p) * e <= prod(M), hhs_upper_sharp=factorial(p) * e == prod(M),
+    )
+    names = ("m1", "m2", "m3")[:p] + ("M1", "M2", "M3")[:p]
+    row.update(zip(names, m + M))
+    spread = (M[1] - m[1]) + (M[0] - m[0])
+    if gor:
+        low = m[0] * m[1] * m[2] + (M[2] - M[1]) ** 2 * spread
+        high = 2 * M[0] * M[1] * M[2] - M[2] * spread
+        row.update(
+            d=X.d, gor3_lower_holds=6 * e >= low, gor3_lower_sharp=6 * e == low,
+            gor3_upper_holds=12 * e <= high, gor3_upper_sharp=12 * e == high,
+            srinivasan_lower_holds=6 * e >= m[0] * M[1] * M[2],
+            srinivasan_upper_holds=6 * e <= M[0] * m[1] * m[2],
+        )
+    else:
+        low = m[0] * m[1] + (M[1] - M[0]) * spread
+        high = M[0] * M[1] - (m[1] - m[0]) * spread
+        p24 = M[0] * M[1] - 2 * (M[0] - m[0]) - 2 * (M[1] - m[1])
+        row.update(
+            cm2_lower_holds=2 * e >= low, cm2_lower_sharp=2 * e == low,
+            cm2_upper_holds=2 * e <= high, cm2_upper_sharp=2 * e == high,
+            prop24_hyp_i=min(map(min, degree_grid(A))) >= 2,
+            prop24_hyp_ii=A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0,
+            prop24_holds=2 * e <= p24,
+        )
+    text = {True: "true", False: "false"}
+    cells = (text[v] if isinstance(v, bool) else str(v) for v in row.values())
+    return ",".join(cells) + "\n"

@@ -2,12 +2,14 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from degmult import betti, bounds, cm2, sweep
 from degmult.betti import ShiftSummary
 from degmult.errors import CharacterizationViolated
 
 from bruteforce import degree_grid, naive_colength
+from strategies import cm2_matrices
 
 
 def summary(m, M):
@@ -155,6 +157,26 @@ class TestProp24Hypotheses:
     def test_seeded_large_matrices(self):
         seen = self._check(_seeded_matrices(24, 60, 150))
         assert {hyp_i for hyp_i, _ in seen} == {True, False}
+
+    @staticmethod
+    def _closed_form(A):
+        """Hypothesis (ii) in closed form: t >= 2 and a_1 = b_1 = 1."""
+        return A.t >= 2 and A.a[0] == A.b[0] == 1
+
+    def test_hyp_ii_closed_form_exhaustive(self):
+        """The margin a_1 - 2 b_1 + 1 is nonnegative exactly when t >= 2
+        and a_1 = b_1 = 1, on every matrix with t <= 3, entries <= 5."""
+        holding = 0
+        for A in sweep.enumerate_cm2(3, 5):
+            margin_holds = A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
+            assert margin_holds == self._closed_form(A) == bounds.prop24_bound(A, 0).hyp_ii, A
+            holding += margin_holds
+        assert holding > 0
+
+    @given(cm2_matrices(max_t=12))
+    def test_hyp_ii_closed_form(self, A):
+        margin_holds = A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
+        assert margin_holds == self._closed_form(A) == bounds.prop24_bound(A, 0).hyp_ii
 
 
 class TestSrinivasanBounds:

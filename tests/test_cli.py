@@ -641,23 +641,23 @@ class TestOutFile:
             assert out.count("\n") == 2
 
     def test_sweep_failing_partway_keeps_old_target(self, capsys, tmp_path, monkeypatch):
-        from degmult import sweep
+        from degmult import cm2
         from degmult.errors import InternalMismatch
 
         target = tmp_path / "rows.csv"
         target.write_text("stale contents\n")
         calls, tmp_sizes = [0], []
-        real = sweep.CM2Evaluation._shift_agreement
+        real = cm2.shifts
 
-        def fail_at_500th(ev):
+        def fail_at_500th(A):
             calls[0] += 1
             if calls[0] < 500:
-                return real(ev)
+                return real(A)
             (tmp,) = (p for p in tmp_path.iterdir() if p.name != "rows.csv")
             tmp_sizes.append(tmp.stat().st_size)
             raise InternalMismatch("forced mismatch")
 
-        monkeypatch.setattr(sweep.CM2Evaluation, "_shift_agreement", fail_at_500th)
+        monkeypatch.setattr(cm2, "shifts", fail_at_500th)
         code, out, err = run(
             capsys, "sweep", "--cm2", "--t-max", "3", "--entry-max", "4",
             "--checks", "shift_agreement", "--format", "csv", "--out", str(target),

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from degmult import betti, cm2, oracle, sweep
+from degmult import betti, cm2, oracle
 from degmult.errors import InternalMismatch, InvalidDiagonal, NotMonotone
 
 from bruteforce import (
-    brute_cm2, degree_grid, extend_from, hs_identities, naive_colength, sorted_degrees, uv_two_pass,
+    appended_pairs, brute_cm2, degree_grid, extend_from, hs_identities, naive_colength,
+    sorted_degrees, uv_two_pass,
 )
 from strategies import cm2_matrices
 
@@ -284,7 +285,7 @@ class TestDegreeOrder:
     def test_child_degrees(self):
         for A in brute_cm2(3, 5):
             lists = sorted_degrees(A)
-            for a, b in sweep._appended(A.b[-1], 5):
+            for a, b in appended_pairs(A.b[-1], 5):
                 e, f = cm2.child_degrees(lists, sum(A.a), a, b)
                 assert (tuple(e), tuple(f)) == sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
 

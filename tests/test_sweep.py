@@ -8,10 +8,11 @@ from collections import Counter
 
 import pytest
 
-from degmult import betti, cm2, gor3, oracle, sweep
+from degmult import betti, cli, cm2, gor3, oracle, sweep
 from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
+from degmult.sweep import EVALUATIONS
 
-from bruteforce import brute_cm2, brute_gor3, extend_from
+from bruteforce import appended_pairs, brute_cm2, brute_gor3, extend_from, sweep_row
 
 
 class TestEnumerateCM2:
@@ -329,20 +330,16 @@ class TestCSVLayout:
             assert all(cells[c] == "" for c in blank)
             assert all(cells[c] != "" for c in set(cells) - blank)
 
-    @pytest.mark.parametrize("matrix", [cm2.validate([1], [1]), gor3.validate([1], [1], 1)])
-    def test_row_of_wrong_length_raises(self, matrix):
-        ev = sweep.evaluate(matrix)
-        cells = (ev.family, 1, "1", "1", 1, True, True, *[True] * 4, *ev._family_cells())
-        assert len(ev.csv_layout(cells)) == len(sweep.SWEEP_CSV_COLUMNS)
-        for wrong in (cells[:-1], (*cells, None)):
-            with pytest.raises(ValueError, match="CSV columns"):
-                ev.csv_layout(wrong)
-
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ValueError, match="sweep CSV columns"):
-            sweep._csv_layout("m1 m4")
-        with pytest.raises(ValueError, match="sweep CSV columns"):
-            sweep._csv_layout("m1 m1")
+    @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 4), ("gor3", 2, 4)])
+    def test_rows_match_reference(self, family, t_max, entry_max):
+        """Every row equals the reference's, rendered column by column
+        from the columns' definitions."""
+        out = io.StringIO()
+        sweep.write_sweep_csv(sweep.SweepConfig(family, t_max, entry_max), out)
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        expected = [sweep_row(X) for X in enum(t_max, entry_max)]
+        assert len(expected) > 250
+        assert out.getvalue().splitlines(keepends=True)[1:] == expected
 
 
 def appended_children(config):
@@ -350,7 +347,7 @@ def appended_children(config):
     enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
     for inst in enum(config.t_max, config.entry_max):
         block = inst if config.family == "cm2" else inst.base
-        for a, b in sweep._appended(block.b[-1], config.entry_max):
+        for a, b in appended_pairs(block.b[-1], config.entry_max):
             yield inst, block.a + (a,), block.b + (b,)
 
 
@@ -454,7 +451,7 @@ class TestExtensionCheck:
         ]
         assert [(tuple(e), tuple(f)) for e, f in calls] == expected
         assert len(expected) == sum(
-            len(list(sweep._appended(A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
+            len(list(appended_pairs(A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
         )
 
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
@@ -469,7 +466,7 @@ class TestExtensionCheck:
         expected = []
         for k, inst in enumerate(enum(t_max, entry_max)):
             block = inst if family == "cm2" else inst.base
-            for a, b in sweep._appended(block.b[-1], entry_max):
+            for a, b in appended_pairs(block.b[-1], entry_max):
                 _, deltas, e2 = extend_from(inst, a, b)
                 expected.append((k, a, b, tuple(deltas), e2))
         assert len(expected) > 2000
@@ -478,13 +475,13 @@ class TestExtensionCheck:
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 4), ("gor3", 2, 5)])
     def test_every_appended_pair_verified(self, monkeypatch, family, t_max, entry_max):
         """Coverage: the verified (instance, appended pair) checks number
-        len(_appended(b_t, entry_max)) per instance."""
+        len(appended_pairs(b_t, entry_max)) per instance."""
         seen = recorded_children(monkeypatch, cm2 if family == "cm2" else gor3)
         report = sweep.verify_all(extension_only(family, t_max, entry_max))
         assert report.ok
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         per_instance = [
-            len(list(sweep._appended((inst if family == "cm2" else inst.base).b[-1], entry_max)))
+            len(list(appended_pairs((inst if family == "cm2" else inst.base).b[-1], entry_max)))
             for inst in enum(t_max, entry_max)
         ]
         verified = Counter(k for k, *_ in seen)
@@ -613,6 +610,17 @@ def _family_faults(family, module):
     }
 
 
+NO_ROUTE = "route failed on purpose"
+
+
+def _fail_every_route(monkeypatch, family):
+    def fail(ev):
+        raise InternalMismatch(NO_ROUTE)
+
+    for name in EVALUATIONS[family].ROUTES:
+        monkeypatch.setitem(EVALUATIONS[family].ROUTES, name, fail)
+
+
 class TestCheckFaults:
     """Each fault, swept under ``checks=(name,)``, files anomalies under
     that check only, and among them every listed ``lhs`` pattern."""
@@ -652,7 +660,7 @@ class TestCheckFaults:
         _break_uv_data(monkeypatch)
         report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4))
         failures = [
-            (A.to_json_dict(), sweep.CM2Evaluation(A).route("uv")) for A in sweep.enumerate_cm2(2, 4)
+            (A.to_json_dict(), sweep.evaluate(A).routes["uv"]) for A in sweep.enumerate_cm2(2, 4)
         ]
         assert report.instances_checked == len(failures) > 0
         for inst, exc in failures:
@@ -674,6 +682,57 @@ class TestCheckFaults:
         both = {report.checks.index("extension"), report.checks.index("shift_agreement")}
         assert any(both <= set(order) for order in orders)
         assert all(order == sorted(order) for order in orders)
+
+    @pytest.mark.parametrize("family, checks", [
+        ("cm2", None), ("cm2", ("multiplicity_agreement",)), ("cm2", ("hhs_bounds", "prop24")),
+        ("gor3", None),
+    ])
+    def test_no_value_sweep_json(self, monkeypatch, capsys, family, checks):
+        """An instance on which every route fails files each failed route
+        under multiplicity_agreement, and gives no sharp case and no
+        finding; the sweep's JSON report comes back with exit 1."""
+        _fail_every_route(monkeypatch, family)
+        argv = ["sweep", f"--{family}", "--t-max", "1", "--entry-max", "2", "--format", "json"]
+        code = cli.main(argv + ([] if checks is None else ["--checks", ",".join(checks)]))
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        routes = list(EVALUATIONS[family].ROUTES)
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        assert [(a["instance"], a["check"], a["lhs"], a["rhs"]) for a in report["anomalies"]] == [
+            (X.to_json_dict(), "multiplicity_agreement", f"{name} route", NO_ROUTE)
+            for X in enum(1, 2) for name in routes
+        ]
+        assert report["sharp_cases"] == report["prop24_findings"] == []
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_no_value_sweep_csv(self, monkeypatch, capsys, family):
+        """The row of an instance with no value leaves e and every cell
+        computed from it empty, and fills the rest as usual."""
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        expected = [sweep_row(X).rstrip("\n").split(",") for X in enum(2, 3)]
+        _fail_every_route(monkeypatch, family)
+        argv = ["sweep", f"--{family}", "--t-max", "2", "--entry-max", "3", "--format", "csv"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        header, *lines = out.splitlines()
+        columns = header.split(",")
+        from_e = {"e", "prop24_holds"} | {c for c in columns if c.endswith(("_holds", "_sharp"))
+                                          and not c.startswith("prop24")}
+        assert len(lines) == len(expected) > 0
+        for line, want in zip(lines, expected):
+            got = dict(zip(columns, line.split(","), strict=True))
+            assert all(got[c] == "" for c in from_e)
+            assert all(got[c] == cell for c, cell in zip(columns, want) if c not in from_e)
+
+    def test_no_value_hunt_cli(self, monkeypatch, capsys):
+        """A hunt files no anomalies: with no value it stops with exit 1
+        and one anomaly line, no traceback."""
+        _fail_every_route(monkeypatch, "cm2")
+        code = cli.main(["hunt", "--target", "prop24_bound", "--t-max", "1", "--entry-max", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"anomaly: {NO_ROUTE}\n")
 
     def test_every_check_but_extension_faulted(self):
         faulted = {(family, check) for family, check, _ in self.FAULTS}
