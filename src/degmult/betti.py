@@ -109,7 +109,8 @@ class BettiTable:
 def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The (shift, rank) pairs of an ascending shift list, equal shifts
     counted together in one run-length pass (less time than a Counter
-    takes on lists of 5 and of 300 entries alike)."""
+    takes, both on a sweep's 5-entry lists and on the 150- to 300-entry
+    lists of matrices with t of 100 to 200)."""
     runs = []
     prev, n = None, 0
     for shift in shifts:

@@ -73,13 +73,10 @@ class Prop24Verdict(NamedTuple):
 def hhs_bounds(shifts: ShiftSummary, e: int) -> tuple[BoundVerdict, BoundVerdict]:
     """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!,
     with p the number of steps of the shifts."""
-    m, M = shifts
-    if len(m) == 2:  # codimension 2, a sweep's commonest case, in plain arithmetic
-        fact, low, high = 2, m[0] * m[1], M[0] * M[1]
-    else:
-        fact, low, high = math.factorial(len(m)), math.prod(m), math.prod(M)
-    return (BoundVerdict("hhs_lower", fact * e, ">=", low, fact),
-            BoundVerdict("hhs_upper", fact * e, "<=", high, fact))
+    fact = math.factorial(len(shifts.m))
+    lower = BoundVerdict("hhs_lower", fact * e, ">=", math.prod(shifts.m), fact)
+    upper = BoundVerdict("hhs_upper", fact * e, "<=", math.prod(shifts.M), fact)
+    return lower, upper
 
 
 def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:

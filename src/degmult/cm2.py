@@ -21,10 +21,9 @@ u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's shifts, multiplicity and degree lists, and then checks each
-appended (a, b) on the child's degree lists alone (as
-:func:`child_degrees` forms them: the base's lists shifted by b, each
-led by its one new degree), with no child matrix or table; a run of
-children with the same b shares one shifted copy.  :func:`extend`
+appended (a, b) on the child's degree lists alone
+(:func:`child_degrees`: the base's lists shifted by b, each led by
+its one new degree), with no child matrix or table.  :func:`extend`
 binds it to one matrix and one pair; it stays only for the benchmark's
 replay of the cm2 sweep (``benchmarks/worker.py``).
 """
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge, sub
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import betti, oracle
@@ -48,8 +47,6 @@ class DegreeMatrixCM2:
 
     def __post_init__(self) -> None:
         a, b = self.a, self.b
-        if len(a) == len(b) > 0 and min(a) >= 1 and all(map(ge, b, a)) and all(map(ge, b, a[1:])):
-            return  # valid; the checks below name the first failure otherwise
         if len(a) != len(b) or not a:
             raise ValueError("a and b must have equal length t >= 1")
         for i, ai in enumerate(a):
@@ -192,31 +189,25 @@ def extender(
     shifts are s, multiplicity e and ascending degree lists ``lists``.
 
     The returned function takes the appended (a, b), which must satisfy
-    b >= a and b_t >= a.  It forms the child's degree lists as
-    :func:`child_degrees` does, shifting the base's lists by b once for
-    a run of calls with the same b, and reads the child's shifts off
-    their ends as (e_1, f_1, e_m, f_{m-1}); they must equal s plus the
-    deltas (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's
-    lists.  The recursion e' = e + (m1 + a) b must equal the child's
-    own multiplicity from :func:`multiplicity_from_degrees`.  It returns
-    the deltas and e', or raises InternalMismatch.
+    b >= a and b_t >= a.  It forms the child's degree lists with
+    :func:`child_degrees` and reads the child's shifts off their ends as
+    (e_1, f_1, e_m, f_{m-1}); they must equal s plus the deltas
+    (a, a+b-b_t, b, b), with b_t = f_1 - e_1 read off the base's lists.
+    The recursion e' = e + (m1 + a) b must equal the child's own
+    multiplicity from :func:`multiplicity_from_degrees`.  It returns the
+    deltas and e', or raises InternalMismatch.
     """
     m1, m2, M1, M2 = s
     gens, syz = lists
     c = syz[0] - gens[0]
-    last_b = gens_b = syz_b = None
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        nonlocal last_b, gens_b, syz_b
-        if b != last_b:
-            last_b, gens_b, syz_b = b, [g + b for g in gens], [x + b for x in syz]
-        g1 = m1 + a
-        e2, f2 = [g1, *gens_b], [g1 + b, *syz_b]
+        e2, f2 = child_degrees(lists, m1, a, b)
         deltas = (a, a + b - c, b, b)
         got = (e2[0], f2[0], e2[-1], f2[-1])
-        if got != (g1, m2 + deltas[1], M1 + b, M2 + b):  # s + deltas
+        if got != (m1 + a, m2 + a + b - c, M1 + b, M2 + b):  # s + deltas
             raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {got}")
-        recursion = e + g1 * b
+        recursion = e + (m1 + a) * b
         direct = multiplicity_from_degrees(e2, f2)
         if recursion != direct:
             raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")

@@ -222,7 +222,9 @@ class Evaluation:
     first; a route that fails holds its exception in place of a value.
     The other routes run only when asked for or when the value route
     fails, and ``e`` is the first value in route order, or None when
-    every route failed.  The table tier, :meth:`tables`, holds the Betti
+    every route failed.  A route reads what it needs inside its own
+    failure handling: the Betti table through :meth:`betti_table`, built
+    on first read.  The table tier, :meth:`tables`, holds the Betti
     ``table``, its ``summary`` and ``purity``, and the bound verdicts,
     None without a value.  A hunt reads the value tier alone.
 
@@ -238,7 +240,7 @@ class Evaluation:
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
     FINDINGS: tuple[str, ...]
-    # Set by the value tier when a route after the value route reads it.
+    # Built by the first of the resolution route and the table tier to read it.
     table: betti.BettiTable | None = None
 
     def __init__(self, instance) -> None:
@@ -251,8 +253,6 @@ class Evaluation:
         self.e = None
         routes = self.routes = {}
         for name, route in self.ROUTES.items():
-            if len(routes) == 1:
-                self._route_inputs()
             try:
                 value = routes[name] = route(self)
             except (InternalMismatch, DivisionError) as exc:
@@ -263,15 +263,19 @@ class Evaluation:
                 if not every_route:
                     break
 
-    def _route_inputs(self) -> None:
-        """What the routes after the value route read: the Betti table."""
-        self.table = self.MODULE.betti_table(self.instance, self.degrees)
+    def betti_table(self) -> betti.BettiTable:
+        """The Betti table, built on first read."""
+        if self.table is None:
+            self.table = self.MODULE.betti_table(self.instance, self.degrees)
+        return self.table
+
+    def extremes(self) -> ShiftSummary:
+        """The shifts computed from the matrix, as a ShiftSummary."""
+        return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
         """The table tier, read after :meth:`values`."""
-        if self.table is None:
-            self.table = self.MODULE.betti_table(self.instance, self.degrees)
-        self.summary = betti.shift_summary(self.table)
+        self.summary = betti.shift_summary(self.betti_table())
         self.purity = betti.summary_purity(self.summary)
         self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
         self._verdicts()
@@ -320,8 +324,8 @@ class Evaluation:
                 found += [("multiplicity_agreement", f"{first}={value}", f"{name}={other}")
                           for name, other in others if isinstance(other, int) and other != value]
         if "shift_agreement" in on:
-            m, M = self.shifts[: self.codim], self.shifts[self.codim:]
-            if self.summary != (m, M):
+            m, M = extremes = self.extremes()
+            if self.summary != extremes:
                 found.append(("shift_agreement", self.shifts, self.summary))
             if not (all(map(lt, m, m[1:])) and all(map(lt, M, M[1:]))):
                 found.append(("shift_agreement", "strictly increasing shifts", self.shifts))
@@ -354,7 +358,11 @@ class Evaluation:
         value = next(iter(self.routes.values()))
         if not isinstance(value, int):
             return
-        child = self._extender(value)
+        try:
+            child = self._extender(value)
+        except (InternalMismatch, DivisionError) as exc:
+            found.append(("extension", "kernel inputs", exc))
+            return
         cap = self.block.b[-1]
         for b in range(1, entry_max + 1):
             for a in range(1, min(b, cap) + 1):
@@ -384,7 +392,7 @@ class CM2Evaluation(Evaluation):
     INSTANCE = cm2.DegreeMatrixCM2
     ROUTES = {
         "uv": lambda ev: cm2._multiplicity(*ev.degrees),
-        "resolution": lambda ev: betti.multiplicity(ev.table),
+        "resolution": lambda ev: betti.multiplicity(ev.betti_table()),
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
     CHECKS = (
@@ -449,8 +457,8 @@ class Gor3Evaluation(Evaluation):
     INSTANCE = gor3.DegreeMatrixGor3
     ROUTES = {
         "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
-        "resolution": lambda ev: betti.multiplicity(ev.table),
-        "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.block_curve),
+        "resolution": lambda ev: betti.multiplicity(ev.betti_table()),
+        "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.curve()),
     }
     CHECKS = (
         "multiplicity_agreement", "self_duality", "gor3_bounds", "hhs_bounds",
@@ -458,22 +466,23 @@ class Gor3Evaluation(Evaluation):
     )
     FINDINGS = ()
     # (e(R/J), g) of the block curve, shared by the linkage route and the
-    # extension check; set by whichever of them runs first.
+    # extension check; built by whichever of them runs first.
     block_curve: tuple[int, int] | None = None
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
         return self.instance.base
 
-    def _route_inputs(self) -> None:
-        super()._route_inputs()
-        self.block_curve = gor3.block_curve(self.instance)
+    def curve(self) -> tuple[int, int]:
+        """The block curve's (e(R/J), g), built on first read."""
+        if self.block_curve is None:
+            self.block_curve = gor3.block_curve(self.instance)
+        return self.block_curve
 
     def _verdicts(self) -> None:
         e = self.e
-        extremes = ShiftSummary(m=self.shifts[:3], M=self.shifts[3:])
         self.sharper = None if e is None else bounds.gor3_bounds(*self.shifts[:3], e)
-        self.srinivasan = None if e is None else bounds.srinivasan_bounds(extremes, e)
+        self.srinivasan = None if e is None else bounds.srinivasan_bounds(self.extremes(), e)
 
     @property
     def verdicts(self) -> tuple[BoundVerdict, ...]:
@@ -490,9 +499,7 @@ class Gor3Evaluation(Evaluation):
         return found
 
     def _extender(self, e: int) -> Callable[[int, int], tuple]:
-        if self.block_curve is None:
-            self.block_curve = gor3.block_curve(self.instance)
-        return gor3.extender(self.instance, self.shifts, e, self.block_curve, self.degrees)
+        return gor3.extender(self.instance, self.shifts, e, self.curve(), self.degrees)
 
     def csv_line(self) -> str:
         G, s, pur, e, sri = self.instance, self.shifts, self.purity, self.e, self.srinivasan
@@ -508,7 +515,7 @@ class Gor3Evaluation(Evaluation):
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
         e = self._hunted_value()
-        upper = bounds.srinivasan_bounds(ShiftSummary(m=self.shifts[:3], M=self.shifts[3:]), e)[1]
+        upper = bounds.srinivasan_bounds(self.extremes(), e)[1]
         return None if upper.holds else self._candidate(upper)
 
 

@@ -726,6 +726,27 @@ class TestCheckFaults:
             assert all(got[c] == "" for c in from_e)
             assert all(got[c] == cell for c, cell in zip(columns, want) if c not in from_e)
 
+    @pytest.mark.parametrize("checks, filed", [
+        (("multiplicity_agreement",), [("multiplicity_agreement", "linkage route")]),
+        (("extension",), [("extension", "kernel inputs")]),
+        (None, [("multiplicity_agreement", "linkage route"), ("extension", "kernel inputs")]),
+    ])
+    def test_block_curve_failure_filed(self, monkeypatch, checks, filed):
+        """A block curve that cannot be formed fails the linkage route and
+        the extension check, each filed on every instance, and the sweep
+        still comes back."""
+        def fail(G):
+            raise DivisionError("block curve failed on purpose")
+
+        monkeypatch.setattr(gor3, "block_curve", fail)
+        report = sweep.verify_all(sweep.SweepConfig("gor3", 1, 2, checks=checks))
+        instances = [G.to_json_dict() for G in sweep.enumerate_gor3(1, 2)]
+        assert report.instances_checked == len(instances) > 0
+        assert [(x.instance, x.check, x.lhs, x.rhs) for x in report.anomalies] == [
+            (inst, check, lhs, "block curve failed on purpose")
+            for inst in instances for check, lhs in filed
+        ]
+
     def test_no_value_hunt_cli(self, monkeypatch, capsys):
         """A hunt files no anomalies: with no value it stops with exit 1
         and one anomaly line, no traceback."""
