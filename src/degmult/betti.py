@@ -2,25 +2,31 @@
 
 A Betti table records the shifts and ranks of a minimal graded free
 resolution of a graded quotient R/I.  Its alternating sum is the
-K-polynomial K(s), the numerator of the Hilbert series, and
-K = (1-s)^c Q with c the codimension; the multiplicity is Q(1).  Q is
-never expanded: substituting s = 1+u turns K into sum_k S_k u^k, where
-the binomial moment S_k = sum_j beta_j C(j, k) runs over the table's
-signed entries only, so (1-s)^c divides K exactly when S_0..S_{c-1}
-vanish, and then Q(1) and Q'(1) are (-1)^c S_c and (-1)^c S_{c+1}.
-The multiplicity takes S_0..S_c, each from the last one's terms by
-falling factorials, and the genus one math.comb pass more for S_{c+1}.
-The cost is O(entries * c) whatever the size of the shifts.
-Everything here is exact arithmetic on unbounded integers: no
-derivatives, no floats, no factorial overflow.
+K-polynomial K(s) = sum_j r_j s^(s_j), the numerator of the Hilbert
+series, and K = (1-s)^c Q with c the codimension; the multiplicity is
+Q(1).  Q is never expanded.  With s = 1+u, K = sum_k S_k u^k for the
+binomial moments S_k = sum_j r_j C(s_j, k), so (1-s)^c divides K iff
+S_0..S_{c-1} vanish, and then Q(1), Q'(1) are (-1)^c S_c, (-1)^c S_{c+1}.
+The kernel takes the power sums P_k = sum_j r_j s_j^k, each from the
+last one's terms by one product.  As k! C(s, k) = sum_i st(k, i) s^i
+with Stirling numbers of the first kind, st(k, k) = 1 and
+st(k, k-1) = -C(k, 2), the k! S_k are a unitriangular transform of the
+P_k: S_0..S_{c-1} vanish iff P_0..P_{c-1} do, and then c! S_c = P_c
+and (c+1)! S_{c+1} = P_{c+1} - C(c+1, 2) P_c.  Everything is exact on
+unbounded integers, in O(terms * c) whatever the size of the shifts.
+
+The package's resolutions are held as one ascending shift list per
+step, each shift of rank 1: :func:`signed_terms` gives their K terms
+and :func:`shift_summary` reads each list's ends.  :func:`ranked`
+groups equal shifts only where a :class:`BettiTable` is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import ge, mul, neg, sub
-from typing import Iterable, NamedTuple
+from itertools import groupby, repeat
+from operator import ge, mul, neg
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -108,21 +114,8 @@ class BettiTable:
 
 def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The (shift, rank) pairs of an ascending shift list, equal shifts
-    counted together in one run-length pass (less time than a Counter
-    takes, both on a sweep's 5-entry lists and on the 150- to 300-entry
-    lists of matrices with t of 100 to 200)."""
-    runs = []
-    prev, n = None, 0
-    for shift in shifts:
-        if shift != prev:
-            if n:
-                runs.append((prev, n))
-            prev, n = shift, 1
-        else:
-            n += 1
-    if n:
-        runs.append((prev, n))
-    return tuple(runs)
+    counted together: only where a :class:`BettiTable` is built."""
+    return tuple([(shift, len(list(run))) for shift, run in groupby(shifts)])
 
 
 @dataclass(frozen=True)
@@ -188,26 +181,30 @@ def _signed_entries(table: BettiTable) -> tuple[list[int], list[int]]:
     return shifts, ranks
 
 
-def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
-    """Q(1) for K = (1-s)^c Q, K = sum_j ranks_j s^shifts_j.
+def signed_terms(steps: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Shifts and signed ranks of the K-polynomial of one shift list per
+    step, each shift of rank 1: step 0's constant 1 first, then the
+    steps' shifts, signs alternating by step."""
+    shifts, ranks = [0], [1]
+    for i, step in enumerate(steps):
+        shifts += step
+        ranks += [1 if i % 2 else -1] * len(step)
+    return shifts, ranks
 
-    K(1+u) = sum_k S_k u^k with S_k = sum_j ranks_j C(shifts_j, k).
-    Since 1-s = -u, K(1+u) = (-1)^c u^c Q(1+u): the moments below S_c
-    must vanish, and S_c is (-1)^c Q(1).  Only S_0..S_c are taken, each
-    from the last one's terms: multiplying ranks_j shifts_j^(k-1 falling)
-    by shifts_j - k + 1 gives k! ranks_j C(shifts_j, k), so S_k is their
-    sum divided by k!, exactly.  The terms may come in any order and
-    repeat a shift.
-    """
-    terms, moment, fact = ranks, sum(ranks), 1
-    for k in range(1, c + 1):
-        if moment:
+
+def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
+    """Q(1) = (-1)^c P_c / c! for K = (1-s)^c Q, K = sum_j ranks_j
+    s^shifts_j, once the power sums P_0..P_{c-1} vanish (module
+    docstring).  The terms may come in any order and repeat a shift."""
+    terms, power = ranks, sum(ranks)
+    for _ in range(c):
+        if power:
             raise DivisionError(
                 "K-polynomial is not divisible by (1-s) to the declared codimension"
             )
-        terms = list(map(mul, terms, map(sub, shifts, repeat(k - 1))))
-        fact *= k
-        moment = sum(terms) // fact
+        terms = list(map(mul, terms, shifts))
+        power = sum(terms)
+    moment = power // math.factorial(c)
     return -moment if c % 2 else moment
 
 
@@ -219,6 +216,11 @@ def multiplicity(table: BettiTable) -> int:
     table/codimension pair no Cohen-Macaulay quotient can have.
     """
     return _quotient_at_one(table.codim, *_signed_entries(table))
+
+
+def resolution_multiplicity(c: int, steps: Sequence[Sequence[int]]) -> int:
+    """:func:`multiplicity` of a codimension-c resolution's step lists."""
+    return _quotient_at_one(c, *signed_terms(steps))
 
 
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
@@ -233,18 +235,21 @@ def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
 
 
 def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
-    """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial;
-    Q'(1) is (-1)^c S_{c+1}, one more moment than e needs."""
+    """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial: as
+    P_c = c! (-1)^c e, Q'(1) = ((-1)^c P_{c+1} - C(c+1, 2) c! e) / (c+1)!."""
     e = _quotient_at_one(c, shifts, ranks)
-    slope = sum(map(mul, ranks, map(math.comb, shifts, repeat(c + 1))))
-    return e, 1 + (-slope if c % 2 else slope) - e
+    top = sum(map(mul, ranks, map(pow, shifts, repeat(c + 1))))
+    fact = math.factorial(c)
+    slope = ((-top if c % 2 else top) - c * (c + 1) // 2 * fact * e) // ((c + 1) * fact)
+    return e, 1 + slope - e
 
 
-def shift_summary(table: BettiTable) -> ShiftSummary:
-    """Per-step minimal and maximal shifts."""
-    steps = table.steps
-    return ShiftSummary(
-        tuple([step[0][0] for step in steps]), tuple([step[-1][0] for step in steps]))
+def shift_summary(steps: BettiTable | Sequence[Sequence[int]]) -> ShiftSummary:
+    """Per-step minimal and maximal shifts, the ends of each ascending
+    step list of a held resolution, or of each step of a table."""
+    if isinstance(steps, BettiTable):
+        steps = [(step[0][0], step[-1][0]) for step in steps.steps]
+    return ShiftSummary(tuple([step[0] for step in steps]), tuple([step[-1] for step in steps]))
 
 
 def summary_purity(s: ShiftSummary) -> Purity:
@@ -253,15 +258,25 @@ def summary_purity(s: ShiftSummary) -> Purity:
     return Purity(s.m == s.M, all(map(ge, s.m[1:], s.M)))
 
 
-def huneke_miller(table: BettiTable, s: ShiftSummary | None = None) -> int:
-    """Multiplicity of a pure Cohen-Macaulay table as (prod d_i) / p!.
+def pure_multiplicity(s: ShiftSummary) -> int:
+    """(prod d_i) / p! over the p shifts d_i = m_i = M_i of a pure summary;
+    DivisibilityError unless p! divides the product."""
+    p = len(s.m)
+    prod = math.prod(s.m)
+    fact = math.factorial(p)
+    if prod % fact:
+        raise DivisibilityError(
+            f"{p}! does not divide prod(d_i) = {prod}; no such pure table exists"
+        )
+    return prod // fact
 
-    Requires codim = p and m_i = M_i throughout; verifies that p!
-    divides the product.  On a table that (1-s)^p divides, that is
-    :func:`multiplicity` (Herzog-Kuehl, Huneke-Miller), so it is not
-    recomputed.  ``s`` is the table's :func:`shift_summary`, if held.
+
+def huneke_miller(table: BettiTable) -> int:
+    """:func:`pure_multiplicity` of a pure Cohen-Macaulay table, which
+    needs codim = p and m_i = M_i throughout.  On a table that (1-s)^p
+    divides, that is :func:`multiplicity` (Herzog-Kuehl, Huneke-Miller).
     """
-    s = shift_summary(table) if s is None else s
+    s = shift_summary(table)
     if s.m != s.M:
         raise NotPure(f"table is not pure: m={s.m}, M={s.M}")
     p = table.projective_dimension
@@ -270,10 +285,4 @@ def huneke_miller(table: BettiTable, s: ShiftSummary | None = None) -> int:
             f"pure-resolution formula needs codim = projective dimension, "
             f"got codim={table.codim}, p={p}"
         )
-    prod = math.prod(s.m)
-    fact = math.factorial(p)
-    if prod % fact:
-        raise DivisibilityError(
-            f"{p}! does not divide prod(d_i) = {prod}; no such pure table exists"
-        )
-    return prod // fact
+    return pure_multiplicity(s)

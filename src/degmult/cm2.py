@@ -11,13 +11,13 @@ formula, the Betti table, a witness monomial ideal with the same degree
 matrix, and the basic-double-link extension that appends a row and a
 column.
 
-The ascending generator and syzygy degrees (:func:`degrees`) feed the
-u/v multiplicity, the Betti table and the extension kernel; they come
-out of their prefix sums in order, and a caller that holds them passes
-them on: the kernel takes them as its ``lists`` argument, the Betti
-table as an optional one.  The u/v multiplicity is one forward pass
-over the lists, :func:`multiplicity_from_degrees`, which checks every
-u/v fact and forms no u or v list.
+The ascending generator and syzygy degrees (:func:`degrees`) are the
+resolution's two step lists.  They feed the u/v multiplicity, the
+resolution route and the extension kernel; they come out of their
+prefix sums in order, and a caller that holds them passes them on: the
+kernel takes them as its ``lists`` argument.  The u/v multiplicity is
+one forward pass over the lists, :func:`multiplicity_from_degrees`,
+which checks every u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's shifts, multiplicity and degree lists, and then checks each
@@ -152,11 +152,9 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
 _multiplicity = multiplicity_from_degrees
 
 
-def betti_table(A: DegreeMatrixCM2, lists: DegreeLists | None = None) -> betti.BettiTable:
-    """Two-step Betti table: generator degrees, then syzygy degrees
-    (``lists``, or :func:`degrees` of A)."""
-    gens, syz = degrees(A) if lists is None else lists
-    return betti.BettiTable(2, (betti.ranked(gens), betti.ranked(syz)))
+def betti_table(A: DegreeMatrixCM2) -> betti.BettiTable:
+    """Two-step Betti table of the step lists :func:`degrees`, ranks grouped."""
+    return betti.BettiTable(2, tuple(map(betti.ranked, degrees(A))))
 
 
 def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:

@@ -5,19 +5,21 @@ Buchsbaum-Eisenbud presentation matrix whose degree matrix, suitably
 ordered, is symmetric about the anti-diagonal.  It is determined by the
 t x (t+1) block A of a codimension-2 matrix together with the center
 entry d >= a_1.  The numerics of the quotient follow without ever
-writing down Pfaffians: the extreme shifts, the self-dual Betti table
-built from the resolution of the block ideal J, the multiplicity as an
-explicit polynomial in the entry degrees, a second value through the
-liaison formula e = (m1 + M2 - 4) e(R/J) - (2g - 2), and the
-basic-double-link extension recursion.
+writing down Pfaffians: the extreme shifts, the self-dual resolution's
+step lists (:func:`step_lists`) built from the resolution of the block
+ideal J, the multiplicity as an explicit polynomial in the entry
+degrees, a second value through the liaison formula
+e = (m1 + M2 - 4) e(R/J) - (2g - 2), and the basic-double-link
+extension recursion.  Every one of them reads the block's degree lists
+(:func:`cm2.degrees`) as the caller holds them.
 
 The extension kernel, :func:`extender`, is bound once to a base
 matrix's values and checks each appended (a, b) without building a
 child matrix or Betti table: the shifts come from the block's shifted
 degree lists (:func:`cm2.child_degrees`), the multiplicity from
 :func:`pfaffian_formula` on the child's entries, and the block curve's
-genus from the binomial moments of those lists, through the same
-:func:`betti._multiplicity_and_genus` every table uses.
+genus from the moments of those lists, through the same
+:func:`betti._multiplicity_and_genus` as :func:`block_curve`.
 """
 from __future__ import annotations
 
@@ -100,25 +102,28 @@ def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
     return total
 
 
-def betti_table(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> betti.BettiTable:
-    """Self-dual three-step table built from the block ideal's resolution.
-
-    Step-1 shifts are the generator degrees of the block ideal J
-    (``lists``, or :func:`cm2.degrees` of the block) together with m3
-    minus its syzygy degrees; step 2 is step 1 mirrored through m3;
-    step 3 is the single shift m3.
-    """
+def step_lists(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> tuple:
+    """The self-dual resolution's ascending step lists from the block
+    ideal J's (``lists``, or :func:`cm2.degrees` of the block).  Step 1
+    is J's generator degrees, up to sum(b), then m3 minus its syzygy
+    degrees, from m3 - a_1 - sum(b) >= sum(b) up; step 2 is step 1
+    mirrored through m3; step 3 is the single shift m3."""
     gens, syz = cm2.degrees(G.base) if lists is None else lists
     m3 = G.d + 2 * sum(G.base.b)
-    step1 = [*gens, *(m3 - x for x in reversed(syz))]
-    step2 = [m3 - x for x in reversed(step1)]
-    return betti.BettiTable(3, (betti.ranked(step1), betti.ranked(step2), ((m3, 1),)))
+    step1 = [*gens, *map(m3.__sub__, reversed(syz))]
+    return step1, [*map(m3.__sub__, reversed(step1))], (m3,)
 
 
-def block_curve(G: DegreeMatrixGor3) -> tuple[int, int]:
-    """Multiplicity and genus (e(R/J), g) of the block curve J, from one
-    pass over its Betti table."""
-    return betti.multiplicity_and_genus(cm2.betti_table(G.base))
+def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
+    """Self-dual three-step Betti table of :func:`step_lists`, ranks grouped."""
+    return betti.BettiTable(3, tuple(map(betti.ranked, step_lists(G))))
+
+
+def block_curve(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> tuple[int, int]:
+    """Multiplicity and genus (e(R/J), g) of the block curve J, from the
+    terms of its step lists (``lists``, or :func:`cm2.degrees` of the block)."""
+    lists = cm2.degrees(G.base) if lists is None else lists
+    return betti._multiplicity_and_genus(2, *betti.signed_terms(lists))
 
 
 def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
@@ -148,7 +153,7 @@ def extender(
     e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula` on
     the child's entries, and the genus recursion
     2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) against the
-    binomial moments of the child's block lists.  It returns the deltas
+    moments of the child's block lists.  It returns the deltas
     and e', or raises InternalMismatch (DivisionError if the child's
     block table is not divisible).
     """
@@ -156,8 +161,7 @@ def extender(
     c = block_b[-1]
     m1 = s.m1
     e_j, g = curve
-    gens, syz = base = cm2.degrees(G.base) if lists is None else lists
-    ranks = [1] + [-1] * (len(gens) + 1) + [1] * (len(syz) + 1)
+    base = cm2.degrees(G.base) if lists is None else lists
 
     def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
         e2, f2 = cm2.child_degrees(base, m1, a, b)
@@ -170,7 +174,7 @@ def extender(
         direct = pfaffian_formula(block_a + (a,), block_b + (b,), d)
         if recursion != direct:
             raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
-        _, g2 = betti._multiplicity_and_genus(2, [0, *e2, *f2], ranks)
+        _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms((e2, f2)))
         if 2 * g2 != 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j:
             raise InternalMismatch(
                 f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"

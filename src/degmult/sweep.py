@@ -8,13 +8,13 @@ implementation bug (all the checked identities are theorems) or, for
 the hunted open questions, a genuine discovery.  Every verb reads an
 instance through one :class:`Evaluation`, whose facts come in two
 tiers, each computed once in dependency order: the value tier (shifts,
-degree lists, routes, e), all a hunt reads, and the table tier (Betti
-table, shift summary, purity, bound verdicts).  Sweeps and hunts
-stream the enumeration through one ordered driver; a sweep makes one
-pass per instance, running the enabled checks as plain code and
-rendering the family's CSV line with one f-string.  Reports are
-deterministic: byte-identical across runs and across worker counts,
-so wall-clock runtime is kept off them.
+degree lists, routes, e), all a hunt reads, and the table tier (shift
+summary, purity, bound verdicts) of the resolution's step lists.
+Sweeps and hunts stream the enumeration through one ordered driver; a
+sweep makes one pass per instance, running the enabled checks as plain
+code and rendering the family's CSV line with one f-string.  Reports
+are deterministic: byte-identical across runs and across worker
+counts, so wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
@@ -223,10 +223,11 @@ class Evaluation:
     The other routes run only when asked for or when the value route
     fails, and ``e`` is the first value in route order, or None when
     every route failed.  A route reads what it needs inside its own
-    failure handling: the Betti table through :meth:`betti_table`, built
-    on first read.  The table tier, :meth:`tables`, holds the Betti
-    ``table``, its ``summary`` and ``purity``, and the bound verdicts,
-    None without a value.  A hunt reads the value tier alone.
+    failure handling: the resolution's ascending step lists, one per
+    homological step, through :meth:`resolution`.  The table tier,
+    :meth:`tables`, holds the ``summary`` read off the ends of those
+    lists, its ``purity`` and the bound verdicts, None without a value.
+    A hunt reads the value tier alone, so it builds no resolution.
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
     order, and ``FINDINGS`` names the open bounds a sweep reports as
@@ -240,8 +241,6 @@ class Evaluation:
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
     FINDINGS: tuple[str, ...]
-    # Built by the first of the resolution route and the table tier to read it.
-    table: betti.BettiTable | None = None
 
     def __init__(self, instance) -> None:
         self.instance = instance
@@ -263,19 +262,13 @@ class Evaluation:
                 if not every_route:
                     break
 
-    def betti_table(self) -> betti.BettiTable:
-        """The Betti table, built on first read."""
-        if self.table is None:
-            self.table = self.MODULE.betti_table(self.instance, self.degrees)
-        return self.table
-
     def extremes(self) -> ShiftSummary:
         """The shifts computed from the matrix, as a ShiftSummary."""
         return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
         """The table tier, read after :meth:`values`."""
-        self.summary = betti.shift_summary(self.betti_table())
+        self.summary = betti.shift_summary(self.resolution())
         self.purity = betti.summary_purity(self.summary)
         self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
         self._verdicts()
@@ -309,18 +302,18 @@ class Evaluation:
         )
 
     def _anomalies(self, on: dict[str, int], entry_max: int) -> list[tuple]:
-        """(check, lhs, rhs) of each failure of the checks in ``on``.  An
-        instance with no value files its failed routes under
-        multiplicity_agreement, enabled or not, and every check that
-        reads e skips it."""
+        """(check, lhs, rhs) of each failure of the checks in ``on``.
+        Every route that ran and failed is filed under
+        multiplicity_agreement, enabled or not; an instance with no value
+        has nothing else filed by any check that reads e."""
         found = []
         e, routes = self.e, self.routes
         # One distinct value among the routes means they all agree.
-        if e is None or ("multiplicity_agreement" in on and len(set(routes.values())) > 1):
+        if e is None or len(set(routes.values())) > 1:
             found += [("multiplicity_agreement", f"{name} route", value)
                       for name, value in routes.items() if not isinstance(value, int)]
             (first, value), *others = routes.items()
-            if isinstance(value, int):
+            if "multiplicity_agreement" in on and isinstance(value, int):
                 found += [("multiplicity_agreement", f"{first}={value}", f"{name}={other}")
                           for name, other in others if isinstance(other, int) and other != value]
         if "shift_agreement" in on:
@@ -341,7 +334,7 @@ class Evaluation:
                     found.append(("sharpness_purity", "flags", exc))
             if "huneke_miller" in on and self.purity.pure:
                 try:
-                    hm = betti.huneke_miller(self.table, self.summary)
+                    hm = betti.pure_multiplicity(self.summary)
                 except DivisibilityError as exc:
                     found.append(("huneke_miller", "pure-shift formula", exc))
                 else:
@@ -392,7 +385,7 @@ class CM2Evaluation(Evaluation):
     INSTANCE = cm2.DegreeMatrixCM2
     ROUTES = {
         "uv": lambda ev: cm2._multiplicity(*ev.degrees),
-        "resolution": lambda ev: betti.multiplicity(ev.betti_table()),
+        "resolution": lambda ev: betti.resolution_multiplicity(2, ev.degrees),
         "staircase": lambda ev: oracle.colength(cm2.witness_monomial_ideal(ev.instance)),
     }
     CHECKS = (
@@ -404,6 +397,10 @@ class CM2Evaluation(Evaluation):
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
         return self.instance
+
+    def resolution(self) -> cm2.DegreeLists:
+        """The resolution's step lists: the degree lists themselves."""
+        return self.degrees
 
     def _verdicts(self) -> None:
         e = self.e
@@ -457,7 +454,7 @@ class Gor3Evaluation(Evaluation):
     INSTANCE = gor3.DegreeMatrixGor3
     ROUTES = {
         "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
-        "resolution": lambda ev: betti.multiplicity(ev.betti_table()),
+        "resolution": lambda ev: betti.resolution_multiplicity(3, ev.resolution()),
         "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.curve()),
     }
     CHECKS = (
@@ -465,18 +462,25 @@ class Gor3Evaluation(Evaluation):
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ()
-    # (e(R/J), g) of the block curve, shared by the linkage route and the
-    # extension check; built by whichever of them runs first.
+    # Built on first read: the step lists, for the resolution route and the table
+    # tier, and the block curve (e(R/J), g), for the linkage route and the extension.
+    steps: tuple | None = None
     block_curve: tuple[int, int] | None = None
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
         return self.instance.base
 
+    def resolution(self) -> tuple:
+        """The self-dual resolution's step lists, built on first read."""
+        if self.steps is None:
+            self.steps = gor3.step_lists(self.instance, self.degrees)
+        return self.steps
+
     def curve(self) -> tuple[int, int]:
         """The block curve's (e(R/J), g), built on first read."""
         if self.block_curve is None:
-            self.block_curve = gor3.block_curve(self.instance)
+            self.block_curve = gor3.block_curve(self.instance, self.degrees)
         return self.block_curve
 
     def _verdicts(self) -> None:
@@ -493,8 +497,8 @@ class Gor3Evaluation(Evaluation):
         (0, m3); shift_agreement compares m3 itself."""
         found = super()._anomalies(on, entry_max)
         if "self_duality" in on:
-            step1, m3 = self.table.steps[0], self.shifts.m3
-            if not all(0 < shift < m3 for shift, _ in step1):
+            step1, m3 = self.resolution()[0], self.shifts.m3
+            if not all(0 < shift < m3 for shift in step1):
                 found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
         return found
 

@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's own algorithms:
 colength by lattice-point enumeration instead of row summation,
 minimal generators by a pairwise dominance scan instead of one sorted
 sweep, the Hilbert quotient by dense division of the whole K-polynomial
-instead of the table's binomial moments, divisibility by polynomial
+instead of the power sums of its terms, divisibility by polynomial
 multiplication instead of division, enumeration by generate-and-filter
 instead of constructive ranges, the basic double link by building
 each child matrix and reading its multiplicity and genus off its dense

@@ -7,12 +7,22 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from degmult import betti, cli, cm2, gor3, oracle, sweep
 from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
 from degmult.sweep import EVALUATIONS
 
-from bruteforce import appended_pairs, brute_cm2, brute_gor3, extend_from, sweep_row
+from bruteforce import (
+    appended_pairs,
+    brute_cm2,
+    brute_gor3,
+    extend_from,
+    hilbert_quotient,
+    quotient_values,
+    sweep_row,
+)
+from strategies import cm2_matrices, gor3_matrices
 
 
 class TestEnumerateCM2:
@@ -68,6 +78,40 @@ class TestEnumerateGor3:
         key = lambda g: (g.base.a, g.base.b, g.d)
         assert sorted(map(key, got)) == sorted(map(key, expected))
         assert len(got) == len(expected)
+
+
+def assert_resolution_matches_table(X):
+    """The resolution route, the block curve's (e, g) and the shift
+    summary, all read off the step lists with no rank grouped, equal the
+    dense Hilbert quotient and the summary of the grouped Betti table."""
+    ev = sweep.evaluate(X)
+    gor = isinstance(X, gor3.DegreeMatrixGor3)
+    table = (gor3 if gor else cm2).betti_table(X)
+    assert ev.routes["resolution"] == sum(hilbert_quotient(table))
+    assert ev.summary == betti.shift_summary(table)
+    block = X.base if gor else X
+    curve = quotient_values(cm2.betti_table(block))
+    assert betti._multiplicity_and_genus(2, *betti.signed_terms(cm2.degrees(block))) == curve
+    if gor:
+        assert ev.block_curve == curve
+
+
+class TestResolutionFromStepLists:
+    @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
+    def test_every_instance_in_range(self, family, t_max, entry_max):
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        instances = list(enum(t_max, entry_max))
+        assert len(instances) > 250
+        for X in instances:
+            assert_resolution_matches_table(X)
+
+    @given(cm2_matrices(max_t=40, max_entry=9))
+    def test_large_cm2(self, A):
+        assert_resolution_matches_table(A)
+
+    @given(gor3_matrices(max_t=40, max_entry=9))
+    def test_large_gor3(self, G):
+        assert_resolution_matches_table(G)
 
 
 class TestVerifyAll:
@@ -189,7 +233,9 @@ class TestOnlyEnabledChecksCompute:
     multiplicity_agreement check: with it disabled they never run, so
     their failures cannot be filed under a check the sweep did not run."""
 
-    ROUTES = ((betti, "multiplicity"), (oracle, "colength"), (gor3, "_linkage_value"))
+    ROUTES = (
+        (betti, "resolution_multiplicity"), (oracle, "colength"), (gor3, "_linkage_value"),
+    )
 
     def failing_routes(self, monkeypatch):
         calls = []
@@ -226,12 +272,15 @@ class TestOnlyEnabledChecksCompute:
         assert report.anomalies
         assert {a.check for a in report.anomalies} == {"multiplicity_agreement"}
         assert all(a.lhs.endswith(" route") for a in report.anomalies)
+        # Every route after the value route is faulted, the resolution route included.
+        later = list(EVALUATIONS[family].ROUTES)[1:]
+        assert {a.lhs for a in report.anomalies} == {f"{name} route" for name in later}
 
     @pytest.mark.parametrize("target, family", sorted(sweep.HUNT_TARGETS.items()))
     def test_hunts_read_no_betti_table(self, monkeypatch, target, family):
         calls = self.failing_routes(monkeypatch)
-        for module in (cm2, gor3):
-            monkeypatch.setattr(module, "betti_table", lambda *args: calls.append(args))
+        for module, name in ((cm2, "betti_table"), (gor3, "betti_table"), (gor3, "step_lists")):
+            monkeypatch.setattr(module, name, lambda *args: calls.append(args))
         for require in (False, True):
             report = sweep.hunt(target, sweep.SweepConfig(family, 3, 3), require)
             assert report.instances_checked > 0
@@ -280,11 +329,11 @@ class TestJobsCap:
 
 
 class TestOneSortPerBlock:
-    """A sweep sorts each instance's block degree lists once for the
-    u/v data, the Betti table and the extension kernel together; a gor3
-    instance sorts them once more for its block curve."""
+    """A sweep builds each instance's block degree lists once, for the
+    u/v data, the step lists, the block curve and the extension kernel
+    together."""
 
-    @pytest.mark.parametrize("family, sorts", [("cm2", 1), ("gor3", 2)])
+    @pytest.mark.parametrize("family, sorts", [("cm2", 1), ("gor3", 1)])
     def test_sorts_per_instance(self, monkeypatch, family, sorts):
         calls = []
         real = cm2.degrees
@@ -533,7 +582,9 @@ def _break_extreme_identity(monkeypatch):
 
 def _skew_genus(monkeypatch):
     real = gor3.block_curve
-    monkeypatch.setattr(gor3, "block_curve", lambda G: (real(G)[0], real(G)[1] + 1))
+    monkeypatch.setattr(
+        gor3, "block_curve", lambda G, lists=None: (real(G, lists)[0], real(G, lists)[1] + 1)
+    )
 
 
 class TestKernelFaults:
@@ -735,7 +786,7 @@ class TestCheckFaults:
         """A block curve that cannot be formed fails the linkage route and
         the extension check, each filed on every instance, and the sweep
         still comes back."""
-        def fail(G):
+        def fail(G, lists=None):
             raise DivisionError("block curve failed on purpose")
 
         monkeypatch.setattr(gor3, "block_curve", fail)
@@ -745,6 +796,27 @@ class TestCheckFaults:
         assert [(x.instance, x.check, x.lhs, x.rhs) for x in report.anomalies] == [
             (inst, check, lhs, "block curve failed on purpose")
             for inst in instances for check, lhs in filed
+        ]
+
+    @pytest.mark.parametrize("family, route, checks", [
+        ("cm2", "uv", ("hhs_bounds", "extension", "prop24")),
+        ("gor3", "pfaffian", ("hhs_bounds", "extension", "gor3_bounds")),
+    ])
+    def test_failed_value_route_filed_with_agreement_off(self, monkeypatch, family, route, checks):
+        """A value route that fails is filed under multiplicity_agreement
+        although that check is off: the bounds read the next route's
+        value and hold, and the extension check, which needs the value
+        route, skips the instance, so nothing else would say so."""
+        def fail(ev):
+            raise InternalMismatch(NO_ROUTE)
+
+        monkeypatch.setitem(EVALUATIONS[family].ROUTES, route, fail)
+        report = sweep.verify_all(sweep.SweepConfig(family, 2, 3, checks=checks))
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        assert not report.ok
+        assert [(a.instance, a.check, a.lhs, a.rhs) for a in report.anomalies] == [
+            (X.to_json_dict(), "multiplicity_agreement", f"{route} route", NO_ROUTE)
+            for X in enum(2, 3)
         ]
 
     def test_no_value_hunt_cli(self, monkeypatch, capsys):
