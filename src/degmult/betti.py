@@ -17,14 +17,14 @@ unbounded integers, in O(terms * c) whatever the size of the shifts.
 
 The package's resolutions are held as one ascending shift list per
 step, each shift of rank 1: :func:`signed_terms` gives their K terms
-and :func:`shift_summary` reads each list's ends.  :func:`ranked`
-groups equal shifts only where a :class:`BettiTable` is built.
+and :func:`shift_summary` reads each list's ends.  Ranks are grouped
+only in a :class:`BettiTable` that enters from outside.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import ge, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -46,9 +46,8 @@ class BettiTable:
     with strictly increasing shifts.  Step 0 (the free module R itself,
     one rank-1 generator in degree 0) is implicit and never stored.
     ``codim`` is the declared codimension c <= p.  The constructor
-    checks nothing: a table that enters from outside goes through
-    :meth:`from_entries`, which validates it, and the tables the
-    package builds from degree matrices are valid by construction.
+    checks nothing: a table enters through :meth:`from_entries`,
+    which validates it.
     """
 
     codim: int
@@ -110,12 +109,6 @@ class BettiTable:
             for pair in as_list(step, "steps entries")
         ]
         return cls.from_entries(codim, entries)
-
-
-def ranked(shifts: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """The (shift, rank) pairs of an ascending shift list, equal shifts
-    counted together: only where a :class:`BettiTable` is built."""
-    return tuple([(shift, len(list(run))) for shift, run in groupby(shifts)])
 
 
 @dataclass(frozen=True)

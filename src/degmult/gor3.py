@@ -14,17 +14,17 @@ extension recursion.  Every one of them reads the block's degree lists
 (:func:`cm2.degrees`) as the caller holds them.
 
 The extension kernel, :func:`extender`, is bound once to a base
-matrix's values and checks each appended (a, b) without building a
-child matrix or Betti table: the shifts come from the block's shifted
-degree lists (:func:`cm2.child_degrees`), the multiplicity from
-:func:`pfaffian_formula` on the child's entries, and the block curve's
-genus from the moments of those lists, through the same
-:func:`betti._multiplicity_and_genus` as :func:`block_curve`.
+matrix's values and checks the base's shifts against its block's
+degree lists there, once.  Each appended (a, b) is then checked for
+the two recursions alone, without building a child matrix or Betti
+table: the multiplicity against :func:`pfaffian_formula` on the
+child's entries, and the block curve's genus against the moments of
+the block's shifted degree lists (:func:`cm2.child_degrees`), through
+the same :func:`betti._multiplicity_and_genus` as :func:`block_curve`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from . import betti, cm2
@@ -102,27 +102,21 @@ def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
     return total
 
 
-def step_lists(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> tuple:
+def step_lists(G: DegreeMatrixGor3, lists: cm2.DegreeLists) -> tuple:
     """The self-dual resolution's ascending step lists from the block
-    ideal J's (``lists``, or :func:`cm2.degrees` of the block).  Step 1
+    ideal J's, ``lists`` (:func:`cm2.degrees` of the block).  Step 1
     is J's generator degrees, up to sum(b), then m3 minus its syzygy
     degrees, from m3 - a_1 - sum(b) >= sum(b) up; step 2 is step 1
     mirrored through m3; step 3 is the single shift m3."""
-    gens, syz = cm2.degrees(G.base) if lists is None else lists
+    gens, syz = lists
     m3 = G.d + 2 * sum(G.base.b)
     step1 = [*gens, *map(m3.__sub__, reversed(syz))]
     return step1, [*map(m3.__sub__, reversed(step1))], (m3,)
 
 
-def betti_table(G: DegreeMatrixGor3) -> betti.BettiTable:
-    """Self-dual three-step Betti table of :func:`step_lists`, ranks grouped."""
-    return betti.BettiTable(3, tuple(map(betti.ranked, step_lists(G))))
-
-
-def block_curve(G: DegreeMatrixGor3, lists: cm2.DegreeLists | None = None) -> tuple[int, int]:
+def block_curve(G: DegreeMatrixGor3, lists: cm2.DegreeLists) -> tuple[int, int]:
     """Multiplicity and genus (e(R/J), g) of the block curve J, from the
-    terms of its step lists (``lists``, or :func:`cm2.degrees` of the block)."""
-    lists = cm2.degrees(G.base) if lists is None else lists
+    terms of its step lists ``lists`` (:func:`cm2.degrees` of the block)."""
     return betti._multiplicity_and_genus(2, *betti.signed_terms(lists))
 
 
@@ -139,47 +133,45 @@ def extender(
     s: ShiftsGor3,
     e: int,
     curve: tuple[int, int],
-    lists: cm2.DegreeLists | None = None,
-) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
+    lists: cm2.DegreeLists,
+) -> Callable[[int, int], int]:
     """The basic-double-link check for every child of G, whose shifts
     are s, multiplicity e, block curve ``curve`` = (e(R/J), g) and
-    block degree lists ``lists`` (:func:`cm2.degrees` if not given).
+    block degree lists ``lists`` (:func:`cm2.degrees` of the block).
 
-    The returned function grows the block by (a, b), keeping d; it needs
-    b >= a and b_t >= a.  From the block's degree lists after
-    :func:`cm2.child_degrees` it reads the six shifts (m1 and m2 are
-    the least generator and syzygy degree, m3 = d + 2 M1(J)) and checks
-    them against s plus the deltas; it checks the multiplicity recursion
-    e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula` on
-    the child's entries, and the genus recursion
-    2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) against the
-    moments of the child's block lists.  It returns the deltas
-    and e', or raises InternalMismatch (DivisionError if the child's
-    block table is not divisible).
+    At bind time s must be read off the lists, with m3 = d + 2 M1(J)
+    and c = b_t: (m1, m1 + c, m3, m3 - m1 - c, m3 - m1, m3).  Appending
+    (a, b) moves each of them by a fixed delta, so no child needs its
+    shifts checked.  The returned function grows the block by (a, b),
+    keeping d; it needs b >= a and b_t >= a.  It checks the
+    multiplicity recursion e' = e + b (m1 + a) (M2 + b - a) against
+    :func:`pfaffian_formula` on the child's entries, and the genus
+    recursion 2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J)
+    against the moments of the child's block lists from
+    :func:`cm2.child_degrees`.  It returns e'; both steps raise
+    InternalMismatch on a failure (DivisionError if the child's block
+    table is not divisible).
     """
     block_a, block_b, d = G.base.a, G.base.b, G.d
+    m1, M2 = s.m1, s.M2
+    m3 = d + 2 * lists[0][-1]
     c = block_b[-1]
-    m1 = s.m1
+    ends = (m1, m1 + c, m3, m3 - m1 - c, m3 - m1, m3)
+    if s != ends:
+        raise InternalMismatch(f"base shifts fail: {s} != {ends}")
     e_j, g = curve
-    base = cm2.degrees(G.base) if lists is None else lists
 
-    def child(a: int, b: int) -> tuple[tuple[int, ...], int]:
-        e2, f2 = cm2.child_degrees(base, m1, a, b)
-        m3 = d + 2 * e2[-1]
-        got = (e2[0], f2[0], m3, m3 - f2[0], m3 - e2[0], m3)
-        deltas = (a, a + b - c, 2 * b, b + c - a, 2 * b - a, 2 * b)
-        if tuple(map(add, s, deltas)) != got:
-            raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {got}")
-        recursion = e + b * (m1 + a) * (s.M2 + b - a)
+    def child(a: int, b: int) -> int:
+        recursion = e + b * (m1 + a) * (M2 + b - a)
         direct = pfaffian_formula(block_a + (a,), block_b + (b,), d)
         if recursion != direct:
             raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
-        _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms((e2, f2)))
+        lists2 = cm2.child_degrees(lists, m1, a, b)
+        _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms(lists2))
         if 2 * g2 != 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j:
             raise InternalMismatch(
                 f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"
             )
-        return deltas, recursion
+        return recursion
 
     return child
-

@@ -416,7 +416,7 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _extender(self, e: int) -> Callable[[int, int], tuple]:
+    def _extender(self, e: int) -> Callable[[int, int], int]:
         return cm2.extender(self.shifts, e, self.degrees)
 
     def _finding(self, on: dict[str, int]) -> dict | None:
@@ -502,7 +502,7 @@ class Gor3Evaluation(Evaluation):
                 found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
         return found
 
-    def _extender(self, e: int) -> Callable[[int, int], tuple]:
+    def _extender(self, e: int) -> Callable[[int, int], int]:
         return gor3.extender(self.instance, self.shifts, e, self.curve(), self.degrees)
 
     def csv_line(self) -> str:

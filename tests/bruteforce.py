@@ -16,7 +16,8 @@ CSV line rendered column by column from the columns' definitions
 instead of from an evaluation.  The
 Herzog-Srinivasan summation identities are kept here too, as a
 reference: they telescope for any integer lists, so no sweep check
-reports them.
+reports them.  One helper is a view, not a reference: :func:`betti_table`
+groups the package's own step lists into the Betti table the tests read.
 """
 from __future__ import annotations
 
@@ -204,6 +205,19 @@ def degree_grid(A: cm2.DegreeMatrixCM2) -> list[list[int]]:
     return [[s - g for g in gens] for s in syz]
 
 
+def betti_table(X) -> betti.BettiTable:
+    """The Betti table of the cm2 or gor3 matrix X: the package's step
+    lists (:func:`cm2.degrees`, :func:`gor3.step_lists`), each shift an
+    entry of rank 1, which :meth:`BettiTable.from_entries` groups."""
+    if isinstance(X, cm2.DegreeMatrixCM2):
+        steps = cm2.degrees(X)
+    else:
+        steps = gor3.step_lists(X, cm2.degrees(X.base))
+    return betti.BettiTable.from_entries(
+        len(steps), [(i, shift, 1) for i, step in enumerate(steps, 1) for shift in step]
+    )
+
+
 def quotient_values(table: betti.BettiTable) -> tuple[int, int]:
     """Multiplicity e = sum_i q_i and dimension-2 genus
     g = 1 + sum_i q_i (i - 1) read off the dense :func:`hilbert_quotient`."""
@@ -219,10 +233,10 @@ def extend_from(X, a, b):
     values, taken the same way.  Returns (child, deltas, e'); NotMonotone
     unless b >= a and b_t >= a."""
     if isinstance(X, cm2.DegreeMatrixCM2):
-        e = quotient_values(cm2.betti_table(X))[0]
+        e = quotient_values(betti_table(X))[0]
         return _extend_cm2(X, cm2.shifts(X), e, a, b)
-    e = quotient_values(gor3.betti_table(X))[0]
-    curve = quotient_values(cm2.betti_table(X.base))
+    e = quotient_values(betti_table(X))[0]
+    curve = quotient_values(betti_table(X.base))
     return _extend_gor3(X, gor3.shifts(X), e, curve, a, b)
 
 
@@ -234,7 +248,7 @@ def _extend_cm2(A, s, e, a, b):
     if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
     e2 = e + (s.m1 + a) * b
-    direct = quotient_values(cm2.betti_table(A2))[0]
+    direct = quotient_values(betti_table(A2))[0]
     if e2 != direct:
         raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
     return A2, deltas, e2
@@ -248,11 +262,11 @@ def _extend_gor3(G, s, e, curve, a, b):
     if tuple(map(add, s, deltas)) != s2:
         raise InternalMismatch(f"shift deltas fail: {s} + {deltas} != {s2}")
     e2 = e + b * (s.m1 + a) * (s.M2 + b - a)
-    direct = quotient_values(gor3.betti_table(G2))[0]
+    direct = quotient_values(betti_table(G2))[0]
     if e2 != direct:
         raise InternalMismatch(f"multiplicity recursion fails: {e2} != {direct}")
     e_j, g = curve
-    g2 = quotient_values(cm2.betti_table(G2.base))[1]
+    g2 = quotient_values(betti_table(G2.base))[1]
     if 2 * g2 != 2 * g + b * (s.m1 + a) * (s.m1 + a + b - 4) + 2 * b * e_j:
         raise InternalMismatch(f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})")
     return G2, deltas, e2

@@ -12,7 +12,7 @@ import pytest
 from degmult import betti, bounds, cm2, gor3, oracle, sweep
 from degmult.cli import main
 
-from bruteforce import brute_cm2, brute_gor3
+from bruteforce import betti_table, brute_cm2, brute_gor3
 
 
 def check(n: int, ok: bool, detail: str) -> None:
@@ -39,7 +39,7 @@ def test_criterion_1_example_reproduction():
     A = cm2.validate([2, 2, 1], [2, 2, 1])
     s = cm2.shifts(A)
     e_uv = cm2.multiplicity_from_degrees(*cm2.degrees(A))
-    e_res = betti.multiplicity(cm2.betti_table(A))
+    e_res = betti.multiplicity(betti_table(A))
     e_st = oracle.colength(cm2.witness_monomial_ideal(A))
     p24 = bounds.prop24_bound(A, e_uv)
     elapsed = time.perf_counter() - start
@@ -75,7 +75,7 @@ def test_criterion_2_family_of_violations():
             and s.m2 == 2 * t
             and s.M2 == 2 * t + 1
             and e == 2 * t * t - 1
-            and betti.multiplicity(cm2.betti_table(A)) == e
+            and betti.multiplicity(betti_table(A)) == e
             and oracle.colength(cm2.witness_monomial_ideal(A)) == e
             and 2 * e == 4 * t * t - 2
             and cleared_rhs == 4 * t * t - 3
@@ -97,7 +97,7 @@ def test_criterion_3_srinivasan_counterexample():
     G = gor3.validate([2], [2], 5)
     s = gor3.shifts(G)
     e = gor3.multiplicity_pfaffian(G)
-    summary = betti.shift_summary(gor3.betti_table(G))
+    summary = betti.shift_summary(betti_table(G))
     sri_lower, sri_upper, _ = bounds.srinivasan_bounds(summary, e)
     lo, up = bounds.gor3_bounds(s.m1, s.m2, s.m3, e)
     elapsed = time.perf_counter() - start
@@ -166,9 +166,9 @@ def test_criterion_6_huneke_miller_on_pure_instances(cm2_sweep, gor3_sweep):
             total += 1
             inst = case["instance"]
             if inst["type"] == "cm2":
-                table = cm2.betti_table(cm2.validate(inst["a"], inst["b"]))
+                table = betti_table(cm2.validate(inst["a"], inst["b"]))
             else:
-                table = gor3.betti_table(gor3.validate(inst["a"], inst["b"], inst["d"]))
+                table = betti_table(gor3.validate(inst["a"], inst["b"], inst["d"]))
             summary = betti.shift_summary(table)
             p = table.projective_dimension
             if summary.m != summary.M:

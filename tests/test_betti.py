@@ -1,6 +1,5 @@
 """Tests for Betti tables, K-polynomials, and the Hilbert-series route."""
 import math
-from itertools import groupby
 
 import pytest
 from hypothesis import example, given
@@ -140,14 +139,6 @@ class TestMultiplicity:
         # Guards the test above: these tables reach the success path.
         q = hilbert_quotient(t)
         assert betti.multiplicity_and_genus(t)[0] == sum(q)
-
-
-class TestRanked:
-    @given(st.lists(st.integers(0, 30)))
-    def test_matches_groupby(self, shifts):
-        shifts.sort()
-        runs = tuple((shift, len(list(run))) for shift, run in groupby(shifts))
-        assert betti.ranked(shifts) == runs
 
 
 class TestShiftSummary:

@@ -7,8 +7,8 @@ from degmult import betti, cm2, oracle
 from degmult.errors import InternalMismatch, InvalidDiagonal, NotMonotone
 
 from bruteforce import (
-    appended_pairs, brute_cm2, degree_grid, extend_from, hs_identities, naive_colength,
-    sorted_degrees, uv_two_pass,
+    appended_pairs, betti_table, brute_cm2, degree_grid, extend_from, hs_identities,
+    naive_colength, sorted_degrees, uv_two_pass,
 )
 from strategies import cm2_matrices
 
@@ -250,15 +250,15 @@ class TestHSIdentities:
 
 class TestBettiTable:
     def test_linear_ci(self):
-        t = cm2.betti_table(cm2.validate([1], [1]))
+        t = betti_table(cm2.validate([1], [1]))
         assert t.steps == (((1, 2),), ((2, 1),))
 
     def test_mixed_degrees(self):
-        t = cm2.betti_table(cm2.validate([1, 1], [2, 1]))
+        t = betti_table(cm2.validate([1, 1], [2, 1]))
         assert t.steps == (((2, 2), (3, 1)), ((3, 1), (4, 1)))
 
     def test_example_matrix_multiplicity(self):
-        assert betti.multiplicity(cm2.betti_table(EX25)) == 17
+        assert betti.multiplicity(betti_table(EX25)) == 17
 
 
 class TestWitness:
@@ -302,13 +302,24 @@ class TestExtend:
     def test_recursion_value(self):
         A = cm2.validate([1, 1], [2, 1])
         A2, deltas, e2 = extend_from(A, 1, 1)
-        assert cm2.extend(A, 1, 1) == (deltas, e2)
+        assert cm2.extend(A, 1, 1) == e2
         assert e2 == 4 + 3 * 1 == 7
         assert A2.a == (1, 1, 1) and A2.b == (2, 1, 1)
         assert deltas == (1, 1, 1, 1)  # (a, a+b-c, b, b) with c = 1
         w = cm2.witness_monomial_ideal(A2)
         assert w.gens == ((0, 4), (1, 2), (2, 1), (3, 0))
         assert naive_colength(list(w.gens)) == 7
+
+    @pytest.mark.parametrize("field", cm2.ShiftsCM2._fields)
+    def test_base_shifts_checked_at_bind(self, field):
+        """The kernel binds to the true shifts and refuses any shift
+        moved by 1, before any child is appended."""
+        A = cm2.validate([1, 1], [2, 1])
+        s, lists = cm2.shifts(A), cm2.degrees(A)
+        assert cm2.extender(s, 4, lists)(1, 1) == 7
+        for step in (-1, 1):
+            with pytest.raises(InternalMismatch, match="base shifts fail"):
+                cm2.extender(s._replace(**{field: getattr(s, field) + step}), 4, lists)
 
     def test_smallest(self):
         A2, _, e2 = extend_from(cm2.validate([1], [1]), 1, 1)
@@ -327,7 +338,7 @@ class TestProperties:
     @given(cm2_matrices())
     def test_three_route_agreement(self, A):
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
-        assert betti.multiplicity(cm2.betti_table(A)) == e
+        assert betti.multiplicity(betti_table(A)) == e
         assert oracle.colength(cm2.witness_monomial_ideal(A)) == e
         assert e >= 1
 
@@ -338,14 +349,14 @@ class TestProperties:
     @given(cm2_matrices())
     def test_shift_agreement_with_table(self, A):
         s = cm2.shifts(A)
-        summary = betti.shift_summary(cm2.betti_table(A))
+        summary = betti.shift_summary(betti_table(A))
         assert summary.m == (s.m1, s.m2)
         assert summary.M == (s.M1, s.M2)
         assert s.m1 < s.m2 and s.M1 < s.M2
 
     @given(cm2_matrices())
     def test_k_vanishes_to_order_exactly_two(self, A):
-        table = cm2.betti_table(A)
+        table = betti_table(A)
         k = betti.k_polynomial(table)
         assert sum(k.coeffs) == 0  # K(1)
         assert betti.multiplicity(table) != 0  # Q(1) != 0, order exactly c

@@ -24,6 +24,8 @@ import pytest
 from degmult import cm2
 from degmult.cli import main
 
+from bruteforce import betti_table
+
 CM2_TABLE = {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]]}
 GOR3_TABLE = {"codim": 3, "steps": [[[2, 2], [5, 1]], [[4, 1], [7, 2]], [[9, 1]]]}
 STAIRCASE = {"type": "monomial2", "gens": [[0, 5], [2, 3], [4, 1], [5, 0]]}
@@ -47,7 +49,7 @@ LARGE_A, LARGE_B = _seeded_block(150, 150)
 LARGE_CM2 = {"type": "cm2", "a": LARGE_A, "b": LARGE_B}
 GOR3_A, GOR3_B = _seeded_block(120, 120)
 LARGE_GOR3 = {"type": "gor3", "a": GOR3_A, "b": GOR3_B, "d": 162}
-LARGE_CM2_TABLE = cm2.betti_table(cm2.validate(LARGE_A, LARGE_B)).to_json_dict()
+LARGE_CM2_TABLE = betti_table(cm2.validate(LARGE_A, LARGE_B)).to_json_dict()
 # The second matrix's multiplicity, 10**4400, passes the 4,300 digits
 # that Python converts an int to a str by default.
 HUGE_RESULT = [MIXED[0], {"type": "cm2", "a": [10**2200], "b": [10**2200]}, MIXED[1]]

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degmult import betti, cm2, gor3
-from degmult.errors import CenterTooSmall, NotMonotone
+from degmult.errors import CenterTooSmall, InternalMismatch, NotMonotone
 
-from bruteforce import brute_gor3, extend_from, quotient_values, sorted_gor3_steps
+from bruteforce import betti_table, brute_gor3, extend_from, quotient_values, sorted_gor3_steps
 from strategies import gor3_matrices
 
 CI_225 = gor3.validate([2], [2], 5)
@@ -68,11 +68,11 @@ class TestPfaffianMultiplicity:
 
 class TestBettiTable:
     def test_pure_quadrics(self):
-        t = gor3.betti_table(PURE_QUADRICS)
+        t = betti_table(PURE_QUADRICS)
         assert t.steps == (((2, 5),), ((3, 5),), ((5, 1),))
 
     def test_mixed(self):
-        t = gor3.betti_table(G_2111)
+        t = betti_table(G_2111)
         assert t.steps == (
             ((2, 2), (3, 2), (4, 1)),
             ((3, 1), (4, 2), (5, 2)),
@@ -80,14 +80,13 @@ class TestBettiTable:
         )
 
     def test_three_linear_forms(self):
-        t = gor3.betti_table(gor3.validate([1], [1], 1))
+        t = betti_table(gor3.validate([1], [1], 1))
         assert t.steps == (((1, 3),), ((2, 3),), ((3, 1),))
 
 
-def shift_lists(table):
-    """Steps 1 and 2 of a table as shift lists, each shift repeated by its
-    rank, in the table's order."""
-    return tuple([shift for shift, rank in step for _ in range(rank)] for step in table.steps[:2])
+def shift_lists(G):
+    """Steps 1 and 2 of G's step lists, in the order they come out."""
+    return tuple(gor3.step_lists(G, cm2.degrees(G.base))[:2])
 
 
 class TestStepOrder:
@@ -95,16 +94,16 @@ class TestStepOrder:
 
     def test_small_range(self):
         for G in brute_gor3(2, 4):
-            assert shift_lists(gor3.betti_table(G)) == sorted_gor3_steps(G)
+            assert shift_lists(G) == sorted_gor3_steps(G)
 
     @given(gor3_matrices(max_t=40))
     def test_long_matrices(self, G):
-        assert shift_lists(gor3.betti_table(G)) == sorted_gor3_steps(G)
+        assert shift_lists(G) == sorted_gor3_steps(G)
 
 
 def linkage(G):
     """The liaison-formula multiplicity of G, as the linkage route forms it."""
-    return gor3._linkage_value(G, gor3.block_curve(G))
+    return gor3._linkage_value(G, gor3.block_curve(G, cm2.degrees(G.base)))
 
 
 class TestLinkage:
@@ -115,7 +114,7 @@ class TestLinkage:
     def test_pure_quadrics(self):
         # e(J) = 3, g = 0: (2 + 3 - 4) * 3 + 2 = 5
         assert linkage(PURE_QUADRICS) == 5
-        jt = cm2.betti_table(PURE_QUADRICS.base)
+        jt = betti_table(PURE_QUADRICS.base)
         assert betti.multiplicity(jt) == 3
         assert betti.multiplicity_and_genus(jt) == (3, 0)
 
@@ -127,11 +126,24 @@ class TestExtend:
     def test_to_pure_quadrics(self):
         g = gor3.validate([1], [1], 1)
         g2, deltas, e2 = extend_from(g, 1, 1)
-        child = gor3.extender(g, gor3.shifts(g), 1, gor3.block_curve(g))
-        assert child(1, 1) == (deltas, e2)
+        lists = cm2.degrees(g.base)
+        child = gor3.extender(g, gor3.shifts(g), 1, gor3.block_curve(g, lists), lists)
+        assert child(1, 1) == e2
         assert e2 == 1 + 1 * 2 * 2 == 5
         assert g2 == PURE_QUADRICS
         assert deltas == (1, 1, 2, 1, 1, 2)
+
+    @pytest.mark.parametrize("field", gor3.ShiftsGor3._fields)
+    def test_base_shifts_checked_at_bind(self, field):
+        """The kernel binds to the true shifts and refuses any shift
+        moved by 1, before any child is appended."""
+        s, lists = gor3.shifts(CI_225), cm2.degrees(CI_225.base)
+        curve = gor3.block_curve(CI_225, lists)
+        assert gor3.extender(CI_225, s, 20, curve, lists)(2, 3) == 20 + 3 * 4 * 8
+        for step in (-1, 1):
+            skewed = s._replace(**{field: getattr(s, field) + step})
+            with pytest.raises(InternalMismatch, match="base shifts fail"):
+                gor3.extender(CI_225, skewed, 20, curve, lists)
 
     def test_wider_column(self):
         g = gor3.validate([1], [1], 1)
@@ -174,17 +186,19 @@ class TestOneQuotientPerTable:
         return calls
 
     def test_linkage_value(self, divisions):
-        curve = gor3.block_curve(G_2111)
+        curve = gor3.block_curve(G_2111, cm2.degrees(G_2111.base))
         assert gor3._linkage_value(G_2111, curve) == gor3.multiplicity_pfaffian(G_2111)
-        assert divisions == [table_terms(cm2.betti_table(G_2111.base))]
+        assert divisions == [table_terms(betti_table(G_2111.base))]
 
     def test_extend(self, divisions):
-        child = gor3.extender(CI_225, gor3.shifts(CI_225), 20, gor3.block_curve(CI_225))
+        lists = cm2.degrees(CI_225.base)
+        curve = gor3.block_curve(CI_225, lists)
+        child = gor3.extender(CI_225, gor3.shifts(CI_225), 20, curve, lists)
         child(2, 3)
         G2 = gor3.validate([2, 2], [2, 3], 5)
         assert divisions == [
-            table_terms(cm2.betti_table(CI_225.base)),
-            table_terms(cm2.betti_table(G2.base)),
+            table_terms(betti_table(CI_225.base)),
+            table_terms(betti_table(G2.base)),
         ]
 
 
@@ -192,14 +206,14 @@ class TestProperties:
     @given(gor3_matrices())
     def test_three_route_agreement(self, G):
         e = gor3.multiplicity_pfaffian(G)
-        assert betti.multiplicity(gor3.betti_table(G)) == e
+        assert betti.multiplicity(betti_table(G)) == e
         assert linkage(G) == e
         assert e >= 1
 
     @given(gor3_matrices())
     def test_table_self_dual(self, G):
         s = gor3.shifts(G)
-        t = gor3.betti_table(G)
+        t = betti_table(G)
         step1, step2, step3 = t.steps
         assert step3 == ((s.m3, 1),)
         assert tuple(sorted((s.m3 - shift, rank) for shift, rank in step1)) == step2
@@ -209,7 +223,7 @@ class TestProperties:
     @given(gor3_matrices())
     def test_shift_agreement_with_table(self, G):
         s = gor3.shifts(G)
-        summary = betti.shift_summary(gor3.betti_table(G))
+        summary = betti.shift_summary(betti_table(G))
         assert summary.m == (s.m1, s.m2, s.m3)
         assert summary.M == (s.M1, s.M2, s.M3)
         assert s.m1 < s.m2 < s.m3 and s.M1 < s.M2 < s.M3
@@ -221,7 +235,8 @@ class TestProperties:
             return
         s = gor3.shifts(G)
         child = gor3.extender(
-            G, s, gor3.multiplicity_pfaffian(G), quotient_values(cm2.betti_table(G.base))
+            G, s, gor3.multiplicity_pfaffian(G), quotient_values(betti_table(G.base)),
+            cm2.degrees(G.base),
         )
-        _, e2 = child(a, b)
+        e2 = child(a, b)
         assert e2 == gor3.multiplicity_pfaffian(G) + b * (s.m1 + a) * (s.M2 + b - a)

@@ -15,6 +15,7 @@ from degmult.sweep import EVALUATIONS
 
 from bruteforce import (
     appended_pairs,
+    betti_table,
     brute_cm2,
     brute_gor3,
     extend_from,
@@ -86,11 +87,11 @@ def assert_resolution_matches_table(X):
     dense Hilbert quotient and the summary of the grouped Betti table."""
     ev = sweep.evaluate(X)
     gor = isinstance(X, gor3.DegreeMatrixGor3)
-    table = (gor3 if gor else cm2).betti_table(X)
+    table = betti_table(X)
     assert ev.routes["resolution"] == sum(hilbert_quotient(table))
     assert ev.summary == betti.shift_summary(table)
     block = X.base if gor else X
-    curve = quotient_values(cm2.betti_table(block))
+    curve = quotient_values(betti_table(block))
     assert betti._multiplicity_and_genus(2, *betti.signed_terms(cm2.degrees(block))) == curve
     if gor:
         assert ev.block_curve == curve
@@ -279,7 +280,7 @@ class TestOnlyEnabledChecksCompute:
     @pytest.mark.parametrize("target, family", sorted(sweep.HUNT_TARGETS.items()))
     def test_hunts_read_no_betti_table(self, monkeypatch, target, family):
         calls = self.failing_routes(monkeypatch)
-        for module, name in ((cm2, "betti_table"), (gor3, "betti_table"), (gor3, "step_lists")):
+        for module, name in ((gor3, "step_lists"), (betti, "shift_summary")):
             monkeypatch.setattr(module, name, lambda *args: calls.append(args))
         for require in (False, True):
             report = sweep.hunt(target, sweep.SweepConfig(family, 3, 3), require)
@@ -402,8 +403,8 @@ def appended_children(config):
 
 def recorded_children(monkeypatch, module):
     """Wrap ``module.extender`` so each child it checks without a failure
-    is recorded as (base number, a, b, deltas, e'), bases counted from 0
-    in the order the sweep binds them."""
+    is recorded as (base number, a, b, e'), bases counted from 0 in the
+    order the sweep binds them."""
     seen = []
     bases = itertools.count()
     real = module.extender
@@ -413,9 +414,9 @@ def recorded_children(monkeypatch, module):
         child = real(*args)
 
         def recorded(a, b):
-            deltas, e2 = child(a, b)
-            seen.append((k, a, b, tuple(deltas), e2))
-            return deltas, e2
+            e2 = child(a, b)
+            seen.append((k, a, b, e2))
+            return e2
 
         return recorded
 
@@ -505,8 +506,8 @@ class TestExtensionCheck:
 
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
     def test_kernel_matches_reference(self, monkeypatch, family, t_max, entry_max):
-        """Every appended child gets the deltas and e' of the reference
-        that builds and re-evaluates the child matrix."""
+        """Every appended child gets the e' of the reference that builds
+        and re-evaluates the child matrix, and checks its shift deltas."""
         module = cm2 if family == "cm2" else gor3
         seen = recorded_children(monkeypatch, module)
         config = extension_only(family, t_max, entry_max)
@@ -516,8 +517,7 @@ class TestExtensionCheck:
         for k, inst in enumerate(enum(t_max, entry_max)):
             block = inst if family == "cm2" else inst.base
             for a, b in appended_pairs(block.b[-1], entry_max):
-                _, deltas, e2 = extend_from(inst, a, b)
-                expected.append((k, a, b, tuple(deltas), e2))
+                expected.append((k, a, b, extend_from(inst, a, b)[2]))
         assert len(expected) > 2000
         assert seen == expected
 
@@ -583,7 +583,7 @@ def _break_extreme_identity(monkeypatch):
 def _skew_genus(monkeypatch):
     real = gor3.block_curve
     monkeypatch.setattr(
-        gor3, "block_curve", lambda G, lists=None: (real(G, lists)[0], real(G, lists)[1] + 1)
+        gor3, "block_curve", lambda G, lists: (real(G, lists)[0], real(G, lists)[1] + 1)
     )
 
 
@@ -596,14 +596,12 @@ class TestKernelFaults:
         ("cm2", "recursion"): (
             lambda mp: _skew_route(mp, "cm2", "uv"), "multiplicity recursion fails"
         ),
-        ("cm2", "shift"): (lambda mp: _skew_shift(mp, cm2), "shift deltas fail"),
         ("cm2", "uv_inequality"): (_break_uv_inequality, "u_i >= v_i >= 0 fails"),
         ("cm2", "extreme_identity"): (_break_extreme_identity, "extreme-degree identity fails"),
         ("gor3", "direct"): (_skew_child_pfaffian, "multiplicity recursion fails"),
         ("gor3", "recursion"): (
             lambda mp: _skew_route(mp, "gor3", "pfaffian"), "multiplicity recursion fails"
         ),
-        ("gor3", "shift"): (lambda mp: _skew_shift(mp, gor3), "shift deltas fail"),
         ("gor3", "genus"): (_skew_genus, "genus recursion fails"),
     }
 
@@ -621,6 +619,34 @@ class TestKernelFaults:
         assert [(x.instance, x.lhs) for x in report.anomalies] == expected
         assert {x.check for x in report.anomalies} == {"extension"}
         assert all(message in x.rhs for x in report.anomalies)
+
+
+# Every single shift field of each family, moved by -1 and by +1.
+SHIFT_SKEWS = [
+    (family, field, step)
+    for family, fields in (("cm2", cm2.ShiftsCM2._fields), ("gor3", gor3.ShiftsGor3._fields))
+    for field in fields
+    for step in (-1, 1)
+]
+
+
+class TestBaseShiftFaults:
+    """The extension kernel checks the base's shifts once, when it is
+    bound, so a skewed shift files one ``kernel inputs`` anomaly per
+    instance, on the instances that shift_agreement files."""
+
+    @pytest.mark.parametrize("family, field, step", SHIFT_SKEWS)
+    def test_one_anomaly_per_instance(self, monkeypatch, family, field, step):
+        module = cm2 if family == "cm2" else gor3
+        _set_shift(monkeypatch, module, field, lambda s: getattr(s, field) + step)
+        report = sweep.verify_all(extension_only(family, 2, 4))
+        assert {(x.check, x.lhs) for x in report.anomalies} == {("extension", "kernel inputs")}
+        assert all("base shifts fail" in x.rhs for x in report.anomalies)
+        filed = [x.instance for x in report.anomalies]
+        assert len(filed) == report.instances_checked > 0
+        config = sweep.SweepConfig(family, 2, 4, checks=("shift_agreement",))
+        agreement = [x.instance for x in sweep.verify_all(config).anomalies]
+        assert filed == [inst for inst, _ in itertools.groupby(agreement)]
 
 
 def _set_shift(monkeypatch, module, name, value):
@@ -786,7 +812,7 @@ class TestCheckFaults:
         """A block curve that cannot be formed fails the linkage route and
         the extension check, each filed on every instance, and the sweep
         still comes back."""
-        def fail(G, lists=None):
+        def fail(G, lists):
             raise DivisionError("block curve failed on purpose")
 
         monkeypatch.setattr(gor3, "block_curve", fail)
