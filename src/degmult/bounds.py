@@ -15,7 +15,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from . import cm2 as cm2mod
-from .betti import ShiftSummary
+from .betti import ShiftSummary, summary_purity
 from .errors import CharacterizationViolated
 
 
@@ -158,19 +158,19 @@ def srinivasan_bounds(
 ) -> tuple[BoundVerdict, BoundVerdict, bool]:
     """Srinivasan's Gorenstein bounds m1 M2 M3 <= 6e <= M1 m2 m3.
 
-    Both are only claimed under quasi-purity, which is flagged on the
-    result; the lower bound fails already for the complete intersection
-    of type (2, 2, 5), and whether the upper bound holds for every
-    Gorenstein codimension-3 ideal is the open question the hunt
-    searches.
+    Both are only claimed under quasi-purity (:func:`betti.summary_purity`),
+    which is flagged on the result and which the hunt requires under
+    --require-hypotheses; the lower bound fails already for the complete
+    intersection of type (2, 2, 5), and whether the upper bound holds
+    for every Gorenstein codimension-3 ideal is the open question the
+    hunt searches.
     """
     if len(shifts.m) != 3:
         raise ValueError("these bounds apply to codimension-3 shift data")
     m, M = shifts.m, shifts.M
     lower = BoundVerdict("srinivasan_lower", 6 * e, ">=", m[0] * M[1] * M[2], 6)
     upper = BoundVerdict("srinivasan_upper", 6 * e, "<=", M[0] * m[1] * m[2], 6)
-    quasi_pure = all(m[i] >= M[i - 1] for i in range(1, 3))
-    return lower, upper, quasi_pure
+    return lower, upper, summary_purity(shifts).quasi_pure
 
 
 def sharpness(lower: BoundVerdict, upper: BoundVerdict, pure: bool) -> SharpnessVerdict:

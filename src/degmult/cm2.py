@@ -19,11 +19,11 @@ one forward pass over the lists, :func:`multiplicity_from_degrees`,
 which checks every u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extender`, is bound once to a base
-matrix's shifts, multiplicity and degree lists.  It checks the base's
-shifts against the ends of its lists once, at bind time, and then each
-appended (a, b) only for the multiplicity recursion, on the child's
-degree lists alone (:func:`child_degrees`: the base's lists shifted by
-b, each led by its one new degree), with no child matrix or table.
+matrix's multiplicity and degree lists, and reads m1 off the lists.
+It checks each appended (a, b) for the multiplicity recursion, on the
+child's degree lists alone (:func:`child_degrees`: the base's lists
+shifted by b, each led by its one new degree), with no child matrix or
+table.  The base's shifts are left to the sweep's ``shift_agreement``.
 :func:`extend` binds it to one matrix and one pair; it stays only for
 the benchmark's replay of the cm2 sweep (``benchmarks/worker.py``).
 """
@@ -175,24 +175,19 @@ def child_degrees(lists: DegreeLists, m1: int, a: int, b: int) -> tuple[list[int
     return [m1 + a, *[g + b for g in gens]], [m1 + a + b, *[x + b for x in syz]]
 
 
-def extender(s: ShiftsCM2, e: int, lists: DegreeLists) -> Callable[[int, int], int]:
-    """The basic-double-link check for every child of a matrix whose
-    shifts are s, multiplicity e and ascending degree lists ``lists``.
+def extender(e: int, lists: DegreeLists) -> Callable[[int, int], int]:
+    """The basic-double-link check for every child of a matrix with
+    multiplicity e and ascending degree lists ``lists``, whose least
+    generator degree is m1.
 
-    At bind time s must be the ends of the lists, (m1, m1 + f_1 - e_1,
-    e_m, f_{m-1}): appending (a, b) moves each of them by a fixed
-    delta, so no child needs its shifts checked.  The returned function
-    takes the appended (a, b), which must satisfy b >= a and b_t >= a,
-    forms the child's degree lists with :func:`child_degrees`, and
-    checks the recursion e' = e + (m1 + a) b against the child's own
-    multiplicity from :func:`multiplicity_from_degrees`.  It returns
-    e'; both steps raise InternalMismatch on a failure.
+    The returned function takes the appended (a, b), which must satisfy
+    b >= a and b_t >= a, forms the child's degree lists with
+    :func:`child_degrees`, and checks the recursion e' = e + (m1 + a) b
+    against the child's own multiplicity from
+    :func:`multiplicity_from_degrees`.  It returns e', and raises
+    InternalMismatch on a failure.
     """
-    m1 = s.m1
-    gens, syz = lists
-    ends = (m1, m1 + syz[0] - gens[0], gens[-1], syz[-1])
-    if s != ends:
-        raise InternalMismatch(f"base shifts fail: {s} != {ends}")
+    m1 = lists[0][0]
 
     def child(a: int, b: int) -> int:
         recursion = e + (m1 + a) * b
@@ -208,4 +203,4 @@ def extend(A: DegreeMatrixCM2, a: int, b: int) -> int:
     """The multiplicity of A with (a, b) appended, as checked by
     :func:`extender`; b >= a and b_t >= a are not checked."""
     lists = degrees(A)
-    return extender(shifts(A), multiplicity_from_degrees(*lists), lists)(a, b)
+    return extender(multiplicity_from_degrees(*lists), lists)(a, b)

@@ -14,13 +14,14 @@ extension recursion.  Every one of them reads the block's degree lists
 (:func:`cm2.degrees`) as the caller holds them.
 
 The extension kernel, :func:`extender`, is bound once to a base
-matrix's values and checks the base's shifts against its block's
-degree lists there, once.  Each appended (a, b) is then checked for
-the two recursions alone, without building a child matrix or Betti
-table: the multiplicity against :func:`pfaffian_formula` on the
-child's entries, and the block curve's genus against the moments of
-the block's shifted degree lists (:func:`cm2.child_degrees`), through
-the same :func:`betti._multiplicity_and_genus` as :func:`block_curve`.
+matrix's multiplicity, block curve and block degree lists, and reads
+m1 and M2 off the lists.  Each appended (a, b) is checked for the two
+recursions, without building a child matrix or Betti table: the
+multiplicity against :func:`pfaffian_formula` on the child's entries,
+and the block curve's genus against the moments of the block's shifted
+degree lists (:func:`cm2.child_degrees`), through the same
+:func:`betti._multiplicity_and_genus` as :func:`block_curve`.  The
+base's shifts are left to the sweep's ``shift_agreement``.
 """
 from __future__ import annotations
 
@@ -114,7 +115,7 @@ def step_lists(G: DegreeMatrixGor3, lists: cm2.DegreeLists) -> tuple:
     return step1, [*map(m3.__sub__, reversed(step1))], (m3,)
 
 
-def block_curve(G: DegreeMatrixGor3, lists: cm2.DegreeLists) -> tuple[int, int]:
+def block_curve(lists: cm2.DegreeLists) -> tuple[int, int]:
     """Multiplicity and genus (e(R/J), g) of the block curve J, from the
     terms of its step lists ``lists`` (:func:`cm2.degrees` of the block)."""
     return betti._multiplicity_and_genus(2, *betti.signed_terms(lists))
@@ -129,36 +130,26 @@ def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
 
 
 def extender(
-    G: DegreeMatrixGor3,
-    s: ShiftsGor3,
-    e: int,
-    curve: tuple[int, int],
-    lists: cm2.DegreeLists,
+    G: DegreeMatrixGor3, e: int, curve: tuple[int, int], lists: cm2.DegreeLists
 ) -> Callable[[int, int], int]:
-    """The basic-double-link check for every child of G, whose shifts
-    are s, multiplicity e, block curve ``curve`` = (e(R/J), g) and
-    block degree lists ``lists`` (:func:`cm2.degrees` of the block).
+    """The basic-double-link check for every child of G, whose
+    multiplicity is e, block curve ``curve`` = (e(R/J), g) and block
+    degree lists ``lists`` (:func:`cm2.degrees` of the block), which
+    give m1 = gens[0] and M2 = d + 2 gens[-1] - m1.
 
-    At bind time s must be read off the lists, with m3 = d + 2 M1(J)
-    and c = b_t: (m1, m1 + c, m3, m3 - m1 - c, m3 - m1, m3).  Appending
-    (a, b) moves each of them by a fixed delta, so no child needs its
-    shifts checked.  The returned function grows the block by (a, b),
-    keeping d; it needs b >= a and b_t >= a.  It checks the
-    multiplicity recursion e' = e + b (m1 + a) (M2 + b - a) against
-    :func:`pfaffian_formula` on the child's entries, and the genus
-    recursion 2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J)
-    against the moments of the child's block lists from
-    :func:`cm2.child_degrees`.  It returns e'; both steps raise
-    InternalMismatch on a failure (DivisionError if the child's block
-    table is not divisible).
+    The returned function grows the block by (a, b), keeping d; it
+    needs b >= a and b_t >= a.  It checks the multiplicity recursion
+    e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula`
+    on the child's entries, and the genus recursion
+    2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) against the
+    moments of the child's block lists from :func:`cm2.child_degrees`.
+    It returns e'; both steps raise InternalMismatch on a failure
+    (DivisionError if the child's block table is not divisible).
     """
     block_a, block_b, d = G.base.a, G.base.b, G.d
-    m1, M2 = s.m1, s.M2
-    m3 = d + 2 * lists[0][-1]
-    c = block_b[-1]
-    ends = (m1, m1 + c, m3, m3 - m1 - c, m3 - m1, m3)
-    if s != ends:
-        raise InternalMismatch(f"base shifts fail: {s} != {ends}")
+    gens = lists[0]
+    m1 = gens[0]
+    M2 = d + 2 * gens[-1] - m1
     e_j, g = curve
 
     def child(a: int, b: int) -> int:

@@ -417,7 +417,7 @@ class CM2Evaluation(Evaluation):
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
     def _extender(self, e: int) -> Callable[[int, int], int]:
-        return cm2.extender(self.shifts, e, self.degrees)
+        return cm2.extender(e, self.degrees)
 
     def _finding(self, on: dict[str, int]) -> dict | None:
         if "prop24" not in on or self.prop24 is None or self.prop24.bound_holds:
@@ -480,7 +480,7 @@ class Gor3Evaluation(Evaluation):
     def curve(self) -> tuple[int, int]:
         """The block curve's (e(R/J), g), built on first read."""
         if self.block_curve is None:
-            self.block_curve = gor3.block_curve(self.instance, self.degrees)
+            self.block_curve = gor3.block_curve(self.degrees)
         return self.block_curve
 
     def _verdicts(self) -> None:
@@ -503,7 +503,7 @@ class Gor3Evaluation(Evaluation):
         return found
 
     def _extender(self, e: int) -> Callable[[int, int], int]:
-        return gor3.extender(self.instance, self.shifts, e, self.curve(), self.degrees)
+        return gor3.extender(self.instance, e, self.curve(), self.degrees)
 
     def csv_line(self) -> str:
         G, s, pur, e, sri = self.instance, self.shifts, self.purity, self.e, self.srinivasan
@@ -517,10 +517,13 @@ class Gor3Evaluation(Evaluation):
         )
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
-        """A violation of Srinivasan's upper bound, which has no hypothesis to require."""
+        """A violation of Srinivasan's upper bound, optionally only under
+        quasi-purity, the hypothesis under which the bound is claimed."""
         e = self._hunted_value()
-        upper = bounds.srinivasan_bounds(self.extremes(), e)[1]
-        return None if upper.holds else self._candidate(upper)
+        _, upper, quasi_pure = bounds.srinivasan_bounds(self.extremes(), e)
+        if upper.holds or (require_hypotheses and not quasi_pure):
+            return None
+        return self._candidate(upper)
 
 
 # The evaluation class of each family.

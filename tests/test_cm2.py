@@ -310,17 +310,6 @@ class TestExtend:
         assert w.gens == ((0, 4), (1, 2), (2, 1), (3, 0))
         assert naive_colength(list(w.gens)) == 7
 
-    @pytest.mark.parametrize("field", cm2.ShiftsCM2._fields)
-    def test_base_shifts_checked_at_bind(self, field):
-        """The kernel binds to the true shifts and refuses any shift
-        moved by 1, before any child is appended."""
-        A = cm2.validate([1, 1], [2, 1])
-        s, lists = cm2.shifts(A), cm2.degrees(A)
-        assert cm2.extender(s, 4, lists)(1, 1) == 7
-        for step in (-1, 1):
-            with pytest.raises(InternalMismatch, match="base shifts fail"):
-                cm2.extender(s._replace(**{field: getattr(s, field) + step}), 4, lists)
-
     def test_smallest(self):
         A2, _, e2 = extend_from(cm2.validate([1], [1]), 1, 1)
         assert e2 == 3

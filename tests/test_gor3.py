@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degmult import betti, cm2, gor3
-from degmult.errors import CenterTooSmall, InternalMismatch, NotMonotone
+from degmult.errors import CenterTooSmall, NotMonotone
 
 from bruteforce import betti_table, brute_gor3, extend_from, quotient_values, sorted_gor3_steps
 from strategies import gor3_matrices
@@ -103,7 +103,7 @@ class TestStepOrder:
 
 def linkage(G):
     """The liaison-formula multiplicity of G, as the linkage route forms it."""
-    return gor3._linkage_value(G, gor3.block_curve(G, cm2.degrees(G.base)))
+    return gor3._linkage_value(G, gor3.block_curve(cm2.degrees(G.base)))
 
 
 class TestLinkage:
@@ -127,23 +127,11 @@ class TestExtend:
         g = gor3.validate([1], [1], 1)
         g2, deltas, e2 = extend_from(g, 1, 1)
         lists = cm2.degrees(g.base)
-        child = gor3.extender(g, gor3.shifts(g), 1, gor3.block_curve(g, lists), lists)
+        child = gor3.extender(g, 1, gor3.block_curve(lists), lists)
         assert child(1, 1) == e2
         assert e2 == 1 + 1 * 2 * 2 == 5
         assert g2 == PURE_QUADRICS
         assert deltas == (1, 1, 2, 1, 1, 2)
-
-    @pytest.mark.parametrize("field", gor3.ShiftsGor3._fields)
-    def test_base_shifts_checked_at_bind(self, field):
-        """The kernel binds to the true shifts and refuses any shift
-        moved by 1, before any child is appended."""
-        s, lists = gor3.shifts(CI_225), cm2.degrees(CI_225.base)
-        curve = gor3.block_curve(CI_225, lists)
-        assert gor3.extender(CI_225, s, 20, curve, lists)(2, 3) == 20 + 3 * 4 * 8
-        for step in (-1, 1):
-            skewed = s._replace(**{field: getattr(s, field) + step})
-            with pytest.raises(InternalMismatch, match="base shifts fail"):
-                gor3.extender(CI_225, skewed, 20, curve, lists)
 
     def test_wider_column(self):
         g = gor3.validate([1], [1], 1)
@@ -186,14 +174,13 @@ class TestOneQuotientPerTable:
         return calls
 
     def test_linkage_value(self, divisions):
-        curve = gor3.block_curve(G_2111, cm2.degrees(G_2111.base))
+        curve = gor3.block_curve(cm2.degrees(G_2111.base))
         assert gor3._linkage_value(G_2111, curve) == gor3.multiplicity_pfaffian(G_2111)
         assert divisions == [table_terms(betti_table(G_2111.base))]
 
     def test_extend(self, divisions):
         lists = cm2.degrees(CI_225.base)
-        curve = gor3.block_curve(CI_225, lists)
-        child = gor3.extender(CI_225, gor3.shifts(CI_225), 20, curve, lists)
+        child = gor3.extender(CI_225, 20, gor3.block_curve(lists), lists)
         child(2, 3)
         G2 = gor3.validate([2, 2], [2, 3], 5)
         assert divisions == [
@@ -235,7 +222,7 @@ class TestProperties:
             return
         s = gor3.shifts(G)
         child = gor3.extender(
-            G, s, gor3.multiplicity_pfaffian(G), quotient_values(betti_table(G.base)),
+            G, gor3.multiplicity_pfaffian(G), quotient_values(betti_table(G.base)),
             cm2.degrees(G.base),
         )
         e2 = child(a, b)

@@ -198,6 +198,17 @@ class TestHunt:
         assert report.instances_checked == len(list(sweep.enumerate_gor3(2, 4)))
         assert report.ok
 
+    def test_srinivasan_requires_quasi_purity(self):
+        """Srinivasan's upper bound is claimed only under quasi-purity, so
+        --require-hypotheses drops every candidate that is not quasi-pure."""
+        config = sweep.SweepConfig("gor3", 3, 6)
+        report = sweep.hunt("srinivasan_upper_gor3", config)
+        assert len(report.candidates) == 13
+        assert not any(c["m2"] >= c["M1"] and c["m3"] >= c["M2"] for c in report.candidates)
+        restricted = sweep.hunt("srinivasan_upper_gor3", config, require_hypotheses=True)
+        assert restricted.candidates == ()
+        assert restricted.instances_checked == report.instances_checked
+
     def test_prop24_restricted_no_candidates(self):
         report = sweep.hunt(
             "prop24_bound", sweep.SweepConfig("cm2", 2, 4), require_hypotheses=True
@@ -583,7 +594,7 @@ def _break_extreme_identity(monkeypatch):
 def _skew_genus(monkeypatch):
     real = gor3.block_curve
     monkeypatch.setattr(
-        gor3, "block_curve", lambda G, lists: (real(G, lists)[0], real(G, lists)[1] + 1)
+        gor3, "block_curve", lambda lists: (real(lists)[0], real(lists)[1] + 1)
     )
 
 
@@ -621,32 +632,38 @@ class TestKernelFaults:
         assert all(message in x.rhs for x in report.anomalies)
 
 
-# Every single shift field of each family, moved by -1 and by +1.
+# Every single shift field of each family, moved by -1 and by +1, and a
+# cm2 base whose m1 and m2 move together, so m2 - m1 still matches its lists.
 SHIFT_SKEWS = [
-    (family, field, step)
+    pytest.param(family, {field: step}, id=f"{family}-{field}-{step}")
     for family, fields in (("cm2", cm2.ShiftsCM2._fields), ("gor3", gor3.ShiftsGor3._fields))
     for field in fields
     for step in (-1, 1)
-]
+] + [pytest.param("cm2", {"m1": 1, "m2": 1}, id="cm2-m1-m2-1")]
 
 
 class TestBaseShiftFaults:
-    """The extension kernel checks the base's shifts once, when it is
-    bound, so a skewed shift files one ``kernel inputs`` anomaly per
-    instance, on the instances that shift_agreement files."""
+    """The extension check reads the degree lists alone, so a skewed base
+    shift files nothing under ``extension``; shift_agreement files it,
+    one shift disagreement per instance, on every instance of the range."""
 
-    @pytest.mark.parametrize("family, field, step", SHIFT_SKEWS)
-    def test_one_anomaly_per_instance(self, monkeypatch, family, field, step):
+    @pytest.mark.parametrize("family, skew", SHIFT_SKEWS)
+    def test_one_anomaly_per_instance(self, monkeypatch, family, skew):
         module = cm2 if family == "cm2" else gor3
-        _set_shift(monkeypatch, module, field, lambda s: getattr(s, field) + step)
-        report = sweep.verify_all(extension_only(family, 2, 4))
-        assert {(x.check, x.lhs) for x in report.anomalies} == {("extension", "kernel inputs")}
-        assert all("base shifts fail" in x.rhs for x in report.anomalies)
-        filed = [x.instance for x in report.anomalies]
-        assert len(filed) == report.instances_checked > 0
-        config = sweep.SweepConfig(family, 2, 4, checks=("shift_agreement",))
-        agreement = [x.instance for x in sweep.verify_all(config).anomalies]
-        assert filed == [inst for inst, _ in itertools.groupby(agreement)]
+        real = module.shifts
+        monkeypatch.setattr(
+            module, "shifts",
+            lambda X: real(X)._replace(**{k: getattr(real(X), k) + v for k, v in skew.items()}),
+        )
+        assert sweep.verify_all(extension_only(family, 2, 4)).anomalies == ()
+        report = sweep.verify_all(sweep.SweepConfig(family, 2, 4))
+        assert "extension" not in {x.check for x in report.anomalies}
+        disagreements = [
+            x.instance for x in report.anomalies
+            if x.check == "shift_agreement" and x.lhs != "strictly increasing shifts"
+        ]
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        assert disagreements == [X.to_json_dict() for X in enum(2, 4)]
 
 
 def _set_shift(monkeypatch, module, name, value):
@@ -751,6 +768,7 @@ class TestCheckFaults:
         """Checks run in the order the config names them, by default the
         report's, so checks failing on one instance file in that order."""
         _skew_shift(monkeypatch, cm2)
+        _skew_child_uv(monkeypatch)
         report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4, checks=checks))
         orders = [
             [report.checks.index(x.check) for x in group]
@@ -812,7 +830,7 @@ class TestCheckFaults:
         """A block curve that cannot be formed fails the linkage route and
         the extension check, each filed on every instance, and the sweep
         still comes back."""
-        def fail(G, lists):
+        def fail(lists):
             raise DivisionError("block curve failed on purpose")
 
         monkeypatch.setattr(gor3, "block_curve", fail)
