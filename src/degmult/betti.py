@@ -19,6 +19,11 @@ The package's resolutions are held as one ascending shift list per
 step, each shift of rank 1: :func:`signed_terms` gives their K terms
 and :func:`shift_summary` reads each list's ends.  Ranks are grouped
 only in a :class:`BettiTable` that enters from outside.
+
+The Huneke-Miller formula e = prod(d_i) / p! of a pure resolution has
+one entry, :func:`pure_multiplicity` on a shift summary, reached by the
+sweep's ``huneke_miller`` check and by ``compute`` on a pure Betti table
+of codim = p.
 """
 from __future__ import annotations
 
@@ -28,14 +33,7 @@ from itertools import repeat
 from operator import ge, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    DivisibilityError,
-    DivisionError,
-    NotPure,
-    as_int_pair,
-    as_int_tuple,
-    as_list,
-)
+from .errors import DivisibilityError, DivisionError, as_int_pair, as_list
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,9 @@ class BettiTable:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> BettiTable:
-        (codim,) = as_int_tuple([obj["codim"]], "codim")
+        codim = obj["codim"]
+        if type(codim) is not int:
+            raise ValueError(f"codim must be an integer, got {codim!r}")
         entries = [
             (i + 1, *as_int_pair(pair, "steps", "[shift, rank]"))
             for i, step in enumerate(as_list(obj["steps"], "steps"))
@@ -263,19 +263,3 @@ def pure_multiplicity(s: ShiftSummary) -> int:
         )
     return prod // fact
 
-
-def huneke_miller(table: BettiTable) -> int:
-    """:func:`pure_multiplicity` of a pure Cohen-Macaulay table, which
-    needs codim = p and m_i = M_i throughout.  On a table that (1-s)^p
-    divides, that is :func:`multiplicity` (Herzog-Kuehl, Huneke-Miller).
-    """
-    s = shift_summary(table)
-    if s.m != s.M:
-        raise NotPure(f"table is not pure: m={s.m}, M={s.M}")
-    p = table.projective_dimension
-    if table.codim != p:
-        raise ValueError(
-            f"pure-resolution formula needs codim = projective dimension, "
-            f"got codim={table.codim}, p={p}"
-        )
-    return pure_multiplicity(s)

@@ -295,7 +295,7 @@ def _compute_betti(table: betti.BettiTable) -> dict:
         lo, up = bounds.hhs_bounds(summary, e)
         result["bounds"] = [lo.to_json_dict(), up.to_json_dict()]
         if pur.pure:
-            result["huneke_miller"] = betti.huneke_miller(table)
+            result["huneke_miller"] = betti.pure_multiplicity(summary)
     return result
 
 

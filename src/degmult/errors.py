@@ -31,10 +31,6 @@ class DivisibilityError(DegmultError):
     """p! does not divide the product of pure shifts: no such pure resolution exists."""
 
 
-class NotPure(DegmultError):
-    """An operation requiring a pure resolution was given a non-pure table."""
-
-
 class InternalMismatch(DegmultError):
     """Two expressions that are provably equal disagreed; signals an implementation bug."""
 

@@ -541,15 +541,6 @@ def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluatio
     raise TypeError(f"cannot evaluate {type(instance).__name__}")
 
 
-def Pool(processes: int):
-    """A ``multiprocessing.Pool`` of ``processes`` workers.  The module is
-    imported on the first parallel run, so a run at one job never loads
-    it."""
-    import multiprocessing
-
-    return multiprocessing.Pool(processes)
-
-
 # Instances per task handed to a worker process: enough to amortize the
 # pickling round trip, few enough that workers share the tail evenly.
 BATCH = 256
@@ -568,7 +559,9 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
     if jobs == 1:
         yield from map(fn, items)
         return
-    with Pool(jobs) as pool:
+    import multiprocessing  # only here, so a run at one job never loads it
+
+    with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(fn, items, BATCH)
 
 

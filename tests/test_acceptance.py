@@ -178,7 +178,7 @@ def test_criterion_6_huneke_miller_on_pure_instances(cm2_sweep, gor3_sweep):
             if prod % math.factorial(p) or prod // math.factorial(p) != case["e"]:
                 bad.append(inst)
                 continue
-            if betti.huneke_miller(table) != case["e"]:
+            if betti.pure_multiplicity(summary) != case["e"]:
                 bad.append(inst)
     ok = total > 0 and not bad
     check(

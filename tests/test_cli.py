@@ -1,4 +1,5 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
+import hashlib
 import io
 import json
 import os
@@ -68,6 +69,29 @@ class TestCompute:
         assert code == 0
         assert "k_polynomial: 1 - s^2 - s^3 + s^5" in out
         assert "multiplicity: 6" in out
+
+    def test_huneke_miller_field(self, capsys, tmp_path):
+        """A pure table of codim = p prints the Huneke-Miller value and the
+        bounds; a pure table of lower codim prints neither."""
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"codim": 2, "steps": [[[2, 2]], [[4, 1]]]}))
+        code, out, _ = run(capsys, "compute", "--in", str(path))
+        assert code == 0
+        assert "huneke_miller: 4" in out.splitlines()
+        assert "hhs_lower: 2*e = 8 >= 8  holds=true sharp=true" in out
+        code, out, _ = run(capsys, "compute", "--in", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["huneke_miller"] == 4
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("e88b5c9269e9ff73")
+        path.write_text(json.dumps({"codim": 1, "steps": [[[1, 2]], [[2, 1]]]}))
+        code, out, _ = run(capsys, "compute", "--in", str(path))
+        assert code == 0
+        assert "pure: true" in out
+        assert "huneke_miller" not in out and "hhs_" not in out
+        code, out, _ = run(capsys, "compute", "--in", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pure"] and "huneke_miller" not in doc and "bounds" not in doc
 
     def test_betti_table_size_cap(self, capsys, tmp_path, monkeypatch):
         # K = 1 - s^n has n + 1 coefficients.
@@ -359,6 +383,17 @@ class TestStrictIntegers:
             code, out, err = run(capsys, verb, "--in", str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("codim, shown", [
+        (True, "True"), (2.0, "2.0"), ("2", "'2'"), ([2], "[2]"),
+    ])
+    def test_codim_named(self, capsys, tmp_path, codim, shown):
+        """A Betti table's scalar codim is refused under its own name."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"codim": codim, "steps": [[[1, 1]]]}))
+        line = f"error: codim must be an integer, got {shown}\n"
+        for verb in ("validate", "compute"):
+            assert run(capsys, verb, "--in", str(path)) == (2, "", line)
 
     @pytest.mark.parametrize("doc, line", [
         ({"codim": 2, "steps": [[[2, 1, 1], [3, 1]], [[5, 1]]]},

@@ -8,6 +8,7 @@ enumerate nothing and start no worker pool.
 import contextlib
 import io
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -104,7 +105,7 @@ def no_enumeration():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_ordered", lambda fn, config: iter(()))
-        mp.setattr(sweep, "Pool", no_pool)
+        mp.setattr(multiprocessing, "Pool", no_pool)
         yield
 
 

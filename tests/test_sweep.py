@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import json
+import multiprocessing
 import re
 from collections import Counter
 
@@ -318,7 +319,7 @@ class FakePool:
 class TestJobsCap:
     def fake_machine(self, monkeypatch, cores):
         sizes = []
-        monkeypatch.setattr(sweep, "Pool", functools.partial(FakePool, sizes))
+        monkeypatch.setattr(multiprocessing, "Pool", functools.partial(FakePool, sizes))
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
         return sizes
 
