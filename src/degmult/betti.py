@@ -188,7 +188,8 @@ def signed_terms(steps: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
     """Q(1) = (-1)^c P_c / c! for K = (1-s)^c Q, K = sum_j ranks_j
     s^shifts_j, once the power sums P_0..P_{c-1} vanish (module
-    docstring).  The terms may come in any order and repeat a shift."""
+    docstring).  The terms may come in any order and repeat a shift.
+    DivisionError unless (1-s)^c divides K and Q(1) >= 1, as for every quotient."""
     terms, power = ranks, sum(ranks)
     for _ in range(c):
         if power:
@@ -198,30 +199,24 @@ def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
         terms = list(map(mul, terms, shifts))
         power = sum(terms)
     moment = power // math.factorial(c)
-    return -moment if c % 2 else moment
-
-
-def multiplicity(table: BettiTable) -> int:
-    """Multiplicity e(R/I) read off the resolution as Q(1), K = (1-s)^c Q.
-
-    Q(1) is (-1)^c times the c-th binomial moment of the table.  Raises
-    DivisionError when (1-s)^c does not divide K exactly, which flags a
-    table/codimension pair no Cohen-Macaulay quotient can have.
-    """
-    return _quotient_at_one(table.codim, *_signed_entries(table))
+    e = -moment if c % 2 else moment
+    if e < 1:
+        raise DivisionError(f"K-polynomial gives Q(1) = {e} <= 0 at codimension {c}")
+    return e
 
 
 def resolution_multiplicity(c: int, steps: Sequence[Sequence[int]]) -> int:
-    """:func:`multiplicity` of a codimension-c resolution's step lists."""
+    """Multiplicity e(R/I) = Q(1), K = (1-s)^c Q, of a codimension-c
+    resolution's step lists: a polynomial of degree c in their shifts."""
     return _quotient_at_one(c, *signed_terms(steps))
 
 
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
-    """:func:`multiplicity` and the arithmetic genus of the dimension-2
-    quotient (a curve), from one pass over the table's entries.
+    """Multiplicity e(R/I) = Q(1), K = (1-s)^c Q, and the arithmetic genus
+    of the dimension-2 quotient (a curve), from one pass over the table.
 
-    With Q = sum q_i s^i as in :func:`multiplicity`, the Hilbert
-    polynomial of the dimension-2 quotient is e*t + 1 - g, which gives
+    With Q = sum q_i s^i, the Hilbert polynomial of the dimension-2
+    quotient is e*t + 1 - g, which gives
     g = 1 + sum_i q_i (i - 1) = 1 + Q'(1) - Q(1).
     """
     return _multiplicity_and_genus(table.codim, *_signed_entries(table))

@@ -65,10 +65,6 @@ class Prop24Verdict(NamedTuple):
     hyp_ii_margin: int | None
     verdict: BoundVerdict
 
-    @property
-    def bound_holds(self) -> bool:
-        return self.verdict.holds
-
 
 def hhs_bounds(shifts: ShiftSummary, e: int) -> tuple[BoundVerdict, BoundVerdict]:
     """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!,
@@ -117,9 +113,7 @@ def prop24_hypotheses(
     return s.m2 - s.M1 >= 2, margin == 0, margin
 
 
-def prop24_bound(
-    A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2 | None = None
-) -> Prop24Verdict:
+def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2) -> Prop24Verdict:
     """Conditional entrywise upper bound 2e <= M1 M2 - 2(M1-m1) - 2(M2-m2).
 
     Sufficient hypotheses tracked alongside the verdict: (i) every
@@ -144,9 +138,8 @@ def prop24_bound(
     a_1 = b_1 = 1.  Since b_1 >= a_1 >= 1, the margin is
     a_1 - 2 b_1 + 1 <= 1 - a_1 <= 0, with equality throughout iff
     b_1 = a_1 = 1; so it is nonnegative iff it is 0, iff a_1 = b_1 = 1.
-    ``s`` is the shifts of A if the caller already holds them.
+    ``s`` is the shifts of A (:func:`cm2.shifts`).
     """
-    s = cm2mod.shifts(A) if s is None else s
     hyp_i, hyp_ii, margin = prop24_hypotheses(A, s)
     rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
     verdict = BoundVerdict("prop24_upper", 2 * e, "<=", rhs, 2)

@@ -67,10 +67,6 @@ class DegreeMatrixCM2:
         object.__setattr__(A, "b", b)
         return A
 
-    @property
-    def t(self) -> int:
-        return len(self.a)
-
     def to_json_dict(self) -> dict:
         return {"type": "cm2", "a": list(self.a), "b": list(self.b)}
 
@@ -120,7 +116,8 @@ def multiplicity_from_degrees(e: Sequence[int], f: Sequence[int]) -> int:
     u_i >= v_i >= 0 and u_(i+1) >= v_i, accumulates sum(u) and sum(v),
     and sums e(R/I) = sum_k v_k (u_1 + .. + u_k).  The extreme degrees
     must be (e_1, e_m, f_1, f_(m-1)) = (sum(v), sum(u), sum(v) + u_1,
-    sum(u) + v_(m-1)).  Raises InternalMismatch otherwise.
+    sum(u) + v_(m-1)).  Raises InternalMismatch otherwise.  On the valid
+    matrices of one t the value has total degree 2 in the 2t entries.
     """
     head = tail = prev = total = i = 0  # head = u_1 + .. + u_i, tail = v_1 + .. + v_i
     ei = e[0]

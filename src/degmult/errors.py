@@ -24,7 +24,7 @@ class NotArtinian(DegmultError):
 
 
 class DivisionError(DegmultError):
-    """(1-s)^c does not divide the K-polynomial: table and codimension are inconsistent."""
+    """(1-s)^c does not divide K, or Q(1) <= 0: table and codimension are inconsistent."""
 
 
 class DivisibilityError(DegmultError):

@@ -93,7 +93,7 @@ def multiplicity_pfaffian(G: DegreeMatrixGor3) -> int:
 
 def pfaffian_formula(a: Sequence[int], b: Sequence[int], d: int) -> int:
     """e(R/I) = sum_{j=1}^t b_j (a_1+..+a_j) (d + sum_{i<j} (2 b_i - a_i)
-    + b_j - a_j), exactly, for the block (a, b) and center d."""
+    + b_j - a_j), exactly, of total degree 3 in the block (a, b) and d."""
     total = prefix_a = 0
     acc = d  # d + sum_{i<j} (2 b_i - a_i)
     for aj, bj in zip(a, b):
@@ -121,11 +121,12 @@ def block_curve(lists: cm2.DegreeLists) -> tuple[int, int]:
     return betti._multiplicity_and_genus(2, *betti.signed_terms(lists))
 
 
-def _linkage_value(G: DegreeMatrixGor3, curve: tuple[int, int]) -> int:
-    """(m1 + M2 - 4) e(R/J) - (2g - 2) for the block curve J of G, whose
-    ``curve`` = (e(R/J), g) comes from :func:`block_curve`; no cross-check."""
+def _linkage_value(s: ShiftsGor3, curve: tuple[int, int]) -> int:
+    """(m1 + M2 - 4) e(R/J) - (2g - 2) for the matrix with shifts ``s``
+    (:func:`shifts`) and block curve J, whose ``curve`` = (e(R/J), g)
+    comes from :func:`block_curve`: the shifts are linear in the entries,
+    e(R/J) has degree 2 and g degree 3, so the value has degree 3."""
     e_j, g = curve
-    s = shifts(G)
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
 

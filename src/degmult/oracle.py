@@ -82,8 +82,8 @@ def colength(s: MonomialStaircase) -> int:
 
     Between consecutive y-levels q_k <= y < q_{k-1} the monomials
     outside the ideal are exactly those with x-exponent < p_k, so the
-    count is sum_k p_k (q_{k-1} - q_k); no individual lattice points
-    are enumerated.  (x^5, x^4 y, x^2 y^3, y^5) gives 17.
+    count is sum_k p_k (q_{k-1} - q_k), of degree 2 in the exponents; no
+    lattice points are enumerated.  (x^5, x^4 y, x^2 y^3, y^5) gives 17.
     """
     return sum(p * (q_prev - q) for (_, q_prev), (p, q) in zip(s.gens, s.gens[1:]))
 

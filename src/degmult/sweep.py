@@ -420,7 +420,7 @@ class CM2Evaluation(Evaluation):
         return cm2.extender(e, self.degrees)
 
     def _finding(self, on: dict[str, int]) -> dict | None:
-        if "prop24" not in on or self.prop24 is None or self.prop24.bound_holds:
+        if "prop24" not in on or self.prop24 is None or self.prop24.verdict.holds:
             return None
         v = self.prop24.verdict
         inst = self.instance.to_json_dict()
@@ -442,7 +442,7 @@ class CM2Evaluation(Evaluation):
         """A violation of the prop24 bound, optionally only under a hypothesis."""
         e = self._hunted_value()
         p24 = self.prop24 = bounds.prop24_bound(self.instance, e, self.shifts)
-        if p24.bound_holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
+        if p24.verdict.holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
             return None
         return {**self._candidate(p24.verdict), **self.prop24_flags}
 
@@ -455,7 +455,7 @@ class Gor3Evaluation(Evaluation):
     ROUTES = {
         "pfaffian": lambda ev: gor3.multiplicity_pfaffian(ev.instance),
         "resolution": lambda ev: betti.resolution_multiplicity(3, ev.resolution()),
-        "linkage": lambda ev: gor3._linkage_value(ev.instance, ev.curve()),
+        "linkage": lambda ev: gor3._linkage_value(ev.shifts, ev.curve()),
     }
     CHECKS = (
         "multiplicity_agreement", "self_duality", "gor3_bounds", "hhs_bounds",

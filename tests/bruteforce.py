@@ -174,7 +174,7 @@ def matrix_degrees(A: cm2.DegreeMatrixCM2) -> tuple[list[int], list[int]]:
     """Generator degrees a_1+..+a_j + b_(j+1)+..+b_t (j = 0..t) and syzygy
     degrees a_1+..+a_j + b_j+..+b_t (j = 1..t), in the degree matrix's
     order, each summed term by term."""
-    a, b, t = A.a, A.b, A.t
+    a, b, t = A.a, A.b, len(A.a)
     gens = [sum(a[:j]) + sum(b[j:]) for j in range(t + 1)]
     syz = [sum(a[:j]) + sum(b[j - 1:]) for j in range(1, t + 1)]
     return gens, syz
@@ -299,7 +299,7 @@ def sweep_row(X) -> str:
     p = len(steps)
     row = dict.fromkeys(sweep.SWEEP_CSV_COLUMNS, "")
     row.update(
-        family="gor3" if gor else "cm2", t=A.t, a=" ".join(map(str, A.a)),
+        family="gor3" if gor else "cm2", t=len(A.a), a=" ".join(map(str, A.a)),
         b=" ".join(map(str, A.b)), e=e, pure=m == M,
         quasi_pure=all(m[i] >= M[i - 1] for i in range(1, p)),
         hhs_lower_holds=factorial(p) * e >= prod(m), hhs_lower_sharp=factorial(p) * e == prod(m),
@@ -325,7 +325,7 @@ def sweep_row(X) -> str:
             cm2_lower_holds=2 * e >= low, cm2_lower_sharp=2 * e == low,
             cm2_upper_holds=2 * e <= high, cm2_upper_sharp=2 * e == high,
             prop24_hyp_i=min(map(min, degree_grid(A))) >= 2,
-            prop24_hyp_ii=A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0,
+            prop24_hyp_ii=len(A.a) >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0,
             prop24_holds=2 * e <= p24,
         )
     text = {True: "true", False: "false"}

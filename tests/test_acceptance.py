@@ -39,9 +39,9 @@ def test_criterion_1_example_reproduction():
     A = cm2.validate([2, 2, 1], [2, 2, 1])
     s = cm2.shifts(A)
     e_uv = cm2.multiplicity_from_degrees(*cm2.degrees(A))
-    e_res = betti.multiplicity(betti_table(A))
+    e_res = betti.multiplicity_and_genus(betti_table(A))[0]
     e_st = oracle.colength(cm2.witness_monomial_ideal(A))
-    p24 = bounds.prop24_bound(A, e_uv)
+    p24 = bounds.prop24_bound(A, e_uv, s)
     elapsed = time.perf_counter() - start
     ok = (
         (s.m1, s.M1, s.m2, s.M2) == (5, 5, 6, 7)
@@ -50,7 +50,7 @@ def test_criterion_1_example_reproduction():
         and not p24.hyp_ii
         and p24.hyp_ii_margin == -1
         and (p24.verdict.lhs, p24.verdict.rhs) == (34, 33)
-        and not p24.bound_holds
+        and not p24.verdict.holds
         and elapsed < 1.0
     )
     check(
@@ -75,7 +75,7 @@ def test_criterion_2_family_of_violations():
             and s.m2 == 2 * t
             and s.M2 == 2 * t + 1
             and e == 2 * t * t - 1
-            and betti.multiplicity(betti_table(A)) == e
+            and betti.multiplicity_and_genus(betti_table(A))[0] == e
             and oracle.colength(cm2.witness_monomial_ideal(A)) == e
             and 2 * e == 4 * t * t - 2
             and cleared_rhs == 4 * t * t - 3

@@ -16,6 +16,13 @@ def table(codim, entries):
     return betti.BettiTable.from_entries(codim, entries)
 
 
+def rank_one_multiplicity(t):
+    """:func:`betti.resolution_multiplicity` of t's steps, each written out
+    as one shift per unit of rank, as the package holds its resolutions."""
+    steps = [[shift for shift, rank in step for _ in range(rank)] for step in t.steps]
+    return betti.resolution_multiplicity(t.codim, steps)
+
+
 # Frozen small tables reused throughout.
 KOSZUL_23 = table(2, [(1, 2, 1), (1, 3, 1), (2, 5, 1)])
 GOR3_TABLE = table(
@@ -80,7 +87,7 @@ class TestMultiplicity:
         [(KOSZUL_23, 6), (GOR3_TABLE, 12), (PURE_235, 5), (CI_11, 1), (CI_22, 4)],
     )
     def test_examples(self, t, expected):
-        assert betti.multiplicity(t) == expected
+        assert betti.multiplicity_and_genus(t)[0] == expected
 
     @pytest.mark.parametrize("t", [KOSZUL_23, GOR3_TABLE, PURE_235, CI_11, CM2_1121])
     def test_division_was_exact(self, t):
@@ -92,12 +99,12 @@ class TestMultiplicity:
     def test_inconsistent_table_raises(self):
         bad = table(2, [(1, 2, 1), (2, 5, 1)])  # K = 1 - s^2 + s^5, K(1) != 0
         with pytest.raises(DivisionError):
-            betti.multiplicity(bad)
+            betti.multiplicity_and_genus(bad)
 
     def test_not_divisible_twice(self):
         bad = table(2, [(1, 1, 2), (2, 3, 1)])  # K = 1 - 2s + s^3, simple zero at 1
         with pytest.raises(DivisionError):
-            betti.multiplicity(bad)
+            betti.multiplicity_and_genus(bad)
 
     @given(st.one_of(
         betti_tables(),
@@ -109,15 +116,19 @@ class TestMultiplicity:
     ))
     @example(NOT_DIVISIBLE_THRICE)
     def test_moments_match_dense_division(self, t):
+        """Both entries to the kernel agree with the dense division, and
+        refuse a table it does not divide or whose Q(1) = sum(q) <= 0."""
         try:
             q = hilbert_quotient(t)
         except DivisionError:
-            for route in (betti.multiplicity, betti.multiplicity_and_genus):
+            q = None
+        if q is None or sum(q) <= 0:
+            for route in (betti.multiplicity_and_genus, rank_one_multiplicity):
                 with pytest.raises(DivisionError):
                     route(t)
             return
         genus = 1 + sum(c * (i - 1) for i, c in enumerate(q))
-        assert betti.multiplicity(t) == sum(q)
+        assert rank_one_multiplicity(t) == sum(q)
         assert betti.multiplicity_and_genus(t) == (sum(q), genus)
 
     @pytest.mark.parametrize("c", [1, 3, 5, 6])
@@ -127,14 +138,29 @@ class TestMultiplicity:
         d = 10**4
         t = table(c, [(i, i * d, math.comb(c, i)) for i in range(1, c + 1)])
         e = d**c
-        assert betti.multiplicity(t) == e
+        assert rank_one_multiplicity(t) == e
         assert betti.multiplicity_and_genus(t) == (e, 1 + e * c * (d - 1) // 2 - e)
 
     @given(st.one_of(divisible_betti_tables(), divisible_betti_tables(max_p=6, max_degree=10**4)))
     def test_divisible_tables_divide(self, t):
-        # Guards the test above: these tables reach the success path.
+        # Guards the test above: these tables reach the success path
+        # unless their quotient has Q(1) <= 0.
         q = hilbert_quotient(t)
-        assert betti.multiplicity_and_genus(t)[0] == sum(q)
+        if sum(q) <= 0:
+            with pytest.raises(DivisionError):
+                betti.multiplicity_and_genus(t)
+        else:
+            assert betti.multiplicity_and_genus(t)[0] == sum(q)
+
+    @pytest.mark.parametrize("t", [
+        table(1, [(1, 1, 2), (2, 2, 1)]),  # K = (1-s)^2: Q = 1 - s, Q(1) = 0
+        table(1, [(1, 1, 2), (2, 3, 1)]),  # K = (1-s)(1 - s - s^2): Q(1) = -1
+    ], ids=["q1_zero", "q1_negative"])
+    def test_nonpositive_quotient_raises(self, t):
+        """(1-s)^c divides K, but no quotient of codimension c has Q(1) <= 0."""
+        for route in (betti.multiplicity_and_genus, rank_one_multiplicity):
+            with pytest.raises(DivisionError, match="Q\\(1\\) = "):
+                route(t)
 
 
 class TestShiftSummary:
@@ -204,4 +230,4 @@ class TestGenus:
     def test_one_quotient_gives_both(self, t):
         e, g = betti.multiplicity_and_genus(t)
         assert (e, g) == quotient_values(t)
-        assert e == betti.multiplicity(t)
+        assert e == rank_one_multiplicity(t)

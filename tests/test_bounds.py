@@ -69,19 +69,19 @@ class TestGor3Bounds:
 class TestProp24:
     def test_example_matrix_fails(self):
         A = cm2.validate([2, 2, 1], [2, 2, 1])
-        res = bounds.prop24_bound(A, 17)
+        res = bounds.prop24_bound(A, 17, cm2.shifts(A))
         assert not res.hyp_i
         assert not res.hyp_ii
         assert res.hyp_ii_margin == -1
         assert (res.verdict.lhs, res.verdict.rhs) == (34, 33)
-        assert not res.bound_holds
+        assert not res.verdict.holds
 
     def test_all_entries_at_least_two(self):
         A = cm2.validate([2, 2], [2, 2])
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 12
         assert naive_colength([(0, 4), (2, 2), (4, 0)]) == 12
-        res = bounds.prop24_bound(A, e)
+        res = bounds.prop24_bound(A, e, cm2.shifts(A))
         assert res.hyp_i
         assert res.verdict.holds and res.verdict.sharp  # 24 <= 24
 
@@ -90,7 +90,7 @@ class TestProp24:
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 5
         assert naive_colength([(0, 3), (1, 2), (2, 0)]) == 5
-        res = bounds.prop24_bound(A, e)
+        res = bounds.prop24_bound(A, e, cm2.shifts(A))
         assert res.hyp_ii and res.hyp_ii_margin == 0
         assert (res.verdict.lhs, res.verdict.rhs, res.verdict.holds) == (10, 10, True)
 
@@ -100,7 +100,7 @@ class TestProp24:
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 8
         assert naive_colength([(0, 4), (1, 2), (3, 0)]) == 8
-        res = bounds.prop24_bound(A, e)
+        res = bounds.prop24_bound(A, e, cm2.shifts(A))
         assert not res.hyp_ii and res.hyp_ii_margin == -2
         assert (res.verdict.lhs, res.verdict.rhs, res.verdict.holds) == (16, 18, True)
 
@@ -111,8 +111,8 @@ class TestProp24:
             A = cm2.validate([k, 1], [k, 1])
             e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
             assert e == k * k + k + 1
-            res = bounds.prop24_bound(A, e)
-            assert not res.bound_holds
+            res = bounds.prop24_bound(A, e, cm2.shifts(A))
+            assert not res.verdict.holds
             assert not res.hyp_i and not res.hyp_ii
             assert res.hyp_ii_margin == k - 2 * k + 1
 
@@ -121,7 +121,7 @@ def _grid_hypotheses(A):
     """hyp_i, hyp_ii and the margin read off the full t x (t+1) grid."""
     grid = degree_grid(A)
     hyp_i = all(entry >= 2 for row in grid for entry in row)
-    margin = A.a[0] - 2 * grid[0][1] + 1 if A.t >= 2 else None
+    margin = A.a[0] - 2 * grid[0][1] + 1 if len(A.a) >= 2 else None
     return hyp_i, margin is not None and margin >= 0, margin
 
 
@@ -143,7 +143,9 @@ class TestProp24Hypotheses:
     def _check(self, matrices):
         seen = set()
         for A in matrices:
-            p24 = bounds.prop24_bound(A, cm2.multiplicity_from_degrees(*cm2.degrees(A)))
+            p24 = bounds.prop24_bound(
+                A, cm2.multiplicity_from_degrees(*cm2.degrees(A)), cm2.shifts(A)
+            )
             got = (p24.hyp_i, p24.hyp_ii, p24.hyp_ii_margin)
             assert got == _grid_hypotheses(A), A
             seen.add(got[:2])
@@ -161,22 +163,24 @@ class TestProp24Hypotheses:
     @staticmethod
     def _closed_form(A):
         """Hypothesis (ii) in closed form: t >= 2 and a_1 = b_1 = 1."""
-        return A.t >= 2 and A.a[0] == A.b[0] == 1
+        return len(A.a) >= 2 and A.a[0] == A.b[0] == 1
 
     def test_hyp_ii_closed_form_exhaustive(self):
         """The margin a_1 - 2 b_1 + 1 is nonnegative exactly when t >= 2
         and a_1 = b_1 = 1, on every matrix with t <= 3, entries <= 5."""
         holding = 0
         for A in sweep.enumerate_cm2(3, 5):
-            margin_holds = A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
-            assert margin_holds == self._closed_form(A) == bounds.prop24_bound(A, 0).hyp_ii, A
+            margin_holds = len(A.a) >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
+            hyp_ii = bounds.prop24_bound(A, 0, cm2.shifts(A)).hyp_ii
+            assert margin_holds == self._closed_form(A) == hyp_ii, A
             holding += margin_holds
         assert holding > 0
 
     @given(cm2_matrices(max_t=12))
     def test_hyp_ii_closed_form(self, A):
-        margin_holds = A.t >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
-        assert margin_holds == self._closed_form(A) == bounds.prop24_bound(A, 0).hyp_ii
+        margin_holds = len(A.a) >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
+        hyp_ii = bounds.prop24_bound(A, 0, cm2.shifts(A)).hyp_ii
+        assert margin_holds == self._closed_form(A) == hyp_ii
 
 
 class TestSrinivasanBounds:

@@ -83,9 +83,11 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["huneke_miller"] == 4
         assert hashlib.sha256(out.encode()).hexdigest().startswith("e88b5c9269e9ff73")
-        path.write_text(json.dumps({"codim": 1, "steps": [[[1, 2]], [[2, 1]]]}))
+        # R/(x^2, xy): pure, codim 1 < p = 2, e = 1.
+        path.write_text(json.dumps({"codim": 1, "steps": [[[2, 2]], [[3, 1]]]}))
         code, out, _ = run(capsys, "compute", "--in", str(path))
         assert code == 0
+        assert "multiplicity: 1" in out.splitlines()
         assert "pure: true" in out
         assert "huneke_miller" not in out and "hhs_" not in out
         code, out, _ = run(capsys, "compute", "--in", str(path), "--format", "json")
@@ -123,6 +125,21 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--in", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("steps, q1", [
+        ([[[1, 2]], [[2, 1]]], 0),  # K = (1-s)^2
+        ([[[1, 2]], [[3, 1]]], -1),  # K = (1-s)(1 - s - s^2)
+    ], ids=["q1_zero", "q1_negative"])
+    def test_nonpositive_multiplicity_exits_2(self, capsys, tmp_path, steps, q1):
+        """(1-s)^c divides K, but Q(1) <= 0: no quotient of codimension c
+        has this table, so no multiplicity is printed."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"codim": 1, "steps": steps}))
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "compute", "--in", str(path), "--format", fmt)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and f"Q(1) = {q1} <= 0" in err
+            assert len(err.splitlines()) == 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

@@ -49,7 +49,7 @@ class TestEnumerateCM2:
         assert len(got) == len(expected)
 
     def test_no_duplicates_and_lex_order(self):
-        got = [(m.t, m.a, m.b) for m in sweep.enumerate_cm2(3, 3)]
+        got = [(len(m.a), m.a, m.b) for m in sweep.enumerate_cm2(3, 3)]
         assert len(got) == len(set(got))
         assert got == sorted(got)
 
@@ -357,18 +357,26 @@ class TestOneSortPerBlock:
 
 
 class TestOneSummaryPerInstance:
-    """A cm2 sweep with every check on builds each instance's shift
-    summary and reads its shifts off the matrix once: purity, the bounds
-    and the CSV row share them."""
+    """A sweep with every check on builds each instance's shift summary
+    and reads its shifts off the matrix once: purity, the bounds, the
+    CSV row and gor3's linkage route share them."""
 
-    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (cm2, "shifts")])
-    def test_once_per_instance(self, monkeypatch, module, name):
+    @staticmethod
+    def count_calls(monkeypatch, module, name, config):
         calls = []
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda X: calls.append(X) or real(X))
-        report = sweep.write_sweep_csv(sweep.SweepConfig("cm2", 3, 4), io.StringIO())
+        report = sweep.write_sweep_csv(config, io.StringIO())
         assert report.ok and report.sharp_cases
         assert len(calls) == report.instances_checked
+
+    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (cm2, "shifts")])
+    def test_once_per_instance(self, monkeypatch, module, name):
+        self.count_calls(monkeypatch, module, name, sweep.SweepConfig("cm2", 3, 4))
+
+    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (gor3, "shifts")])
+    def test_gor3_once_per_instance(self, monkeypatch, module, name):
+        self.count_calls(monkeypatch, module, name, sweep.SweepConfig("gor3", 3, 4))
 
 
 class TestCSVLayout:
