@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import ge, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -185,11 +184,12 @@ def signed_terms(steps: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return shifts, ranks
 
 
-def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
+def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, list[int]]:
     """Q(1) = (-1)^c P_c / c! for K = (1-s)^c Q, K = sum_j ranks_j
     s^shifts_j, once the power sums P_0..P_{c-1} vanish (module
-    docstring).  The terms may come in any order and repeat a shift.
-    DivisionError unless (1-s)^c divides K and Q(1) >= 1, as for every quotient."""
+    docstring), and the terms ranks_j shifts_j^c of P_c.  The terms may
+    come in any order and repeat a shift.  DivisionError unless (1-s)^c
+    divides K and Q(1) >= 1, as for every quotient."""
     terms, power = ranks, sum(ranks)
     for _ in range(c):
         if power:
@@ -202,13 +202,13 @@ def _quotient_at_one(c: int, shifts: list[int], ranks: list[int]) -> int:
     e = -moment if c % 2 else moment
     if e < 1:
         raise DivisionError(f"K-polynomial gives Q(1) = {e} <= 0 at codimension {c}")
-    return e
+    return e, terms
 
 
 def resolution_multiplicity(c: int, steps: Sequence[Sequence[int]]) -> int:
     """Multiplicity e(R/I) = Q(1), K = (1-s)^c Q, of a codimension-c
     resolution's step lists: a polynomial of degree c in their shifts."""
-    return _quotient_at_one(c, *signed_terms(steps))
+    return _quotient_at_one(c, *signed_terms(steps))[0]
 
 
 def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
@@ -224,9 +224,10 @@ def multiplicity_and_genus(table: BettiTable) -> tuple[int, int]:
 
 def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tuple[int, int]:
     """(e, g) of the terms sum_j ranks_j s^shifts_j of a K-polynomial: as
-    P_c = c! (-1)^c e, Q'(1) = ((-1)^c P_{c+1} - C(c+1, 2) c! e) / (c+1)!."""
-    e = _quotient_at_one(c, shifts, ranks)
-    top = sum(map(mul, ranks, map(pow, shifts, repeat(c + 1))))
+    P_c = c! (-1)^c e, Q'(1) = ((-1)^c P_{c+1} - C(c+1, 2) c! e) / (c+1)!,
+    with P_{c+1} from the terms of P_c by one more product."""
+    e, terms = _quotient_at_one(c, shifts, ranks)
+    top = sum(map(mul, terms, shifts))
     fact = math.factorial(c)
     slope = ((-top if c % 2 else top) - c * (c + 1) // 2 * fact * e) // ((c + 1) * fact)
     return e, 1 + slope - e

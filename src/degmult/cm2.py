@@ -18,21 +18,24 @@ kernel takes them as its ``lists`` argument.  The u/v multiplicity is
 one forward pass over the lists, :func:`multiplicity_from_degrees`,
 which checks every u/v fact and forms no u or v list.
 
-The extension kernel, :func:`extender`, is bound once to a base
-matrix's multiplicity and degree lists, and reads m1 off the lists.
-It checks each appended (a, b) for the multiplicity recursion, on the
-child's degree lists alone (:func:`child_degrees`: the base's lists
-shifted by b, each led by its one new degree), with no child matrix or
-table.  The base's shifts are left to the sweep's ``shift_agreement``.
-:func:`extend` binds it to one matrix and one pair; it stays only for
-the benchmark's replay of the cm2 sweep (``benchmarks/worker.py``).
+The extension kernel, :func:`extension_failures`, is one call per base
+matrix: it takes the base's multiplicity and degree lists, reads m1
+off the lists, and runs the whole appended-pair loop, b-major.  Each
+b's shifted lists are built once and shared by every a at that b; each
+child then costs its own two lists (the shifted ones, each led by its
+one new degree), its u/v value and the comparison with the
+multiplicity recursion, with no child matrix or table.  It returns the
+failing (a, b, error) triples.  The base's shifts are left to the
+sweep's ``shift_agreement``.  :func:`extend` is one child's value
+from its own degree lists; it stays only for the benchmark's replay of
+the cm2 sweep (``benchmarks/worker.py``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import oracle
 from .errors import InternalMismatch, InvalidDiagonal, NotMonotone, as_int_tuple
@@ -162,42 +165,42 @@ def witness_monomial_ideal(A: DegreeMatrixCM2) -> oracle.MonomialStaircase:
     return oracle.MonomialStaircase.unchecked(tuple(zip(xs, ys)))
 
 
-def child_degrees(lists: DegreeLists, m1: int, a: int, b: int) -> tuple[list[int], list[int]]:
-    """The ascending degree lists after appending (a, b) to a matrix with
-    ascending lists ``lists`` and m1 = sum(a) = ``m1``: every old degree
-    moves up by b, and the new row and column add the generator m1 + a
-    and the syzygy m1 + a + b.  These lead their lists: the base's least
-    generator is m1 and its least syzygy m1 + b_t, and a <= b, a <= b_t."""
-    gens, syz = lists
-    return [m1 + a, *[g + b for g in gens]], [m1 + a + b, *[x + b for x in syz]]
+def extension_failures(
+    e: int, lists: DegreeLists, cap: int, entry_max: int
+) -> list[tuple[int, int, InternalMismatch]]:
+    """The basic-double-link check of every child of a matrix with
+    multiplicity e and ascending degree lists ``lists``: the failing
+    (a, b, error) triples, b-major, over b = 1..entry_max and
+    a = 1..min(b, cap), with ``cap`` at most the matrix's b_t.
 
-
-def extender(e: int, lists: DegreeLists) -> Callable[[int, int], int]:
-    """The basic-double-link check for every child of a matrix with
-    multiplicity e and ascending degree lists ``lists``, whose least
-    generator degree is m1.
-
-    The returned function takes the appended (a, b), which must satisfy
-    b >= a and b_t >= a, forms the child's degree lists with
-    :func:`child_degrees`, and checks the recursion e' = e + (m1 + a) b
-    against the child's own multiplicity from
-    :func:`multiplicity_from_degrees`.  It returns e', and raises
-    InternalMismatch on a failure.
+    Appending (a, b) moves every old degree up by b and adds the
+    generator m1 + a and the syzygy m1 + a + b, m1 = sum(a) = gens[0].
+    These lead the child's lists, since a <= b and a <= b_t, so the
+    child's lists are the base's shifted by b, built once per b, each led
+    by its one new degree: they equal :func:`degrees` of the child.  The
+    recursion e' = e + (m1 + a) b is compared with the child's own
+    :func:`multiplicity_from_degrees`, with no child matrix or table.
     """
-    m1 = lists[0][0]
-
-    def child(a: int, b: int) -> int:
-        recursion = e + (m1 + a) * b
-        direct = multiplicity_from_degrees(*child_degrees(lists, m1, a, b))
-        if recursion != direct:
-            raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
-        return recursion
-
-    return child
+    gens, syz = lists
+    m1 = gens[0]
+    failures = []
+    for b in range(1, entry_max + 1):
+        gens_b = [g + b for g in gens]
+        syz_b = [x + b for x in syz]
+        for a in range(1, min(b, cap) + 1):
+            new = m1 + a
+            try:
+                direct = multiplicity_from_degrees([new, *gens_b], [new + b, *syz_b])
+                recursion = e + new * b
+                if recursion != direct:
+                    raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
+            except InternalMismatch as exc:
+                failures.append((a, b, exc))
+    return failures
 
 
 def extend(A: DegreeMatrixCM2, a: int, b: int) -> int:
-    """The multiplicity of A with (a, b) appended, as checked by
-    :func:`extender`; b >= a and b_t >= a are not checked."""
-    lists = degrees(A)
-    return extender(multiplicity_from_degrees(*lists), lists)(a, b)
+    """The multiplicity of A with (a, b) appended, from the child's own
+    degree lists: the value :func:`extension_failures` checks the
+    recursion against; b >= a and b_t >= a are not checked."""
+    return multiplicity_from_degrees(*degrees(DegreeMatrixCM2.unchecked(A.a + (a,), A.b + (b,))))

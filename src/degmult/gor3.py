@@ -13,23 +13,27 @@ e = (m1 + M2 - 4) e(R/J) - (2g - 2), and the basic-double-link
 extension recursion.  Every one of them reads the block's degree lists
 (:func:`cm2.degrees`) as the caller holds them.
 
-The extension kernel, :func:`extender`, is bound once to a base
-matrix's multiplicity, block curve and block degree lists, and reads
-m1 and M2 off the lists.  Each appended (a, b) is checked for the two
-recursions, without building a child matrix or Betti table: the
-multiplicity against :func:`pfaffian_formula` on the child's entries,
-and the block curve's genus against the moments of the block's shifted
-degree lists (:func:`cm2.child_degrees`), through the same
-:func:`betti._multiplicity_and_genus` as :func:`block_curve`.  The
-base's shifts are left to the sweep's ``shift_agreement``.
+The extension kernel, :func:`extension_failures`, is one call per base
+matrix: it takes the base's multiplicity, block curve and block degree
+lists, reads m1 and M2 off the lists, and runs the whole appended-pair
+loop, b-major, building each b's shifted block lists and grown column
+once.  Each appended (a, b) is checked for the two recursions, without
+building a child matrix or Betti table: the multiplicity against
+:func:`pfaffian_formula` on the child's entries, and the block curve's
+genus against the moments of the child's block lists (the shifted
+lists, each led by its one new degree, as in
+:func:`cm2.extension_failures`), through the same
+:func:`betti._multiplicity_and_genus` as :func:`block_curve`.  It
+returns the failing (a, b, error) triples.  The base's shifts are left
+to the sweep's ``shift_agreement``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import betti, cm2
-from .errors import CenterTooSmall, InternalMismatch
+from .errors import CenterTooSmall, DivisionError, InternalMismatch
 
 
 @dataclass(frozen=True)
@@ -130,40 +134,54 @@ def _linkage_value(s: ShiftsGor3, curve: tuple[int, int]) -> int:
     return (s.m1 + s.M2 - 4) * e_j - (2 * g - 2)
 
 
-def extender(
-    G: DegreeMatrixGor3, e: int, curve: tuple[int, int], lists: cm2.DegreeLists
-) -> Callable[[int, int], int]:
-    """The basic-double-link check for every child of G, whose
+def extension_failures(
+    G: DegreeMatrixGor3,
+    e: int,
+    curve: tuple[int, int],
+    lists: cm2.DegreeLists,
+    cap: int,
+    entry_max: int,
+) -> list[tuple[int, int, Exception]]:
+    """The basic-double-link check of every child of G, whose
     multiplicity is e, block curve ``curve`` = (e(R/J), g) and block
     degree lists ``lists`` (:func:`cm2.degrees` of the block), which
-    give m1 = gens[0] and M2 = d + 2 gens[-1] - m1.
+    give m1 = gens[0] and M2 = d + 2 gens[-1] - m1: the failing
+    (a, b, error) triples, b-major, over b = 1..entry_max and
+    a = 1..min(b, cap), with ``cap`` at most the block's b_t.
 
-    The returned function grows the block by (a, b), keeping d; it
-    needs b >= a and b_t >= a.  It checks the multiplicity recursion
-    e' = e + b (m1 + a) (M2 + b - a) against :func:`pfaffian_formula`
-    on the child's entries, and the genus recursion
-    2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) against the
-    moments of the child's block lists from :func:`cm2.child_degrees`.
-    It returns e'; both steps raise InternalMismatch on a failure
-    (DivisionError if the child's block table is not divisible).
+    Each child grows the block by (a, b), keeping d.  Its multiplicity
+    recursion e' = e + b (m1 + a) (M2 + b - a) is compared with
+    :func:`pfaffian_formula` on the child's entries, and its genus
+    recursion 2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) with
+    the moments of the child's block lists: the block's lists shifted by
+    b, built once per b, each led by its one new degree, as in
+    :func:`cm2.extension_failures`.  A failed multiplicity recursion
+    leaves the genus unchecked; a block table that is not divisible
+    fails with its DivisionError.
     """
     block_a, block_b, d = G.base.a, G.base.b, G.d
-    gens = lists[0]
+    gens, syz = lists
     m1 = gens[0]
     M2 = d + 2 * gens[-1] - m1
     e_j, g = curve
-
-    def child(a: int, b: int) -> int:
-        recursion = e + b * (m1 + a) * (M2 + b - a)
-        direct = pfaffian_formula(block_a + (a,), block_b + (b,), d)
-        if recursion != direct:
-            raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
-        lists2 = cm2.child_degrees(lists, m1, a, b)
-        _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms(lists2))
-        if 2 * g2 != 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j:
-            raise InternalMismatch(
-                f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"
-            )
-        return recursion
-
-    return child
+    failures = []
+    for b in range(1, entry_max + 1):
+        gens_b = [x + b for x in gens]
+        syz_b = [x + b for x in syz]
+        column = block_b + (b,)
+        for a in range(1, min(b, cap) + 1):
+            new = m1 + a
+            try:
+                recursion = e + b * new * (M2 + b - a)
+                direct = pfaffian_formula(block_a + (a,), column, d)
+                if recursion != direct:
+                    raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
+                child_lists = [new, *gens_b], [new + b, *syz_b]
+                _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms(child_lists))
+                if 2 * g2 != 2 * g + b * new * (new + b - 4) + 2 * b * e_j:
+                    raise InternalMismatch(
+                        f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"
+                    )
+            except (InternalMismatch, DivisionError) as exc:
+                failures.append((a, b, exc))
+    return failures

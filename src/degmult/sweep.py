@@ -346,23 +346,17 @@ class Evaluation:
 
     def _extension(self, entry_max: int, found: list) -> None:
         """Every appended pair (a, b), b-major, through the family's
-        extension kernel, bound once to the base values; skipped when the
-        value route failed."""
+        extension kernel, called once on the base values with a <= the
+        instance's own b_t; skipped when the value route failed."""
         value = next(iter(self.routes.values()))
         if not isinstance(value, int):
             return
         try:
-            child = self._extender(value)
+            failures = self._extension_failures(value, self.block.b[-1], entry_max)
         except (InternalMismatch, DivisionError) as exc:
             found.append(("extension", "kernel inputs", exc))
             return
-        cap = self.block.b[-1]
-        for b in range(1, entry_max + 1):
-            for a in range(1, min(b, cap) + 1):
-                try:
-                    child(a, b)
-                except (InternalMismatch, DivisionError) as exc:
-                    found.append(("extension", f"append (a={a}, b={b})", exc))
+        found += [("extension", f"append (a={a}, b={b})", exc) for a, b, exc in failures]
 
     def _finding(self, on: dict[str, int]) -> dict | None:
         return None
@@ -416,8 +410,8 @@ class CM2Evaluation(Evaluation):
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, self.prop24.verdict)
 
-    def _extender(self, e: int) -> Callable[[int, int], int]:
-        return cm2.extender(e, self.degrees)
+    def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
+        return cm2.extension_failures(e, self.degrees, cap, entry_max)
 
     def _finding(self, on: dict[str, int]) -> dict | None:
         if "prop24" not in on or self.prop24 is None or self.prop24.verdict.holds:
@@ -502,8 +496,8 @@ class Gor3Evaluation(Evaluation):
                 found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
         return found
 
-    def _extender(self, e: int) -> Callable[[int, int], int]:
-        return gor3.extender(self.instance, e, self.curve(), self.degrees)
+    def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
+        return gor3.extension_failures(self.instance, e, self.curve(), self.degrees, cap, entry_max)
 
     def csv_line(self) -> str:
         G, s, pur, e, sri = self.instance, self.shifts, self.purity, self.e, self.srinivasan

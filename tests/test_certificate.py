@@ -13,10 +13,17 @@ p0 = (a = 1..1, b = k+1..k+1, d = k+1) every lattice point is a valid
 matrix, so routes that agree on the lattice agree on every valid matrix
 of that t, whatever its entries.
 
+The extension kernels are certified the same way, on the lattice in the
+base's entries and the appended (a, b): both sides of the cm2
+recursion e' = e + (m1 + a) b have degree 2, and both sides of gor3's
+multiplicity and genus recursions degree 3.  With the appended pair's
+corner at (1, k + 1), every lattice point is a base with a valid child.
+
 The degree bound is a property of the code, which a later data-dependent
 branch would break silently.  So it is audited as well: the
-(k+1)-th forward difference of every route vanishes along seeded lines
-through matrices whose entries are near 10^6.
+(k+1)-th forward difference of every route, and of both sides of each
+recursion, vanishes along seeded lines through matrices whose entries
+are near 10^6.
 """
 import math
 import random
@@ -24,7 +31,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from degmult import cm2, gor3, sweep
+from degmult import betti, cm2, gor3, sweep
 
 # family: (degree k of every route, largest t certified, matrix of a point)
 FAMILIES = {
@@ -98,6 +105,97 @@ class TestLatticeCertificate:
         assert bad == 1
 
 
+def kernel_sides(family, t, p):
+    """The family's extension kernel on the base of point p, whose last
+    two coordinates are the appended (a, b), run over the pairs
+    a' <= a, b' <= b, so that the last child it checks is (a, b):
+    (its failures, {side: value} of both sides of that child's
+    recursions, each direct side as the kernel computed it)."""
+    X = FAMILIES[family][2](t, p[:-2])
+    a, b = p[-2:]
+    lists = cm2.degrees(X if family == "cm2" else X.base)
+    m1 = lists[0][0]
+    sides = {}
+    with pytest.MonkeyPatch.context() as mp:
+
+        def record(module, name, side, read=lambda value: value):
+            real = getattr(module, name)
+
+            def recorded(*args):
+                value = real(*args)
+                sides[side] = read(value)
+                return value
+
+            mp.setattr(module, name, recorded)
+
+        if family == "cm2":
+            e = cm2.multiplicity_from_degrees(*lists)
+            record(cm2, "multiplicity_from_degrees", "direct e'")
+            failures = cm2.extension_failures(e, lists, a, b)
+            sides["recursion e'"] = e + (m1 + a) * b
+        else:
+            e, (e_j, g) = gor3.multiplicity_pfaffian(X), gor3.block_curve(lists)
+            record(gor3, "pfaffian_formula", "direct e'")
+            record(betti, "_multiplicity_and_genus", "direct 2g'", lambda value: 2 * value[1])
+            failures = gor3.extension_failures(X, e, (e_j, g), lists, a, b)
+            sides["recursion e'"] = e + b * (m1 + a) * (gor3.shifts(X).M2 + b - a)
+            sides["recursion 2g'"] = 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j
+    return failures, sides
+
+
+def extension_corner(family, t):
+    """The base's corner, then the appended pair's (a, b) = (1, k + 1):
+    a <= 1 + k <= b_t and a <= b at every lattice point."""
+    return corner(family, t) + [1, FAMILIES[family][0] + 1]
+
+
+def extension_disagreements(family, t):
+    """(number of lattice points, number of them where the kernel files
+    a failure)."""
+    k = FAMILIES[family][0]
+    n = bad = 0
+    for p in lattice(extension_corner(family, t), k):
+        n += 1
+        failures, sides = kernel_sides(family, t, p)
+        if failures:
+            bad += 1
+        else:
+            assert all(sides[f"direct {x}"] == sides[f"recursion {x}"] for x in RECURSIONS[family])
+    return n, bad
+
+
+# family: the values whose recursion the extension kernel checks
+RECURSIONS = {"cm2": ("e'",), "gor3": ("e'", "2g'")}
+# family: largest t whose extension recursions are certified
+EXTENSION_T_MAX = {"cm2": 15, "gor3": 8}
+EXTENSION_CASES = [(f, t) for f, t_max in EXTENSION_T_MAX.items() for t in range(1, t_max + 1)]
+
+
+class TestExtensionCertificate:
+    @pytest.mark.parametrize("family, t", EXTENSION_CASES)
+    def test_recursions_hold_on_the_lattice(self, family, t):
+        n, bad = extension_disagreements(family, t)
+        k = FAMILIES[family][0]
+        assert n == math.comb(len(extension_corner(family, t)) + k, k)
+        assert bad == 0
+
+    def test_a_cubic_child_fault_silent_at_small_entries_is_caught(self, monkeypatch):
+        """(a - 1)(a - 2)(a - 3) added to each child's Pfaffian value, a
+        the appended entry, vanishes on every child the sweeps at entries
+        <= 3 append; each t's lattice reaches a = 4 at one point."""
+        real = gor3.pfaffian_formula
+        monkeypatch.setattr(
+            gor3, "pfaffian_formula",
+            lambda a, b, d: real(a, b, d) + (a[-1] - 1) * (a[-1] - 2) * (a[-1] - 3),
+        )
+        # The base's own value keeps the true formula.
+        monkeypatch.setattr(gor3, "multiplicity_pfaffian", lambda G: real(G.base.a, G.base.b, G.d))
+        report = sweep.verify_all(sweep.SweepConfig("gor3", 3, 3, ("extension",)))
+        assert report.ok and report.instances_checked > 0
+        for t in (1, 2, 3):
+            assert extension_disagreements("gor3", t)[1] == 1
+
+
 def forward_difference(values):
     """The len(values) - 1 -th forward difference of equally spaced values."""
     m = len(values) - 1
@@ -139,3 +237,27 @@ class TestDegreePremise:
                 if forward_difference(values[:-1]):
                     top_nonzero.add(name)
         assert top_nonzero == set(along[0])
+
+    @pytest.mark.parametrize("family, t", [("cm2", 1), ("cm2", 6), ("gor3", 1), ("gor3", 4)])
+    def test_difference_above_the_degree_vanishes_on_the_recursions(self, family, t):
+        """The same audit of both sides of each extension recursion, along
+        lines that also move the appended (a, b): a by at most 3 a step
+        from 13..15, b by at least 3 from at least a.  The kernel checks
+        every pair up to (a, b), so the appended pair stays small."""
+        k = FAMILIES[family][0]
+        rng = random.Random(f"extension-{family}-{t}")
+        top_nonzero = set()
+        for _ in range(6):
+            base, step = seeded_line(rng, family, t)
+            a = rng.randint(13, 15)
+            base += [a, a + rng.randrange(8)]
+            step += [rng.randint(-3, 3), rng.randint(3, 9)]
+            points = [[x + s * dx for x, dx in zip(base, step)] for s in range(k + 2)]
+            along = [kernel_sides(family, t, p) for p in points]
+            assert all(failures == [] for failures, _ in along)
+            for name in along[0][1]:
+                values = [sides[name] for _, sides in along]
+                assert forward_difference(values) == 0, (family, t, name, base, step)
+                if forward_difference(values[:-1]):
+                    top_nonzero.add(name)
+        assert top_nonzero == set(along[0][1]) and len(top_nonzero) == 2 * len(RECURSIONS[family])

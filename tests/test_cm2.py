@@ -284,18 +284,34 @@ class TestDegreeOrder:
 
     def test_child_degrees(self):
         for A in brute_cm2(3, 5):
-            lists = sorted_degrees(A)
-            for a, b in appended_pairs(A.b[-1], 5):
-                e, f = cm2.child_degrees(lists, sum(A.a), a, b)
-                assert (tuple(e), tuple(f)) == sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
+            assert kernel_child_lists(A, 5) == [
+                sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
+                for a, b in appended_pairs(A.b[-1], 5)
+            ]
 
     @given(cm2_matrices(max_t=40), st.data())
     def test_long_matrices(self, A, data):
-        a = data.draw(st.integers(1, A.b[-1]))
-        b = data.draw(st.integers(a, a + 5))
+        entry_max = data.draw(st.integers(1, A.b[-1] + 5))
         assert cm2.degrees(A) == sorted_degrees(A)
-        e, f = cm2.child_degrees(cm2.degrees(A), sum(A.a), a, b)
-        assert (tuple(e), tuple(f)) == sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
+        assert kernel_child_lists(A, entry_max) == [
+            sorted_degrees(cm2.validate(A.a + (a,), A.b + (b,)))
+            for a, b in appended_pairs(A.b[-1], entry_max)
+        ]
+
+
+def kernel_child_lists(A, entry_max):
+    """The degree lists the extension kernel forms for each child of A,
+    in its order, with no child failing."""
+    seen = []
+    real = cm2.multiplicity_from_degrees
+    lists = cm2.degrees(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            cm2, "multiplicity_from_degrees",
+            lambda e, f: seen.append((tuple(e), tuple(f))) or real(e, f),
+        )
+        assert cm2.extension_failures(real(*lists), lists, A.b[-1], entry_max) == []
+    return seen
 
 
 class TestExtend:
@@ -315,6 +331,16 @@ class TestExtend:
         assert e2 == 3
         assert naive_colength([(0, 2), (1, 1), (2, 0)]) == 3
         assert cm2.witness_monomial_ideal(A2).gens == ((0, 2), (1, 1), (2, 0))
+
+    def test_kernel_files_each_failing_child(self):
+        """A wrong base value fails every child's recursion, b-major over
+        a <= min(b, b_t); the true value fails none."""
+        lists = cm2.degrees(EX25)
+        e = cm2.multiplicity_from_degrees(*lists)
+        assert cm2.extension_failures(e, lists, 1, 3) == []
+        failures = cm2.extension_failures(e + 1, lists, 1, 3)
+        assert [(a, b) for a, b, _ in failures] == [(1, 1), (1, 2), (1, 3)]
+        assert all("multiplicity recursion fails" in str(exc) for *_, exc in failures)
 
     def test_precondition_breach(self):
         with pytest.raises(NotMonotone):

@@ -126,9 +126,10 @@ class TestExtend:
         g = gor3.validate([1], [1], 1)
         g2, deltas, e2 = extend_from(g, 1, 1)
         lists = cm2.degrees(g.base)
-        child = gor3.extender(g, 1, gor3.block_curve(lists), lists)
-        assert child(1, 1) == e2
+        curve = gor3.block_curve(lists)
+        assert gor3.extension_failures(g, 1, curve, lists, 1, 1) == []
         assert e2 == 1 + 1 * 2 * 2 == 5
+        assert gor3.multiplicity_pfaffian(g2) == e2
         assert g2 == PURE_QUADRICS
         assert deltas == (1, 1, 2, 1, 1, 2)
 
@@ -142,6 +143,21 @@ class TestExtend:
     def test_precondition_breach(self):
         with pytest.raises(NotMonotone):
             extend_from(CI_225, 3, 3)  # b_t = 2 < a = 3
+
+    def test_kernel_files_each_failing_child(self):
+        """A wrong base value fails every child's multiplicity recursion,
+        b-major over a <= min(b, b_t); a wrong genus fails each genus
+        recursion; the true values fail none."""
+        lists = cm2.degrees(CI_225.base)
+        e, curve = gor3.multiplicity_pfaffian(CI_225), gor3.block_curve(lists)
+        assert gor3.extension_failures(CI_225, e, curve, lists, 2, 4) == []
+        pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (2, 4)]
+        wrong_e = gor3.extension_failures(CI_225, e + 1, curve, lists, 2, 4)
+        assert [(a, b) for a, b, _ in wrong_e] == pairs
+        assert all("multiplicity recursion" in str(exc) for *_, exc in wrong_e)
+        wrong_g = gor3.extension_failures(CI_225, e, (curve[0], curve[1] + 1), lists, 2, 4)
+        assert [(a, b) for a, b, _ in wrong_g] == pairs
+        assert all("genus recursion" in str(exc) for *_, exc in wrong_g)
 
 
 def terms(c, shifts, ranks):
@@ -179,12 +195,10 @@ class TestOneQuotientPerTable:
 
     def test_extend(self, divisions):
         lists = cm2.degrees(CI_225.base)
-        child = gor3.extender(CI_225, 20, gor3.block_curve(lists), lists)
-        child(2, 3)
-        G2 = gor3.validate([2, 2], [2, 3], 5)
-        assert divisions == [
-            table_terms(betti_table(CI_225.base)),
-            table_terms(betti_table(G2.base)),
+        assert gor3.extension_failures(CI_225, 20, gor3.block_curve(lists), lists, 2, 3) == []
+        pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+        assert divisions == [table_terms(betti_table(CI_225.base))] + [
+            table_terms(betti_table(cm2.validate([2, a], [2, b]))) for a, b in pairs
         ]
 
 
@@ -219,10 +233,10 @@ class TestProperties:
         b = a + extra
         if G.base.b[-1] < a:
             return
-        s = gor3.shifts(G)
-        child = gor3.extender(
-            G, gor3.multiplicity_pfaffian(G), quotient_values(betti_table(G.base)),
-            cm2.degrees(G.base),
+        s, e = gor3.shifts(G), gor3.multiplicity_pfaffian(G)
+        failures = gor3.extension_failures(
+            G, e, quotient_values(betti_table(G.base)), cm2.degrees(G.base), G.base.b[-1], b
         )
-        e2 = child(a, b)
-        assert e2 == gor3.multiplicity_pfaffian(G) + b * (s.m1 + a) * (s.M2 + b - a)
+        assert failures == []
+        G2 = gor3.validate(G.base.a + (a,), G.base.b + (b,), G.d)
+        assert gor3.multiplicity_pfaffian(G2) == e + b * (s.m1 + a) * (s.M2 + b - a)

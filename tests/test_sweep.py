@@ -227,6 +227,21 @@ class TestHunt:
         assert (hit["lhs"], hit["rhs"]) == (34, 33)
         assert not report.ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("t_max, entry_max, instances", [(4, 6, 117_051), (5, 4, 55_286)])
+    def test_prop24_fails_exactly_on_the_closed_form(self, jobs, t_max, entry_max, instances):
+        """The prop24 candidates are exactly a = b = (k, .., k, 1) with
+        t >= 2 and 2 <= k <= entry_max, in enumeration order, at one job
+        and at two."""
+        config = sweep.SweepConfig("cm2", t_max, entry_max, jobs=jobs)
+        report = sweep.hunt("prop24_bound", config)
+        got = [(c["instance"]["a"], c["instance"]["b"]) for c in report.candidates]
+        closed_form = [[k] * (t - 1) + [1] for t in range(2, t_max + 1)
+                       for k in range(2, entry_max + 1)]
+        assert got == [(x, x) for x in closed_form]
+        assert len(got) == (t_max - 1) * (entry_max - 1)
+        assert report.instances_checked == instances
+
     def test_parallel_reports_byte_identical(self):
         cfg1 = sweep.SweepConfig("gor3", 2, 4, jobs=1)
         cfg8 = sweep.SweepConfig("gor3", 2, 4, jobs=8)
@@ -421,26 +436,48 @@ def appended_children(config):
             yield inst, block.a + (a,), block.b + (b,)
 
 
-def recorded_children(monkeypatch, module):
-    """Wrap ``module.extender`` so each child it checks without a failure
-    is recorded as (base number, a, b, e'), bases counted from 0 in the
-    order the sweep binds them."""
+def recorded_children(monkeypatch, family):
+    """Wrap the family's extension kernel and the direct value it reads
+    per child (``multiplicity_from_degrees`` of the child's lists, or
+    ``pfaffian_formula`` of its entries), so each child is recorded as
+    (base number, a, b, direct value), bases counted from 0 in the order
+    the sweep calls the kernel.  Direct values read outside the kernel,
+    as the gor3 value route does, are not recorded."""
     seen = []
     bases = itertools.count()
-    real = module.extender
+    base = []  # (base number, m1) while the kernel runs
+    module = cm2 if family == "cm2" else gor3
+    real_kernel = module.extension_failures
 
-    def extender(*args):
-        k = next(bases)
-        child = real(*args)
+    def kernel(*args):
+        lists = args[1] if family == "cm2" else args[3]
+        base.append((next(bases), lists[0][0]))
+        try:
+            return real_kernel(*args)
+        finally:
+            base.pop()
 
-        def recorded(a, b):
-            e2 = child(a, b)
-            seen.append((k, a, b, e2))
-            return e2
+    if family == "cm2":
+        real = cm2.multiplicity_from_degrees
 
-        return recorded
+        def direct(e, f):
+            value = real(e, f)
+            k, m1 = base[-1]
+            seen.append((k, e[0] - m1, f[0] - e[0], value))
+            return value
 
-    monkeypatch.setattr(module, "extender", extender)
+        monkeypatch.setattr(cm2, "multiplicity_from_degrees", direct)
+    else:
+        real = gor3.pfaffian_formula
+
+        def direct(a, b, d):
+            value = real(a, b, d)
+            if base:
+                seen.append((base[-1][0], a[-1], b[-1], value))
+            return value
+
+        monkeypatch.setattr(gor3, "pfaffian_formula", direct)
+    monkeypatch.setattr(module, "extension_failures", kernel)
     return seen
 
 
@@ -526,10 +563,10 @@ class TestExtensionCheck:
 
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
     def test_kernel_matches_reference(self, monkeypatch, family, t_max, entry_max):
-        """Every appended child gets the e' of the reference that builds
-        and re-evaluates the child matrix, and checks its shift deltas."""
-        module = cm2 if family == "cm2" else gor3
-        seen = recorded_children(monkeypatch, module)
+        """Every appended child's direct value, which its recursion
+        matched, is the e' of the reference that builds and re-evaluates
+        the child matrix, and checks its shift deltas."""
+        seen = recorded_children(monkeypatch, family)
         config = extension_only(family, t_max, entry_max)
         assert sweep.verify_all(config).ok
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
@@ -545,7 +582,7 @@ class TestExtensionCheck:
     def test_every_appended_pair_verified(self, monkeypatch, family, t_max, entry_max):
         """Coverage: the verified (instance, appended pair) checks number
         len(appended_pairs(b_t, entry_max)) per instance."""
-        seen = recorded_children(monkeypatch, cm2 if family == "cm2" else gor3)
+        seen = recorded_children(monkeypatch, family)
         report = sweep.verify_all(extension_only(family, t_max, entry_max))
         assert report.ok
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
