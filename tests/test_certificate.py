@@ -117,30 +117,32 @@ def kernel_sides(family, t, p):
     m1 = lists[0][0]
     sides = {}
     with pytest.MonkeyPatch.context() as mp:
-
-        def record(module, name, side, read=lambda value: value):
-            real = getattr(module, name)
-
-            def recorded(*args):
-                value = real(*args)
-                sides[side] = read(value)
-                return value
-
-            mp.setattr(module, name, recorded)
-
         if family == "cm2":
             e = cm2.multiplicity_from_degrees(*lists)
-            record(cm2, "multiplicity_from_degrees", "direct e'")
+            record(mp, sides, cm2, "multiplicity_from_degrees", "direct e'")
             failures = cm2.extension_failures(e, lists, a, b)
             sides["recursion e'"] = e + (m1 + a) * b
         else:
             e, (e_j, g) = gor3.multiplicity_pfaffian(X), gor3.block_curve(lists)
-            record(gor3, "pfaffian_formula", "direct e'")
-            record(betti, "_multiplicity_and_genus", "direct 2g'", lambda value: 2 * value[1])
+            record(mp, sides, gor3, "pfaffian_formula", "direct e'")
+            record(mp, sides, betti, "_multiplicity_and_genus", "direct 2g'", lambda v: 2 * v[1])
             failures = gor3.extension_failures(X, e, (e_j, g), lists, a, b)
             sides["recursion e'"] = e + b * (m1 + a) * (gor3.shifts(X).M2 + b - a)
             sides["recursion 2g'"] = 2 * g + b * (m1 + a) * (m1 + a + b - 4) + 2 * b * e_j
     return failures, sides
+
+
+def record(mp, sides, module, name, side, read=lambda value: value):
+    """Patch ``module.name`` through ``mp`` so that each call stores
+    ``read`` of its value as ``sides[side]``."""
+    real = getattr(module, name)
+
+    def recorded(*args):
+        value = real(*args)
+        sides[side] = read(value)
+        return value
+
+    mp.setattr(module, name, recorded)
 
 
 def extension_corner(family, t):
