@@ -4,7 +4,8 @@ Verbs: validate, compute, sweep, hunt, oracle-check.  Matrices come in
 as inline flags (--cm2 --a 2,2,1 --b 2,2,1) or as JSON documents; all
 reports leave as text, JSON, or CSV, written to stdout or --out FILE as
 they are made.  Exit status 0 means success with no anomalies, 1 means
-an anomaly or hunt hit, 2 means invalid input.
+an anomaly or hunt hit, 2 means invalid input; a multiplicity route that
+fails on a valid matrix is an anomaly.
 """
 from __future__ import annotations
 
@@ -236,23 +237,14 @@ def _write_reports(
 # compute
 # ---------------------------------------------------------------------------
 
-def _routes(ev: sweep.Evaluation) -> dict[str, int]:
-    """Every multiplicity route of a matrix; a failed route raises here."""
-    routes = ev.routes
-    for value in routes.values():
-        if not isinstance(value, int):
-            raise value
-    return routes
-
-
 def _compute_matrix(ev: sweep.Evaluation) -> dict:
-    routes = _routes(ev)
+    agree = ev.agree()
     result = {
         "instance": ev.instance.to_json_dict(),
         "shifts": ev.shifts._asdict(),
         "pure": ev.purity.pure,
         "quasi_pure": ev.purity.quasi_pure,
-        "multiplicity": {"value": ev.e, **routes, "agree": len(set(routes.values())) == 1},
+        "multiplicity": {"value": ev.e, **ev.routes, "agree": agree},
         "bounds": [v.to_json_dict() for v in ev.verdicts],
     }
     if ev.family == "cm2":
@@ -423,12 +415,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _oracle_report(item: Input) -> dict:
     if not isinstance(item, (cm2.DegreeMatrixCM2, gor3.DegreeMatrixGor3)):
         raise ParseError("oracle-check needs cm2 or gor3 matrices")
-    routes = _routes(sweep.evaluate(item))
-    return {
-        "instance": item.to_json_dict(),
-        "routes": routes,
-        "agree": len(set(routes.values())) == 1,
-    }
+    ev = sweep.evaluate(item)
+    agree = ev.agree()
+    return {"instance": item.to_json_dict(), "routes": ev.routes, "agree": agree}
 
 
 def _oracle_line(rep: dict) -> str:

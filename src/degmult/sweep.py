@@ -9,7 +9,10 @@ the hunted open questions, a genuine discovery.  Every verb reads an
 instance through one :class:`Evaluation`, whose facts come in two
 tiers, each computed once in dependency order: the value tier (shifts,
 degree lists, routes, e), all a hunt reads, and the table tier (shift
-summary, purity, bound verdicts) of the resolution's step lists.
+summary, purity, bound verdicts) of the resolution's step lists.  ``e``
+is the value route's value or nothing, never another route's; a route
+that fails on a valid matrix is an anomaly in every verb, filed by a
+sweep under multiplicity_agreement and raised by a hunt.
 Sweeps and hunts stream the enumeration through one ordered driver; a
 sweep makes one pass per instance, running the enabled checks as plain
 code and rendering the family's CSV line with one f-string.  Reports
@@ -214,20 +217,23 @@ def _failed(check: str, verdicts: tuple[BoundVerdict, ...]) -> list[tuple]:
 
 class Evaluation:
     """Everything a verb reads about one matrix, as plain attributes in
-    two tiers, each filled by one method in dependency order.
+    two tiers, each filled once in dependency order.
 
-    The value tier, :meth:`values`, holds ``shifts``, the block's
-    ascending ``degrees``, ``routes`` and ``e``.  ``ROUTES`` maps each
-    multiplicity route to the function computing it, the value route
-    first; a route that fails holds its exception in place of a value.
-    The other routes run only when asked for or when the value route
-    fails, and ``e`` is the first value in route order, or None when
-    every route failed.  A route reads what it needs inside its own
-    failure handling: the resolution's ascending step lists, one per
-    homological step, through :meth:`resolution`.  The table tier,
-    :meth:`tables`, holds the ``summary`` read off the ends of those
-    lists, its ``purity`` and the bound verdicts, None without a value.
-    A hunt reads the value tier alone, so it builds no resolution.
+    The value tier, filled by the constructor, holds ``shifts``, the
+    block's ascending ``degrees``, ``routes`` and ``e``.  ``ROUTES`` maps
+    each multiplicity route to the function computing it, the value
+    route first; a route that fails holds its exception in place of a
+    value.  The value route always runs, the others only for
+    ``every_route``, and ``e`` is the value route's value, or None when
+    it failed: no other route stands in for it.  A route that fails is
+    an anomaly in every verb: a sweep files it, and the verbs that file
+    none raise it through :meth:`agree`.  A route reads what it needs
+    inside its own failure handling: the resolution's ascending step
+    lists, one per homological step, through :meth:`resolution`.  The
+    table tier, :meth:`tables`, holds the ``summary`` read off the ends
+    of those lists, its ``purity`` and the bound verdicts, None without
+    a value.  A hunt reads the value tier alone, so it builds no
+    resolution.
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
     order, and ``FINDINGS`` names the open bounds a sweep reports as
@@ -242,50 +248,61 @@ class Evaluation:
     CHECKS: tuple[str, ...]
     FINDINGS: tuple[str, ...]
 
-    def __init__(self, instance) -> None:
+    def __init__(self, instance, every_route: bool) -> None:
+        """The value tier; the routes after the value route run only if ``every_route``."""
         self.instance = instance
-
-    def values(self, every_route: bool) -> None:
-        """The value tier; later routes run if ``every_route``, else until one gives a value."""
-        self.shifts = self.MODULE.shifts(self.instance)
+        self.shifts = self.MODULE.shifts(instance)
         self.degrees = cm2.degrees(self.block)
-        self.e = None
         routes = self.routes = {}
         for name, route in self.ROUTES.items():
             try:
-                value = routes[name] = route(self)
+                routes[name] = route(self)
             except (InternalMismatch, DivisionError) as exc:
                 routes[name] = exc
-                continue
-            if self.e is None:
-                self.e = value
-                if not every_route:
-                    break
+            if not every_route:
+                break
+        value = next(iter(routes.values()))
+        self.e = value if isinstance(value, int) else None
+
+    def route_anomalies(self) -> list[tuple]:
+        """(lhs, rhs) of each route that ran and failed, then of each
+        route whose value differs from e: empty when the routes agree."""
+        e, routes = self.e, self.routes
+        # One distinct value among the routes means they all agree.
+        if e is not None and len(set(routes.values())) == 1:
+            return []
+        found = [(f"{name} route", value) for name, value in routes.items()
+                 if not isinstance(value, int)]
+        if e is not None:
+            first = next(iter(routes))
+            found += [(f"{first}={e}", f"{name}={value}") for name, value in routes.items()
+                      if isinstance(value, int) and value != e]
+        return found
+
+    def agree(self) -> bool:
+        """Whether the routes agree, for a verb that files no anomalies:
+        the first route that failed is raised as an anomaly naming it."""
+        found = self.route_anomalies()
+        for lhs, rhs in found:
+            if isinstance(rhs, Exception):
+                raise InternalMismatch(f"{lhs}: {rhs}")
+        return not found
 
     def extremes(self) -> ShiftSummary:
         """The shifts computed from the matrix, as a ShiftSummary."""
         return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
-        """The table tier, read after :meth:`values`."""
+        """The table tier, read after the value tier."""
         self.summary = betti.shift_summary(self.resolution())
         self.purity = betti.summary_purity(self.summary)
         self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
         self._verdicts()
 
-    def _hunted_value(self) -> int:
-        """The value tier's e for a hunt, which files no anomalies: with
-        no value the last route's failure is raised."""
-        self.values(False)
-        if self.e is None:
-            raise list(self.routes.values())[-1]
-        return self.e
-
     def sweep_row(self, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
         """(CSV line or None, anomalies, sharp case, finding or None): one
         pass over the instance for a sweep whose checks are the keys of
         ``order``, each mapped to its place in the report."""
-        self.values("multiplicity_agreement" in order)
         self.tables()
         found = self._anomalies(order, entry_max)
         anomalies = ()
@@ -306,16 +323,8 @@ class Evaluation:
         Every route that ran and failed is filed under
         multiplicity_agreement, enabled or not; an instance with no value
         has nothing else filed by any check that reads e."""
-        found = []
-        e, routes = self.e, self.routes
-        # One distinct value among the routes means they all agree.
-        if e is None or len(set(routes.values())) > 1:
-            found += [("multiplicity_agreement", f"{name} route", value)
-                      for name, value in routes.items() if not isinstance(value, int)]
-            (first, value), *others = routes.items()
-            if "multiplicity_agreement" in on and isinstance(value, int):
-                found += [("multiplicity_agreement", f"{first}={value}", f"{name}={other}")
-                          for name, other in others if isinstance(other, int) and other != value]
+        e = self.e
+        found = [("multiplicity_agreement", lhs, rhs) for lhs, rhs in self.route_anomalies()]
         if "shift_agreement" in on:
             m, M = extremes = self.extremes()
             if self.summary != extremes:
@@ -340,19 +349,16 @@ class Evaluation:
                 else:
                     if hm != e:
                         found.append(("huneke_miller", hm, e))
-        if "extension" in on:
-            self._extension(entry_max, found)
+            if "extension" in on:
+                self._extension(entry_max, found)
         return found
 
     def _extension(self, entry_max: int, found: list) -> None:
         """Every appended pair (a, b), b-major, through the family's
         extension kernel, called once on the base values with a <= the
-        instance's own b_t; skipped when the value route failed."""
-        value = next(iter(self.routes.values()))
-        if not isinstance(value, int):
-            return
+        instance's own b_t."""
         try:
-            failures = self._extension_failures(value, self.block.b[-1], entry_max)
+            failures = self._extension_failures(self.e, self.block.b[-1], entry_max)
         except (InternalMismatch, DivisionError) as exc:
             found.append(("extension", "kernel inputs", exc))
             return
@@ -434,8 +440,7 @@ class CM2Evaluation(Evaluation):
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of the prop24 bound, optionally only under a hypothesis."""
-        e = self._hunted_value()
-        p24 = self.prop24 = bounds.prop24_bound(self.instance, e, self.shifts)
+        p24 = self.prop24 = bounds.prop24_bound(self.instance, self.e, self.shifts)
         if p24.verdict.holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
             return None
         return {**self._candidate(p24.verdict), **self.prop24_flags}
@@ -513,8 +518,7 @@ class Gor3Evaluation(Evaluation):
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, optionally only under
         quasi-purity, the hypothesis under which the bound is claimed."""
-        e = self._hunted_value()
-        _, upper, quasi_pure = bounds.srinivasan_bounds(self.extremes(), e)
+        _, upper, quasi_pure = bounds.srinivasan_bounds(self.extremes(), self.e)
         if upper.holds or (require_hypotheses and not quasi_pure):
             return None
         return self._candidate(upper)
@@ -528,8 +532,7 @@ def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluatio
     """Both tiers of one cm2 or gor3 matrix, with every route."""
     for cls in EVALUATIONS.values():
         if isinstance(instance, cls.INSTANCE):
-            ev = cls(instance)
-            ev.values(True)
+            ev = cls(instance, True)
             ev.tables()
             return ev
     raise TypeError(f"cannot evaluate {type(instance).__name__}")
@@ -561,7 +564,7 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
 
 def _sweep_instance(item, cls: type, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
     """(CSV line or None, anomalies, sharp case, finding or None) of one instance."""
-    return cls(item).sweep_row(order, entry_max, csv)
+    return cls(item, "multiplicity_agreement" in order).sweep_row(order, entry_max, csv)
 
 
 def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
@@ -630,7 +633,10 @@ def target_family(target: str) -> str:
 
 
 def _hunt_instance(item, cls: type, require_hypotheses: bool) -> dict | None:
-    return cls(item).hunt_candidate(require_hypotheses)
+    """The candidate of one instance; a hunt raises a failed value route."""
+    ev = cls(item, False)
+    ev.agree()
+    return ev.hunt_candidate(require_hypotheses)
 
 
 def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> HuntReport:

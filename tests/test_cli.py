@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degmult
-from degmult import cli
+from degmult import betti, cli
 from degmult.cli import main
-from degmult.errors import as_int_tuple
+from degmult.errors import DivisionError, as_int_tuple
 
 
 # The environment of a child interpreter that imports this degmult.
@@ -149,6 +149,28 @@ class TestCompute:
         assert code == 0
         assert out == ""
         assert "multiplicity: 1" in target.read_text()
+
+
+class TestRouteFault:
+    """A route that fails on a valid matrix is an anomaly, not bad input:
+    compute and oracle-check exit 1 with one anomaly line naming it."""
+
+    MATRICES = {
+        "cm2": ("--cm2", "--a", "2,1", "--b", "2,1"),
+        "gor3": ("--gor3", "--a", "1", "--b", "1", "--d", "1"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(MATRICES))
+    @pytest.mark.parametrize("verb", ["compute", "oracle-check"])
+    def test_failed_route_exits_1(self, capsys, monkeypatch, verb, family):
+        def fail(*args):
+            raise DivisionError("route failed on purpose")
+
+        monkeypatch.setattr(betti, "resolution_multiplicity", fail)
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, verb, *self.MATRICES[family], "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == "anomaly: resolution route: route failed on purpose\n"
 
 
 class TestValidate:
@@ -803,16 +825,25 @@ class TestEntryPoint:
         assert len(lines) == 803
         assert sum(line.startswith("family,") for line in lines) == 1
 
-    def test_closed_pipe_ends_quietly(self):
+    @staticmethod
+    def close_after_header(*argv):
+        """(exit status, stderr) of a CSV sweep whose reader closes stdout
+        after the header."""
         proc = subprocess.Popen(
-            [sys.executable, "-m", "degmult", "sweep", "--cm2", "--t-max", "4",
-             "--entry-max", "4", "--checks", "hhs_bounds", "--format", "csv"],
+            [sys.executable, "-m", "degmult", "sweep", "--cm2", *argv, "--format", "csv"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
         )
         assert proc.stdout.readline().startswith(b"family,")
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (1, b"")
+        return proc.returncode, err
+
+    def test_closed_pipe_ends_quietly(self):
+        argv = ("--t-max", "4", "--entry-max", "4", "--checks", "hhs_bounds")
+        assert self.close_after_header(*argv) == (1, b"")
+
+    def test_closed_pipe_ends_quietly_with_every_check(self):
+        assert self.close_after_header("--t-max", "4", "--entry-max", "5") == (1, b"")
 
     def test_hunt_hit_exits_1(self):
         proc = self.degmult("hunt", "--target", "prop24_bound", "--t-max", "3",

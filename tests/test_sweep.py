@@ -210,6 +210,21 @@ class TestHunt:
         assert restricted.candidates == ()
         assert restricted.instances_checked == report.instances_checked
 
+    def test_srinivasan_fails_at_t2(self):
+        """The t = 2 failure of Srinivasan's upper bound: a = (5, 1),
+        b = (14, 1), d = 5 has e = 1,148 on all three routes, and 6e =
+        6,888 exceeds 6,860; it is not quasi-pure, so the hypothesis
+        holds nowhere the bound fails in range."""
+        G = gor3.validate([5, 1], [14, 1], 5)
+        assert sweep.evaluate(G).routes == {"pfaffian": 1148, "resolution": 1148, "linkage": 1148}
+        config = sweep.SweepConfig("gor3", 2, 14)
+        report = sweep.hunt("srinivasan_upper_gor3", config)
+        assert (report.instances_checked, len(report.candidates)) == (86_478, 100)
+        hits = [c for c in report.candidates if c["instance"] == G.to_json_dict()]
+        assert [(c["e"], c["lhs"], c["rhs"]) for c in hits] == [(1148, 6888, 6860)]
+        restricted = sweep.hunt("srinivasan_upper_gor3", config, require_hypotheses=True)
+        assert restricted.candidates == ()
+
     def test_prop24_restricted_no_candidates(self):
         report = sweep.hunt(
             "prop24_bound", sweep.SweepConfig("cm2", 2, 4), require_hypotheses=True
@@ -258,8 +273,9 @@ class TestHunt:
 
 class TestOnlyEnabledChecksCompute:
     """The resolution, staircase and linkage routes serve only the
-    multiplicity_agreement check: with it disabled they never run, so
-    their failures cannot be filed under a check the sweep did not run."""
+    multiplicity_agreement check: with it disabled they never run, not
+    even when the value route fails, so their failures cannot be filed
+    under a check the sweep did not run."""
 
     ROUTES = (
         (betti, "resolution_multiplicity"), (oracle, "colength"), (gor3, "_linkage_value"),
@@ -753,12 +769,27 @@ def _family_faults(family, module):
 NO_ROUTE = "route failed on purpose"
 
 
-def _fail_every_route(monkeypatch, family):
-    def fail(ev):
-        raise InternalMismatch(NO_ROUTE)
+def _fail_route(ev):
+    raise InternalMismatch(NO_ROUTE)
 
+
+def _fail_every_route(monkeypatch, family):
     for name in EVALUATIONS[family].ROUTES:
-        monkeypatch.setitem(EVALUATIONS[family].ROUTES, name, fail)
+        monkeypatch.setitem(EVALUATIONS[family].ROUTES, name, _fail_route)
+
+
+def _assert_blank_from_e(text, expected):
+    """The CSV ``text`` leaves e and every cell computed from it empty,
+    and fills the rest as the ``expected`` rows do."""
+    header, *lines = text.splitlines()
+    columns = header.split(",")
+    from_e = {"e", "prop24_holds"} | {c for c in columns if c.endswith(("_holds", "_sharp"))
+                                      and not c.startswith("prop24")}
+    assert len(lines) == len(expected) > 0
+    for line, want in zip(lines, expected):
+        got = dict(zip(columns, line.split(","), strict=True))
+        assert all(got[c] == "" for c in from_e)
+        assert all(got[c] == cell for c, cell in zip(columns, want) if c not in from_e)
 
 
 class TestCheckFaults:
@@ -830,6 +861,7 @@ class TestCheckFaults:
     ])
     def test_no_value_sweep_json(self, monkeypatch, capsys, family, checks):
         """An instance on which every route fails files each failed route
+        that ran (only the value route with multiplicity_agreement off)
         under multiplicity_agreement, and gives no sharp case and no
         finding; the sweep's JSON report comes back with exit 1."""
         _fail_every_route(monkeypatch, family)
@@ -839,6 +871,8 @@ class TestCheckFaults:
         assert (code, err) == (1, "")
         report = json.loads(out)
         routes = list(EVALUATIONS[family].ROUTES)
+        if checks is not None and "multiplicity_agreement" not in checks:
+            routes = routes[:1]
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         assert [(a["instance"], a["check"], a["lhs"], a["rhs"]) for a in report["anomalies"]] == [
             (X.to_json_dict(), "multiplicity_agreement", f"{name} route", NO_ROUTE)
@@ -857,15 +891,7 @@ class TestCheckFaults:
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
-        header, *lines = out.splitlines()
-        columns = header.split(",")
-        from_e = {"e", "prop24_holds"} | {c for c in columns if c.endswith(("_holds", "_sharp"))
-                                          and not c.startswith("prop24")}
-        assert len(lines) == len(expected) > 0
-        for line, want in zip(lines, expected):
-            got = dict(zip(columns, line.split(","), strict=True))
-            assert all(got[c] == "" for c in from_e)
-            assert all(got[c] == cell for c, cell in zip(columns, want) if c not in from_e)
+        _assert_blank_from_e(out, expected)
 
     @pytest.mark.parametrize("checks, filed", [
         (("multiplicity_agreement",), [("multiplicity_agreement", "linkage route")]),
@@ -894,13 +920,10 @@ class TestCheckFaults:
     ])
     def test_failed_value_route_filed_with_agreement_off(self, monkeypatch, family, route, checks):
         """A value route that fails is filed under multiplicity_agreement
-        although that check is off: the bounds read the next route's
-        value and hold, and the extension check, which needs the value
-        route, skips the instance, so nothing else would say so."""
-        def fail(ev):
-            raise InternalMismatch(NO_ROUTE)
-
-        monkeypatch.setitem(EVALUATIONS[family].ROUTES, route, fail)
+        although that check is off: the instance has no value, so the
+        bounds and the extension check, which read it, skip the
+        instance, and nothing else would say so."""
+        monkeypatch.setitem(EVALUATIONS[family].ROUTES, route, _fail_route)
         report = sweep.verify_all(sweep.SweepConfig(family, 2, 3, checks=checks))
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         assert not report.ok
@@ -909,13 +932,52 @@ class TestCheckFaults:
             for X in enum(2, 3)
         ]
 
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_failed_value_route_runs_no_later_route(self, monkeypatch, family):
+        """With multiplicity_agreement off, no later route stands in for a
+        failed value route: none runs, only the value route is filed, and
+        e and every cell computed from it are blank."""
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        expected = [sweep_row(X).rstrip("\n").split(",") for X in enum(2, 3)]
+        cls = EVALUATIONS[family]
+        routes = cls.ROUTES
+        value_route, *later = routes
+        calls = []
+        for name in later:
+            monkeypatch.setitem(routes, name, lambda ev, route=routes[name]: calls.append(ev) or route(ev))
+        monkeypatch.setitem(routes, value_route, _fail_route)
+        checks = tuple(c for c in cls.CHECKS + cls.FINDINGS if c != "multiplicity_agreement")
+        stream = io.StringIO()
+        report = sweep.write_sweep_csv(sweep.SweepConfig(family, 2, 3, checks=checks), stream)
+        assert calls == []
+        assert [(a.instance, a.check, a.lhs, a.rhs) for a in report.anomalies] == [
+            (X.to_json_dict(), "multiplicity_agreement", f"{value_route} route", NO_ROUTE)
+            for X in enum(2, 3)
+        ]
+        assert report.sharp_cases == report.prop24_findings == ()
+        _assert_blank_from_e(stream.getvalue(), expected)
+
     def test_no_value_hunt_cli(self, monkeypatch, capsys):
         """A hunt files no anomalies: with no value it stops with exit 1
-        and one anomaly line, no traceback."""
+        and one anomaly line naming the value route, no traceback."""
         _fail_every_route(monkeypatch, "cm2")
         code = cli.main(["hunt", "--target", "prop24_bound", "--t-max", "1", "--entry-max", "2"])
         out, err = capsys.readouterr()
-        assert (code, out, err) == (1, "", f"anomaly: {NO_ROUTE}\n")
+        assert (code, out, err) == (1, "", f"anomaly: uv route: {NO_ROUTE}\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("target", sorted(sweep.HUNT_TARGETS))
+    def test_failed_value_route_hunt_cli(self, monkeypatch, capsys, target, jobs):
+        """A hunt whose value route alone fails reads no later route in its
+        place: it stops with exit 1 and one anomaly line, at one job and
+        at two."""
+        routes = EVALUATIONS[sweep.HUNT_TARGETS[target]].ROUTES
+        value_route = next(iter(routes))
+        monkeypatch.setitem(routes, value_route, _fail_route)
+        code = cli.main(["hunt", "--target", target, "--t-max", "3", "--entry-max", "3",
+                         "--require-hypotheses", "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"anomaly: {value_route} route: {NO_ROUTE}\n")
 
     def test_every_check_but_extension_faulted(self):
         faulted = {(family, check) for family, check, _ in self.FAULTS}
