@@ -138,6 +138,17 @@ def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2) -> Prop
     a_1 = b_1 = 1.  Since b_1 >= a_1 >= 1, the margin is
     a_1 - 2 b_1 + 1 <= 1 - a_1 <= 0, with equality throughout iff
     b_1 = a_1 = 1; so it is nonnegative iff it is 0, iff a_1 = b_1 = 1.
+
+    Under hypothesis (i) the bound is a theorem: it follows from the
+    sharper upper bound of :func:`cm2_bounds`,
+    2e <= M1 M2 - (m2 - m1)(M2 - m2 + M1 - m1).  The two right sides
+    differ by
+    [M1 M2 - 2(M1 - m1) - 2(M2 - m2)] - [M1 M2 - (m2 - m1)(M2 - m2 + M1 - m1)]
+    = (m2 - m1 - 2)(M2 - m2 + M1 - m1).
+    The second factor is >= 0, as M_i >= m_i.  The first is b_t - 2,
+    since m2 = m1 + b_t (:func:`cm2.shifts`), and b_t is an entry of the
+    matrix, so (i) makes it >= 0.  So every matrix with b_t >= 2, and
+    every one satisfying (i), meets the bound; only b_t = 1 can fail it.
     ``s`` is the shifts of A (:func:`cm2.shifts`).
     """
     hyp_i, hyp_ii, margin = prop24_hypotheses(A, s)

@@ -29,6 +29,11 @@ failing (a, b, error) triples.  The base's shifts are left to the
 sweep's ``shift_agreement``.  :func:`extend` is one child's value
 from its own degree lists; it stays only for the benchmark's replay of
 the cm2 sweep (``benchmarks/worker.py``).
+
+The full t x (t+1) degree grid is built nowhere; the tests' reference
+for it is ``tests/bruteforce.degree_grid``.  The Herzog-Srinivasan
+summation identities telescope for any integer lists, so they check
+nothing here; ``tests/bruteforce.py`` keeps them as a reference.
 """
 from __future__ import annotations
 

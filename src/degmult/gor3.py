@@ -25,7 +25,8 @@ lists, each led by its one new degree, as in
 :func:`cm2.extension_failures`), through the same
 :func:`betti._multiplicity_and_genus` as :func:`block_curve`.  It
 returns the failing (a, b, error) triples.  The base's shifts are left
-to the sweep's ``shift_agreement``.
+to the sweep's ``shift_agreement``, and the routes are compared with
+each other only in the sweep's ``Evaluation``, never here.
 """
 from __future__ import annotations
 
@@ -155,15 +156,19 @@ def extension_failures(
     recursion 2g' = 2g + b (m1 + a) (m1 + a + b - 4) + 2 b e(R/J) with
     the moments of the child's block lists: the block's lists shifted by
     b, built once per b, each led by its one new degree, as in
-    :func:`cm2.extension_failures`.  A failed multiplicity recursion
-    leaves the genus unchecked; a block table that is not divisible
-    fails with its DivisionError.
+    :func:`cm2.extension_failures`; the signed ranks of their K terms
+    depend on t alone and are built once per call.  A failed
+    multiplicity recursion leaves the genus unchecked; a block table
+    that is not divisible fails with its DivisionError.
     """
     block_a, block_b, d = G.base.a, G.base.b, G.d
     gens, syz = lists
     m1 = gens[0]
     M2 = d + 2 * gens[-1] - m1
     e_j, g = curve
+    # Only the lengths of the child's lists, each one longer than the
+    # block's, set the signed ranks of its K terms.
+    ranks = betti.signed_terms(([0, *gens], [0, *syz]))[1]
     failures = []
     for b in range(1, entry_max + 1):
         gens_b = [x + b for x in gens]
@@ -176,8 +181,8 @@ def extension_failures(
                 direct = pfaffian_formula(block_a + (a,), column, d)
                 if recursion != direct:
                     raise InternalMismatch(f"multiplicity recursion fails: {recursion} != {direct}")
-                child_lists = [new, *gens_b], [new + b, *syz_b]
-                _, g2 = betti._multiplicity_and_genus(2, *betti.signed_terms(child_lists))
+                shifts = [0, new, *gens_b, new + b, *syz_b]
+                _, g2 = betti._multiplicity_and_genus(2, shifts, ranks)
                 if 2 * g2 != 2 * g + b * new * (new + b - 4) + 2 * b * e_j:
                     raise InternalMismatch(
                         f"genus recursion fails for {G.to_json_dict()} + ({a}, {b})"

@@ -15,9 +15,11 @@ that fails on a valid matrix is an anomaly in every verb, filed by a
 sweep under multiplicity_agreement and raised by a hunt.
 Sweeps and hunts stream the enumeration through one ordered driver; a
 sweep makes one pass per instance, running the enabled checks as plain
-code and rendering the family's CSV line with one f-string.  Reports
-are deterministic: byte-identical across runs and across worker
-counts, so wall-clock runtime is kept off them.
+code and rendering the family's CSV line with one f-string, which is
+what a worker sends back through the pipe.  Every instance builds its
+degree lists once, none is sorted or searched, and nothing is cached
+across instances.  Reports are deterministic: byte-identical across
+runs and across worker counts, so wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
@@ -66,7 +68,8 @@ HUNT_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Range, check subset, and parallelism for one sweep or hunt."""
+    """Range, check subset, and parallelism for one sweep or hunt; the
+    checks default to the family's CHECKS and FINDINGS, in that order."""
 
     family: str
     t_max: int
@@ -211,6 +214,10 @@ def _verdict_cells(pair: tuple[BoundVerdict, BoundVerdict] | None) -> str:
     return f"{_FLAG[lower.holds]},{_FLAG[lower.sharp]},{_FLAG[upper.holds]},{_FLAG[upper.sharp]}"
 
 
+# The purity of an instance whose step lists could not be formed.
+_UNKNOWN_PURITY = betti.Purity(None, None)
+
+
 def _failed(check: str, verdicts: tuple[BoundVerdict, ...]) -> list[tuple]:
     return [(check, f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds]
 
@@ -232,7 +239,9 @@ class Evaluation:
     lists, one per homological step, through :meth:`resolution`.  The
     table tier, :meth:`tables`, holds the ``summary`` read off the ends
     of those lists, its ``purity`` and the bound verdicts, None without
-    a value.  A hunt reads the value tier alone, so it builds no
+    a value.  Step lists that cannot be formed are the resolution
+    route's failure, filed or raised like any other, and leave no
+    summary.  A hunt reads the value tier alone, so it builds no
     resolution.
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
@@ -293,10 +302,18 @@ class Evaluation:
         return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
-        """The table tier, read after the value tier."""
-        self.summary = betti.shift_summary(self.resolution())
-        self.purity = betti.summary_purity(self.summary)
-        self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
+        """The table tier, read after the value tier.  Step lists that
+        cannot be formed fail the resolution route, whether or not it
+        ran, and leave no summary: purity and the HHS verdicts are then
+        unknown, and the checks that read them skip the instance."""
+        try:
+            self.summary = betti.shift_summary(self.resolution())
+        except (InternalMismatch, DivisionError) as exc:
+            self.routes["resolution"] = exc
+            self.summary, self.purity, self.hhs = None, _UNKNOWN_PURITY, None
+        else:
+            self.purity = betti.summary_purity(self.summary)
+            self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
         self._verdicts()
 
     def sweep_row(self, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
@@ -322,20 +339,19 @@ class Evaluation:
         """(check, lhs, rhs) of each failure of the checks in ``on``.
         Every route that ran and failed is filed under
         multiplicity_agreement, enabled or not; an instance with no value
-        has nothing else filed by any check that reads e."""
+        has nothing else filed by any check that reads e, and one with no
+        summary nothing by any check that reads the summary."""
         e = self.e
         found = [("multiplicity_agreement", lhs, rhs) for lhs, rhs in self.route_anomalies()]
         if "shift_agreement" in on:
             m, M = extremes = self.extremes()
-            if self.summary != extremes:
+            if self.summary is not None and self.summary != extremes:
                 found.append(("shift_agreement", self.shifts, self.summary))
             if not (all(map(lt, m, m[1:])) and all(map(lt, M, M[1:]))):
                 found.append(("shift_agreement", "strictly increasing shifts", self.shifts))
-        if e is not None:
+        if self.hhs is not None:  # a value and a summary
             if "hhs_bounds" in on:
                 found += _failed("hhs_bounds", self.hhs)
-            if f"{self.family}_bounds" in on:
-                found += _failed(f"{self.family}_bounds", self.sharper)
             if "sharpness_purity" in on:
                 try:
                     bounds.sharpness(*self.hhs, self.purity.pure)
@@ -349,6 +365,9 @@ class Evaluation:
                 else:
                     if hm != e:
                         found.append(("huneke_miller", hm, e))
+        if e is not None:
+            if f"{self.family}_bounds" in on:
+                found += _failed(f"{self.family}_bounds", self.sharper)
             if "extension" in on:
                 self._extension(entry_max, found)
         return found
@@ -356,7 +375,8 @@ class Evaluation:
     def _extension(self, entry_max: int, found: list) -> None:
         """Every appended pair (a, b), b-major, through the family's
         extension kernel, called once on the base values with a <= the
-        instance's own b_t."""
+        instance's own b_t; kernel inputs that cannot be formed (a gor3
+        block curve that raises) are filed once, as ``kernel inputs``."""
         try:
             failures = self._extension_failures(self.e, self.block.b[-1], entry_max)
         except (InternalMismatch, DivisionError) as exc:
@@ -495,7 +515,7 @@ class Gor3Evaluation(Evaluation):
         """The shared checks, and self_duality: step-1 shifts inside
         (0, m3); shift_agreement compares m3 itself."""
         found = super()._anomalies(on, entry_max)
-        if "self_duality" in on:
+        if "self_duality" in on and self.summary is not None:
             step1, m3 = self.resolution()[0], self.shifts.m3
             if not all(0 < shift < m3 for shift in step1):
                 found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))

@@ -2,12 +2,12 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s``) and
 asserts the criterion, including its runtime limit where one is stated.
+Criterion 4 times its sweep as the CSV the criterion names, streamed by
+``write_sweep_csv``; the sweep fixtures live in ``conftest.py``.
 """
 import json
 import math
 import time
-
-import pytest
 
 from degmult import betti, bounds, cm2, gor3, oracle, sweep
 from degmult.cli import main
@@ -18,20 +18,6 @@ from bruteforce import betti_table, brute_cm2, brute_gor3
 def check(n: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def cm2_sweep():
-    start = time.perf_counter()
-    report = sweep.verify_all(sweep.SweepConfig("cm2", t_max=4, entry_max=6))
-    return report, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def gor3_sweep():
-    start = time.perf_counter()
-    report = sweep.verify_all(sweep.SweepConfig("gor3", t_max=3, entry_max=5))
-    return report, time.perf_counter() - start
 
 
 def test_criterion_1_example_reproduction():
@@ -119,7 +105,7 @@ def test_criterion_3_srinivasan_counterexample():
 
 
 def test_criterion_4_cm2_exhaustive_sweep(cm2_sweep):
-    report, elapsed = cm2_sweep
+    report, elapsed, _ = cm2_sweep
     needed = {
         "multiplicity_agreement",
         "cm2_bounds", "hhs_bounds", "sharpness_purity", "extension",
@@ -139,7 +125,7 @@ def test_criterion_4_cm2_exhaustive_sweep(cm2_sweep):
 
 
 def test_criterion_5_gor3_exhaustive_sweep(gor3_sweep):
-    report, elapsed = gor3_sweep
+    report, elapsed, _ = gor3_sweep
     needed = {
         "multiplicity_agreement", "self_duality", "gor3_bounds",
         "sharpness_purity", "extension",
@@ -161,7 +147,7 @@ def test_criterion_5_gor3_exhaustive_sweep(gor3_sweep):
 def test_criterion_6_huneke_miller_on_pure_instances(cm2_sweep, gor3_sweep):
     bad = []
     total = 0
-    for report in (cm2_sweep[0], gor3_sweep[0]):
+    for report in (cm2_sweep.report, gor3_sweep.report):
         for case in report.sharp_cases:
             total += 1
             inst = case["instance"]

@@ -116,6 +116,29 @@ class TestProp24:
             assert not res.hyp_i and not res.hyp_ii
             assert res.hyp_ii_margin == k - 2 * k + 1
 
+    def test_follows_from_cm2_upper_when_b_t_is_at_least_2(self):
+        """prop24's right side minus cm2_upper's is (m2 - m1 - 2)(M2 - m2
+        + M1 - m1), with m2 - m1 = b_t, so no instance with b_t >= 2 fails
+        prop24, and hypothesis (i) forces b_t >= 2, as prop24_bound's
+        docstring proves: pinned on all 31,614 matrices of t <= 4,
+        entries <= 5."""
+        tally = {"b_t >= 2": 0, "hyp_i": 0}
+        for A in sweep.enumerate_cm2(4, 5):
+            s = cm2.shifts(A)
+            e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
+            p24 = bounds.prop24_bound(A, e, s)
+            upper = bounds.cm2_bounds(*s, e)[1]
+            assert s.m2 - s.m1 == A.b[-1]
+            spread = s.M2 - s.m2 + s.M1 - s.m1
+            assert p24.verdict.rhs - upper.rhs == (A.b[-1] - 2) * spread
+            if A.b[-1] >= 2:
+                assert upper.holds and p24.verdict.holds
+                tally["b_t >= 2"] += 1
+            if p24.hyp_i:
+                assert A.b[-1] >= 2
+                tally["hyp_i"] += 1
+        assert tally == {"b_t >= 2": 29_055, "hyp_i": 725}
+
 
 def _grid_hypotheses(A):
     """hyp_i, hyp_ii and the margin read off the full t x (t+1) grid."""

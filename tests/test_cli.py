@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degmult
-from degmult import betti, cli
+from degmult import betti, cli, gor3
 from degmult.cli import main
 from degmult.errors import DivisionError, as_int_tuple
 
@@ -172,6 +172,18 @@ class TestRouteFault:
             assert (code, out) == (1, "")
             assert err == "anomaly: resolution route: route failed on purpose\n"
 
+    @pytest.mark.parametrize("verb", ["compute", "oracle-check"])
+    def test_failed_step_lists_exit_1(self, capsys, monkeypatch, verb):
+        """gor3 step lists that cannot be formed fail the resolution route,
+        which the table tier reads as well: still one anomaly line."""
+        def fail(*args):
+            raise DivisionError("planted")
+
+        monkeypatch.setattr(gor3, "step_lists", fail)
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, verb, *self.MATRICES["gor3"], "--format", fmt)
+            assert (code, out, err) == (1, "", "anomaly: resolution route: planted\n")
+
 
 class TestValidate:
     def test_valid_text(self, capsys):
@@ -258,6 +270,8 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", "--cm2", "--a", "1", "--b", "1")
         assert code == 0
         assert "uv=1" in out
+        code, out, _ = run(capsys, "oracle-check", "--gor3", "--a", "1", "--b", "1", "--d", "1")
+        assert (code, out) == (0, "gor3 a=1 b=1 d=1: pfaffian=1 resolution=1 linkage=1 agree=yes\n")
 
     def test_staircase_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "stairs.json"

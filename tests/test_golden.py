@@ -13,11 +13,19 @@ hypotheses are pinned at size; their digests were recorded before
 those kernels were made linear in t.  The ``validate`` JSON cases and
 the partial report cut by the int-to-str limit were recorded before the
 JSON reports stopped going through ``json.dumps``.
+
+The cases at benchmark size read their digests from
+``benchmarks/golden.json`` and the ``compute_large`` inputs from
+``benchmarks/inputs.py``, both as they are; acceptance 4's CSV, which
+the benchmark does not record, and the faulted extension run are pinned
+here.  The two acceptance ranges are swept at one job once per session,
+by the fixtures in ``conftest.py``, and here again at two.
 """
 import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +33,13 @@ from degmult import cm2
 from degmult.cli import main
 
 from bruteforce import betti_table
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
+import inputs  # noqa: E402  (benchmarks/inputs.py)
+import workloads  # noqa: E402  (benchmarks/workloads.py)
+
+BENCH = json.loads((BENCHMARKS / "golden.json").read_text())["full"]
 
 CM2_TABLE = {"codim": 2, "steps": [[[2, 1], [3, 1]], [[5, 1]]]}
 GOR3_TABLE = {"codim": 3, "steps": [[[2, 2], [5, 1]], [[4, 1], [7, 2]], [[9, 1]]]}
@@ -73,6 +88,10 @@ SWEEP_CM2 = ["sweep", "--cm2", "--t-max", "2", "--entry-max", "3"]
 SWEEP_GOR3 = ["sweep", "--gor3", "--t-max", "2", "--entry-max", "3"]
 HUNT_P24 = ["hunt", "--target", "prop24_bound", "--t-max", "3", "--entry-max", "3"]
 HUNT_SRI = ["hunt", "--target", "srinivasan_upper_gor3", "--t-max", "2", "--entry-max", "4"]
+EXTENSION_CM2 = ["sweep", "--cm2", "--t-max", "3", "--entry-max", "5", "--checks", "extension"]
+EXTENSION_GOR3 = ["sweep", "--gor3", "--t-max", "2", "--entry-max", "5", "--checks", "extension"]
+ACCEPTANCE_4 = ["sweep", "--cm2", "--t-max", "4", "--entry-max", "6", "--format", "csv"]
+ACCEPTANCE_5 = ["sweep", "--gor3", "--t-max", "3", "--entry-max", "5", "--format", "json"]
 
 # name -> (argv, exit code, sha256 of the output bytes).  "{FILE}" in an
 # argument is replaced by the path of that input file; "--out" cases
@@ -216,7 +235,30 @@ GOLDEN = {
     "compute_large_cm2_table_json": (
         ["compute", "--in", "{large_cm2_table.json}", "--format", "json"], 0,
         "98b480f1199cb61671245d32889b0bdadc694d619012319dc9b41878846a7b73"),
+    "sweep_gor3_t2_e4_json": (
+        ["sweep", "--gor3", "--t-max", "2", "--entry-max", "4", "--format", "json"], 0,
+        "9078c3c02ffd416722d55586b61872b80686b44158ab729ca820ab70df46b56a"),
+    "sweep_cm2_extension_json": (
+        [*EXTENSION_CM2, "--format", "json"], 0,
+        "15231178116d41a55d8d37edee0be7e764c74a94cffade2da7c3111004cb7cbd"),
+    "sweep_gor3_extension_json": (
+        [*EXTENSION_GOR3, "--format", "json"], 0,
+        "f5014a513fc7cee189c8b5735fad139d565c1f1365b3cf006f1242109c774c5d"),
+    # The benchmark's sweep_cm2 and hunt_prop24_j2 workloads; its
+    # sweep_gor3 is acceptance 5's range, pinned by test_acceptance_5_json.
+    "sweep_cm2_benchmark_csv": (
+        ["sweep", "--cm2", "--t-max", "4", "--entry-max", "5", "--format", "csv"], 0,
+        BENCH["sweep_cm2"]["sha256"]),
+    "hunt_prop24_benchmark_json": (
+        ["hunt", "--target", "prop24_bound", "--t-max", "4", "--entry-max", "7",
+         "--format", "json"], 1,
+        BENCH["hunt_prop24_j2"]["sha256"]),
 }
+
+# Acceptance 4's CSV, for which the benchmark records no digest.
+ACCEPTANCE_4_DIGEST = "a3effd99752de0f252fc1b940135476717d0fd78f9966c8b58de9840ebab19f5"
+# Every cm2 child in EXTENSION_CM2's range failing its recursion.
+FAULTED_EXTENSION_DIGEST = "f00b5672256f1ead3cb38518e85ad4c34c20309d925fd3c3b16f4d70b00e6a9a"
 
 # compute stops at the matrix whose multiplicity passes the int-to-str
 # limit; stdout keeps the report before it, ended by a newline.
@@ -255,6 +297,41 @@ def test_golden(name, tmp_path, capsys):
 def test_golden_jobs_2(name, tmp_path, capsys):
     argv, exit_code, digest = GOLDEN[name]
     assert _run([*argv, "--jobs", "2"], tmp_path, capsys) == (exit_code, digest)
+
+
+def test_acceptance_4_csv(cm2_sweep, tmp_path, capsys):
+    assert cm2_sweep.sha256 == ACCEPTANCE_4_DIGEST
+    assert _run([*ACCEPTANCE_4, "--jobs", "2"], tmp_path, capsys) == (0, ACCEPTANCE_4_DIGEST)
+
+
+def test_acceptance_5_json(gor3_sweep, tmp_path, capsys):
+    digest = BENCH["sweep_gor3"]["sha256"]
+    assert gor3_sweep.sha256 == digest
+    assert _run([*ACCEPTANCE_5, "--jobs", "2"], tmp_path, capsys) == (0, digest)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_faulted_extension(jobs, tmp_path, capsys, monkeypatch):
+    """With every cm2 child's own value off by one, the extension-only
+    sweep files one anomaly per child, as many as the benchmark's closed
+    form counts, and exits 1."""
+    real = cm2.multiplicity_from_degrees
+    monkeypatch.setattr(cm2, "multiplicity_from_degrees", lambda e, f: real(e, f) + 1)
+    argv = [*EXTENSION_CM2, "--format", "json", "--out", "{OUT}", "--jobs", jobs]
+    assert _run(argv, tmp_path, capsys) == (1, FAULTED_EXTENSION_DIGEST)
+    anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
+    assert len(anomalies) == inputs.range_counts("cm2", 3, 5)[1] == 31_599
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_large(seed, tmp_path, capsys):
+    """The benchmark's compute_large input of each recorded seed, as its
+    JSON report."""
+    docs = inputs.compute_input(seed, **workloads.SIZES["full"]["compute_large"])
+    (tmp_path / "large.json").write_text(json.dumps(docs))
+    argv = ["compute", "--in", "{large.json}", "--format", "json", "--out", "{OUT}"]
+    digest = BENCH["compute_large"]["sha256_by_seed"][str(seed)]
+    assert _run(argv, tmp_path, capsys) == (0, digest)
 
 
 @pytest.mark.skipif(

@@ -1,5 +1,6 @@
 """Tests for enumeration, sweeping, and hunting."""
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -25,6 +26,13 @@ from bruteforce import (
     sweep_row,
 )
 from strategies import cm2_matrices, gor3_matrices
+
+
+def _prop24_closed_form(t_max, entry_max):
+    """(a, b) of every matrix a = b = (k, .., k, 1), t >= 2, 2 <= k <= entry_max,
+    in enumeration order: where prop24 fails in range."""
+    return [([k] * (t - 1) + [1],) * 2 for t in range(2, t_max + 1)
+            for k in range(2, entry_max + 1)]
 
 
 class TestEnumerateCM2:
@@ -140,6 +148,13 @@ class TestVerifyAll:
         assert not f["hyp_i"] and not f["hyp_ii"]
         assert (f["lhs"], f["rhs"]) == (34, 33)
 
+    def test_prop24_findings_match_the_hunt(self, cm2_sweep):
+        """The sweep files prop24 findings through its own code path, yet
+        on acceptance 4's range (t <= 4, entries <= 6) they are the
+        hunt's closed form, as TestHunt pins it for the hunt."""
+        got = [(f["instance"]["a"], f["instance"]["b"]) for f in cm2_sweep.report.prop24_findings]
+        assert got == _prop24_closed_form(4, 6)
+
     def test_zero_width_range(self):
         report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 0))
         assert report.instances_checked == 0
@@ -201,14 +216,19 @@ class TestHunt:
 
     def test_srinivasan_requires_quasi_purity(self):
         """Srinivasan's upper bound is claimed only under quasi-purity, so
-        --require-hypotheses drops every candidate that is not quasi-pure."""
+        --require-hypotheses drops every candidate that is not quasi-pure;
+        the CSV of the 13 candidates is pinned, and the restricted one is
+        its header alone."""
         config = sweep.SweepConfig("gor3", 3, 6)
         report = sweep.hunt("srinivasan_upper_gor3", config)
-        assert len(report.candidates) == 13
+        assert len(report.candidates) == 13 and not report.ok
         assert not any(c["m2"] >= c["M1"] and c["m3"] >= c["M2"] for c in report.candidates)
+        assert hashlib.sha256(sweep.hunt_csv(report).encode()).hexdigest() == (
+            "53b12e85fff10427d895d8a501c5f13eceea0e804a070bc3c5235dce2e8751d9")
         restricted = sweep.hunt("srinivasan_upper_gor3", config, require_hypotheses=True)
-        assert restricted.candidates == ()
+        assert restricted.candidates == () and restricted.ok
         assert restricted.instances_checked == report.instances_checked
+        assert sweep.hunt_csv(restricted) == ",".join(sweep.HUNT_CSV_COLUMNS) + "\n"
 
     def test_srinivasan_fails_at_t2(self):
         """The t = 2 failure of Srinivasan's upper bound: a = (5, 1),
@@ -251,9 +271,7 @@ class TestHunt:
         config = sweep.SweepConfig("cm2", t_max, entry_max, jobs=jobs)
         report = sweep.hunt("prop24_bound", config)
         got = [(c["instance"]["a"], c["instance"]["b"]) for c in report.candidates]
-        closed_form = [[k] * (t - 1) + [1] for t in range(2, t_max + 1)
-                       for k in range(2, entry_max + 1)]
-        assert got == [(x, x) for x in closed_form]
+        assert got == _prop24_closed_form(t_max, entry_max)
         assert len(got) == (t_max - 1) * (entry_max - 1)
         assert report.instances_checked == instances
 
@@ -778,18 +796,29 @@ def _fail_every_route(monkeypatch, family):
         monkeypatch.setitem(EVALUATIONS[family].ROUTES, name, _fail_route)
 
 
-def _assert_blank_from_e(text, expected):
-    """The CSV ``text`` leaves e and every cell computed from it empty,
-    and fills the rest as the ``expected`` rows do."""
+def _from_e(columns):
+    """e and every column computed from it."""
+    return {"e", "prop24_holds"} | {c for c in columns if c.endswith(("_holds", "_sharp"))
+                                    and not c.startswith("prop24")}
+
+
+def _from_summary(columns):
+    """The columns read off the shift summary: purity and the HHS bounds."""
+    return {"pure", "quasi_pure"} | {c for c in columns if c.startswith("hhs_")}
+
+
+def _assert_blank(text, expected, blank):
+    """The CSV ``text`` leaves empty every cell of the columns that
+    ``blank`` picks from its header, and fills the rest as the
+    ``expected`` rows do."""
     header, *lines = text.splitlines()
     columns = header.split(",")
-    from_e = {"e", "prop24_holds"} | {c for c in columns if c.endswith(("_holds", "_sharp"))
-                                      and not c.startswith("prop24")}
+    empty = blank(columns)
     assert len(lines) == len(expected) > 0
     for line, want in zip(lines, expected):
         got = dict(zip(columns, line.split(","), strict=True))
-        assert all(got[c] == "" for c in from_e)
-        assert all(got[c] == cell for c, cell in zip(columns, want) if c not in from_e)
+        assert all(got[c] == "" for c in empty)
+        assert all(got[c] == cell for c, cell in zip(columns, want) if c not in empty)
 
 
 class TestCheckFaults:
@@ -891,7 +920,7 @@ class TestCheckFaults:
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
-        _assert_blank_from_e(out, expected)
+        _assert_blank(out, expected, _from_e)
 
     @pytest.mark.parametrize("checks, filed", [
         (("multiplicity_agreement",), [("multiplicity_agreement", "linkage route")]),
@@ -913,6 +942,33 @@ class TestCheckFaults:
             (inst, check, lhs, "block curve failed on purpose")
             for inst in instances for check, lhs in filed
         ]
+
+    @pytest.mark.parametrize("checks", [None, ("hhs_bounds",)])
+    def test_step_list_failure_filed(self, monkeypatch, capsys, checks):
+        """gor3 step lists that cannot be formed fail the resolution route,
+        run or not: every instance is filed under multiplicity_agreement,
+        the range finishes with exit 1, and the CSV leaves blank only the
+        cells read off the missing summary (purity and the HHS bounds)."""
+        instances = list(sweep.enumerate_gor3(2, 3))
+        expected = [sweep_row(G).rstrip("\n").split(",") for G in instances]
+
+        def fail(*args):
+            raise DivisionError("planted")
+
+        monkeypatch.setattr(gor3, "step_lists", fail)
+        argv = ["sweep", "--gor3", "--t-max", "2", "--entry-max", "3"]
+        argv += [] if checks is None else ["--checks", ",".join(checks)]
+        assert cli.main([*argv, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["instances_checked"] == len(instances)
+        assert [(a["instance"], a["check"], a["lhs"], a["rhs"]) for a in report["anomalies"]] == [
+            (G.to_json_dict(), "multiplicity_agreement", "resolution route", "planted")
+            for G in instances
+        ]
+        assert report["sharp_cases"] == []
+        assert cli.main([*argv, "--format", "csv"]) == 1
+        _assert_blank(capsys.readouterr().out, expected, _from_summary)
 
     @pytest.mark.parametrize("family, route, checks", [
         ("cm2", "uv", ("hhs_bounds", "extension", "prop24")),
@@ -955,7 +1011,7 @@ class TestCheckFaults:
             for X in enum(2, 3)
         ]
         assert report.sharp_cases == report.prop24_findings == ()
-        _assert_blank_from_e(stream.getvalue(), expected)
+        _assert_blank(stream.getvalue(), expected, _from_e)
 
     def test_no_value_hunt_cli(self, monkeypatch, capsys):
         """A hunt files no anomalies: with no value it stops with exit 1
