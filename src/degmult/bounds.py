@@ -80,6 +80,41 @@ def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict
 
     2e >= m1 m2 + (M2 - M1)(M2 - m2 + M1 - m1) and
     2e <= M1 M2 - (m2 - m1)(M2 - m2 + M1 - m1).
+
+    Both gaps have closed forms in the u/v data of the ascending degree
+    lists (:func:`cm2.multiplicity_from_degrees`): u_i = f_i - e_i and
+    v_i = f_i - e_(i+1), i = 1..t, which are b_(t+1-i) and a_(t+1-i).
+    With U = sum(u) and V = sum(v), m1 = V, M1 = U, m2 = V + u_1,
+    M2 = U + v_t and e = sum_k v_k (u_1 + .. + u_k), and
+
+        2e - m1 m2 - (M2 - M1)(M2 - m2 + M1 - m1)
+          = sum_(i=1..t-1) [(v_i + .. + v_(t-1))(u_i - v_i)
+                            + (v_(i+1) + .. + v_(t-1))(u_(i+1) - v_i)],
+        M1 M2 - (m2 - m1)(M2 - m2 + M1 - m1) - 2e
+          = sum_(j=2..t) [(u_2 + .. + u_j)(u_j - v_j)
+                          + (u_2 + .. + u_(j-1))(u_j - v_(j-1))].
+
+    Proof, by induction on t, of both as identities of polynomials in
+    the 2t variables.  At t = 1, e = u_1 v_1 and both bounds read
+    2 u_1 v_1, so every side is 0.  Prepending (u_0, v_0) = (b, a) to the
+    lists appends the row (a, b) to the matrix, the basic double link:
+    m1 grows by a, m2 by a + b - u_1, M1 and M2 by b, and e by (V + a) b.
+    The lower gap then grows by (a + S)(b - a) + S (u_1 - a),
+    S = V - v_t, which is its sum's one new term.  Appending
+    (u_(t+1), v_(t+1)) = (x, y) prepends a row instead: m1 and m2 grow by
+    y, M1 by x, M2 by x + y - v_t, and e by y (U + x); the upper gap
+    grows by (P + x)(x - y) + P (x - v_t), P = U - u_1, its sum's one new
+    term.
+
+    On a valid matrix u_i >= v_i >= 1 and u_(i+1) >= v_i, so every
+    factor is >= 0 and each nonempty sum of u's or v's is >= 1: both
+    bounds hold, and a gap is 0 iff each of its difference factors next
+    to a nonempty sum is.  So the lower bound is attained iff
+    u_1 = v_1 = u_2 = .. = u_(t-1) = v_(t-1), that is
+    a_2 = .. = a_t = b_2 = .. = b_t, and the upper bound iff
+    u_2 = v_2 = .. = u_t = v_t, that is a_1 = .. = a_(t-1) = b_1 = .. =
+    b_(t-1); at t = 1 both are.  ``tests/test_certificate.py`` pins both
+    identities and both conditions.
     """
     spread = (M2 - m2) + (M1 - m1)
     lower = BoundVerdict("cm2_lower", 2 * e, ">=", m1 * m2 + (M2 - M1) * spread, 2)

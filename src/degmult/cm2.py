@@ -20,12 +20,14 @@ which checks every u/v fact and forms no u or v list.
 
 The extension kernel, :func:`extension_failures`, is one call per base
 matrix: it takes the base's multiplicity and degree lists, reads m1
-off the lists, and runs the whole appended-pair loop, b-major.  Each
-b's shifted lists are built once and shared by every a at that b; each
-child then costs its own two lists (the shifted ones, each led by its
-one new degree), its u/v value and the comparison with the
-multiplicity recursion, with no child matrix or table.  It returns the
-failing (a, b, error) triples.  The base's shifts are left to the
+off the lists, and runs the appended-pair loop, b-major, up to the
+bound on b its caller passes: the sweep passes min(entry_max, 3), since
+the recursion has degree 2 in (a, b) and those pairs fix every child
+(``sweep.Evaluation._extension``).  Each b's shifted lists are built
+once and shared by every a at that b; each child then costs its own two
+lists (the shifted ones, each led by its one new degree), its u/v value
+and the comparison with the multiplicity recursion, with no child
+matrix or table.  It returns the failing (a, b, error) triples.  The base's shifts are left to the
 sweep's ``shift_agreement``.  :func:`extend` is one child's value
 from its own degree lists; it stays only for the benchmark's replay of
 the cm2 sweep (``benchmarks/worker.py``).

@@ -15,10 +15,13 @@ extension recursion.  Every one of them reads the block's degree lists
 
 The extension kernel, :func:`extension_failures`, is one call per base
 matrix: it takes the base's multiplicity, block curve and block degree
-lists, reads m1 and M2 off the lists, and runs the whole appended-pair
-loop, b-major, building each b's shifted block lists and grown column
-once.  Each appended (a, b) is checked for the two recursions, without
-building a child matrix or Betti table: the multiplicity against
+lists, reads m1 and M2 off the lists, and runs the appended-pair loop,
+b-major, up to the bound on b its caller passes, building each b's
+shifted block lists and grown column once.  The sweep passes
+min(entry_max, 4): both recursions have degree 3 in (a, b), so those
+pairs fix every child (``sweep.Evaluation._extension``).  Each
+appended (a, b) is checked for the two recursions, without building a
+child matrix or Betti table: the multiplicity against
 :func:`pfaffian_formula` on the child's entries, and the block curve's
 genus against the moments of the child's block lists (the shifted
 lists, each led by its one new degree, as in

@@ -27,8 +27,8 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import product
-from operator import lt
+from itertools import accumulate, product
+from operator import lt, mul
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -86,6 +86,11 @@ class SweepConfig:
             raise ValueError("entry_max must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if count_instances(self.family, self.t_max, self.entry_max) > INSTANCE_LIMIT:
+            raise ValueError(
+                f"{self.family} range t <= {self.t_max}, entries <= {self.entry_max} "
+                f"holds more than {INSTANCE_LIMIT} instances"
+            )
         cls = EVALUATIONS[self.family]
         allowed = cls.CHECKS + cls.FINDINGS
         object.__setattr__(self, "checks", allowed if self.checks is None else tuple(self.checks))
@@ -201,6 +206,46 @@ def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3
             yield gor3.DegreeMatrixGor3(base, d)
 
 
+# The most instances a sweep or hunt may range over: a larger range is
+# refused before any work starts.
+INSTANCE_LIMIT = 10**7
+
+
+def count_instances(family: str, t_max: int, entry_max: int) -> int:
+    """The number of instances the family's enumerator yields, or
+    INSTANCE_LIMIT + 1 for any range holding more.
+
+    A cm2 instance is a chain a_1..a_t in [1, E] whose b_i range over
+    [max(a_i, a_(i+1)), E] and b_t over [a_t, E]; a gor3 instance adds d
+    in [a_1, E].  So with ways[n] the chains a_1..a_i ending in n, each
+    weighted by its choices of b_1..b_(i-1) (and d), the t = i instances
+    number sum_n ways[n] (E - n + 1), and the next ways[n] is
+    sum_a ways[a] (E - max(a, n) + 1): one prefix-sum pass per t.  The
+    count stops once past the limit.  E = 1 holds one instance per t.
+    For E >= 2 each t holds at least 2^t instances, so the count passes
+    the limit within 24 passes, and t = 1 alone holds at least
+    E(E + 1)/2, so a huge E is refused before any pass.
+    """
+    E, over = entry_max, INSTANCE_LIMIT + 1
+    if E <= 1:
+        return min(t_max * E, over)
+    if E * (E + 1) // 2 > INSTANCE_LIMIT:
+        return over
+    rest = range(E, 0, -1)  # E - n + 1 for n = 1..E
+    ways = [1] * E if family == "cm2" else list(rest)
+    count = 0
+    for _ in range(t_max):
+        ends = list(map(mul, ways, rest))
+        total = sum(ends)
+        count += total
+        if count > INSTANCE_LIMIT:
+            return over
+        # (E - n + 1) sum_(a <= n) ways[a] + sum_(a > n) ways[a] (E - a + 1)
+        ways = [r * low + total - tail
+                for r, low, tail in zip(rest, accumulate(ways), accumulate(ends))]
+    return count
+
+
 # A CSV cell's text for each flag, and blank where no value was bounded.
 _FLAG = {True: "true", False: "false", None: ""}
 
@@ -256,6 +301,7 @@ class Evaluation:
     ROUTES: dict[str, Callable[[Evaluation], int]]
     CHECKS: tuple[str, ...]
     FINDINGS: tuple[str, ...]
+    DEGREE: int
 
     def __init__(self, instance, every_route: bool) -> None:
         """The value tier; the routes after the value route run only if ``every_route``."""
@@ -373,12 +419,32 @@ class Evaluation:
         return found
 
     def _extension(self, entry_max: int, found: list) -> None:
-        """Every appended pair (a, b), b-major, through the family's
-        extension kernel, called once on the base values with a <= the
-        instance's own b_t; kernel inputs that cannot be formed (a gor3
-        block curve that raises) are filed once, as ``kernel inputs``."""
+        """The basic-double-link recursion of every appended pair (a, b),
+        checked on the pairs with b <= min(entry_max, DEGREE + 1), b-major,
+        through the family's extension kernel, called once on the base
+        values with a <= the instance's own b_t; kernel inputs that
+        cannot be formed (a gor3 block curve that raises) are filed once,
+        as ``kernel inputs``.
+
+        Those pairs fix every child, of any size.  For a fixed base both
+        sides of each recursion are polynomials of total degree at most
+        k = DEGREE in (a, b), so their difference p is one too.  In
+        x = a - 1, y = b - a the children form the region
+        {x >= 0, y >= 0, x <= b_t - 1}.  When entry_max <= k every child
+        is checked; otherwise the checked pairs are the region's points
+        with x + y <= k.  Write p in the Newton basis,
+        p = sum c_ij C(x, i) C(y, j) over i + j <= k.  At the point (x, y)
+        the term (i, j) vanishes unless i <= x and j <= y, so p = 0 at the
+        checked points gives, point by point in order of x + y, c_ij = 0
+        for every i <= b_t - 1.  When b_t <= k the terms with i >= b_t
+        are left, and C(x, i) vanishes at every x <= b_t - 1 < i, so on
+        the whole region.  Either way p vanishes on every child, b >
+        entry_max included (Chung and Yao, SIAM J. Numer. Anal. 1977).
+        A fault of degree above k can vanish on the checked pairs alone.
+        """
+        bound = min(entry_max, self.DEGREE + 1)
         try:
-            failures = self._extension_failures(self.e, self.block.b[-1], entry_max)
+            failures = self._extension_failures(self.e, self.block.b[-1], bound)
         except (InternalMismatch, DivisionError) as exc:
             found.append(("extension", "kernel inputs", exc))
             return
@@ -413,6 +479,8 @@ class CM2Evaluation(Evaluation):
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ("prop24",)
+    # The total degree of both sides of the extension recursion in (a, b).
+    DEGREE = 2
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
@@ -481,6 +549,8 @@ class Gor3Evaluation(Evaluation):
         "sharpness_purity", "huneke_miller", "extension", "shift_agreement",
     )
     FINDINGS = ()
+    # The total degree of both sides of each extension recursion in (a, b).
+    DEGREE = 3
     # Built on first read: the step lists, for the resolution route and the table
     # tier, and the block curve (e(R/J), g), for the linkage route and the extension.
     steps: tuple | None = None

@@ -273,11 +273,24 @@ def _extend_gor3(G, s, e, curve, a, b):
 
 
 def appended_pairs(cap: int, entry_max: int):
-    """The (a, b) pairs the extension check appends to a block ending in
-    b_t = cap, in its order: b = 1..entry_max, then a = 1..min(b, cap)."""
+    """Every (a, b) pair that appends to a block ending in b_t = cap a
+    child with entries <= entry_max, in the extension kernel's order:
+    b = 1..entry_max, then a = 1..min(b, cap)."""
     for b in range(1, entry_max + 1):
         for a in range(1, min(b, cap) + 1):
             yield a, b
+
+
+# The total degree k of both sides of each family's extension recursion
+# in the appended (a, b).
+RECURSION_DEGREE = {"cm2": 2, "gor3": 3}
+
+
+def checked_pairs(family: str, cap: int, entry_max: int):
+    """The (a, b) pairs a sweep's extension check appends to a block
+    ending in b_t = cap, in its order: the :func:`appended_pairs` with
+    b <= min(entry_max, k + 1), k the family's recursion degree."""
+    return appended_pairs(cap, min(entry_max, RECURSION_DEGREE[family] + 1))
 
 
 def sweep_row(X) -> str:

@@ -105,6 +105,60 @@ class TestLatticeCertificate:
         assert bad == 1
 
 
+def sharper_cm2_gaps(A):
+    """The evaluation of the cm2 matrix A, its u/v data read off the
+    degree lists, and ({gap: (value, closed form)} of both sharper cm2
+    bounds, each closed form as the ``bounds.cm2_bounds`` docstring
+    writes it, 0-based)."""
+    ev = sweep.evaluate(A)
+    gens, syz = ev.degrees
+    u = [f - e for f, e in zip(syz, gens)]
+    v = [f - e for f, e in zip(syz, gens[1:])]
+    m1, m2, M1, M2 = ev.shifts
+    spread = (M2 - m2) + (M1 - m1)
+    t = len(u)
+    lower = sum(sum(v[i:t - 1]) * (u[i] - v[i]) + sum(v[i + 1:t - 1]) * (u[i + 1] - v[i])
+                for i in range(t - 1))
+    upper = sum(sum(u[1:j + 1]) * (u[j] - v[j]) + sum(u[1:j]) * (u[j] - v[j - 1])
+                for j in range(1, t))
+    return ev, u, v, {
+        "lower": (2 * ev.e - m1 * m2 - (M2 - M1) * spread, lower),
+        "upper": (M1 * M2 - (m2 - m1) * spread - 2 * ev.e, upper),
+    }
+
+
+class TestSharperCM2Gaps:
+    """Both gaps of the sharper cm2 bounds, and their closed forms, have
+    degree 2 in the entries, so agreeing on the lattice they agree on
+    every valid matrix of that t."""
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_identities_hold_on_the_lattice(self, t):
+        n = 0
+        for p in lattice(corner("cm2", t), 2):
+            n += 1
+            gaps = sharper_cm2_gaps(FAMILIES["cm2"][2](t, p))[3]
+            assert all(value == closed for value, closed in gaps.values()), (p, gaps)
+        assert n == math.comb(2 * t + 2, 2)
+
+    def test_equality_cases(self):
+        """A bound is attained iff its gap's difference factors all
+        vanish: lower iff u_1 = v_1 = .. = u_(t-1) = v_(t-1), upper iff
+        u_2 = v_2 = .. = u_t = v_t."""
+        sharp = {"lower": 0, "upper": 0}
+        instances = 0
+        for A in sweep.enumerate_cm2(3, 5):
+            instances += 1
+            ev, u, v, _ = sharper_cm2_gaps(A)
+            lower, upper = ev.sharper
+            t = len(u)
+            assert lower.sharp == (len({*u[:t - 1], *v[:t - 1]}) <= 1), A
+            assert upper.sharp == (len({*u[1:], *v[1:]}) <= 1), A
+            sharp["lower"] += lower.sharp
+            sharp["upper"] += upper.sharp
+        assert 0 < min(sharp.values()) and max(sharp.values()) < instances
+
+
 def kernel_sides(family, t, p):
     """The family's extension kernel on the base of point p, whose last
     two coordinates are the appended (a, b), run over the pairs

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degmult
-from degmult import betti, cli, gor3
+from degmult import betti, cli, gor3, sweep
 from degmult.cli import main
 from degmult.errors import DivisionError, as_int_tuple
 
@@ -330,6 +330,27 @@ class TestSweep:
             "--checks", checks, "--format", "json",
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, family, t_max, entry_max", [
+        (("sweep", "--cm2"), "cm2", 10**9, 1),
+        (("sweep", "--gor3", "--format", "csv"), "gor3", 3, 1000),
+        (("hunt", "--target", "prop24_bound"), "cm2", 1000, 1000),
+    ])
+    def test_oversized_range_exits_2_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, family, t_max, entry_max
+    ):
+        monkeypatch.setattr(sweep, "_ordered", lambda fn, config: pytest.fail("work started"))
+        out = tmp_path / "report"
+        code, stdout, err = run(
+            capsys, *argv, "--t-max", str(t_max), "--entry-max", str(entry_max),
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == (
+            f"error: {family} range t <= {t_max}, entries <= {entry_max} "
+            f"holds more than {sweep.INSTANCE_LIMIT} instances\n"
+        )
+        assert not out.exists()
 
 
 class TestHunt:
@@ -774,6 +795,34 @@ def test_in_process_run_never_imports_multiprocessing(tmp_path):
     )
     assert proc.stderr == ""
     assert proc.stdout == "0 False\n"
+
+
+def test_standard_library_alone():
+    """With no site-packages (``python -S``) and only src added to the
+    path, every degmult module imports, nothing outside the standard
+    library is loaded, and ``python -m degmult`` sweeps at two jobs."""
+    src = os.path.dirname(os.path.dirname(degmult.__file__))
+    script = (
+        "import pkgutil, runpy, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import degmult\n"
+        "for module in pkgutil.iter_modules(degmult.__path__):\n"
+        "    if module.name != '__main__':\n"
+        "        __import__(f'degmult.{module.name}')\n"
+        "top = {name.partition('.')[0] for name in sys.modules}\n"
+        "assert top - sys.stdlib_module_names == {'__main__', 'degmult'}, top\n"
+        "runpy.run_module('degmult', run_name='__main__')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "sweep", "--cm2", "--t-max", "2",
+         "--entry-max", "3", "--jobs", "2", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["instances_checked"] == sweep.count_instances("cm2", 2, 3) > 0
+    assert doc["anomalies"] == []
 
 
 class TestEntryPoint:

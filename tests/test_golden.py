@@ -29,10 +29,10 @@ from pathlib import Path
 
 import pytest
 
-from degmult import cm2
+from degmult import cm2, sweep
 from degmult.cli import main
 
-from bruteforce import betti_table
+from bruteforce import betti_table, checked_pairs
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
@@ -257,8 +257,8 @@ GOLDEN = {
 
 # Acceptance 4's CSV, for which the benchmark records no digest.
 ACCEPTANCE_4_DIGEST = "a3effd99752de0f252fc1b940135476717d0fd78f9966c8b58de9840ebab19f5"
-# Every cm2 child in EXTENSION_CM2's range failing its recursion.
-FAULTED_EXTENSION_DIGEST = "f00b5672256f1ead3cb38518e85ad4c34c20309d925fd3c3b16f4d70b00e6a9a"
+# Every cm2 child that EXTENSION_CM2's sweep checks failing its recursion.
+FAULTED_EXTENSION_DIGEST = "5eff35ed5ae4975ca955b758b16997497d30e92ad5937d3a36307970f04bb4fe"
 
 # compute stops at the matrix whose multiplicity passes the int-to-str
 # limit; stdout keeps the report before it, ended by a newline.
@@ -313,14 +313,15 @@ def test_acceptance_5_json(gor3_sweep, tmp_path, capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_faulted_extension(jobs, tmp_path, capsys, monkeypatch):
     """With every cm2 child's own value off by one, the extension-only
-    sweep files one anomaly per child, as many as the benchmark's closed
-    form counts, and exits 1."""
+    sweep files one anomaly per child it checks, b <= min(entry_max, 3),
+    and exits 1."""
     real = cm2.multiplicity_from_degrees
     monkeypatch.setattr(cm2, "multiplicity_from_degrees", lambda e, f: real(e, f) + 1)
     argv = [*EXTENSION_CM2, "--format", "json", "--out", "{OUT}", "--jobs", jobs]
     assert _run(argv, tmp_path, capsys) == (1, FAULTED_EXTENSION_DIGEST)
     anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
-    assert len(anomalies) == inputs.range_counts("cm2", 3, 5)[1] == 31_599
+    checked = sum(len(list(checked_pairs("cm2", A.b[-1], 5))) for A in sweep.enumerate_cm2(3, 5))
+    assert len(anomalies) == checked == 14_334
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -4,9 +4,12 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,16 +19,22 @@ from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
 from degmult.sweep import EVALUATIONS
 
 from bruteforce import (
+    RECURSION_DEGREE,
     appended_pairs,
     betti_table,
     brute_cm2,
     brute_gor3,
+    checked_pairs,
     extend_from,
     hilbert_quotient,
     quotient_values,
     sweep_row,
 )
 from strategies import cm2_matrices, gor3_matrices
+from test_certificate import extension_disagreements
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import inputs  # noqa: E402  (benchmarks/inputs.py)
 
 
 def _prop24_closed_form(t_max, entry_max):
@@ -365,6 +374,43 @@ class FakePool:
         return map(fn, items)
 
 
+class TestCountInstances:
+    """count_instances is each range's exact instance count up to
+    INSTANCE_LIMIT; ``test_cli.py`` shows a range holding more refused."""
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_matches_the_enumerator(self, family):
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        for t_max in range(1, 4):
+            for entry_max in range(6):
+                count = sum(1 for _ in enum(t_max, entry_max))
+                assert sweep.count_instances(family, t_max, entry_max) == count
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_matches_the_benchmark_closed_form(self, family):
+        over = sweep.INSTANCE_LIMIT + 1
+        for t_max in range(1, 7):
+            for entry_max in range(1, 10):
+                count = inputs.range_counts(family, t_max, entry_max)[0]
+                assert sweep.count_instances(family, t_max, entry_max) == min(count, over)
+
+    def test_every_pinned_range_is_under_the_limit(self):
+        """The acceptance ranges and the largest pinned run, the prop24 hunt."""
+        for args, count in ((("cm2", 4, 6), 117_051), (("gor3", 3, 5), 8_998),
+                            (("cm2", 4, 7), 361_567)):
+            assert sweep.count_instances(*args) == count < sweep.INSTANCE_LIMIT
+
+    def test_stops_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sweep, "INSTANCE_LIMIT", 1000)
+        cases = [
+            (("cm2", 1, 44), 990), (("cm2", 1, 45), 1001), (("cm2", 4, 5), 1001),
+            (("gor3", 1, 13), 819), (("gor3", 1, 14), 1001), (("gor3", 3, 5), 1001),
+            (("cm2", 1000, 1), 1000), (("gor3", 1001, 1), 1001), (("cm2", 10**9, 0), 0),
+            (("cm2", 10**9, 2), 1001), (("gor3", 2, 10**9), 1001), (("gor3", 30, 2), 1001),
+        ]
+        assert [sweep.count_instances(*args) for args, _ in cases] == [n for _, n in cases]
+
+
 class TestJobsCap:
     def fake_machine(self, monkeypatch, cores):
         sizes = []
@@ -462,11 +508,12 @@ class TestCSVLayout:
 
 
 def appended_children(config):
-    """(instance, child a, child b) of every pair the extension check appends."""
+    """(instance, child a, child b) of every pair the extension check
+    appends: b <= min(entry_max, k + 1), k the recursion's degree."""
     enum = sweep.enumerate_cm2 if config.family == "cm2" else sweep.enumerate_gor3
     for inst in enum(config.t_max, config.entry_max):
         block = inst if config.family == "cm2" else inst.base
-        for a, b in appended_pairs(block.b[-1], config.entry_max):
+        for a, b in checked_pairs(config.family, block.b[-1], config.entry_max):
             yield inst, block.a + (a,), block.b + (b,)
 
 
@@ -520,7 +567,7 @@ def extension_only(family, t_max, entry_max):
 
 
 class TestExtensionCheck:
-    """The extension check runs the family's kernel once per appended
+    """The extension check runs the family's kernel once per checked
     child, from base values bound once per instance."""
 
     # The kernel's per-child direct value, skewed on the t = 2 children.
@@ -592,12 +639,12 @@ class TestExtensionCheck:
         ]
         assert [(tuple(e), tuple(f)) for e, f in calls] == expected
         assert len(expected) == sum(
-            len(list(appended_pairs(A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
+            len(list(checked_pairs("cm2", A.b[-1], 4))) for A in sweep.enumerate_cm2(3, 4)
         )
 
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 5), ("gor3", 2, 4)])
     def test_kernel_matches_reference(self, monkeypatch, family, t_max, entry_max):
-        """Every appended child's direct value, which its recursion
+        """Every checked child's direct value, which its recursion
         matched, is the e' of the reference that builds and re-evaluates
         the child matrix, and checks its shift deltas."""
         seen = recorded_children(monkeypatch, family)
@@ -607,7 +654,7 @@ class TestExtensionCheck:
         expected = []
         for k, inst in enumerate(enum(t_max, entry_max)):
             block = inst if family == "cm2" else inst.base
-            for a, b in appended_pairs(block.b[-1], entry_max):
+            for a, b in checked_pairs(family, block.b[-1], entry_max):
                 expected.append((k, a, b, extend_from(inst, a, b)[2]))
         assert len(expected) > 2000
         assert seen == expected
@@ -615,13 +662,14 @@ class TestExtensionCheck:
     @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 4), ("gor3", 2, 5)])
     def test_every_appended_pair_verified(self, monkeypatch, family, t_max, entry_max):
         """Coverage: the verified (instance, appended pair) checks number
-        len(appended_pairs(b_t, entry_max)) per instance."""
+        len(checked_pairs(family, b_t, entry_max)) per instance."""
         seen = recorded_children(monkeypatch, family)
         report = sweep.verify_all(extension_only(family, t_max, entry_max))
         assert report.ok
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         per_instance = [
-            len(list(appended_pairs((inst if family == "cm2" else inst.base).b[-1], entry_max)))
+            len(list(checked_pairs(family, (inst if family == "cm2" else inst.base).b[-1],
+                                   entry_max)))
             for inst in enum(t_max, entry_max)
         ]
         verified = Counter(k for k, *_ in seen)
@@ -680,7 +728,7 @@ def _skew_genus(monkeypatch):
 
 class TestKernelFaults:
     """Each fault injected into the extension kernel's inputs or direct
-    values files exactly one ``append`` anomaly per appended child."""
+    values files exactly one ``append`` anomaly per checked child."""
 
     FAULTS = {
         ("cm2", "direct"): (_skew_child_uv, "multiplicity recursion fails"),
@@ -710,6 +758,84 @@ class TestKernelFaults:
         assert [(x.instance, x.lhs) for x in report.anomalies] == expected
         assert {x.check for x in report.anomalies} == {"extension"}
         assert all(message in x.rhs for x in report.anomalies)
+
+
+def _fault_child(monkeypatch, family, fault):
+    """Add ``fault(a, b)`` to the direct value of each child the
+    extension kernel checks, (a, b) its appended pair; each base keeps
+    its true value.  A cm2 child's lists are led by m1 + a and
+    m1 + a + b, then by m1 + b, so they give b = f_1 - e_1 and
+    a = e_1 - e_2 + b."""
+    if family == "cm2":
+        real = cm2.multiplicity_from_degrees
+        monkeypatch.setattr(
+            cm2, "multiplicity_from_degrees",
+            lambda e, f: real(e, f) + fault(e[0] - e[1] + f[0] - e[0], f[0] - e[0]),
+        )
+    else:
+        real = gor3.pfaffian_formula
+        monkeypatch.setattr(
+            gor3, "pfaffian_formula", lambda a, b, d: real(a, b, d) + fault(a[-1], b[-1])
+        )
+        monkeypatch.setattr(gor3, "multiplicity_pfaffian", lambda G: real(G.base.a, G.base.b, G.d))
+
+
+# The Newton basis C(a - 1, i) C(b - a, j), i + j <= k, of each family's
+# polynomials of degree k in the appended pair.
+NEWTON_TERMS = [
+    pytest.param(family, i, j, id=f"{family}-{i}-{j}")
+    for family, k in RECURSION_DEGREE.items()
+    for i in range(k + 1)
+    for j in range(k + 1 - i)
+]
+
+
+class TestExtensionLattice:
+    """The sweep checks only the children with b <= k + 1, k the degree
+    of the recursion.  That loses no fault of degree <= k, and may lose
+    one of higher degree."""
+
+    @pytest.mark.parametrize("family, i, j", NEWTON_TERMS)
+    def test_a_newton_term_is_filed_where_some_child_sees_it(self, monkeypatch, family, i, j):
+        """With C(a - 1, i) C(b - a, j) added to each child's value, the
+        sweep files exactly the instances with some child, of every
+        child at entries <= 5, where that term is not 0."""
+        def term(a, b):
+            return math.comb(a - 1, i) * math.comb(b - a, j)
+
+        _fault_child(monkeypatch, family, term)
+        report = sweep.verify_all(extension_only(family, 2, 5))
+        filed = []
+        for x in report.anomalies:
+            if not filed or filed[-1] != x.instance:
+                filed.append(x.instance)
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        expected = [
+            X.to_json_dict() for X in enum(2, 5)
+            if any(term(a, b) for a, b in appended_pairs(getattr(X, "base", X).b[-1], 5))
+        ]
+        assert filed == expected
+        assert 0 < len(expected) <= report.instances_checked
+
+    def test_a_cubic_child_fault_silent_in_the_sweep_is_caught(self, monkeypatch):
+        """(b - 1)(b - 2)(b - 3), of degree k + 1 = 3, vanishes on every
+        child with b <= 3 that a cm2 sweep checks, though children with
+        b = 4 and 5 see it; the certificate's lattice reaches b = 2k + 1.
+        There the base's own value reads the faulted pass too, and the
+        kernel checks every pair up to the point's (a, b), so a point
+        fails where its base's b_t or its appended b is raised above 3:
+        4t + 5 of the lattice's points."""
+        def cubic(a, b):
+            return (b - 1) * (b - 2) * (b - 3)
+
+        _fault_child(monkeypatch, "cm2", cubic)
+        report = sweep.verify_all(extension_only("cm2", 3, 5))
+        assert report.ok and report.instances_checked > 0
+        assert any(
+            cubic(a, b) for A in sweep.enumerate_cm2(3, 5) for a, b in appended_pairs(A.b[-1], 5)
+        )
+        for t in (1, 2, 3):
+            assert extension_disagreements("cm2", t)[1] == 4 * t + 5
 
 
 # Every single shift field of each family, moved by -1 and by +1, and a
