@@ -17,15 +17,18 @@ unbounded integers, in O(terms * c) whatever the size of the shifts.
 
 The package's resolutions are held as one ascending shift list per
 step, each shift of rank 1: :func:`signed_terms` gives their K terms
-and :func:`shift_summary` reads each list's ends.  Ranks are grouped
-only in a :class:`BettiTable` that enters from outside; the package
-builds none from a matrix.  Grouping would buy little: 97.6 % of the
+and :func:`step_ends` reads each list's ends, the integers a sweep
+reads; :func:`shift_summary` holds them as a :class:`ShiftSummary` for
+the reports that show one.  Ranks are grouped only in a
+:class:`BettiTable` that enters from outside; the package builds none
+from a matrix.  Grouping would buy little: 97.6 % of the
 shifts of the benchmark's ``compute_large`` seed-1 lists are distinct.
 
 The Huneke-Miller formula e = prod(d_i) / p! of a pure resolution has
-one entry, :func:`pure_multiplicity` on a shift summary, reached by the
-sweep's ``huneke_miller`` check and by ``compute`` on a pure Betti table
-of codim = p.
+one entry, :func:`pure_shifts_multiplicity` on the shifts d_i, reached
+by the sweep's ``huneke_miller`` check and, through
+:func:`pure_multiplicity` on a shift summary, by ``compute`` on a pure
+Betti table of codim = p.
 """
 from __future__ import annotations
 
@@ -235,12 +238,20 @@ def _multiplicity_and_genus(c: int, shifts: list[int], ranks: list[int]) -> tupl
     return e, 1 + slope - e
 
 
+def step_ends(steps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The ends (m_1..m_p, M_1..M_p) of p ascending step lists: each
+    list's first shift, then each list's last, the layout of
+    :func:`cm2.shifts` and :func:`gor3.shifts`."""
+    return (*[step[0] for step in steps], *[step[-1] for step in steps])
+
+
 def shift_summary(steps: BettiTable | Sequence[Sequence[int]]) -> ShiftSummary:
-    """Per-step minimal and maximal shifts, the ends of each ascending
-    step list of a held resolution, or of each step of a table."""
+    """Per-step minimal and maximal shifts, the :func:`step_ends` of a
+    held resolution's step lists, or of each step of a table."""
     if isinstance(steps, BettiTable):
         steps = [(step[0][0], step[-1][0]) for step in steps.steps]
-    return ShiftSummary(tuple([step[0] for step in steps]), tuple([step[-1] for step in steps]))
+    ends, p = step_ends(steps), len(steps)
+    return ShiftSummary(ends[:p], ends[p:])
 
 
 def summary_purity(s: ShiftSummary) -> Purity:
@@ -249,14 +260,14 @@ def summary_purity(s: ShiftSummary) -> Purity:
     return Purity(s.m == s.M, all(map(ge, s.m[1:], s.M)))
 
 
-def pure_multiplicity(s: ShiftSummary) -> int:
-    """(prod d_i) / p! over the p shifts d_i = m_i = M_i of a pure summary;
-    DivisibilityError unless p! divides the product.  On a pure table
-    that (1-s)^p divides this is the Hilbert-series value (Herzog-Kühl,
-    Huneke-Miller), so a caller compares it with the multiplicity it
-    already holds."""
-    p = len(s.m)
-    prod = math.prod(s.m)
+def pure_shifts_multiplicity(d: Sequence[int]) -> int:
+    """(prod d_i) / p! over the p shifts d_i = m_i = M_i of a pure
+    resolution; DivisibilityError unless p! divides the product.  On a
+    pure table that (1-s)^p divides this is the Hilbert-series value
+    (Herzog-Kühl, Huneke-Miller), so a caller compares it with the
+    multiplicity it already holds."""
+    p = len(d)
+    prod = math.prod(d)
     fact = math.factorial(p)
     if prod % fact:
         raise DivisibilityError(
@@ -264,3 +275,7 @@ def pure_multiplicity(s: ShiftSummary) -> int:
         )
     return prod // fact
 
+
+def pure_multiplicity(s: ShiftSummary) -> int:
+    """:func:`pure_shifts_multiplicity` of a pure summary's shifts."""
+    return pure_shifts_multiplicity(s.m)

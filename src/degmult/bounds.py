@@ -7,12 +7,22 @@ are the Herzog-Huneke-Srinivasan conjecture bounds prod(m_i)/p! <= e
 <= prod(M_i)/p!, the sharper codimension-2 and Gorenstein
 codimension-3 bounds that refine them, a conditional entrywise upper
 bound for codimension 2, and Srinivasan's quasi-pure Gorenstein bounds.
+
+Each formula is written once, in a side function that returns the
+bound's cleared sides as plain integers: a pair of bounds gives
+(lower lhs, lower rhs, upper lhs, upper rhs), and the lower bound holds
+iff lower lhs >= lower rhs, the upper iff upper lhs <= upper rhs; a
+bound is sharp iff its two sides are equal (:func:`flags`).  A sweep
+reads these sides and flags alone.  The verdict functions keep their names and build their
+:class:`BoundVerdict` from the same sides, for the reports that show
+one: compute's bounds list, the text of a failing check, and a hunt
+candidate.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import cm2 as cm2mod
 from .betti import ShiftSummary, summary_purity
@@ -24,9 +34,9 @@ class BoundVerdict(namedtuple("_BoundVerdict", "name lhs relation rhs factor")):
 
     ``lhs`` is the cleared multiple of the multiplicity, ``rhs`` the
     bound expression, ``relation`` ">=" or "<=", and ``factor`` the
-    denominator that was cleared.  A plain named tuple, cheap to build,
-    as a sweep builds five per instance; only the bound functions below
-    build verdicts, each with a constant relation.
+    denominator that was cleared.  Only the verdict functions below
+    build verdicts, each from its side function and with a constant
+    relation; a sweep builds one only to word a failing check.
     """
 
     __slots__ = ()
@@ -66,17 +76,40 @@ class Prop24Verdict(NamedTuple):
     verdict: BoundVerdict
 
 
+def flags(lower_lhs: int, lower_rhs: int, upper_lhs: int, upper_rhs: int) -> tuple[bool, ...]:
+    """(lower holds, lower sharp, upper holds, upper sharp) of a pair's
+    cleared sides, as its verdicts read them."""
+    return (lower_lhs >= lower_rhs, lower_lhs == lower_rhs,
+            upper_lhs <= upper_rhs, upper_lhs == upper_rhs)
+
+
+def _pair(
+    family: str, sides: tuple[int, int, int, int], lower_factor: int, upper_factor: int
+) -> tuple[BoundVerdict, BoundVerdict]:
+    """The lower and upper verdicts of a pair's cleared sides."""
+    lower_lhs, lower_rhs, upper_lhs, upper_rhs = sides
+    return (
+        BoundVerdict(f"{family}_lower", lower_lhs, ">=", lower_rhs, lower_factor),
+        BoundVerdict(f"{family}_upper", upper_lhs, "<=", upper_rhs, upper_factor),
+    )
+
+
+def hhs_sides(p: int, ends: Sequence[int], e: int) -> tuple[int, int, int, int]:
+    """Sides of the conjectured bounds prod(m_i) <= p! e <= prod(M_i),
+    cleared by p!, from the ends (m_1..m_p, M_1..M_p) of p steps."""
+    lhs = math.factorial(p) * e
+    return lhs, math.prod(ends[:p]), lhs, math.prod(ends[p:])
+
+
 def hhs_bounds(shifts: ShiftSummary, e: int) -> tuple[BoundVerdict, BoundVerdict]:
-    """Conjectured bounds prod(m_i) <= p! e <= prod(M_i), cleared by p!,
-    with p the number of steps of the shifts."""
-    fact = math.factorial(len(shifts.m))
-    lower = BoundVerdict("hhs_lower", fact * e, ">=", math.prod(shifts.m), fact)
-    upper = BoundVerdict("hhs_upper", fact * e, "<=", math.prod(shifts.M), fact)
-    return lower, upper
+    """Verdicts of :func:`hhs_sides`, p the number of steps of the shifts."""
+    p = len(shifts.m)
+    fact = math.factorial(p)
+    return _pair("hhs", hhs_sides(p, (*shifts.m, *shifts.M), e), fact, fact)
 
 
-def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
-    """Sharper codimension-2 bounds, cleared by 2.
+def cm2_sides(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[int, int, int, int]:
+    """Sides of the sharper codimension-2 bounds, cleared by 2.
 
     2e >= m1 m2 + (M2 - M1)(M2 - m2 + M1 - m1) and
     2e <= M1 M2 - (m2 - m1)(M2 - m2 + M1 - m1).
@@ -117,13 +150,17 @@ def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict
     identities and both conditions.
     """
     spread = (M2 - m2) + (M1 - m1)
-    lower = BoundVerdict("cm2_lower", 2 * e, ">=", m1 * m2 + (M2 - M1) * spread, 2)
-    upper = BoundVerdict("cm2_upper", 2 * e, "<=", M1 * M2 - (m2 - m1) * spread, 2)
-    return lower, upper
+    lhs = 2 * e
+    return lhs, m1 * m2 + (M2 - M1) * spread, lhs, M1 * M2 - (m2 - m1) * spread
 
 
-def gor3_bounds(m1: int, m2: int, m3: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
-    """Sharper Gorenstein codimension-3 bounds, cleared by 6 and 12.
+def cm2_bounds(m1: int, m2: int, M1: int, M2: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
+    """Verdicts of :func:`cm2_sides`."""
+    return _pair("cm2", cm2_sides(m1, m2, M1, M2, e), 2, 2)
+
+
+def gor3_sides(m1: int, m2: int, m3: int, e: int) -> tuple[int, int, int, int]:
+    """Sides of the sharper Gorenstein codimension-3 bounds, cleared by 6 and 12.
 
     6e >= m1 m2 m3 + (M3 - M2)^2 (M2 - m2 + M1 - m1) and
     12e <= 2 M1 M2 M3 - M3 (M2 - m2 + M1 - m1), with the maxima of the
@@ -133,9 +170,12 @@ def gor3_bounds(m1: int, m2: int, m3: int, e: int) -> tuple[BoundVerdict, BoundV
     spread = (M2 - m2) + (M1 - m1)
     lower_rhs = m1 * m2 * m3 + (M3 - M2) ** 2 * spread
     upper_rhs = 2 * M1 * M2 * M3 - M3 * spread
-    lower = BoundVerdict("gor3_lower", 6 * e, ">=", lower_rhs, 6)
-    upper = BoundVerdict("gor3_upper", 12 * e, "<=", upper_rhs, 12)
-    return lower, upper
+    return 6 * e, lower_rhs, 12 * e, upper_rhs
+
+
+def gor3_bounds(m1: int, m2: int, m3: int, e: int) -> tuple[BoundVerdict, BoundVerdict]:
+    """Verdicts of :func:`gor3_sides`."""
+    return _pair("gor3", gor3_sides(m1, m2, m3, e), 6, 12)
 
 
 def prop24_hypotheses(
@@ -148,8 +188,15 @@ def prop24_hypotheses(
     return s.m2 - s.M1 >= 2, margin == 0, margin
 
 
+def prop24_sides(s: cm2mod.ShiftsCM2, e: int) -> tuple[int, int]:
+    """Sides (2e, rhs) of the upper bound of :func:`prop24_bound`, read
+    off the shifts s."""
+    return 2 * e, s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
+
+
 def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2) -> Prop24Verdict:
-    """Conditional entrywise upper bound 2e <= M1 M2 - 2(M1-m1) - 2(M2-m2).
+    """Conditional entrywise upper bound 2e <= M1 M2 - 2(M1-m1) - 2(M2-m2),
+    with the sides of :func:`prop24_sides`.
 
     Sufficient hypotheses tracked alongside the verdict: (i) every
     degree-matrix entry is >= 2, or (ii) t >= 2 and the margin
@@ -187,17 +234,26 @@ def prop24_bound(A: cm2mod.DegreeMatrixCM2, e: int, s: cm2mod.ShiftsCM2) -> Prop
     ``s`` is the shifts of A (:func:`cm2.shifts`).
     """
     hyp_i, hyp_ii, margin = prop24_hypotheses(A, s)
-    rhs = s.M1 * s.M2 - 2 * (s.M1 - s.m1) - 2 * (s.M2 - s.m2)
-    verdict = BoundVerdict("prop24_upper", 2 * e, "<=", rhs, 2)
+    lhs, rhs = prop24_sides(s, e)
+    verdict = BoundVerdict("prop24_upper", lhs, "<=", rhs, 2)
     return Prop24Verdict(hyp_i=hyp_i, hyp_ii=hyp_ii, hyp_ii_margin=margin, verdict=verdict)
+
+
+def srinivasan_sides(ends: Sequence[int], e: int) -> tuple[int, int, int, int]:
+    """Sides of Srinivasan's Gorenstein bounds m1 M2 M3 <= 6e <= M1 m2 m3,
+    cleared by 6, from the ends (m1, m2, m3, M1, M2, M3)."""
+    m1, m2, m3, M1, M2, M3 = ends
+    lhs = 6 * e
+    return lhs, m1 * M2 * M3, lhs, M1 * m2 * m3
 
 
 def srinivasan_bounds(
     shifts: ShiftSummary, e: int
 ) -> tuple[BoundVerdict, BoundVerdict, bool]:
-    """Srinivasan's Gorenstein bounds m1 M2 M3 <= 6e <= M1 m2 m3.
+    """Verdicts of :func:`srinivasan_sides` on codimension-3 shift data,
+    and its quasi-purity.
 
-    Both are only claimed under quasi-purity (:func:`betti.summary_purity`),
+    Both bounds are only claimed under quasi-purity (:func:`betti.summary_purity`),
     which is flagged on the result and which the hunt requires under
     --require-hypotheses; the lower bound fails already for the complete
     intersection of type (2, 2, 5), and whether the upper bound holds
@@ -206,9 +262,7 @@ def srinivasan_bounds(
     """
     if len(shifts.m) != 3:
         raise ValueError("these bounds apply to codimension-3 shift data")
-    m, M = shifts.m, shifts.M
-    lower = BoundVerdict("srinivasan_lower", 6 * e, ">=", m[0] * M[1] * M[2], 6)
-    upper = BoundVerdict("srinivasan_upper", 6 * e, "<=", M[0] * m[1] * m[2], 6)
+    lower, upper = _pair("srinivasan", srinivasan_sides((*shifts.m, *shifts.M), e), 6, 6)
     return lower, upper, summary_purity(shifts).quasi_pure
 
 
@@ -222,8 +276,16 @@ def sharpness(lower: BoundVerdict, upper: BoundVerdict, pure: bool) -> Sharpness
     """
     lower_sharp, upper_sharp = lower.sharp, upper.sharp
     if not (lower_sharp == upper_sharp == pure):
-        raise CharacterizationViolated(
-            f"sharpness/purity flags disagree: lower={lower_sharp}, "
-            f"upper={upper_sharp}, pure={pure} for {lower} and {upper}"
-        )
+        raise sharpness_violation(lower, upper, pure)
     return SharpnessVerdict(lower_sharp, upper_sharp, pure)
+
+
+def sharpness_violation(
+    lower: BoundVerdict, upper: BoundVerdict, pure: bool
+) -> CharacterizationViolated:
+    """The failure :func:`sharpness` raises on these verdicts, worded
+    from them, for a caller that found their flags disagreeing."""
+    return CharacterizationViolated(
+        f"sharpness/purity flags disagree: lower={lower.sharp}, "
+        f"upper={upper.sharp}, pure={pure} for {lower} and {upper}"
+    )

@@ -8,15 +8,19 @@ implementation bug (all the checked identities are theorems) or, for
 the hunted open questions, a genuine discovery.  Every verb reads an
 instance through one :class:`Evaluation`, whose facts come in two
 tiers, each computed once in dependency order: the value tier (shifts,
-degree lists, routes, e), all a hunt reads, and the table tier (shift
-summary, purity, bound verdicts) of the resolution's step lists.  ``e``
-is the value route's value or nothing, never another route's; a route
-that fails on a valid matrix is an anomaly in every verb, filed by a
-sweep under multiplicity_agreement and raised by a hunt.
-Sweeps and hunts stream the enumeration through one ordered driver; a
-sweep makes one pass per instance, running the enabled checks as plain
-code and rendering the family's CSV line with one f-string, which is
-what a worker sends back through the pipe.  Every instance builds its
+degree lists, routes, e), all a hunt reads, and the table tier, plain
+integers read off the ends of the resolution's step lists: purity, and
+each bound's cleared sides and flags from the side functions of
+:mod:`bounds`.  ``e`` is the value route's value or nothing, never
+another route's; a route that fails on a valid matrix is an anomaly in
+every verb, filed by a sweep under multiplicity_agreement and raised by
+a hunt.  Sweeps and hunts stream the enumeration through one ordered
+driver; a sweep makes one pass per instance, deciding the enabled
+checks on those integers as plain code and rendering the family's CSV
+line with one f-string, which is what a worker sends back through the
+pipe.  Bound verdicts, shift summaries and purity objects are built only
+where a report shows one: compute's report, a failing check's text, a
+prop24 finding and a hunt's candidate.  Every instance builds its
 degree lists once, none is sorted or searched, and nothing is cached
 across instances.  Reports are deterministic: byte-identical across
 runs and across worker counts, so wall-clock runtime is kept off them.
@@ -26,9 +30,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, product
-from operator import lt, mul
+from operator import mul
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -36,7 +40,6 @@ from . import betti, bounds, cm2, gor3, oracle
 from .betti import ShiftSummary
 from .bounds import BoundVerdict
 from .errors import (
-    CharacterizationViolated,
     DivisibilityError,
     DivisionError,
     InternalMismatch,
@@ -86,11 +89,12 @@ class SweepConfig:
             raise ValueError("entry_max must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        size = (f"{self.family} range t <= {self.t_max}, entries <= {self.entry_max} "
+                "holds more than")
         if count_instances(self.family, self.t_max, self.entry_max) > INSTANCE_LIMIT:
-            raise ValueError(
-                f"{self.family} range t <= {self.t_max}, entries <= {self.entry_max} "
-                f"holds more than {INSTANCE_LIMIT} instances"
-            )
+            raise ValueError(f"{size} {INSTANCE_LIMIT} instances")
+        if count_entries(self.family, self.t_max, self.entry_max) > ENTRY_LIMIT:
+            raise ValueError(f"{size} {ENTRY_LIMIT} diagonal entries")
         cls = EVALUATIONS[self.family]
         allowed = cls.CHECKS + cls.FINDINGS
         object.__setattr__(self, "checks", allowed if self.checks is None else tuple(self.checks))
@@ -188,8 +192,11 @@ def enumerate_cm2(t_max: int, entry_max: int) -> Iterator[cm2.DegreeMatrixCM2]:
     """All valid matrices with t <= t_max, entries <= entry_max, (a, b)-lex order.
 
     The b-ranges start at max(a_i, a_{i+1}), so only valid matrices are
-    ever formed, with no generate-and-filter and no re-check.
+    ever formed, with no generate-and-filter and no re-check.  With
+    entry_max < 1 there are none, and no t is visited.
     """
+    if entry_max < 1:
+        return
     for t in range(1, t_max + 1):
         for a in product(range(1, entry_max + 1), repeat=t):
             lows = [
@@ -206,65 +213,91 @@ def enumerate_gor3(t_max: int, entry_max: int) -> Iterator[gor3.DegreeMatrixGor3
             yield gor3.DegreeMatrixGor3(base, d)
 
 
-# The most instances a sweep or hunt may range over: a larger range is
-# refused before any work starts.
+# The most instances a sweep or hunt may range over, and the most
+# diagonal entries (the sum of t over those instances, which the work
+# grows with) their matrices may hold: a larger range is refused before
+# any work starts.
 INSTANCE_LIMIT = 10**7
+ENTRY_LIMIT = 10**8
 
 
-def count_instances(family: str, t_max: int, entry_max: int) -> int:
-    """The number of instances the family's enumerator yields, or
-    INSTANCE_LIMIT + 1 for any range holding more.
+def _counts_by_t(family: str, E: int) -> Iterator[int]:
+    """The number of instances of each t = 1, 2, .. with entries <= E >= 2.
 
     A cm2 instance is a chain a_1..a_t in [1, E] whose b_i range over
     [max(a_i, a_(i+1)), E] and b_t over [a_t, E]; a gor3 instance adds d
     in [a_1, E].  So with ways[n] the chains a_1..a_i ending in n, each
     weighted by its choices of b_1..b_(i-1) (and d), the t = i instances
     number sum_n ways[n] (E - n + 1), and the next ways[n] is
-    sum_a ways[a] (E - max(a, n) + 1): one prefix-sum pass per t.  The
-    count stops once past the limit.  E = 1 holds one instance per t.
-    For E >= 2 each t holds at least 2^t instances, so the count passes
-    the limit within 24 passes, and t = 1 alone holds at least
-    E(E + 1)/2, so a huge E is refused before any pass.
+    sum_a ways[a] (E - max(a, n) + 1): one prefix-sum pass per t.  Each t
+    holds at least 2^t instances.
+    """
+    rest = range(E, 0, -1)  # E - n + 1 for n = 1..E
+    ways = [1] * E if family == "cm2" else list(rest)
+    while True:
+        ends = list(map(mul, ways, rest))
+        total = sum(ends)
+        yield total
+        # (E - n + 1) sum_(a <= n) ways[a] + sum_(a > n) ways[a] (E - a + 1)
+        ways = [r * low + total - tail
+                for r, low, tail in zip(rest, accumulate(ways), accumulate(ends))]
+
+
+def count_instances(family: str, t_max: int, entry_max: int) -> int:
+    """The number of instances the family's enumerator yields, or
+    INSTANCE_LIMIT + 1 for any range holding more.
+
+    E = entry_max <= 1 holds E instances per t.  For E >= 2 the count
+    stops once past the limit, within 24 passes of :func:`_counts_by_t`,
+    and t = 1 alone holds at least E(E + 1)/2, so a huge E is refused
+    before any pass.
     """
     E, over = entry_max, INSTANCE_LIMIT + 1
     if E <= 1:
         return min(t_max * E, over)
     if E * (E + 1) // 2 > INSTANCE_LIMIT:
         return over
-    rest = range(E, 0, -1)  # E - n + 1 for n = 1..E
-    ways = [1] * E if family == "cm2" else list(rest)
     count = 0
-    for _ in range(t_max):
-        ends = list(map(mul, ways, rest))
-        total = sum(ends)
-        count += total
+    for _, n in zip(range(t_max), _counts_by_t(family, E)):
+        count += n
         if count > INSTANCE_LIMIT:
             return over
-        # (E - n + 1) sum_(a <= n) ways[a] + sum_(a > n) ways[a] (E - a + 1)
-        ways = [r * low + total - tail
-                for r, low, tail in zip(rest, accumulate(ways), accumulate(ends))]
+    return count
+
+
+def count_entries(family: str, t_max: int, entry_max: int) -> int:
+    """The diagonal entries of the range's instances, sum_t t n_t, or
+    ENTRY_LIMIT + 1 for any range holding more: a closed form for
+    E = entry_max <= 1, and for E >= 2 a stop within 22 passes, as
+    sum_(t <= 22) t 2^t passes the limit."""
+    E, over = entry_max, ENTRY_LIMIT + 1
+    if E <= 1:
+        return min(E * t_max * (t_max + 1) // 2, over)
+    if E * (E + 1) // 2 > ENTRY_LIMIT:
+        return over
+    count = 0
+    for t, n in zip(range(1, t_max + 1), _counts_by_t(family, E)):
+        count += t * n
+        if count > ENTRY_LIMIT:
+            return over
     return count
 
 
 # A CSV cell's text for each flag, and blank where no value was bounded.
 _FLAG = {True: "true", False: "false", None: ""}
 
-
-def _verdict_cells(pair: tuple[BoundVerdict, BoundVerdict] | None) -> str:
-    """The holds and sharp CSV cells of a lower and an upper verdict,
-    or four blank cells when there is no value to bound."""
-    if pair is None:
-        return ",,,"
-    lower, upper = pair
-    return f"{_FLAG[lower.holds]},{_FLAG[lower.sharp]},{_FLAG[upper.holds]},{_FLAG[upper.sharp]}"
-
+# The flags of a pair of bounds with no value to bound.
+_NO_FLAGS = (None, None, None, None)
 
 # The purity of an instance whose step lists could not be formed.
 _UNKNOWN_PURITY = betti.Purity(None, None)
 
 
-def _failed(check: str, verdicts: tuple[BoundVerdict, ...]) -> list[tuple]:
-    return [(check, f"{v.name}: {v.lhs}", v.rhs) for v in verdicts if not v.holds]
+def _failed(check: str, verdicts: tuple[BoundVerdict, ...], lower_holds: bool,
+            upper_holds: bool) -> list[tuple]:
+    """The anomalies of a pair's failing bounds, worded from its verdicts."""
+    return [(check, f"{v.name}: {v.lhs}", v.rhs)
+            for v, holds in zip(verdicts, (lower_holds, upper_holds)) if not holds]
 
 
 class Evaluation:
@@ -281,17 +314,33 @@ class Evaluation:
     an anomaly in every verb: a sweep files it, and the verbs that file
     none raise it through :meth:`agree`.  A route reads what it needs
     inside its own failure handling: the resolution's ascending step
-    lists, one per homological step, through :meth:`resolution`.  The
-    table tier, :meth:`tables`, holds the ``summary`` read off the ends
-    of those lists, its ``purity`` and the bound verdicts, None without
-    a value.  Step lists that cannot be formed are the resolution
-    route's failure, filed or raised like any other, and leave no
-    summary.  A hunt reads the value tier alone, so it builds no
-    resolution.
+    lists, one per homological step, through :meth:`resolution`.  A hunt
+    reads the value tier alone, so it builds no resolution.
+
+    The table tier is plain integers.  :meth:`tables` reads the ``ends``
+    of the step lists (:func:`betti.step_ends`, in the layout of
+    ``shifts``), or None when the lists cannot be formed, which is the
+    resolution route's failure, filed or raised like any other.  The
+    family's ``sweep_row`` then makes one pass over the instance: from
+    the ends, the shifts and e it computes purity and quasi-purity, each
+    bound's cleared sides (the side functions of :mod:`bounds`, the one
+    owner of each formula) and their holds and sharp flags, once each,
+    as ints and bools, and from those it runs the enabled checks, renders
+    the CSV line and picks the sharp case and the finding.  A failing
+    check is decided on those ints alone; its verdict is built only to
+    word the anomaly.
+
+    The report objects, ``summary``, ``purity`` and the verdicts
+    (``hhs``, ``sharper``, the family's ``prop24`` or ``srinivasan``, and
+    ``verdicts``), are built on first read from the stored ends, shifts
+    and e through the verdict functions: by compute, a failing check's
+    text, a prop24 finding and a hunt's candidate, and by no other row.
+    They are None where the instance has no value, and the summary,
+    purity and HHS verdicts where it has no ends.
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
     order, and ``FINDINGS`` names the open bounds a sweep reports as
-    findings; :meth:`sweep_row` runs the enabled ones as plain code.
+    findings; ``sweep_row`` runs the enabled ones as plain code.
     """
 
     family: str
@@ -348,75 +397,51 @@ class Evaluation:
         return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
-        """The table tier, read after the value tier.  Step lists that
-        cannot be formed fail the resolution route, whether or not it
-        ran, and leave no summary: purity and the HHS verdicts are then
-        unknown, and the checks that read them skip the instance."""
+        """The table tier, read after the value tier: the ends of the step
+        lists.  Step lists that cannot be formed fail the resolution
+        route, whether or not it ran, and leave no ends: purity and the
+        HHS bounds are then unknown, and the checks that read them skip
+        the instance."""
         try:
-            self.summary = betti.shift_summary(self.resolution())
+            self.ends = betti.step_ends(self.resolution())
         except (InternalMismatch, DivisionError) as exc:
             self.routes["resolution"] = exc
-            self.summary, self.purity, self.hhs = None, _UNKNOWN_PURITY, None
-        else:
-            self.purity = betti.summary_purity(self.summary)
-            self.hhs = None if self.e is None else bounds.hhs_bounds(self.summary, self.e)
-        self._verdicts()
+            self.ends = None
 
-    def sweep_row(self, order: dict[str, int], entry_max: int, csv: bool) -> tuple:
-        """(CSV line or None, anomalies, sharp case, finding or None): one
-        pass over the instance for a sweep whose checks are the keys of
-        ``order``, each mapped to its place in the report."""
-        self.tables()
-        found = self._anomalies(order, entry_max)
-        anomalies = ()
+    def _agreement(self, on: dict[str, int], increasing: bool) -> list[tuple]:
+        """The anomalies of multiplicity_agreement, filed whether enabled
+        or not, and of shift_agreement: the ends against the shifts, and
+        the shifts' strict increase, which the caller tests."""
+        found = self.route_anomalies()
         if found:
-            inst = self.instance.to_json_dict()
-            found.sort(key=lambda x: order.get(x[0], -1))
-            anomalies = tuple(Anomaly(inst, check, str(lhs), str(rhs)) for check, lhs, rhs in found)
-        pure = self.e is not None and self.purity.pure
-        return (
-            self.csv_line() if csv else None,
-            anomalies,
-            {"instance": self.instance.to_json_dict(), "e": self.e} if pure else None,
-            self._finding(order),
-        )
-
-    def _anomalies(self, on: dict[str, int], entry_max: int) -> list[tuple]:
-        """(check, lhs, rhs) of each failure of the checks in ``on``.
-        Every route that ran and failed is filed under
-        multiplicity_agreement, enabled or not; an instance with no value
-        has nothing else filed by any check that reads e, and one with no
-        summary nothing by any check that reads the summary."""
-        e = self.e
-        found = [("multiplicity_agreement", lhs, rhs) for lhs, rhs in self.route_anomalies()]
+            found = [("multiplicity_agreement", lhs, rhs) for lhs, rhs in found]
         if "shift_agreement" in on:
-            m, M = extremes = self.extremes()
-            if self.summary is not None and self.summary != extremes:
+            if self.ends is not None and self.ends != self.shifts:
                 found.append(("shift_agreement", self.shifts, self.summary))
-            if not (all(map(lt, m, m[1:])) and all(map(lt, M, M[1:]))):
+            if not increasing:
                 found.append(("shift_agreement", "strictly increasing shifts", self.shifts))
-        if self.hhs is not None:  # a value and a summary
-            if "hhs_bounds" in on:
-                found += _failed("hhs_bounds", self.hhs)
-            if "sharpness_purity" in on:
-                try:
-                    bounds.sharpness(*self.hhs, self.purity.pure)
-                except CharacterizationViolated as exc:
-                    found.append(("sharpness_purity", "flags", exc))
-            if "huneke_miller" in on and self.purity.pure:
-                try:
-                    hm = betti.pure_multiplicity(self.summary)
-                except DivisibilityError as exc:
-                    found.append(("huneke_miller", "pure-shift formula", exc))
-                else:
-                    if hm != e:
-                        found.append(("huneke_miller", hm, e))
-        if e is not None:
-            if f"{self.family}_bounds" in on:
-                found += _failed(f"{self.family}_bounds", self.sharper)
-            if "extension" in on:
-                self._extension(entry_max, found)
         return found
+
+    def _hhs(self, on: dict[str, int], found: list, pure: bool) -> tuple[bool, ...]:
+        """(lower holds, lower sharp, upper holds, upper sharp) of the HHS
+        bounds of an instance with a value and ends, with the failures of
+        hhs_bounds, sharpness_purity and huneke_miller filed into ``found``."""
+        e, ends, p = self.e, self.ends, self.codim
+        flags = lower_holds, lower_sharp, upper_holds, upper_sharp = bounds.flags(
+            *bounds.hhs_sides(p, ends, e))
+        if "hhs_bounds" in on and not (lower_holds and upper_holds):
+            found += _failed("hhs_bounds", self.hhs, lower_holds, upper_holds)
+        if "sharpness_purity" in on and not lower_sharp == upper_sharp == pure:
+            found.append(("sharpness_purity", "flags", bounds.sharpness_violation(*self.hhs, pure)))
+        if "huneke_miller" in on and pure:
+            try:
+                hm = betti.pure_shifts_multiplicity(ends[:p])
+            except DivisibilityError as exc:
+                found.append(("huneke_miller", "pure-shift formula", exc))
+            else:
+                if hm != e:
+                    found.append(("huneke_miller", hm, e))
+        return flags
 
     def _extension(self, entry_max: int, found: list) -> None:
         """The basic-double-link recursion of every appended pair (a, b),
@@ -450,8 +475,34 @@ class Evaluation:
             return
         found += [("extension", f"append (a={a}, b={b})", exc) for a, b, exc in failures]
 
-    def _finding(self, on: dict[str, int]) -> dict | None:
-        return None
+    def _row(self, line: str | None, found: list, on: dict[str, int], pure: bool | None,
+             finding: dict | None) -> tuple:
+        """The row's (CSV line or None, anomalies, sharp case, finding or
+        None), the anomalies in the order of ``on``."""
+        anomalies = ()
+        if found:
+            inst = self.instance.to_json_dict()
+            found.sort(key=lambda x: on.get(x[0], -1))
+            anomalies = tuple(Anomaly(inst, check, str(lhs), str(rhs)) for check, lhs, rhs in found)
+        sharp = None
+        if pure and self.e is not None:
+            sharp = {"instance": self.instance.to_json_dict(), "e": self.e}
+        return line, anomalies, sharp, finding
+
+    @cached_property
+    def summary(self) -> ShiftSummary | None:
+        ends, p = self.ends, self.codim
+        return None if ends is None else ShiftSummary(ends[:p], ends[p:])
+
+    @cached_property
+    def purity(self) -> betti.Purity:
+        return _UNKNOWN_PURITY if self.summary is None else betti.summary_purity(self.summary)
+
+    @cached_property
+    def hhs(self) -> tuple[BoundVerdict, BoundVerdict] | None:
+        if self.summary is None or self.e is None:
+            return None
+        return bounds.hhs_bounds(self.summary, self.e)
 
     def _candidate(self, v: BoundVerdict) -> dict:
         return {
@@ -490,10 +541,13 @@ class CM2Evaluation(Evaluation):
         """The resolution's step lists: the degree lists themselves."""
         return self.degrees
 
-    def _verdicts(self) -> None:
-        e = self.e
-        self.sharper = None if e is None else bounds.cm2_bounds(*self.shifts, e)
-        self.prop24 = None if e is None else bounds.prop24_bound(self.instance, e, self.shifts)
+    @cached_property
+    def sharper(self) -> tuple[BoundVerdict, BoundVerdict] | None:
+        return None if self.e is None else bounds.cm2_bounds(*self.shifts, self.e)
+
+    @cached_property
+    def prop24(self) -> bounds.Prop24Verdict | None:
+        return None if self.e is None else bounds.prop24_bound(self.instance, self.e, self.shifts)
 
     @property
     def prop24_flags(self) -> dict:
@@ -507,29 +561,56 @@ class CM2Evaluation(Evaluation):
     def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
         return cm2.extension_failures(e, self.degrees, cap, entry_max)
 
-    def _finding(self, on: dict[str, int]) -> dict | None:
-        if "prop24" not in on or self.prop24 is None or self.prop24.verdict.holds:
-            return None
-        v = self.prop24.verdict
-        inst = self.instance.to_json_dict()
-        return {"instance": inst, **self.prop24_flags, "lhs": v.lhs, "rhs": v.rhs}
-
-    def csv_line(self) -> str:
-        A, (m1, m2, M1, M2), pur, e = self.instance, self.shifts, self.purity, self.e
-        p24 = self.prop24
-        hyp_i, hyp_ii, _ = bounds.prop24_hypotheses(A, self.shifts) if p24 is None else p24[:3]
-        holds = None if p24 is None else p24.verdict.holds
-        return (
-            f"cm2,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},,"
-            f"{m1},{m2},,{M1},{M2},,{'' if e is None else e},"
-            f"{_FLAG[pur.pure]},{_FLAG[pur.quasi_pure]},{_verdict_cells(self.hhs)},"
-            f"{_verdict_cells(self.sharper)},,,,,{_FLAG[hyp_i]},{_FLAG[hyp_ii]},{_FLAG[holds]},,\n"
-        )
+    def sweep_row(self, on: dict[str, int], entry_max: int, csv: bool) -> tuple:
+        """(CSV line or None, anomalies, sharp case, finding or None): one
+        pass over the instance for a sweep whose checks are the keys of
+        ``on``, each mapped to its place in the report."""
+        self.tables()
+        A, s, e, ends = self.instance, self.shifts, self.e, self.ends
+        m1, m2, M1, M2 = s
+        found = self._agreement(on, m1 < m2 and M1 < M2)
+        pure = quasi_pure = holds = finding = None
+        hhs = sharper = _NO_FLAGS
+        if ends is not None:  # (m1, m2, M1, M2) of the step lists
+            pure = ends[0] == ends[2] and ends[1] == ends[3]
+            quasi_pure = ends[1] >= ends[2]
+        if e is not None:
+            if ends is not None:
+                hhs = self._hhs(on, found, pure)
+            sides = bounds.cm2_sides(m1, m2, M1, M2, e)
+            sharper = lower_holds, _, upper_holds, _ = bounds.flags(*sides)
+            if "cm2_bounds" in on and not (lower_holds and upper_holds):
+                found += _failed("cm2_bounds", self.sharper, lower_holds, upper_holds)
+            if "extension" in on:
+                self._extension(entry_max, found)
+            if csv or "prop24" in on:
+                lhs, rhs = bounds.prop24_sides(s, e)
+                holds = lhs <= rhs
+                if not holds and "prop24" in on:
+                    v = self.prop24.verdict
+                    finding = {"instance": A.to_json_dict(), **self.prop24_flags,
+                               "lhs": v.lhs, "rhs": v.rhs}
+        line = None
+        if csv:
+            hyp_i, hyp_ii, _ = bounds.prop24_hypotheses(A, s)
+            line = (
+                f"cm2,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},,"
+                f"{m1},{m2},,{M1},{M2},,{'' if e is None else e},"
+                f"{_FLAG[pure]},{_FLAG[quasi_pure]},"
+                f"{_FLAG[hhs[0]]},{_FLAG[hhs[1]]},{_FLAG[hhs[2]]},{_FLAG[hhs[3]]},"
+                f"{_FLAG[sharper[0]]},{_FLAG[sharper[1]]},{_FLAG[sharper[2]]},{_FLAG[sharper[3]]},"
+                f",,,,{_FLAG[hyp_i]},{_FLAG[hyp_ii]},{_FLAG[holds]},,\n"
+            )
+        return self._row(line, found, on, pure, finding)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
-        """A violation of the prop24 bound, optionally only under a hypothesis."""
-        p24 = self.prop24 = bounds.prop24_bound(self.instance, self.e, self.shifts)
-        if p24.verdict.holds or (require_hypotheses and not (p24.hyp_i or p24.hyp_ii)):
+        """A violation of the prop24 bound, optionally only under a
+        hypothesis; only a violation builds its verdict."""
+        lhs, rhs = bounds.prop24_sides(self.shifts, self.e)
+        if lhs <= rhs:
+            return None
+        p24 = self.prop24
+        if require_hypotheses and not (p24.hyp_i or p24.hyp_ii):
             return None
         return {**self._candidate(p24.verdict), **self.prop24_flags}
 
@@ -572,46 +653,75 @@ class Gor3Evaluation(Evaluation):
             self.block_curve = gor3.block_curve(self.degrees)
         return self.block_curve
 
-    def _verdicts(self) -> None:
-        e = self.e
-        self.sharper = None if e is None else bounds.gor3_bounds(*self.shifts[:3], e)
-        self.srinivasan = None if e is None else bounds.srinivasan_bounds(self.extremes(), e)
+    @cached_property
+    def sharper(self) -> tuple[BoundVerdict, BoundVerdict] | None:
+        return None if self.e is None else bounds.gor3_bounds(*self.shifts[:3], self.e)
+
+    @cached_property
+    def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool] | None:
+        return None if self.e is None else bounds.srinivasan_bounds(self.extremes(), self.e)
 
     @property
     def verdicts(self) -> tuple[BoundVerdict, ...]:
         return (*self.hhs, *self.sharper, *self.srinivasan[:2])
 
-    def _anomalies(self, on: dict[str, int], entry_max: int) -> list[tuple]:
-        """The shared checks, and self_duality: step-1 shifts inside
-        (0, m3); shift_agreement compares m3 itself."""
-        found = super()._anomalies(on, entry_max)
-        if "self_duality" in on and self.summary is not None:
-            step1, m3 = self.resolution()[0], self.shifts.m3
-            if not all(0 < shift < m3 for shift in step1):
-                found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
-        return found
-
     def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
         return gor3.extension_failures(self.instance, e, self.curve(), self.degrees, cap, entry_max)
 
-    def csv_line(self) -> str:
-        G, s, pur, e, sri = self.instance, self.shifts, self.purity, self.e, self.srinivasan
-        A = G.base
-        lower, upper = (None, None) if sri is None else (sri[0].holds, sri[1].holds)
-        return (
-            f"gor3,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},{G.d},"
-            f"{s.m1},{s.m2},{s.m3},{s.M1},{s.M2},{s.M3},{'' if e is None else e},"
-            f"{_FLAG[pur.pure]},{_FLAG[pur.quasi_pure]},{_verdict_cells(self.hhs)},,,,,"
-            f"{_verdict_cells(self.sharper)},,,,{_FLAG[lower]},{_FLAG[upper]}\n"
-        )
+    def sweep_row(self, on: dict[str, int], entry_max: int, csv: bool) -> tuple:
+        """(CSV line or None, anomalies, sharp case, finding or None): one
+        pass over the instance for a sweep whose checks are the keys of
+        ``on``, each mapped to its place in the report.  self_duality
+        tests the step-1 shifts inside (0, m3); shift_agreement compares
+        m3 itself."""
+        self.tables()
+        G, s, e, ends = self.instance, self.shifts, self.e, self.ends
+        m1, m2, m3, M1, M2, M3 = s
+        found = self._agreement(on, m1 < m2 < m3 and M1 < M2 < M3)
+        pure = quasi_pure = None
+        hhs = sharper = sri = _NO_FLAGS
+        if ends is not None:  # (m1, m2, m3, M1, M2, M3) of the step lists
+            pure = ends[0] == ends[3] and ends[1] == ends[4] and ends[2] == ends[5]
+            quasi_pure = ends[1] >= ends[3] and ends[2] >= ends[4]
+            if "self_duality" in on:
+                step1 = self.resolution()[0]
+                if not all(0 < shift < m3 for shift in step1):
+                    found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
+        if e is not None:
+            if ends is not None:
+                hhs = self._hhs(on, found, pure)
+            sides = bounds.gor3_sides(m1, m2, m3, e)
+            sharper = lower_holds, _, upper_holds, _ = bounds.flags(*sides)
+            if "gor3_bounds" in on and not (lower_holds and upper_holds):
+                found += _failed("gor3_bounds", self.sharper, lower_holds, upper_holds)
+            if "extension" in on:
+                self._extension(entry_max, found)
+            if csv:
+                sri = bounds.flags(*bounds.srinivasan_sides(s, e))
+        line = None
+        if csv:
+            A = G.base
+            line = (
+                f"gor3,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},{G.d},"
+                f"{m1},{m2},{m3},{M1},{M2},{M3},{'' if e is None else e},"
+                f"{_FLAG[pure]},{_FLAG[quasi_pure]},"
+                f"{_FLAG[hhs[0]]},{_FLAG[hhs[1]]},{_FLAG[hhs[2]]},{_FLAG[hhs[3]]},,,,,"
+                f"{_FLAG[sharper[0]]},{_FLAG[sharper[1]]},{_FLAG[sharper[2]]},{_FLAG[sharper[3]]},"
+                f",,,{_FLAG[sri[0]]},{_FLAG[sri[2]]}\n"
+            )
+        return self._row(line, found, on, pure, None)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, optionally only under
-        quasi-purity, the hypothesis under which the bound is claimed."""
-        _, upper, quasi_pure = bounds.srinivasan_bounds(self.extremes(), self.e)
-        if upper.holds or (require_hypotheses and not quasi_pure):
+        quasi-purity, the hypothesis under which the bound is claimed;
+        only a violation builds its verdict."""
+        lhs, _, _, upper = bounds.srinivasan_sides(self.shifts, self.e)
+        if lhs <= upper:
             return None
-        return self._candidate(upper)
+        _, verdict, quasi_pure = self.srinivasan
+        if require_hypotheses and not quasi_pure:
+            return None
+        return self._candidate(verdict)
 
 
 # The evaluation class of each family.

@@ -352,6 +352,38 @@ class TestSweep:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [("sweep", "--cm2"), ("hunt", "--target", "prop24_bound")])
+    def test_range_of_too_many_entries_exits_2_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        """At entry_max 1 each t holds one instance of t rows, so the work
+        grows with t_max^2 while the count stays t_max: t_max 10^7 holds
+        10^7 instances, the limit, and 5 * 10^13 diagonal entries."""
+        monkeypatch.setattr(sweep, "_ordered", lambda fn, config: pytest.fail("work started"))
+        out = tmp_path / "report"
+        code, stdout, err = run(
+            capsys, *argv, "--t-max", "10000000", "--entry-max", "1", "--out", str(out)
+        )
+        assert sweep.count_instances("cm2", 10**7, 1) == sweep.INSTANCE_LIMIT
+        assert (code, stdout) == (2, "")
+        assert err == (
+            "error: cm2 range t <= 10000000, entries <= 1 "
+            f"holds more than {sweep.ENTRY_LIMIT} diagonal entries\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("sweep", "--cm2"), ("sweep", "--gor3"),
+                                      ("hunt", "--target", "prop24_bound")])
+    def test_no_entries_visits_no_t(self, capsys, monkeypatch, argv):
+        """entry_max 0 holds no instance, and the enumerator visits no t:
+        t_max 10^9 ends at once."""
+        monkeypatch.setattr(sweep, "product", lambda *args, **kw: pytest.fail("t visited"))
+        code, stdout, err = run(
+            capsys, *argv, "--t-max", "1000000000", "--entry-max", "0", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["instances_checked"] == 0
+
 
 class TestHunt:
     def test_empty_candidate_csv(self, capsys):

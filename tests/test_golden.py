@@ -17,8 +17,9 @@ JSON reports stopped going through ``json.dumps``.
 The cases at benchmark size read their digests from
 ``benchmarks/golden.json`` and the ``compute_large`` inputs from
 ``benchmarks/inputs.py``, both as they are; acceptance 4's CSV, which
-the benchmark does not record, and the faulted extension run are pinned
-here.  The two acceptance ranges are swept at one job once per session,
+the benchmark does not record, the faulted extension run and the
+faulted bounds runs, the only reports that word a failing bound check,
+are pinned here.  The two acceptance ranges are swept at one job once per session,
 by the fixtures in ``conftest.py``, and here again at two.
 """
 import hashlib
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from degmult import cm2, sweep
+from degmult import cm2, gor3, sweep
 from degmult.cli import main
 
 from bruteforce import betti_table, checked_pairs
@@ -260,6 +261,24 @@ ACCEPTANCE_4_DIGEST = "a3effd99752de0f252fc1b940135476717d0fd78f9966c8b58de9840e
 # Every cm2 child that EXTENSION_CM2's sweep checks failing its recursion.
 FAULTED_EXTENSION_DIGEST = "5eff35ed5ae4975ca955b758b16997497d30e92ad5937d3a36307970f04bb4fe"
 
+# Every bound check failing the way a value route off by one makes it:
+# family -> (argv, the value route's module and function, sha256, the
+# anomalies filed per check).
+FAULTED_BOUNDS = {
+    "cm2": (
+        ["sweep", "--cm2", "--t-max", "3", "--entry-max", "4",
+         "--checks", "cm2_bounds,hhs_bounds,sharpness_purity,huneke_miller,prop24"],
+        (cm2, "_multiplicity"),
+        "ec8b189e36aff667ff2f7cbf07672d99383cdfea69eba9d24c5b251ea23dfd28",
+        {"cm2_bounds": 74, "sharpness_purity": 20, "hhs_bounds": 14, "huneke_miller": 12}),
+    "gor3": (
+        ["sweep", "--gor3", "--t-max", "2", "--entry-max", "4",
+         "--checks", "gor3_bounds,hhs_bounds,sharpness_purity,huneke_miller"],
+        (gor3, "multiplicity_pfaffian"),
+        "d7be676082b0305f8f35474be8553c31084f49fbad020cefa333d967bffb9041",
+        {"gor3_bounds": 8, "hhs_bounds": 8, "sharpness_purity": 8, "huneke_miller": 8}),
+}
+
 # compute stops at the matrix whose multiplicity passes the int-to-str
 # limit; stdout keeps the report before it, ended by a newline.
 HUGE_PARTIAL_DIGEST = "caebbb2de64565f983ae8913e321c69c9c3e788dde3ebd97002121d662917a5a"
@@ -322,6 +341,23 @@ def test_faulted_extension(jobs, tmp_path, capsys, monkeypatch):
     anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
     checked = sum(len(list(checked_pairs("cm2", A.b[-1], 5))) for A in sweep.enumerate_cm2(3, 5))
     assert len(anomalies) == checked == 14_334
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("family", sorted(FAULTED_BOUNDS))
+def test_faulted_bounds(family, jobs, tmp_path, capsys, monkeypatch):
+    """With the value route off by one, the bound checks file their
+    failures as data, each worded from its verdict, and exit 1: the
+    bytes of a failing bound check, which no clean report shows."""
+    argv, (module, name), digest, per_check = FAULTED_BOUNDS[family]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
+    argv = [*argv, "--format", "json", "--out", "{OUT}", "--jobs", jobs]
+    assert _run(argv, tmp_path, capsys) == (1, digest)
+    anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
+    checks = [a["check"] for a in anomalies]
+    assert {check: checks.count(check) for check in per_check} == per_check
+    assert len(checks) == sum(per_check.values())
 
 
 @pytest.mark.parametrize("seed", range(4))

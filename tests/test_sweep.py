@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from degmult import betti, cli, cm2, gor3, oracle, sweep
+from degmult import betti, bounds, cli, cm2, gor3, oracle, sweep
 from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
 from degmult.sweep import EVALUATIONS
 
@@ -350,7 +350,7 @@ class TestOnlyEnabledChecksCompute:
     @pytest.mark.parametrize("target, family", sorted(sweep.HUNT_TARGETS.items()))
     def test_hunts_read_no_betti_table(self, monkeypatch, target, family):
         calls = self.failing_routes(monkeypatch)
-        for module, name in ((gor3, "step_lists"), (betti, "shift_summary")):
+        for module, name in ((gor3, "step_lists"), (betti, "step_ends"), (betti, "shift_summary")):
             monkeypatch.setattr(module, name, lambda *args: calls.append(args))
         for require in (False, True):
             report = sweep.hunt(target, sweep.SweepConfig(family, 3, 3), require)
@@ -375,16 +375,19 @@ class FakePool:
 
 
 class TestCountInstances:
-    """count_instances is each range's exact instance count up to
-    INSTANCE_LIMIT; ``test_cli.py`` shows a range holding more refused."""
+    """count_instances and count_entries are each range's exact instance
+    count and sum of t up to INSTANCE_LIMIT and ENTRY_LIMIT;
+    ``test_cli.py`` shows a range holding more refused."""
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_matches_the_enumerator(self, family):
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         for t_max in range(1, 4):
             for entry_max in range(6):
-                count = sum(1 for _ in enum(t_max, entry_max))
-                assert sweep.count_instances(family, t_max, entry_max) == count
+                blocks = [X if family == "cm2" else X.base for X in enum(t_max, entry_max)]
+                assert sweep.count_instances(family, t_max, entry_max) == len(blocks)
+                assert sweep.count_entries(family, t_max, entry_max) == sum(
+                    len(A.a) for A in blocks)
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_matches_the_benchmark_closed_form(self, family):
@@ -396,9 +399,20 @@ class TestCountInstances:
 
     def test_every_pinned_range_is_under_the_limit(self):
         """The acceptance ranges and the largest pinned run, the prop24 hunt."""
-        for args, count in ((("cm2", 4, 6), 117_051), (("gor3", 3, 5), 8_998),
-                            (("cm2", 4, 7), 361_567)):
+        for args, count, rows in ((("cm2", 4, 6), 117_051, 460_994),
+                                  (("gor3", 3, 5), 8_998, 26_213),
+                                  (("cm2", 4, 7), 361_567, 1_429_762)):
             assert sweep.count_instances(*args) == count < sweep.INSTANCE_LIMIT
+            assert sweep.count_entries(*args) == rows < sweep.ENTRY_LIMIT
+
+    def test_entries_stop_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ENTRY_LIMIT", 1000)
+        cases = [
+            (("cm2", 44, 1), 990), (("cm2", 45, 1), 1001), (("cm2", 10**9, 0), 0),
+            (("cm2", 1, 44), 990), (("cm2", 1, 45), 1001), (("cm2", 3, 4), 1001),
+            (("gor3", 10**9, 2), 1001), (("cm2", 2, 10**9), 1001),
+        ]
+        assert [sweep.count_entries(*args) for args, _ in cases] == [n for _, n in cases]
 
     def test_stops_past_the_limit(self, monkeypatch):
         monkeypatch.setattr(sweep, "INSTANCE_LIMIT", 1000)
@@ -452,9 +466,9 @@ class TestOneSortPerBlock:
 
 
 class TestOneSummaryPerInstance:
-    """A sweep with every check on builds each instance's shift summary
-    and reads its shifts off the matrix once: purity, the bounds, the
-    CSV row and gor3's linkage route share them."""
+    """A sweep with every check on reads each instance's step-list ends
+    (its shift summary, as integers) and its shifts off the matrix once:
+    purity, the bounds, the CSV row and gor3's linkage route share them."""
 
     @staticmethod
     def count_calls(monkeypatch, module, name, config):
@@ -465,11 +479,11 @@ class TestOneSummaryPerInstance:
         assert report.ok and report.sharp_cases
         assert len(calls) == report.instances_checked
 
-    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (cm2, "shifts")])
+    @pytest.mark.parametrize("module, name", [(betti, "step_ends"), (cm2, "shifts")])
     def test_once_per_instance(self, monkeypatch, module, name):
         self.count_calls(monkeypatch, module, name, sweep.SweepConfig("cm2", 3, 4))
 
-    @pytest.mark.parametrize("module, name", [(betti, "shift_summary"), (gor3, "shifts")])
+    @pytest.mark.parametrize("module, name", [(betti, "step_ends"), (gor3, "shifts")])
     def test_gor3_once_per_instance(self, monkeypatch, module, name):
         self.count_calls(monkeypatch, module, name, sweep.SweepConfig("gor3", 3, 4))
 
@@ -505,6 +519,81 @@ class TestCSVLayout:
         expected = [sweep_row(X) for X in enum(t_max, entry_max)]
         assert len(expected) > 250
         assert out.getvalue().splitlines(keepends=True)[1:] == expected
+
+
+class TestRowMatchesCompute:
+    """The sweep row decides each bound on its integer sides, and compute
+    shows the same bounds as verdicts: on every instance of the range,
+    each holds and sharp cell, the purity cells and e of the sweep's CSV
+    equal compute's JSON for that matrix."""
+
+    @pytest.mark.parametrize("family, t_max, entry_max", [("cm2", 3, 4), ("gor3", 2, 4)])
+    def test_every_instance(self, capsys, tmp_path, family, t_max, entry_max):
+        csv = io.StringIO()
+        assert sweep.write_sweep_csv(sweep.SweepConfig(family, t_max, entry_max), csv).ok
+        header, *lines = csv.getvalue().splitlines()
+        enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
+        path = tmp_path / "instances.json"
+        path.write_text(json.dumps([X.to_json_dict() for X in enum(t_max, entry_max)]))
+        assert cli.main(["compute", "--in", str(path), "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert len(results) == len(lines) > 250
+        flag = {True: "true", False: "false"}
+        for line, result in zip(lines, results):
+            cells = dict(zip(header.split(","), line.split(","), strict=True))
+            shown = {
+                "e": str(result["multiplicity"]["value"]),
+                "pure": flag[result["pure"]],
+                "quasi_pure": flag[result["quasi_pure"]],
+            }
+            for v in result["bounds"]:
+                name = "prop24" if v["name"] == "prop24_upper" else v["name"]
+                shown[f"{name}_holds"] = flag[v["holds"]]
+                if f"{name}_sharp" in cells:
+                    shown[f"{name}_sharp"] = flag[v["sharp"]]
+            flags = {c for c in cells if c.endswith(("_holds", "_sharp")) and cells[c]}
+            assert flags == {c for c in shown if c.endswith(("_holds", "_sharp"))}
+            assert {c: cells[c] for c in shown} == shown, result["instance"]
+
+
+class TestVerdictsOnlyWhereShown:
+    """Each bound is decided on its integer sides, and its BoundVerdict is
+    built only where a report shows one: a clean sweep builds one per
+    prop24 finding and no other, and a hunt one per candidate's bound."""
+
+    @staticmethod
+    def count_verdicts(monkeypatch):
+        built = []
+        real = bounds.BoundVerdict
+        monkeypatch.setattr(bounds, "BoundVerdict", lambda *args: built.append(args) or real(*args))
+        return built
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_clean_sweep(self, monkeypatch, family):
+        findings = len(_prop24_closed_form(3, 4)) if family == "cm2" else 0
+        built = self.count_verdicts(monkeypatch)
+        report = sweep.write_sweep_csv(sweep.SweepConfig(family, 3, 4), io.StringIO())
+        assert report.ok and report.sharp_cases
+        assert len(built) == len(report.prop24_findings) == findings
+        checks = EVALUATIONS[family].CHECKS
+        report = sweep.write_sweep_csv(sweep.SweepConfig(family, 3, 4, checks), io.StringIO())
+        assert report.ok and report.sharp_cases and not report.prop24_findings
+        assert len(built) == findings
+
+    @pytest.mark.parametrize("target, t_max, entry_max, per_candidate", [
+        ("prop24_bound", 4, 5, 1), ("srinivasan_upper_gor3", 3, 6, 2),
+    ])
+    def test_hunt(self, monkeypatch, target, t_max, entry_max, per_candidate):
+        """prop24_bound builds one verdict per candidate, and Srinivasan's
+        pair two; under the hypotheses, every instance failing the bound
+        builds them, and only those."""
+        built = self.count_verdicts(monkeypatch)
+        config = sweep.SweepConfig(sweep.target_family(target), t_max, entry_max)
+        report = sweep.hunt(target, config)
+        assert len(built) == per_candidate * len(report.candidates) > 0
+        restricted = sweep.hunt(target, config, require_hypotheses=True)
+        assert len(restricted.candidates) < len(report.candidates)
+        assert len(built) == 2 * per_candidate * len(report.candidates)
 
 
 def appended_children(config):
