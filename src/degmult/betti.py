@@ -17,17 +17,15 @@ unbounded integers, in O(terms * c) whatever the size of the shifts.
 
 The package's resolutions are held as one ascending shift list per
 step, each shift of rank 1: :func:`signed_terms` gives their K terms
-and :func:`step_ends` reads each list's ends, the integers a sweep
-reads; :func:`shift_summary` holds them as a :class:`ShiftSummary` for
-the reports that show one.  Ranks are grouped only in a
-:class:`BettiTable` that enters from outside; the package builds none
-from a matrix.  Grouping would buy little: 97.6 % of the
+and :func:`step_ends` reads each list's ends, the integers every report
+reads, and :func:`purity` reads purity off them.  Ranks are grouped
+only in a :class:`BettiTable` that enters from outside; the package
+builds none from a matrix.  Grouping would buy little: 97.6 % of the
 shifts of the benchmark's ``compute_large`` seed-1 lists are distinct.
 
 The Huneke-Miller formula e = prod(d_i) / p! of a pure resolution has
 one entry, :func:`pure_shifts_multiplicity` on the shifts d_i, reached
-by the sweep's ``huneke_miller`` check and, through
-:func:`pure_multiplicity` on a shift summary, by ``compute`` on a pure
+by the sweep's ``huneke_miller`` check and by ``compute`` on a pure
 Betti table of codim = p.
 """
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import ge, mul, neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DivisibilityError, DivisionError, as_int_pair, as_list
 
@@ -138,18 +136,6 @@ class KPolynomial:
         return out[2:] if out.startswith("+ ") else out.replace("- ", "-", 1)
 
 
-class ShiftSummary(NamedTuple):
-    """Minimal and maximal shifts (m_1..m_p, M_1..M_p) of a table."""
-
-    m: tuple[int, ...]
-    M: tuple[int, ...]
-
-
-class Purity(NamedTuple):
-    pure: bool
-    quasi_pure: bool
-
-
 def k_polynomial(table: BettiTable) -> KPolynomial:
     """Alternating sum sum_i (-1)^i sum_j beta_{i,j} s^j, step 0 included.
 
@@ -245,19 +231,12 @@ def step_ends(steps: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return (*[step[0] for step in steps], *[step[-1] for step in steps])
 
 
-def shift_summary(steps: BettiTable | Sequence[Sequence[int]]) -> ShiftSummary:
-    """Per-step minimal and maximal shifts, the :func:`step_ends` of a
-    held resolution's step lists, or of each step of a table."""
-    if isinstance(steps, BettiTable):
-        steps = [(step[0][0], step[-1][0]) for step in steps.steps]
-    ends, p = step_ends(steps), len(steps)
-    return ShiftSummary(ends[:p], ends[p:])
-
-
-def summary_purity(s: ShiftSummary) -> Purity:
-    """Purity (m_i = M_i at every step) and quasi-purity (m_i >= M_{i-1})
-    of the table whose :func:`shift_summary` is s."""
-    return Purity(s.m == s.M, all(map(ge, s.m[1:], s.M)))
+def purity(ends: Sequence[int]) -> tuple[bool, bool]:
+    """(pure, quasi-pure) of a resolution whose steps have the ends
+    (m_1..m_p, M_1..M_p): pure iff m_i = M_i at every step, quasi-pure
+    iff m_i >= M_(i-1) at every step after the first."""
+    p = len(ends) // 2
+    return ends[:p] == ends[p:], all(map(ge, ends[1:p], ends[p:-1]))
 
 
 def pure_shifts_multiplicity(d: Sequence[int]) -> int:
@@ -274,8 +253,3 @@ def pure_shifts_multiplicity(d: Sequence[int]) -> int:
             f"{p}! does not divide prod(d_i) = {prod}; no such pure table exists"
         )
     return prod // fact
-
-
-def pure_multiplicity(s: ShiftSummary) -> int:
-    """:func:`pure_shifts_multiplicity` of a pure summary's shifts."""
-    return pure_shifts_multiplicity(s.m)

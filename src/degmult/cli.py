@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -238,21 +239,38 @@ def _write_reports(
 # ---------------------------------------------------------------------------
 
 def _compute_matrix(ev: sweep.Evaluation) -> dict:
+    """compute's report of a matrix, read off both tiers of its evaluation:
+    each bound as :func:`bounds.shown` makes it of its side function's
+    sides, the HHS pair, the sharper pair, then prop24's upper bound
+    (cm2) or Srinivasan's pair (gor3).  A route that fails, or sharp
+    flags that disagree with purity, end the run as an anomaly."""
     agree = ev.agree()
-    result = {
-        "instance": ev.instance.to_json_dict(),
-        "shifts": ev.shifts._asdict(),
-        "pure": ev.purity.pure,
-        "quasi_pure": ev.purity.quasi_pure,
-        "multiplicity": {"value": ev.e, **ev.routes, "agree": agree},
-        "bounds": [v.to_json_dict() for v in ev.verdicts],
-    }
+    s, e, ends, p = ev.shifts, ev.e, ev.ends, ev.codim
+    pure, quasi_pure = betti.purity(ends)
+    shown = bounds.shown("hhs", bounds.hhs_sides(p, ends, e), (math.factorial(p),) * 2)
+    lower, upper = shown[0]["sharp"], shown[1]["sharp"]
     if ev.family == "cm2":
-        result["prop24"] = ev.prop24_flags
+        shown += bounds.shown("cm2", bounds.cm2_sides(*s, e), bounds.FACTORS["cm2"])
+        shown += bounds.shown("prop24", bounds.prop24_sides(s, e), bounds.FACTORS["prop24"])
+        extra = {"prop24": bounds.prop24_hypotheses(ev.instance, s)}
     else:
-        result["srinivasan_quasi_pure"] = ev.srinivasan[2]
-    result["sharpness"] = bounds.sharpness(*ev.hhs, ev.purity.pure)._asdict()
-    return result
+        shown += bounds.shown("gor3", bounds.gor3_sides(*s[:3], e), bounds.FACTORS["gor3"])
+        shown += bounds.shown("srinivasan", bounds.srinivasan_sides(s, e),
+                              bounds.FACTORS["srinivasan"])
+        extra = {"srinivasan_quasi_pure": betti.purity(s)[1]}
+    if not lower == upper == pure:
+        raise CharacterizationViolated(
+            f"sharpness/purity flags disagree: lower={lower}, upper={upper}, pure={pure}")
+    return {
+        "instance": ev.instance.to_json_dict(),
+        "shifts": s._asdict(),
+        "pure": pure,
+        "quasi_pure": quasi_pure,
+        "multiplicity": {"value": e, **ev.routes, "agree": agree},
+        "bounds": shown,
+        **extra,
+        "sharpness": {"lower_sharp": lower, "upper_sharp": upper, "pure": pure},
+    }
 
 
 # compute prints a Betti table's K-polynomial densely, one coefficient
@@ -267,27 +285,28 @@ def _compute_betti(table: betti.BettiTable) -> dict:
             f"Betti table's K-polynomial would have {size} coefficients; "
             f"compute prints at most {K_COEFFS_MAX}"
         )
-    summary = betti.shift_summary(table)
-    pur = betti.summary_purity(summary)
+    p = table.projective_dimension
+    ends = betti.step_ends([(step[0][0], step[-1][0]) for step in table.steps])
+    pure, quasi_pure = betti.purity(ends)
     kpoly = betti.k_polynomial(table)
     e, genus = betti.multiplicity_and_genus(table)
     result = {
         "instance": table.to_json_dict(),
-        "projective_dimension": table.projective_dimension,
+        "projective_dimension": p,
         "codim": table.codim,
         "k_polynomial": str(kpoly),
         "k_coeffs": list(kpoly.coeffs),
-        "shifts": {"m": list(summary.m), "M": list(summary.M)},
-        "pure": pur.pure,
-        "quasi_pure": pur.quasi_pure,
+        "shifts": {"m": list(ends[:p]), "M": list(ends[p:])},
+        "pure": pure,
+        "quasi_pure": quasi_pure,
         "multiplicity": e,
         "genus_dim2": genus,
     }
-    if table.codim == table.projective_dimension:
-        lo, up = bounds.hhs_bounds(summary, e)
-        result["bounds"] = [lo.to_json_dict(), up.to_json_dict()]
-        if pur.pure:
-            result["huneke_miller"] = betti.pure_multiplicity(summary)
+    if table.codim == p:
+        sides = bounds.hhs_sides(p, ends, e)
+        result["bounds"] = bounds.shown("hhs", sides, (math.factorial(p),) * 2)
+        if pure:
+            result["huneke_miller"] = betti.pure_shifts_multiplicity(ends[:p])
     return result
 
 
@@ -461,13 +480,43 @@ def _range_config(
     )
 
 
+def _summary_text(report: sweep.SweepReport | sweep.HuntReport) -> str:
+    """The text form of a sweep or hunt report: its counts, one line per
+    anomaly (its check, kind and matrix, then its other fields as one
+    JSON object) or per candidate, and the runtime."""
+    if isinstance(report, sweep.HuntReport):
+        lines = [
+            f"hunt {report.target}: t <= {report.t_max}, entries <= {report.entry_max}"
+            + (" (hypothesis-satisfying instances only)" if report.require_hypotheses else ""),
+            f"instances checked: {report.instances_checked}",
+            f"candidates: {len(report.candidates)}",
+        ]
+        for c in report.candidates:
+            lines.append(f"  CANDIDATE {_matrix_text(c['instance'])}: {c['lhs']} vs {c['rhs']}")
+    else:
+        lines = [
+            f"sweep {report.family}: t <= {report.t_max}, entries <= {report.entry_max}",
+            f"instances checked: {report.instances_checked}",
+            f"anomalies: {len(report.anomalies)}",
+            f"sharp (pure) cases: {len(report.sharp_cases)}",
+        ]
+        if report.family == "cm2":
+            lines.append(f"prop24 bound failures: {len(report.prop24_findings)}")
+        for a in report.anomalies:
+            fields = {k: v for k, v in a.items() if k not in ("check", "kind", "instance")}
+            lines.append(f"  ANOMALY {a['check']} {a['kind']} on {_matrix_text(a['instance'])}: "
+                         f"{json.dumps(fields)}")
+    lines.append(f"runtime: {report.runtime_seconds:.2f}s")
+    return "\n".join(lines)
+
+
 def _write_summary(
     out: TextIO, report: sweep.SweepReport | sweep.HuntReport, fmt: str
 ) -> None:
     if fmt == "json":
         _write_json(out, [report.to_json_dict()], many=False)
     else:
-        out.write(report.summary_text() + "\n")
+        out.write(_summary_text(report) + "\n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

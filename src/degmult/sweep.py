@@ -5,40 +5,43 @@ lexicographic order, and every enabled identity, bound, and recursion
 is verified on it.  Violations are collected as data, never raised, so
 a report always comes back; a nonempty anomaly list means either an
 implementation bug (all the checked identities are theorems) or, for
-the hunted open questions, a genuine discovery.  Every verb reads an
-instance through one :class:`Evaluation`, whose facts come in two
-tiers, each computed once in dependency order: the value tier (shifts,
-degree lists, routes, e), all a hunt reads, and the table tier, plain
-integers read off the ends of the resolution's step lists: purity, and
-each bound's cleared sides and flags from the side functions of
-:mod:`bounds`.  ``e`` is the value route's value or nothing, never
-another route's; a route that fails on a valid matrix is an anomaly in
-every verb, filed by a sweep under multiplicity_agreement and raised by
-a hunt.  Sweeps and hunts stream the enumeration through one ordered
-driver; a sweep makes one pass per instance, deciding the enabled
-checks on those integers as plain code and rendering the family's CSV
-line with one f-string, which is what a worker sends back through the
-pipe.  Bound verdicts, shift summaries and purity objects are built only
-where a report shows one: compute's report, a failing check's text, a
-prop24 finding and a hunt's candidate.  Every instance builds its
-degree lists once, none is sorted or searched, and nothing is cached
-across instances.  Reports are deterministic: byte-identical across
-runs and across worker counts, so wall-clock runtime is kept off them.
+the hunted open questions, a genuine discovery.  An anomaly is a plain
+JSON object: the ``check`` that failed, the ``kind`` of failure, the
+``instance``, then the kind's fields: ints, bools and lists of ints read
+off the integers the check decided on, names (a route, a bound and its
+relation) as strings, and an exception only as its ``error`` message.
+The kinds and their fields are tabled in the README.  Every verb reads an instance through one :class:`Evaluation`,
+whose facts come in two tiers, each computed once in dependency order:
+the value tier (shifts, degree lists, routes, e), all a hunt reads, and
+the table tier, plain integers read off the ends of the resolution's
+step lists: purity, and each bound's cleared sides and flags from the
+side functions of :mod:`bounds`.  ``e`` is the value route's value or
+nothing, never another route's; a route that fails on a valid matrix is
+an anomaly in every verb, filed by a sweep under multiplicity_agreement
+and raised by a hunt.  Sweeps and hunts stream the enumeration through
+one ordered driver; a sweep makes one pass per instance, deciding the
+enabled checks on those integers as plain code and rendering the
+family's CSV line with one f-string, which is what a worker sends back
+through the pipe.  A bound's JSON object (:func:`bounds.shown`) is made
+only where a report shows one: a ``bound_fails`` anomaly, a prop24
+finding and a hunt's candidate.  Every instance builds its degree lists
+once, none is sorted or searched, and nothing is cached across
+instances.  Reports are deterministic: byte-identical across runs and
+across worker counts, so wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, product
 from operator import mul
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import betti, bounds, cm2, gor3, oracle
-from .betti import ShiftSummary
-from .bounds import BoundVerdict
 from .errors import (
     DivisibilityError,
     DivisionError,
@@ -105,32 +108,23 @@ class SweepConfig:
             raise ValueError(f"checks named more than once: {','.join(self.checks)}")
 
 
-@dataclass(frozen=True)
-class Anomaly:
-    """One failed check on one instance, with the two disagreeing sides."""
-
-    instance: dict
-    check: str
-    lhs: str
-    rhs: str
-
-
-def _without_runtime(report) -> dict:
-    # runtime deliberately excluded: serialized reports must be
-    # byte-identical across runs and parallelism levels.
-    doc = asdict(report)
-    del doc["runtime_seconds"]
-    return doc
+class _Report:
+    def to_json_dict(self) -> dict:
+        """Every field but the runtime, as it is: its anomalies, sharp
+        cases, findings and candidates are JSON values already.  The
+        runtime is kept off so that serialized reports are byte-identical
+        across runs and parallelism levels."""
+        return {k: v for k, v in vars(self).items() if k != "runtime_seconds"}
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     family: str
     t_max: int
     entry_max: int
     checks: tuple[str, ...]
     instances_checked: int
-    anomalies: tuple[Anomaly, ...]
+    anomalies: tuple[dict, ...]
     sharp_cases: tuple[dict, ...]
     prop24_findings: tuple[dict, ...]
     runtime_seconds: float
@@ -139,26 +133,9 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.anomalies
 
-    def to_json_dict(self) -> dict:
-        return _without_runtime(self)
-
-    def summary_text(self) -> str:
-        lines = [
-            f"sweep {self.family}: t <= {self.t_max}, entries <= {self.entry_max}",
-            f"instances checked: {self.instances_checked}",
-            f"anomalies: {len(self.anomalies)}",
-            f"sharp (pure) cases: {len(self.sharp_cases)}",
-        ]
-        if self.family == "cm2":
-            lines.append(f"prop24 bound failures: {len(self.prop24_findings)}")
-        for a in self.anomalies:
-            lines.append(f"  ANOMALY {a.check} on {a.instance}: {a.lhs} vs {a.rhs}")
-        lines.append(f"runtime: {self.runtime_seconds:.2f}s")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
-class HuntReport:
+class HuntReport(_Report):
     target: str
     family: str
     t_max: int
@@ -171,21 +148,6 @@ class HuntReport:
     @property
     def ok(self) -> bool:
         return not self.candidates
-
-    def to_json_dict(self) -> dict:
-        return _without_runtime(self)
-
-    def summary_text(self) -> str:
-        lines = [
-            f"hunt {self.target}: t <= {self.t_max}, entries <= {self.entry_max}"
-            + (" (hypothesis-satisfying instances only)" if self.require_hypotheses else ""),
-            f"instances checked: {self.instances_checked}",
-            f"candidates: {len(self.candidates)}",
-        ]
-        for c in self.candidates:
-            lines.append(f"  CANDIDATE {c['instance']}: {c['lhs']} vs {c['rhs']}")
-        lines.append(f"runtime: {self.runtime_seconds:.2f}s")
-        return "\n".join(lines)
 
 
 def enumerate_cm2(t_max: int, entry_max: int) -> Iterator[cm2.DegreeMatrixCM2]:
@@ -289,17 +251,6 @@ _FLAG = {True: "true", False: "false", None: ""}
 # The flags of a pair of bounds with no value to bound.
 _NO_FLAGS = (None, None, None, None)
 
-# The purity of an instance whose step lists could not be formed.
-_UNKNOWN_PURITY = betti.Purity(None, None)
-
-
-def _failed(check: str, verdicts: tuple[BoundVerdict, ...], lower_holds: bool,
-            upper_holds: bool) -> list[tuple]:
-    """The anomalies of a pair's failing bounds, worded from its verdicts."""
-    return [(check, f"{v.name}: {v.lhs}", v.rhs)
-            for v, holds in zip(verdicts, (lower_holds, upper_holds)) if not holds]
-
-
 class Evaluation:
     """Everything a verb reads about one matrix, as plain attributes in
     two tiers, each filled once in dependency order.
@@ -327,16 +278,9 @@ class Evaluation:
     owner of each formula) and their holds and sharp flags, once each,
     as ints and bools, and from those it runs the enabled checks, renders
     the CSV line and picks the sharp case and the finding.  A failing
-    check is decided on those ints alone; its verdict is built only to
-    word the anomaly.
-
-    The report objects, ``summary``, ``purity`` and the verdicts
-    (``hhs``, ``sharper``, the family's ``prop24`` or ``srinivasan``, and
-    ``verdicts``), are built on first read from the stored ends, shifts
-    and e through the verdict functions: by compute, a failing check's
-    text, a prop24 finding and a hunt's candidate, and by no other row.
-    They are None where the instance has no value, and the summary,
-    purity and HHS verdicts where it has no ends.
+    check is decided on those ints alone, and files them as its
+    anomaly's fields: ``(check, kind, fields)``, given the instance by
+    :meth:`_row`.  compute reads the same tiers (``cli._compute_matrix``).
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
     order, and ``FINDINGS`` names the open bounds a sweep reports as
@@ -368,33 +312,28 @@ class Evaluation:
         value = next(iter(routes.values()))
         self.e = value if isinstance(value, int) else None
 
-    def route_anomalies(self) -> list[tuple]:
-        """(lhs, rhs) of each route that ran and failed, then of each
+    def route_anomalies(self) -> list[tuple[str, dict]]:
+        """(kind, fields) of each route that ran and failed, then of each
         route whose value differs from e: empty when the routes agree."""
         e, routes = self.e, self.routes
         # One distinct value among the routes means they all agree.
         if e is not None and len(set(routes.values())) == 1:
             return []
-        found = [(f"{name} route", value) for name, value in routes.items()
-                 if not isinstance(value, int)]
+        found = [("route_failed", {"route": name, "error": str(value)})
+                 for name, value in routes.items() if not isinstance(value, int)]
         if e is not None:
-            first = next(iter(routes))
-            found += [(f"{first}={e}", f"{name}={value}") for name, value in routes.items()
-                      if isinstance(value, int) and value != e]
+            found += [("routes_disagree", {"route": name, "value": value, "e": e})
+                      for name, value in routes.items() if isinstance(value, int) and value != e]
         return found
 
     def agree(self) -> bool:
         """Whether the routes agree, for a verb that files no anomalies:
         the first route that failed is raised as an anomaly naming it."""
         found = self.route_anomalies()
-        for lhs, rhs in found:
-            if isinstance(rhs, Exception):
-                raise InternalMismatch(f"{lhs}: {rhs}")
+        for kind, fields in found:
+            if kind == "route_failed":
+                raise InternalMismatch(f"{fields['route']} route: {fields['error']}")
         return not found
-
-    def extremes(self) -> ShiftSummary:
-        """The shifts computed from the matrix, as a ShiftSummary."""
-        return ShiftSummary(self.shifts[: self.codim], self.shifts[self.codim:])
 
     def tables(self) -> None:
         """The table tier, read after the value tier: the ends of the step
@@ -414,12 +353,14 @@ class Evaluation:
         the shifts' strict increase, which the caller tests."""
         found = self.route_anomalies()
         if found:
-            found = [("multiplicity_agreement", lhs, rhs) for lhs, rhs in found]
+            found = [("multiplicity_agreement", kind, fields) for kind, fields in found]
         if "shift_agreement" in on:
             if self.ends is not None and self.ends != self.shifts:
-                found.append(("shift_agreement", self.shifts, self.summary))
+                found.append(("shift_agreement", "shift_mismatch",
+                              {"shifts": list(self.shifts), "ends": list(self.ends)}))
             if not increasing:
-                found.append(("shift_agreement", "strictly increasing shifts", self.shifts))
+                found.append(("shift_agreement", "shifts_not_increasing",
+                              {"shifts": list(self.shifts)}))
         return found
 
     def _hhs(self, on: dict[str, int], found: list, pure: bool) -> tuple[bool, ...]:
@@ -427,20 +368,24 @@ class Evaluation:
         bounds of an instance with a value and ends, with the failures of
         hhs_bounds, sharpness_purity and huneke_miller filed into ``found``."""
         e, ends, p = self.e, self.ends, self.codim
-        flags = lower_holds, lower_sharp, upper_holds, upper_sharp = bounds.flags(
-            *bounds.hhs_sides(p, ends, e))
+        sides = bounds.hhs_sides(p, ends, e)
+        flags = lower_holds, lower_sharp, upper_holds, upper_sharp = bounds.flags(*sides)
         if "hhs_bounds" in on and not (lower_holds and upper_holds):
-            found += _failed("hhs_bounds", self.hhs, lower_holds, upper_holds)
+            shown = bounds.shown("hhs", sides, (math.factorial(p),) * 2)
+            found += [("hhs_bounds", "bound_fails", v) for v in shown if not v["holds"]]
         if "sharpness_purity" in on and not lower_sharp == upper_sharp == pure:
-            found.append(("sharpness_purity", "flags", bounds.sharpness_violation(*self.hhs, pure)))
+            found.append(("sharpness_purity", "sharpness_mismatch",
+                          {"lower_sharp": lower_sharp, "upper_sharp": upper_sharp, "pure": pure}))
         if "huneke_miller" in on and pure:
             try:
                 hm = betti.pure_shifts_multiplicity(ends[:p])
             except DivisibilityError as exc:
-                found.append(("huneke_miller", "pure-shift formula", exc))
+                found.append(("huneke_miller", "pure_formula_failed",
+                              {"shifts": list(ends[:p]), "error": str(exc)}))
             else:
                 if hm != e:
-                    found.append(("huneke_miller", hm, e))
+                    found.append(("huneke_miller", "huneke_miller_mismatch",
+                                  {"huneke_miller": hm, "e": e}))
         return flags
 
     def _extension(self, entry_max: int, found: list) -> None:
@@ -449,7 +394,7 @@ class Evaluation:
         through the family's extension kernel, called once on the base
         values with a <= the instance's own b_t; kernel inputs that
         cannot be formed (a gor3 block curve that raises) are filed once,
-        as ``kernel inputs``.
+        as ``kernel_inputs``.
 
         Those pairs fix every child, of any size.  For a fixed base both
         sides of each recursion are polynomials of total degree at most
@@ -471,9 +416,10 @@ class Evaluation:
         try:
             failures = self._extension_failures(self.e, self.block.b[-1], bound)
         except (InternalMismatch, DivisionError) as exc:
-            found.append(("extension", "kernel inputs", exc))
+            found.append(("extension", "kernel_inputs", {"error": str(exc)}))
             return
-        found += [("extension", f"append (a={a}, b={b})", exc) for a, b, exc in failures]
+        found += [("extension", "append_failed", {"a": a, "b": b, "error": str(exc)})
+                  for a, b, exc in failures]
 
     def _row(self, line: str | None, found: list, on: dict[str, int], pure: bool | None,
              finding: dict | None) -> tuple:
@@ -483,36 +429,12 @@ class Evaluation:
         if found:
             inst = self.instance.to_json_dict()
             found.sort(key=lambda x: on.get(x[0], -1))
-            anomalies = tuple(Anomaly(inst, check, str(lhs), str(rhs)) for check, lhs, rhs in found)
+            anomalies = tuple({"check": check, "kind": kind, "instance": inst, **fields}
+                              for check, kind, fields in found)
         sharp = None
         if pure and self.e is not None:
             sharp = {"instance": self.instance.to_json_dict(), "e": self.e}
         return line, anomalies, sharp, finding
-
-    @cached_property
-    def summary(self) -> ShiftSummary | None:
-        ends, p = self.ends, self.codim
-        return None if ends is None else ShiftSummary(ends[:p], ends[p:])
-
-    @cached_property
-    def purity(self) -> betti.Purity:
-        return _UNKNOWN_PURITY if self.summary is None else betti.summary_purity(self.summary)
-
-    @cached_property
-    def hhs(self) -> tuple[BoundVerdict, BoundVerdict] | None:
-        if self.summary is None or self.e is None:
-            return None
-        return bounds.hhs_bounds(self.summary, self.e)
-
-    def _candidate(self, v: BoundVerdict) -> dict:
-        return {
-            "instance": self.instance.to_json_dict(),
-            **self.shifts._asdict(),
-            "e": self.e,
-            "lhs": v.lhs,
-            "rhs": v.rhs,
-            "factor": v.factor,
-        }
 
 
 class CM2Evaluation(Evaluation):
@@ -541,25 +463,21 @@ class CM2Evaluation(Evaluation):
         """The resolution's step lists: the degree lists themselves."""
         return self.degrees
 
-    @cached_property
-    def sharper(self) -> tuple[BoundVerdict, BoundVerdict] | None:
-        return None if self.e is None else bounds.cm2_bounds(*self.shifts, self.e)
-
-    @cached_property
-    def prop24(self) -> bounds.Prop24Verdict | None:
-        return None if self.e is None else bounds.prop24_bound(self.instance, self.e, self.shifts)
-
-    @property
-    def prop24_flags(self) -> dict:
-        p24 = self.prop24
-        return {"hyp_i": p24.hyp_i, "hyp_ii": p24.hyp_ii, "hyp_ii_margin": p24.hyp_ii_margin}
-
-    @property
-    def verdicts(self) -> tuple[BoundVerdict, ...]:
-        return (*self.hhs, *self.sharper, self.prop24.verdict)
-
     def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
         return cm2.extension_failures(e, self.degrees, cap, entry_max)
+
+    @staticmethod
+    def _cm2_bounds_failed(sides: tuple[int, ...], cases: tuple[bool, bool], found: list) -> None:
+        """The anomalies of a failed cm2_bounds check, which asks that both
+        sharper bounds hold, each sharp exactly in its equality case
+        (:func:`bounds.cm2_equality_cases`): a bound that fails is filed
+        as that, not as a mismatch too."""
+        for v, equal in zip(bounds.shown("cm2", sides, bounds.FACTORS["cm2"]), cases):
+            if not v["holds"]:
+                found.append(("cm2_bounds", "bound_fails", v))
+            elif v["sharp"] != equal:
+                found.append(("cm2_bounds", "equality_case_mismatch",
+                              {"name": v["name"], "sharp": v["sharp"], "entries_equal": equal}))
 
     def sweep_row(self, on: dict[str, int], entry_max: int, csv: bool) -> tuple:
         """(CSV line or None, anomalies, sharp case, finding or None): one
@@ -578,41 +496,46 @@ class CM2Evaluation(Evaluation):
             if ends is not None:
                 hhs = self._hhs(on, found, pure)
             sides = bounds.cm2_sides(m1, m2, M1, M2, e)
-            sharper = lower_holds, _, upper_holds, _ = bounds.flags(*sides)
-            if "cm2_bounds" in on and not (lower_holds and upper_holds):
-                found += _failed("cm2_bounds", self.sharper, lower_holds, upper_holds)
+            sharper = bounds.flags(*sides)
+            if "cm2_bounds" in on:
+                cases = bounds.cm2_equality_cases(A.a, A.b)
+                if not (sharper[0] and sharper[2] and cases == (sharper[1], sharper[3])):
+                    self._cm2_bounds_failed(sides, cases, found)
             if "extension" in on:
                 self._extension(entry_max, found)
             if csv or "prop24" in on:
-                lhs, rhs = bounds.prop24_sides(s, e)
-                holds = lhs <= rhs
+                p24 = bounds.prop24_sides(s, e)
+                holds = p24[0] <= p24[1]
                 if not holds and "prop24" in on:
-                    v = self.prop24.verdict
-                    finding = {"instance": A.to_json_dict(), **self.prop24_flags,
-                               "lhs": v.lhs, "rhs": v.rhs}
+                    (v,) = bounds.shown("prop24", p24, bounds.FACTORS["prop24"])
+                    finding = {"instance": A.to_json_dict(), **bounds.prop24_hypotheses(A, s),
+                               "lhs": v["lhs"], "rhs": v["rhs"]}
         line = None
         if csv:
-            hyp_i, hyp_ii, _ = bounds.prop24_hypotheses(A, s)
+            hyp = bounds.prop24_hypotheses(A, s)
             line = (
                 f"cm2,{len(A.a)},{' '.join(map(str, A.a))},{' '.join(map(str, A.b))},,"
                 f"{m1},{m2},,{M1},{M2},,{'' if e is None else e},"
                 f"{_FLAG[pure]},{_FLAG[quasi_pure]},"
                 f"{_FLAG[hhs[0]]},{_FLAG[hhs[1]]},{_FLAG[hhs[2]]},{_FLAG[hhs[3]]},"
                 f"{_FLAG[sharper[0]]},{_FLAG[sharper[1]]},{_FLAG[sharper[2]]},{_FLAG[sharper[3]]},"
-                f",,,,{_FLAG[hyp_i]},{_FLAG[hyp_ii]},{_FLAG[holds]},,\n"
+                f",,,,{_FLAG[hyp['hyp_i']]},{_FLAG[hyp['hyp_ii']]},{_FLAG[holds]},,\n"
             )
         return self._row(line, found, on, pure, finding)
 
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of the prop24 bound, optionally only under a
-        hypothesis; only a violation builds its verdict."""
-        lhs, rhs = bounds.prop24_sides(self.shifts, self.e)
-        if lhs <= rhs:
+        hypothesis; only a violation is shown (:func:`bounds.shown`)."""
+        s, e = self.shifts, self.e
+        sides = bounds.prop24_sides(s, e)
+        if sides[0] <= sides[1]:
             return None
-        p24 = self.prop24
-        if require_hypotheses and not (p24.hyp_i or p24.hyp_ii):
+        hyp = bounds.prop24_hypotheses(self.instance, s)
+        if require_hypotheses and not (hyp["hyp_i"] or hyp["hyp_ii"]):
             return None
-        return {**self._candidate(p24.verdict), **self.prop24_flags}
+        (v,) = bounds.shown("prop24", sides, bounds.FACTORS["prop24"])
+        return {"instance": self.instance.to_json_dict(), **s._asdict(), "e": e,
+                "lhs": v["lhs"], "rhs": v["rhs"], "factor": v["factor"], **hyp}
 
 
 class Gor3Evaluation(Evaluation):
@@ -653,18 +576,6 @@ class Gor3Evaluation(Evaluation):
             self.block_curve = gor3.block_curve(self.degrees)
         return self.block_curve
 
-    @cached_property
-    def sharper(self) -> tuple[BoundVerdict, BoundVerdict] | None:
-        return None if self.e is None else bounds.gor3_bounds(*self.shifts[:3], self.e)
-
-    @cached_property
-    def srinivasan(self) -> tuple[BoundVerdict, BoundVerdict, bool] | None:
-        return None if self.e is None else bounds.srinivasan_bounds(self.extremes(), self.e)
-
-    @property
-    def verdicts(self) -> tuple[BoundVerdict, ...]:
-        return (*self.hhs, *self.sharper, *self.srinivasan[:2])
-
     def _extension_failures(self, e: int, cap: int, entry_max: int) -> list[tuple]:
         return gor3.extension_failures(self.instance, e, self.curve(), self.degrees, cap, entry_max)
 
@@ -686,14 +597,16 @@ class Gor3Evaluation(Evaluation):
             if "self_duality" in on:
                 step1 = self.resolution()[0]
                 if not all(0 < shift < m3 for shift in step1):
-                    found.append(("self_duality", "step-1 shifts inside (0, m3)", step1))
+                    found.append(("self_duality", "self_duality", {"step1": list(step1), "m3": m3}))
         if e is not None:
             if ends is not None:
                 hhs = self._hhs(on, found, pure)
             sides = bounds.gor3_sides(m1, m2, m3, e)
             sharper = lower_holds, _, upper_holds, _ = bounds.flags(*sides)
             if "gor3_bounds" in on and not (lower_holds and upper_holds):
-                found += _failed("gor3_bounds", self.sharper, lower_holds, upper_holds)
+                found += [("gor3_bounds", "bound_fails", v)
+                          for v in bounds.shown("gor3", sides, bounds.FACTORS["gor3"])
+                          if not v["holds"]]
             if "extension" in on:
                 self._extension(entry_max, found)
             if csv:
@@ -714,14 +627,16 @@ class Gor3Evaluation(Evaluation):
     def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
         """A violation of Srinivasan's upper bound, optionally only under
         quasi-purity, the hypothesis under which the bound is claimed;
-        only a violation builds its verdict."""
-        lhs, _, _, upper = bounds.srinivasan_sides(self.shifts, self.e)
-        if lhs <= upper:
+        only a violation is shown (:func:`bounds.shown`)."""
+        s, e = self.shifts, self.e
+        sides = bounds.srinivasan_sides(s, e)
+        if sides[2] <= sides[3]:
             return None
-        _, verdict, quasi_pure = self.srinivasan
-        if require_hypotheses and not quasi_pure:
+        if require_hypotheses and not betti.purity(s)[1]:
             return None
-        return self._candidate(verdict)
+        _, v = bounds.shown("srinivasan", sides, bounds.FACTORS["srinivasan"])
+        return {"instance": self.instance.to_json_dict(), **s._asdict(), "e": e,
+                "lhs": v["lhs"], "rhs": v["rhs"], "factor": v["factor"]}
 
 
 # The evaluation class of each family.
@@ -770,7 +685,7 @@ def _sweep_instance(item, cls: type, order: dict[str, int], entry_max: int, csv:
 def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
     start = time.perf_counter()
     n = 0
-    anomalies: list[Anomaly] = []
+    anomalies: list[dict] = []
     sharps: list[dict] = []
     findings: list[dict] = []
     fn = partial(

@@ -218,6 +218,13 @@ def betti_table(X) -> betti.BettiTable:
     )
 
 
+def table_ends(table: betti.BettiTable) -> tuple[int, ...]:
+    """(m_1..m_p, M_1..M_p) of a table: each step's least shift, then
+    each step's greatest."""
+    shifts = [[shift for shift, _ in step] for step in table.steps]
+    return (*map(min, shifts), *map(max, shifts))
+
+
 def quotient_values(table: betti.BettiTable) -> tuple[int, int]:
     """Multiplicity e = sum_i q_i and dimension-2 genus
     g = 1 + sum_i q_i (i - 1) read off the dense :func:`hilbert_quotient`."""

@@ -1,98 +1,126 @@
-"""Tests for the cleared-integer bound verdicts."""
+"""Tests for the bounds' cleared integer sides and the objects reports show."""
+import math
 import random
 
 import pytest
 from hypothesis import given
 
-from degmult import betti, bounds, cm2, sweep
-from degmult.betti import ShiftSummary
-from degmult.errors import CharacterizationViolated
+from degmult import betti, bounds, cli, cm2, sweep
 
 from bruteforce import degree_grid, naive_colength
 from strategies import cm2_matrices
 
 
-def summary(m, M):
-    return ShiftSummary(m=tuple(m), M=tuple(M))
+def hhs(m, M, e):
+    """The HHS bounds of shifts m, M and e, as compute shows them."""
+    p = len(m)
+    return bounds.shown("hhs", bounds.hhs_sides(p, (*m, *M), e), (math.factorial(p),) * 2)
+
+
+def cm2_pair(m1, m2, M1, M2, e):
+    return bounds.shown("cm2", bounds.cm2_sides(m1, m2, M1, M2, e), bounds.FACTORS["cm2"])
+
+
+def gor3_pair(m1, m2, m3, e):
+    return bounds.shown("gor3", bounds.gor3_sides(m1, m2, m3, e), bounds.FACTORS["gor3"])
+
+
+def prop24(A, e):
+    """prop24's hypotheses and its one bound, as compute shows them."""
+    s = cm2.shifts(A)
+    (v,) = bounds.shown("prop24", bounds.prop24_sides(s, e), bounds.FACTORS["prop24"])
+    return bounds.prop24_hypotheses(A, s), v
+
+
+def srinivasan(m, M, e):
+    """Srinivasan's pair and the quasi-purity it is claimed under."""
+    ends = (*m, *M)
+    sides = bounds.srinivasan_sides(ends, e)
+    pair = bounds.shown("srinivasan", sides, bounds.FACTORS["srinivasan"])
+    return (*pair, betti.purity(ends)[1])
+
+
+def sides(v):
+    return v["lhs"], v["rhs"]
 
 
 class TestHHSBounds:
     def test_example_matrix(self):
-        lo, up = bounds.hhs_bounds(summary((5, 6), (5, 7)), 17)
-        assert (lo.lhs, lo.rhs, lo.holds, lo.sharp) == (34, 30, True, False)
-        assert (up.lhs, up.rhs, up.holds, up.sharp) == (34, 35, True, False)
+        lo, up = hhs((5, 6), (5, 7), 17)
+        assert (lo["lhs"], lo["rhs"], lo["holds"], lo["sharp"]) == (34, 30, True, False)
+        assert (up["lhs"], up["rhs"], up["holds"], up["sharp"]) == (34, 35, True, False)
 
     def test_pure_235(self):
-        lo, up = bounds.hhs_bounds(summary((2, 3, 5), (2, 3, 5)), 5)
-        assert lo.sharp and up.sharp
-        assert lo.lhs == lo.rhs == 30
+        lo, up = hhs((2, 3, 5), (2, 3, 5), 5)
+        assert lo["sharp"] and up["sharp"]
+        assert lo["lhs"] == lo["rhs"] == 30
 
     def test_ci_225(self):
-        lo, up = bounds.hhs_bounds(summary((2, 4, 9), (5, 7, 9)), 20)
-        assert (lo.lhs, lo.rhs) == (120, 72)
-        assert (up.lhs, up.rhs) == (120, 315)
-        assert lo.holds and up.holds
+        lo, up = hhs((2, 4, 9), (5, 7, 9), 20)
+        assert sides(lo) == (120, 72)
+        assert sides(up) == (120, 315)
+        assert lo["holds"] and up["holds"]
 
 
 class TestCM2Bounds:
     def test_lower_sharp_case(self):
-        lo, up = bounds.cm2_bounds(2, 3, 3, 4, 4)
-        assert (lo.lhs, lo.rhs, lo.sharp) == (8, 8, True)
-        assert (up.lhs, up.rhs, up.holds) == (8, 10, True)
+        lo, up = cm2_pair(2, 3, 3, 4, 4)
+        assert (lo["lhs"], lo["rhs"], lo["sharp"]) == (8, 8, True)
+        assert (up["lhs"], up["rhs"], up["holds"]) == (8, 10, True)
 
     def test_pure_linear(self):
-        lo, up = bounds.cm2_bounds(1, 2, 1, 2, 1)
-        assert lo.sharp and up.sharp
+        lo, up = cm2_pair(1, 2, 1, 2, 1)
+        assert lo["sharp"] and up["sharp"]
 
     def test_example_matrix(self):
-        lo, up = bounds.cm2_bounds(5, 6, 5, 7, 17)
-        assert (lo.lhs, lo.rhs, lo.holds) == (34, 32, True)
-        assert up.holds
+        lo, up = cm2_pair(5, 6, 5, 7, 17)
+        assert (lo["lhs"], lo["rhs"], lo["holds"]) == (34, 32, True)
+        assert up["holds"]
 
 
 class TestGor3Bounds:
     def test_mixed(self):
-        lo, up = bounds.gor3_bounds(2, 3, 7, 12)
-        assert (lo.lhs, lo.rhs, lo.holds) == (72, 58, True)
-        assert (up.lhs, up.rhs, up.holds) == (144, 252, True)
+        lo, up = gor3_pair(2, 3, 7, 12)
+        assert (lo["lhs"], lo["rhs"], lo["holds"]) == (72, 58, True)
+        assert (up["lhs"], up["rhs"], up["holds"]) == (144, 252, True)
 
     def test_pure_quadrics(self):
-        lo, up = bounds.gor3_bounds(2, 3, 5, 5)
-        assert lo.sharp and up.sharp
+        lo, up = gor3_pair(2, 3, 5, 5)
+        assert lo["sharp"] and up["sharp"]
 
     def test_ci_225(self):
-        lo, up = bounds.gor3_bounds(2, 4, 9, 20)
-        assert (lo.lhs, lo.rhs) == (120, 96)
-        assert (up.lhs, up.rhs) == (240, 576)
+        lo, up = gor3_pair(2, 4, 9, 20)
+        assert sides(lo) == (120, 96)
+        assert sides(up) == (240, 576)
 
 
 class TestProp24:
     def test_example_matrix_fails(self):
         A = cm2.validate([2, 2, 1], [2, 2, 1])
-        res = bounds.prop24_bound(A, 17, cm2.shifts(A))
-        assert not res.hyp_i
-        assert not res.hyp_ii
-        assert res.hyp_ii_margin == -1
-        assert (res.verdict.lhs, res.verdict.rhs) == (34, 33)
-        assert not res.verdict.holds
+        hyp, v = prop24(A, 17)
+        assert not hyp["hyp_i"]
+        assert not hyp["hyp_ii"]
+        assert hyp["hyp_ii_margin"] == -1
+        assert sides(v) == (34, 33)
+        assert not v["holds"]
 
     def test_all_entries_at_least_two(self):
         A = cm2.validate([2, 2], [2, 2])
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 12
         assert naive_colength([(0, 4), (2, 2), (4, 0)]) == 12
-        res = bounds.prop24_bound(A, e, cm2.shifts(A))
-        assert res.hyp_i
-        assert res.verdict.holds and res.verdict.sharp  # 24 <= 24
+        hyp, v = prop24(A, e)
+        assert hyp["hyp_i"]
+        assert v["holds"] and v["sharp"]  # 24 <= 24
 
     def test_margin_zero(self):
         A = cm2.validate([1, 1], [1, 2])
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 5
         assert naive_colength([(0, 3), (1, 2), (2, 0)]) == 5
-        res = bounds.prop24_bound(A, e, cm2.shifts(A))
-        assert res.hyp_ii and res.hyp_ii_margin == 0
-        assert (res.verdict.lhs, res.verdict.rhs, res.verdict.holds) == (10, 10, True)
+        hyp, v = prop24(A, e)
+        assert hyp["hyp_ii"] and hyp["hyp_ii_margin"] == 0
+        assert (v["lhs"], v["rhs"], v["holds"]) == (10, 10, True)
 
     def test_margin_uses_superdiagonal_entry(self):
         # bound holds here (16 <= 18) but the margin 1 - 2*2 + 1 is negative
@@ -100,9 +128,9 @@ class TestProp24:
         e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
         assert e == 8
         assert naive_colength([(0, 4), (1, 2), (3, 0)]) == 8
-        res = bounds.prop24_bound(A, e, cm2.shifts(A))
-        assert not res.hyp_ii and res.hyp_ii_margin == -2
-        assert (res.verdict.lhs, res.verdict.rhs, res.verdict.holds) == (16, 18, True)
+        hyp, v = prop24(A, e)
+        assert not hyp["hyp_ii"] and hyp["hyp_ii_margin"] == -2
+        assert (v["lhs"], v["rhs"], v["holds"]) == (16, 18, True)
 
     def test_family_refuting_subdiagonal_reading(self):
         # a = b = (k, 1): the bound fails although the subdiagonal entry
@@ -111,30 +139,30 @@ class TestProp24:
             A = cm2.validate([k, 1], [k, 1])
             e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
             assert e == k * k + k + 1
-            res = bounds.prop24_bound(A, e, cm2.shifts(A))
-            assert not res.verdict.holds
-            assert not res.hyp_i and not res.hyp_ii
-            assert res.hyp_ii_margin == k - 2 * k + 1
+            hyp, v = prop24(A, e)
+            assert not v["holds"]
+            assert not hyp["hyp_i"] and not hyp["hyp_ii"]
+            assert hyp["hyp_ii_margin"] == k - 2 * k + 1
 
     def test_follows_from_cm2_upper_when_b_t_is_at_least_2(self):
         """prop24's right side minus cm2_upper's is (m2 - m1 - 2)(M2 - m2
         + M1 - m1), with m2 - m1 = b_t, so no instance with b_t >= 2 fails
-        prop24, and hypothesis (i) forces b_t >= 2, as prop24_bound's
+        prop24, and hypothesis (i) forces b_t >= 2, as prop24_sides'
         docstring proves: pinned on all 31,614 matrices of t <= 4,
         entries <= 5."""
         tally = {"b_t >= 2": 0, "hyp_i": 0}
         for A in sweep.enumerate_cm2(4, 5):
             s = cm2.shifts(A)
             e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
-            p24 = bounds.prop24_bound(A, e, s)
-            upper = bounds.cm2_bounds(*s, e)[1]
+            hyp, p24 = prop24(A, e)
+            upper = cm2_pair(*s, e)[1]
             assert s.m2 - s.m1 == A.b[-1]
             spread = s.M2 - s.m2 + s.M1 - s.m1
-            assert p24.verdict.rhs - upper.rhs == (A.b[-1] - 2) * spread
+            assert p24["rhs"] - upper["rhs"] == (A.b[-1] - 2) * spread
             if A.b[-1] >= 2:
-                assert upper.holds and p24.verdict.holds
+                assert upper["holds"] and p24["holds"]
                 tally["b_t >= 2"] += 1
-            if p24.hyp_i:
+            if hyp["hyp_i"]:
                 assert A.b[-1] >= 2
                 tally["hyp_i"] += 1
         assert tally == {"b_t >= 2": 29_055, "hyp_i": 725}
@@ -166,10 +194,7 @@ class TestProp24Hypotheses:
     def _check(self, matrices):
         seen = set()
         for A in matrices:
-            p24 = bounds.prop24_bound(
-                A, cm2.multiplicity_from_degrees(*cm2.degrees(A)), cm2.shifts(A)
-            )
-            got = (p24.hyp_i, p24.hyp_ii, p24.hyp_ii_margin)
+            got = tuple(bounds.prop24_hypotheses(A, cm2.shifts(A)).values())
             assert got == _grid_hypotheses(A), A
             seen.add(got[:2])
         return seen
@@ -194,7 +219,7 @@ class TestProp24Hypotheses:
         holding = 0
         for A in sweep.enumerate_cm2(3, 5):
             margin_holds = len(A.a) >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
-            hyp_ii = bounds.prop24_bound(A, 0, cm2.shifts(A)).hyp_ii
+            hyp_ii = bounds.prop24_hypotheses(A, cm2.shifts(A))["hyp_ii"]
             assert margin_holds == self._closed_form(A) == hyp_ii, A
             holding += margin_holds
         assert holding > 0
@@ -202,60 +227,63 @@ class TestProp24Hypotheses:
     @given(cm2_matrices(max_t=12))
     def test_hyp_ii_closed_form(self, A):
         margin_holds = len(A.a) >= 2 and A.a[0] - 2 * A.b[0] + 1 >= 0
-        hyp_ii = bounds.prop24_bound(A, 0, cm2.shifts(A)).hyp_ii
+        hyp_ii = bounds.prop24_hypotheses(A, cm2.shifts(A))["hyp_ii"]
         assert margin_holds == self._closed_form(A) == hyp_ii
 
 
 class TestSrinivasanBounds:
     def test_ci_225_lower_violated(self):
-        lo, up, quasi = bounds.srinivasan_bounds(summary((2, 4, 9), (5, 7, 9)), 20)
-        assert (lo.lhs, lo.rhs, lo.holds) == (120, 126, False)
-        assert up.holds
+        lo, up, quasi = srinivasan((2, 4, 9), (5, 7, 9), 20)
+        assert (lo["lhs"], lo["rhs"], lo["holds"]) == (120, 126, False)
+        assert up["holds"]
         assert not quasi
 
     def test_pure_235(self):
-        lo, up, quasi = bounds.srinivasan_bounds(summary((2, 3, 5), (2, 3, 5)), 5)
-        assert lo.sharp and up.sharp and quasi
-        assert lo.lhs == lo.rhs == 30
+        lo, up, quasi = srinivasan((2, 3, 5), (2, 3, 5), 5)
+        assert lo["sharp"] and up["sharp"] and quasi
+        assert lo["lhs"] == lo["rhs"] == 30
 
     def test_mixed(self):
-        lo, up, quasi = bounds.srinivasan_bounds(summary((2, 3, 7), (4, 5, 7)), 12)
-        assert (up.lhs, up.rhs, up.holds) == (72, 84, True)
+        lo, up, quasi = srinivasan((2, 3, 7), (4, 5, 7), 12)
+        assert (up["lhs"], up["rhs"], up["holds"]) == (72, 84, True)
         assert not quasi
 
     def test_wrong_codim(self):
         with pytest.raises(ValueError):
-            bounds.srinivasan_bounds(summary((1, 2), (1, 2)), 1)
+            bounds.srinivasan_sides((1, 2, 1, 2), 1)
 
 
-def sharpness(s, e):
-    """The sharpness flags of the HHS verdicts of shifts s and e."""
-    return bounds.sharpness(*bounds.hhs_bounds(s, e), betti.summary_purity(s).pure)
+def sharpness(m, M, e):
+    """The sharp flags of the HHS bounds of shifts m, M and e, and purity."""
+    lo, up = hhs(m, M, e)
+    return lo["sharp"], up["sharp"], betti.purity((*m, *M))[0]
 
 
 class TestSharpness:
     def test_pure(self):
-        v = sharpness(summary((2, 3, 5), (2, 3, 5)), 5)
-        assert v == (True, True, True)
+        assert sharpness((2, 3, 5), (2, 3, 5), 5) == (True, True, True)
 
     def test_example_matrix(self):
-        v = sharpness(summary((5, 6), (5, 7)), 17)
-        assert v == (False, False, False)
+        assert sharpness((5, 6), (5, 7), 17) == (False, False, False)
 
     def test_mixed_gor3(self):
-        v = sharpness(summary((2, 3, 7), (4, 5, 7)), 12)
-        assert v == (False, False, False)
+        assert sharpness((2, 3, 7), (4, 5, 7), 12) == (False, False, False)
 
-    def test_disagreeing_flags_raise(self):
-        with pytest.raises(CharacterizationViolated, match="lower=True, upper=False, pure=False"):
-            sharpness(summary((1, 2), (1, 3)), 1)
+    def test_disagreeing_flags_raise(self, capsys, monkeypatch):
+        """compute on a pure matrix whose value route reads one too many
+        finds no sharp bound: it stops with exit 1 and one anomaly line
+        naming the flags, with no repr in it."""
+        monkeypatch.setitem(sweep.CM2Evaluation.ROUTES, "uv", lambda ev: 2)
+        assert cli.main(["compute", "--cm2", "--a", "1", "--b", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", "anomaly: sharpness/purity flags disagree: lower=False, upper=False, pure=True\n")
 
 
 class TestVerdictSerialization:
     def test_json_fields(self):
-        lo, _ = bounds.cm2_bounds(2, 3, 3, 4, 4)
-        doc = lo.to_json_dict()
-        assert doc == {
+        lo, _ = cm2_pair(2, 3, 3, 4, 4)
+        assert lo == {
             "name": "cm2_lower",
             "lhs": 8,
             "relation": ">=",
@@ -271,6 +299,6 @@ class TestVerdictSerialization:
             A = cm2.validate(a, b)
             s = cm2.shifts(A)
             e = cm2.multiplicity_from_degrees(*cm2.degrees(A))
-            lo, up = bounds.cm2_bounds(s.m1, s.m2, s.M1, s.M2, e)
-            assert lo.rhs >= s.m1 * s.m2
-            assert up.rhs <= s.M1 * s.M2
+            lo, up = cm2_pair(s.m1, s.m2, s.M1, s.M2, e)
+            assert lo["rhs"] >= s.m1 * s.m2
+            assert up["rhs"] <= s.M1 * s.M2

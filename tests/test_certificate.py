@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from degmult import betti, cm2, gor3, sweep
+from degmult import betti, bounds, cm2, gor3, sweep
 
 # family: (degree k of every route, largest t certified, matrix of a point)
 FAMILIES = {
@@ -108,7 +108,7 @@ class TestLatticeCertificate:
 def sharper_cm2_gaps(A):
     """The evaluation of the cm2 matrix A, its u/v data read off the
     degree lists, and ({gap: (value, closed form)} of both sharper cm2
-    bounds, each closed form as the ``bounds.cm2_bounds`` docstring
+    bounds, each closed form as the ``bounds.cm2_sides`` docstring
     writes it, 0-based)."""
     ev = sweep.evaluate(A)
     gens, syz = ev.degrees
@@ -144,18 +144,20 @@ class TestSharperCM2Gaps:
     def test_equality_cases(self):
         """A bound is attained iff its gap's difference factors all
         vanish: lower iff u_1 = v_1 = .. = u_(t-1) = v_(t-1), upper iff
-        u_2 = v_2 = .. = u_t = v_t."""
+        u_2 = v_2 = .. = u_t = v_t, which ``bounds.cm2_equality_cases``
+        reads off the entries."""
         sharp = {"lower": 0, "upper": 0}
         instances = 0
         for A in sweep.enumerate_cm2(3, 5):
             instances += 1
             ev, u, v, _ = sharper_cm2_gaps(A)
-            lower, upper = ev.sharper
+            _, lower, _, upper = bounds.flags(*bounds.cm2_sides(*ev.shifts, ev.e))
             t = len(u)
-            assert lower.sharp == (len({*u[:t - 1], *v[:t - 1]}) <= 1), A
-            assert upper.sharp == (len({*u[1:], *v[1:]}) <= 1), A
-            sharp["lower"] += lower.sharp
-            sharp["upper"] += upper.sharp
+            assert lower == (len({*u[:t - 1], *v[:t - 1]}) <= 1), A
+            assert upper == (len({*u[1:], *v[1:]}) <= 1), A
+            assert bounds.cm2_equality_cases(A.a, A.b) == (lower, upper), A
+            sharp["lower"] += lower
+            sharp["upper"] += upper
         assert 0 < min(sharp.values()) and max(sharp.values()) < instances
 
 

@@ -18,7 +18,7 @@ The cases at benchmark size read their digests from
 ``benchmarks/golden.json`` and the ``compute_large`` inputs from
 ``benchmarks/inputs.py``, both as they are; acceptance 4's CSV, which
 the benchmark does not record, the faulted extension run and the
-faulted bounds runs, the only reports that word a failing bound check,
+faulted bounds runs, the only reports that hold a failing bound check,
 are pinned here.  The two acceptance ranges are swept at one job once per session,
 by the fixtures in ``conftest.py``, and here again at two.
 """
@@ -34,6 +34,7 @@ from degmult import cm2, gor3, sweep
 from degmult.cli import main
 
 from bruteforce import betti_table, checked_pairs
+from test_sweep import assert_anomalies_are_data
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
@@ -259,24 +260,30 @@ GOLDEN = {
 # Acceptance 4's CSV, for which the benchmark records no digest.
 ACCEPTANCE_4_DIGEST = "a3effd99752de0f252fc1b940135476717d0fd78f9966c8b58de9840ebab19f5"
 # Every cm2 child that EXTENSION_CM2's sweep checks failing its recursion.
-FAULTED_EXTENSION_DIGEST = "5eff35ed5ae4975ca955b758b16997497d30e92ad5937d3a36307970f04bb4fe"
+FAULTED_EXTENSION_DIGEST = "aefec73c270973d762329a242c680a505a2953c93c872f514ffd7fee5edff8fc"
 
 # Every bound check failing the way a value route off by one makes it:
 # family -> (argv, the value route's module and function, sha256, the
-# anomalies filed per check).
+# anomalies filed per check and kind).  The cm2 equality cases are off
+# too: a bound that still holds is no longer sharp where its entries say
+# it must be.
 FAULTED_BOUNDS = {
     "cm2": (
         ["sweep", "--cm2", "--t-max", "3", "--entry-max", "4",
          "--checks", "cm2_bounds,hhs_bounds,sharpness_purity,huneke_miller,prop24"],
         (cm2, "_multiplicity"),
-        "ec8b189e36aff667ff2f7cbf07672d99383cdfea69eba9d24c5b251ea23dfd28",
-        {"cm2_bounds": 74, "sharpness_purity": 20, "hhs_bounds": 14, "huneke_miller": 12}),
+        "201c1d8fab68b78f5d868a2972b72b8cd7ab0139834068ea63dcf9f0faac77c7",
+        {("cm2_bounds", "bound_fails"): 74, ("cm2_bounds", "equality_case_mismatch"): 95,
+         ("sharpness_purity", "sharpness_mismatch"): 20, ("hhs_bounds", "bound_fails"): 14,
+         ("huneke_miller", "huneke_miller_mismatch"): 12}),
     "gor3": (
         ["sweep", "--gor3", "--t-max", "2", "--entry-max", "4",
          "--checks", "gor3_bounds,hhs_bounds,sharpness_purity,huneke_miller"],
         (gor3, "multiplicity_pfaffian"),
-        "d7be676082b0305f8f35474be8553c31084f49fbad020cefa333d967bffb9041",
-        {"gor3_bounds": 8, "hhs_bounds": 8, "sharpness_purity": 8, "huneke_miller": 8}),
+        "888806e0dca2b7b8ca6452f04cdd718d392e16b4a8eaec6ce9a1b2d1ed897601",
+        {("gor3_bounds", "bound_fails"): 8, ("hhs_bounds", "bound_fails"): 8,
+         ("sharpness_purity", "sharpness_mismatch"): 8,
+         ("huneke_miller", "huneke_miller_mismatch"): 8}),
 }
 
 # compute stops at the matrix whose multiplicity passes the int-to-str
@@ -338,26 +345,29 @@ def test_faulted_extension(jobs, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cm2, "multiplicity_from_degrees", lambda e, f: real(e, f) + 1)
     argv = [*EXTENSION_CM2, "--format", "json", "--out", "{OUT}", "--jobs", jobs]
     assert _run(argv, tmp_path, capsys) == (1, FAULTED_EXTENSION_DIGEST)
-    anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
+    report = json.loads((tmp_path / "out.bin").read_text())
     checked = sum(len(list(checked_pairs("cm2", A.b[-1], 5))) for A in sweep.enumerate_cm2(3, 5))
-    assert len(anomalies) == checked == 14_334
+    assert len(report["anomalies"]) == checked == 14_334
+    assert {a["kind"] for a in report["anomalies"]} == {"append_failed"}
+    assert_anomalies_are_data(report)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("family", sorted(FAULTED_BOUNDS))
 def test_faulted_bounds(family, jobs, tmp_path, capsys, monkeypatch):
     """With the value route off by one, the bound checks file their
-    failures as data, each worded from its verdict, and exit 1: the
-    bytes of a failing bound check, which no clean report shows."""
+    failures as data, a failing bound as compute shows it, and exit 1:
+    the bytes of a failing bound check, which no clean report shows."""
     argv, (module, name), digest, per_check = FAULTED_BOUNDS[family]
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
     argv = [*argv, "--format", "json", "--out", "{OUT}", "--jobs", jobs]
     assert _run(argv, tmp_path, capsys) == (1, digest)
-    anomalies = json.loads((tmp_path / "out.bin").read_text())["anomalies"]
-    checks = [a["check"] for a in anomalies]
-    assert {check: checks.count(check) for check in per_check} == per_check
-    assert len(checks) == sum(per_check.values())
+    report = json.loads((tmp_path / "out.bin").read_text())
+    kinds = [(a["check"], a["kind"]) for a in report["anomalies"]]
+    assert {kind: kinds.count(kind) for kind in per_check} == per_check
+    assert len(kinds) == sum(per_check.values())
+    assert_anomalies_are_data(report)
 
 
 @pytest.mark.parametrize("seed", range(4))

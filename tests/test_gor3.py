@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from degmult import betti, cm2, gor3
 from degmult.errors import CenterTooSmall, NotMonotone
 
-from bruteforce import betti_table, brute_gor3, extend_from, quotient_values, sorted_gor3_steps
+from bruteforce import (
+    betti_table, brute_gor3, extend_from, quotient_values, sorted_gor3_steps, table_ends,
+)
 from strategies import gor3_matrices
 
 CI_225 = gor3.validate([2], [2], 5)
@@ -223,9 +225,7 @@ class TestProperties:
     @given(gor3_matrices())
     def test_shift_agreement_with_table(self, G):
         s = gor3.shifts(G)
-        summary = betti.shift_summary(betti_table(G))
-        assert summary.m == (s.m1, s.m2, s.m3)
-        assert summary.M == (s.M1, s.M2, s.M3)
+        assert table_ends(betti_table(G)) == s
         assert s.m1 < s.m2 < s.m3 and s.M1 < s.M2 < s.M3
 
     @given(gor3_matrices(), st.integers(1, 5), st.integers(0, 4))

@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import multiprocessing
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -29,6 +28,7 @@ from bruteforce import (
     hilbert_quotient,
     quotient_values,
     sweep_row,
+    table_ends,
 )
 from strategies import cm2_matrices, gor3_matrices
 from test_certificate import extension_disagreements
@@ -107,7 +107,7 @@ def assert_resolution_matches_table(X):
     gor = isinstance(X, gor3.DegreeMatrixGor3)
     table = betti_table(X)
     assert ev.routes["resolution"] == sum(hilbert_quotient(table))
-    assert ev.summary == betti.shift_summary(table)
+    assert ev.ends == table_ends(table)
     block = X.base if gor else X
     curve = quotient_values(betti_table(block))
     assert betti._multiplicity_and_genus(2, *betti.signed_terms(cm2.degrees(block))) == curve
@@ -332,7 +332,7 @@ class TestOnlyEnabledChecksCompute:
         assert calls == []
         for report in reports:
             assert report.instances_checked > 0
-            assert all(a.check in report.checks for a in report.anomalies)
+            assert all(a["check"] in report.checks for a in report.anomalies)
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_enabled_check_reports_route_failures(self, monkeypatch, family):
@@ -341,16 +341,16 @@ class TestOnlyEnabledChecksCompute:
         report = sweep.verify_all(config)
         assert calls
         assert report.anomalies
-        assert {a.check for a in report.anomalies} == {"multiplicity_agreement"}
-        assert all(a.lhs.endswith(" route") for a in report.anomalies)
+        assert {(a["check"], a["kind"]) for a in report.anomalies} == {
+            ("multiplicity_agreement", "route_failed")}
         # Every route after the value route is faulted, the resolution route included.
         later = list(EVALUATIONS[family].ROUTES)[1:]
-        assert {a.lhs for a in report.anomalies} == {f"{name} route" for name in later}
+        assert {a["route"] for a in report.anomalies} == set(later)
 
     @pytest.mark.parametrize("target, family", sorted(sweep.HUNT_TARGETS.items()))
     def test_hunts_read_no_betti_table(self, monkeypatch, target, family):
         calls = self.failing_routes(monkeypatch)
-        for module, name in ((gor3, "step_lists"), (betti, "step_ends"), (betti, "shift_summary")):
+        for module, name in ((gor3, "step_lists"), (betti, "step_ends")):
             monkeypatch.setattr(module, name, lambda *args: calls.append(args))
         for require in (False, True):
             report = sweep.hunt(target, sweep.SweepConfig(family, 3, 3), require)
@@ -557,21 +557,28 @@ class TestRowMatchesCompute:
 
 
 class TestVerdictsOnlyWhereShown:
-    """Each bound is decided on its integer sides, and its BoundVerdict is
-    built only where a report shows one: a clean sweep builds one per
-    prop24 finding and no other, and a hunt one per candidate's bound."""
+    """Each bound is decided on its integer sides, and its JSON object
+    (``bounds.shown``) is made only where a report shows one: a clean
+    sweep makes one per prop24 finding and no other, and a hunt one per
+    bound of a candidate's pair."""
 
     @staticmethod
-    def count_verdicts(monkeypatch):
+    def count_shown(monkeypatch):
         built = []
-        real = bounds.BoundVerdict
-        monkeypatch.setattr(bounds, "BoundVerdict", lambda *args: built.append(args) or real(*args))
+        real = bounds.shown
+
+        def shown(*args):
+            made = real(*args)
+            built.extend(made)
+            return made
+
+        monkeypatch.setattr(bounds, "shown", shown)
         return built
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_clean_sweep(self, monkeypatch, family):
         findings = len(_prop24_closed_form(3, 4)) if family == "cm2" else 0
-        built = self.count_verdicts(monkeypatch)
+        built = self.count_shown(monkeypatch)
         report = sweep.write_sweep_csv(sweep.SweepConfig(family, 3, 4), io.StringIO())
         assert report.ok and report.sharp_cases
         assert len(built) == len(report.prop24_findings) == findings
@@ -584,16 +591,16 @@ class TestVerdictsOnlyWhereShown:
         ("prop24_bound", 4, 5, 1), ("srinivasan_upper_gor3", 3, 6, 2),
     ])
     def test_hunt(self, monkeypatch, target, t_max, entry_max, per_candidate):
-        """prop24_bound builds one verdict per candidate, and Srinivasan's
-        pair two; under the hypotheses, every instance failing the bound
-        builds them, and only those."""
-        built = self.count_verdicts(monkeypatch)
+        """prop24_bound shows its one bound per candidate, and Srinivasan's
+        pair two; under the hypotheses, only the candidates that meet them
+        show theirs, as the hypotheses are read on integers first."""
+        built = self.count_shown(monkeypatch)
         config = sweep.SweepConfig(sweep.target_family(target), t_max, entry_max)
         report = sweep.hunt(target, config)
         assert len(built) == per_candidate * len(report.candidates) > 0
         restricted = sweep.hunt(target, config, require_hypotheses=True)
         assert len(restricted.candidates) < len(report.candidates)
-        assert len(built) == 2 * per_candidate * len(report.candidates)
+        assert len(built) == per_candidate * (len(report.candidates) + len(restricted.candidates))
 
 
 def appended_children(config):
@@ -678,13 +685,14 @@ class TestExtensionCheck:
         config = sweep.SweepConfig(family, 1, 4, checks=("extension",))
         report = sweep.verify_all(config)
         expected = [
-            (inst.to_json_dict(), f"append (a={a[-1]}, b={b[-1]})")
-            for inst, a, b in appended_children(config)
+            (inst.to_json_dict(), a[-1], b[-1]) for inst, a, b in appended_children(config)
         ]
         assert len(expected) > report.instances_checked > 0
-        assert [(x.instance, x.lhs) for x in report.anomalies] == expected
-        assert {x.check for x in report.anomalies} == {"extension"}
-        assert all("multiplicity recursion fails" in x.rhs for x in report.anomalies)
+        assert [(x["instance"], x["a"], x["b"]) for x in report.anomalies] == expected
+        assert {(x["check"], x["kind"]) for x in report.anomalies} == {
+            ("extension", "append_failed")}
+        assert all("multiplicity recursion fails" in x["error"] for x in report.anomalies)
+        assert_anomalies_are_data(report)
 
     def test_gor3_divides_once_per_child_and_once_per_instance(self, monkeypatch):
         calls = []
@@ -840,13 +848,14 @@ class TestKernelFaults:
         config = extension_only(family, 2, 4)
         report = sweep.verify_all(config)
         expected = [
-            (inst.to_json_dict(), f"append (a={a[-1]}, b={b[-1]})")
-            for inst, a, b in appended_children(config)
+            (inst.to_json_dict(), a[-1], b[-1]) for inst, a, b in appended_children(config)
         ]
         assert len(expected) > report.instances_checked > 0
-        assert [(x.instance, x.lhs) for x in report.anomalies] == expected
-        assert {x.check for x in report.anomalies} == {"extension"}
-        assert all(message in x.rhs for x in report.anomalies)
+        assert [(x["instance"], x["a"], x["b"]) for x in report.anomalies] == expected
+        assert {(x["check"], x["kind"]) for x in report.anomalies} == {
+            ("extension", "append_failed")}
+        assert all(message in x["error"] for x in report.anomalies)
+        assert_anomalies_are_data(report)
 
 
 def _fault_child(monkeypatch, family, fault):
@@ -896,8 +905,8 @@ class TestExtensionLattice:
         report = sweep.verify_all(extension_only(family, 2, 5))
         filed = []
         for x in report.anomalies:
-            if not filed or filed[-1] != x.instance:
-                filed.append(x.instance)
+            if not filed or filed[-1] != x["instance"]:
+                filed.append(x["instance"])
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         expected = [
             X.to_json_dict() for X in enum(2, 5)
@@ -952,11 +961,8 @@ class TestBaseShiftFaults:
         )
         assert sweep.verify_all(extension_only(family, 2, 4)).anomalies == ()
         report = sweep.verify_all(sweep.SweepConfig(family, 2, 4))
-        assert "extension" not in {x.check for x in report.anomalies}
-        disagreements = [
-            x.instance for x in report.anomalies
-            if x.check == "shift_agreement" and x.lhs != "strictly increasing shifts"
-        ]
+        assert "extension" not in {x["check"] for x in report.anomalies}
+        disagreements = [x["instance"] for x in report.anomalies if x["kind"] == "shift_mismatch"]
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         assert disagreements == [X.to_json_dict() for X in enum(2, 4)]
 
@@ -986,20 +992,105 @@ def _family_faults(family, module):
     skew_value = functools.partial(_skew_route, family=family, route=value_route)
     return {
         (family, "shift_agreement", "m2"): (
-            functools.partial(_skew_shift, module=module), [r"Shifts\w+\(.*\)"]
+            functools.partial(_skew_shift, module=module), [("shift_mismatch", {})]
         ),
         (family, "shift_agreement", "m2_equals_m1"): (
             functools.partial(_set_shift, module=module, name="m2", value=lambda s: s.m1),
-            ["strictly increasing shifts"],
+            [("shifts_not_increasing", {})],
         ),
-        (family, f"{family}_bounds", "value"): (skew_value, [rf"{family}_upper: \d+"]),
-        (family, "hhs_bounds", "value"): (skew_value, [r"hhs_upper: \d+"]),
-        (family, "sharpness_purity", "value"): (skew_value, ["flags"]),
-        (family, "huneke_miller", "value"): (skew_value, [r"\d+"]),
+        (family, f"{family}_bounds", "value"): (
+            skew_value, [("bound_fails", {"name": f"{family}_upper", "holds": False})]
+        ),
+        (family, "hhs_bounds", "value"): (
+            skew_value, [("bound_fails", {"name": "hhs_upper", "holds": False})]
+        ),
+        (family, "sharpness_purity", "value"): (
+            skew_value, [("sharpness_mismatch", {"lower_sharp": False, "pure": True})]
+        ),
+        (family, "huneke_miller", "value"): (skew_value, [("huneke_miller_mismatch", {})]),
     }
 
 
+def _loosen_cm2_upper(monkeypatch):
+    """One more on the right side of the sharper cm2 upper bound: it still
+    holds everywhere, and is sharp nowhere."""
+    real = bounds.cm2_sides
+    monkeypatch.setattr(bounds, "cm2_sides", lambda *args: (*real(*args)[:3], real(*args)[3] + 1))
+
+
+# Each anomaly kind and the fields it carries after check, kind and
+# instance, as the README's table lists them.
+ANOMALY_FIELDS = {
+    "route_failed": ("route", "error"),
+    "routes_disagree": ("route", "value", "e"),
+    "shift_mismatch": ("shifts", "ends"),
+    "shifts_not_increasing": ("shifts",),
+    "bound_fails": ("name", "lhs", "relation", "rhs", "factor", "holds", "sharp"),
+    "equality_case_mismatch": ("name", "sharp", "entries_equal"),
+    "sharpness_mismatch": ("lower_sharp", "upper_sharp", "pure"),
+    "pure_formula_failed": ("shifts", "error"),
+    "huneke_miller_mismatch": ("huneke_miller", "e"),
+    "self_duality": ("step1", "m3"),
+    "append_failed": ("a", "b", "error"),
+    "kernel_inputs": ("error",),
+}
+
+# The string fields besides ``error``, each a name from a fixed set.
+NAMES = {
+    "route": {route for cls in EVALUATIONS.values() for route in cls.ROUTES},
+    "name": {f"{family}_{side}"
+             for family in ("hhs", "cm2", "gor3") for side in ("lower", "upper")},
+    "relation": {">=", "<="},
+}
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def assert_anomalies_are_data(report):
+    """Every anomaly of a sweep report (or of its JSON) is a plain JSON
+    object: ``check``, a documented ``kind`` and ``instance``, then that
+    kind's fields, each an int, a bool, a list of ints, ``error`` text or
+    a name; and neither the report's JSON nor its text holds a repr."""
+    doc = report if isinstance(report, dict) else report.to_json_dict()
+    checks = EVALUATIONS[doc["family"]].CHECKS
+    assert doc["anomalies"]
+    for x in doc["anomalies"]:
+        assert type(x) is dict and x["check"] in checks and type(x["instance"]) is dict, x
+        assert list(x) == ["check", "kind", "instance", *ANOMALY_FIELDS[x["kind"]]], x
+        for key in ANOMALY_FIELDS[x["kind"]]:
+            value = x[key]
+            if key == "error":
+                assert type(value) is str
+            elif key in NAMES:
+                assert value in NAMES[key], x
+            else:
+                assert type(value) in (int, bool) or (
+                    type(value) is list and {type(v) for v in value} <= {int}), x
+    report = sweep.SweepReport(**doc, runtime_seconds=0.0)
+    outputs = (json.dumps(doc), cli._summary_text(report))
+    for text in outputs:
+        for repr_start in ("Verdict(", "ShiftSummary(", "Purity(", "Shifts"):
+            assert repr_start not in text
+    assert outputs[1].count("  ANOMALY ") == len(doc["anomalies"])
+
+
+def test_readme_documents_every_anomaly_kind():
+    for kind, fields in ANOMALY_FIELDS.items():
+        assert f"| `{kind}` | {', '.join(f'`{f}`' for f in fields)} |" in README, kind
+
+
 NO_ROUTE = "route failed on purpose"
+
+# The anomalies of a block curve that cannot be formed: (check, kind,
+# fields before the error).
+LINKAGE_FAILED = ("multiplicity_agreement", "route_failed", {"route": "linkage"})
+KERNEL_INPUTS = ("extension", "kernel_inputs", {})
+
+
+def _route_failed(X, route, error=NO_ROUTE):
+    """The anomaly of a route that failed on X with ``error``."""
+    return {"check": "multiplicity_agreement", "kind": "route_failed",
+            "instance": X.to_json_dict(), "route": route, "error": error}
 
 
 def _fail_route(ev):
@@ -1038,22 +1129,31 @@ def _assert_blank(text, expected, blank):
 
 class TestCheckFaults:
     """Each fault, swept under ``checks=(name,)``, files anomalies under
-    that check only, and among them every listed ``lhs`` pattern."""
+    that check only, each of them data, and among them one of each
+    listed kind with the listed fields."""
 
     FAULTS = {
         ("cm2", "multiplicity_agreement", "route"): (
-            lambda mp: _skew_route(mp, "cm2", "resolution"), [r"uv=\d+"]
+            lambda mp: _skew_route(mp, "cm2", "resolution"),
+            [("routes_disagree", {"route": "resolution"})],
         ),
         ("gor3", "multiplicity_agreement", "route"): (
-            lambda mp: _skew_route(mp, "gor3", "linkage"), [r"pfaffian=\d+"]
+            lambda mp: _skew_route(mp, "gor3", "linkage"),
+            [("routes_disagree", {"route": "linkage"})],
         ),
-        ("cm2", "multiplicity_agreement", "uv_data"): (_break_uv_data, ["uv route"]),
+        ("cm2", "multiplicity_agreement", "uv_data"): (
+            _break_uv_data, [("route_failed", {"route": "uv"})]
+        ),
+        ("cm2", "cm2_bounds", "equality_case"): (
+            _loosen_cm2_upper,
+            [("equality_case_mismatch",
+              {"name": "cm2_upper", "sharp": False, "entries_equal": True})],
+        ),
         ("gor3", "shift_agreement", "m3"): (
-            lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1), [r"ShiftsGor3\(.*\)"]
+            lambda mp: _set_shift(mp, gor3, "m3", lambda s: s.m3 + 1), [("shift_mismatch", {})]
         ),
         ("gor3", "self_duality", "m3_zero"): (
-            lambda mp: _set_shift(mp, gor3, "m3", lambda s: 0),
-            [re.escape("step-1 shifts inside (0, m3)")],
+            lambda mp: _set_shift(mp, gor3, "m3", lambda s: 0), [("self_duality", {"m3": 0})],
         ),
         **_family_faults("cm2", cm2),
         **_family_faults("gor3", gor3),
@@ -1061,13 +1161,27 @@ class TestCheckFaults:
 
     @pytest.mark.parametrize("family, check, fault", sorted(FAULTS))
     def test_files_under_its_check_only(self, monkeypatch, family, check, fault):
-        inject, patterns = self.FAULTS[family, check, fault]
+        inject, expected = self.FAULTS[family, check, fault]
         inject(monkeypatch)
         report = sweep.verify_all(sweep.SweepConfig(family, 2, 4, checks=(check,)))
         assert report.instances_checked > 0
-        assert {x.check for x in report.anomalies} == {check}
-        for pattern in patterns:
-            assert any(re.fullmatch(pattern, x.lhs) for x in report.anomalies), pattern
+        assert {x["check"] for x in report.anomalies} == {check}
+        assert_anomalies_are_data(report)
+        for kind, fields in expected:
+            assert any(x["kind"] == kind and fields.items() <= x.items()
+                       for x in report.anomalies), (kind, fields)
+
+    def test_equality_case_fault_files_only_mismatches(self, monkeypatch):
+        """The loosened cm2 upper bound still holds everywhere: the
+        cm2_bounds check files exactly the instances whose entries
+        a_1..a_(t-1), b_1..b_(t-1) are all equal, where it is no longer
+        sharp, and no other anomaly."""
+        _loosen_cm2_upper(monkeypatch)
+        report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4, checks=("cm2_bounds",)))
+        assert {x["kind"] for x in report.anomalies} == {"equality_case_mismatch"}
+        expected = [A.to_json_dict() for A in sweep.enumerate_cm2(2, 4)
+                    if len({*A.a[:-1], *A.b[:-1]}) <= 1]
+        assert [x["instance"] for x in report.anomalies] == expected
 
     def test_uv_failure_filed_once(self, monkeypatch):
         """Under the default checks a failing u/v fact is filed once per
@@ -1080,9 +1194,9 @@ class TestCheckFaults:
         assert report.instances_checked == len(failures) > 0
         for inst, exc in failures:
             assert isinstance(exc, InternalMismatch)
-            filed = [(x.check, x.lhs) for x in report.anomalies
-                     if x.instance == inst and x.rhs == str(exc)]
-            assert filed == [("multiplicity_agreement", "uv route")]
+            filed = [(x["check"], x["kind"], x["route"]) for x in report.anomalies
+                     if x["instance"] == inst and x.get("error") == str(exc)]
+            assert filed == [("multiplicity_agreement", "route_failed", "uv")]
 
     @pytest.mark.parametrize("checks", [None, ("extension", "cm2_bounds", "shift_agreement")])
     def test_anomalies_follow_the_checks_order(self, monkeypatch, checks):
@@ -1092,8 +1206,8 @@ class TestCheckFaults:
         _skew_child_uv(monkeypatch)
         report = sweep.verify_all(sweep.SweepConfig("cm2", 2, 4, checks=checks))
         orders = [
-            [report.checks.index(x.check) for x in group]
-            for _, group in itertools.groupby(report.anomalies, key=lambda x: x.instance)
+            [report.checks.index(x["check"]) for x in group]
+            for _, group in itertools.groupby(report.anomalies, key=lambda x: x["instance"])
         ]
         both = {report.checks.index("extension"), report.checks.index("shift_agreement")}
         assert any(both <= set(order) for order in orders)
@@ -1118,9 +1232,8 @@ class TestCheckFaults:
         if checks is not None and "multiplicity_agreement" not in checks:
             routes = routes[:1]
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
-        assert [(a["instance"], a["check"], a["lhs"], a["rhs"]) for a in report["anomalies"]] == [
-            (X.to_json_dict(), "multiplicity_agreement", f"{name} route", NO_ROUTE)
-            for X in enum(1, 2) for name in routes
+        assert report["anomalies"] == [
+            _route_failed(X, name) for X in enum(1, 2) for name in routes
         ]
         assert report["sharp_cases"] == report["prop24_findings"] == []
 
@@ -1138,9 +1251,9 @@ class TestCheckFaults:
         _assert_blank(out, expected, _from_e)
 
     @pytest.mark.parametrize("checks, filed", [
-        (("multiplicity_agreement",), [("multiplicity_agreement", "linkage route")]),
-        (("extension",), [("extension", "kernel inputs")]),
-        (None, [("multiplicity_agreement", "linkage route"), ("extension", "kernel inputs")]),
+        (("multiplicity_agreement",), [LINKAGE_FAILED]),
+        (("extension",), [KERNEL_INPUTS]),
+        (None, [LINKAGE_FAILED, KERNEL_INPUTS]),
     ])
     def test_block_curve_failure_filed(self, monkeypatch, checks, filed):
         """A block curve that cannot be formed fails the linkage route and
@@ -1153,9 +1266,10 @@ class TestCheckFaults:
         report = sweep.verify_all(sweep.SweepConfig("gor3", 1, 2, checks=checks))
         instances = [G.to_json_dict() for G in sweep.enumerate_gor3(1, 2)]
         assert report.instances_checked == len(instances) > 0
-        assert [(x.instance, x.check, x.lhs, x.rhs) for x in report.anomalies] == [
-            (inst, check, lhs, "block curve failed on purpose")
-            for inst in instances for check, lhs in filed
+        assert list(report.anomalies) == [
+            {"check": check, "kind": kind, "instance": inst, **fields,
+             "error": "block curve failed on purpose"}
+            for inst in instances for check, kind, fields in filed
         ]
 
     @pytest.mark.parametrize("checks", [None, ("hhs_bounds",)])
@@ -1177,9 +1291,8 @@ class TestCheckFaults:
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert err == "" and report["instances_checked"] == len(instances)
-        assert [(a["instance"], a["check"], a["lhs"], a["rhs"]) for a in report["anomalies"]] == [
-            (G.to_json_dict(), "multiplicity_agreement", "resolution route", "planted")
-            for G in instances
+        assert report["anomalies"] == [
+            _route_failed(G, "resolution", "planted") for G in instances
         ]
         assert report["sharp_cases"] == []
         assert cli.main([*argv, "--format", "csv"]) == 1
@@ -1198,10 +1311,7 @@ class TestCheckFaults:
         report = sweep.verify_all(sweep.SweepConfig(family, 2, 3, checks=checks))
         enum = sweep.enumerate_cm2 if family == "cm2" else sweep.enumerate_gor3
         assert not report.ok
-        assert [(a.instance, a.check, a.lhs, a.rhs) for a in report.anomalies] == [
-            (X.to_json_dict(), "multiplicity_agreement", f"{route} route", NO_ROUTE)
-            for X in enum(2, 3)
-        ]
+        assert list(report.anomalies) == [_route_failed(X, route) for X in enum(2, 3)]
 
     @pytest.mark.parametrize("family", ["cm2", "gor3"])
     def test_failed_value_route_runs_no_later_route(self, monkeypatch, family):
@@ -1221,10 +1331,7 @@ class TestCheckFaults:
         stream = io.StringIO()
         report = sweep.write_sweep_csv(sweep.SweepConfig(family, 2, 3, checks=checks), stream)
         assert calls == []
-        assert [(a.instance, a.check, a.lhs, a.rhs) for a in report.anomalies] == [
-            (X.to_json_dict(), "multiplicity_agreement", f"{value_route} route", NO_ROUTE)
-            for X in enum(2, 3)
-        ]
+        assert list(report.anomalies) == [_route_failed(X, value_route) for X in enum(2, 3)]
         assert report.sharp_cases == report.prop24_findings == ()
         _assert_blank(stream.getvalue(), expected, _from_e)
 
