@@ -61,12 +61,16 @@ class BettiTable:
 
         Steps must cover 1..p without gaps; multiple entries on one
         (step, shift) key are summed.  The codimension must lie in
-        1..p, and every shift and every summed rank must be >= 1.
+        1..p, and every shift and every rank must be >= 1.
         """
         by_step: dict[int, dict[int, int]] = {}
         for step, shift, rank in entries:
             if step < 1:
                 raise ValueError(f"steps are 1-based, got {step}")
+            if shift < 1:
+                raise ValueError(f"shifts must be >= 1, got {shift}")
+            if rank < 1:
+                raise ValueError(f"ranks must be >= 1, got {rank}")
             by_step.setdefault(step, {})
             by_step[step][shift] = by_step[step].get(shift, 0) + rank
         if not by_step:
@@ -79,12 +83,6 @@ class BettiTable:
         steps = tuple(
             tuple(sorted(by_step[i].items())) for i in range(1, p + 1)
         )
-        for step in steps:
-            for shift, rank in step:
-                if shift < 1:
-                    raise ValueError(f"shifts must be >= 1, got {shift}")
-                if rank < 1:
-                    raise ValueError(f"ranks must be >= 1, got {rank}")
         return cls(codim=codim, steps=steps)
 
     @property

@@ -18,16 +18,17 @@ step lists: purity, and each bound's cleared sides and flags from the
 side functions of :mod:`bounds`.  ``e`` is the value route's value or
 nothing, never another route's; a route that fails on a valid matrix is
 an anomaly in every verb, filed by a sweep under multiplicity_agreement
-and raised by a hunt.  Sweeps and hunts stream the enumeration through
-one ordered driver; a sweep makes one pass per instance, deciding the
-enabled checks on those integers as plain code and rendering the
-family's CSV line with one f-string, which is what a worker sends back
-through the pipe.  A bound's JSON object (:func:`bounds.shown`) is made
-only where a report shows one: a ``bound_fails`` anomaly, a prop24
-finding and a hunt's candidate.  Every instance builds its degree lists
-once, none is sorted or searched, and nothing is cached across
-instances.  Reports are deterministic: byte-identical across runs and
-across worker counts, so wall-clock runtime is kept off them.
+and raised by a hunt.  Sweeps and hunts share one loop over one ordered
+driver of the family's enumeration, a hunt's candidate in a sweep's
+finding slot; a sweep makes one pass per instance, deciding the enabled
+checks on those integers as plain code and rendering the family's CSV
+line with one f-string, which is what a worker sends back through the
+pipe.  A bound's JSON object (:func:`bounds.shown`) is made only where a
+report shows one: a ``bound_fails`` anomaly, a prop24 finding and a
+hunt's candidate.  Every instance builds its degree lists once, none is
+sorted or searched, and nothing is cached across instances.  Reports are
+deterministic: byte-identical across runs and across worker counts, so
+wall-clock runtime is kept off them.
 """
 from __future__ import annotations
 
@@ -48,11 +49,6 @@ from .errors import (
     InternalMismatch,
     UnknownTarget,
 )
-
-HUNT_TARGETS = {
-    "srinivasan_upper_gor3": "gor3",
-    "prop24_bound": "cm2",
-}
 
 SWEEP_CSV_COLUMNS = (
     "family", "t", "a", "b", "d",
@@ -85,7 +81,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.family not in EVALUATIONS:
-            raise ValueError(f"family must be cm2 or gor3, got {self.family!r}")
+            raise ValueError(f"family must be {' or '.join(EVALUATIONS)}, got {self.family!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.entry_max < 0:
@@ -195,7 +191,7 @@ def _counts_by_t(family: str, E: int) -> Iterator[int]:
     holds at least 2^t instances.
     """
     rest = range(E, 0, -1)  # E - n + 1 for n = 1..E
-    ways = [1] * E if family == "cm2" else list(rest)
+    ways = list(rest) if EVALUATIONS[family].CENTER else [1] * E
     while True:
         ends = list(map(mul, ways, rest))
         total = sum(ends)
@@ -284,7 +280,13 @@ class Evaluation:
 
     ``CHECKS``, the family's one table of anomaly checks, is in report
     order, and ``FINDINGS`` names the open bounds a sweep reports as
-    findings; ``sweep_row`` runs the enabled ones as plain code.
+    findings; ``sweep_row`` runs the enabled ones as plain code.  Each
+    family declares once its enumerator ``ENUMERATE``, whether it adds a
+    center d in [a_1, entry_max] to the block (``CENTER``, which
+    :func:`count_instances` reads) and its hunt: the ``TARGET`` and the
+    open upper bound searched, ``OPEN`` in :data:`bounds.FACTORS`, its
+    cleared sides ``open_sides(shifts, e)`` and :meth:`hypotheses`
+    (whether they hold, and the fields a candidate shows).
     """
 
     family: str
@@ -421,6 +423,20 @@ class Evaluation:
         found += [("extension", "append_failed", {"a": a, "b": b, "error": str(exc)})
                   for a, b, exc in failures]
 
+    def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
+        """A violation of the family's open upper bound, optionally only
+        under its hypotheses, which are read only on a violation; only a
+        violation is shown (:func:`bounds.shown`)."""
+        sides = self.open_sides(self.shifts, self.e)
+        if sides[-2] <= sides[-1]:
+            return None
+        holds, hyp = self.hypotheses()
+        if require_hypotheses and not holds:
+            return None
+        v = bounds.shown(self.OPEN, sides, bounds.FACTORS[self.OPEN])[-1]
+        return {"instance": self.instance.to_json_dict(), **self.shifts._asdict(), "e": self.e,
+                "lhs": v["lhs"], "rhs": v["rhs"], "factor": v["factor"], **hyp}
+
     def _row(self, line: str | None, found: list, on: dict[str, int], pure: bool | None,
              finding: dict | None) -> tuple:
         """The row's (CSV line or None, anomalies, sharp case, finding or
@@ -454,6 +470,10 @@ class CM2Evaluation(Evaluation):
     FINDINGS = ("prop24",)
     # The total degree of both sides of the extension recursion in (a, b).
     DEGREE = 2
+    ENUMERATE = staticmethod(enumerate_cm2)
+    CENTER = False
+    TARGET, OPEN = "prop24_bound", "prop24"
+    open_sides = staticmethod(bounds.prop24_sides)
 
     @property
     def block(self) -> cm2.DegreeMatrixCM2:
@@ -523,19 +543,9 @@ class CM2Evaluation(Evaluation):
             )
         return self._row(line, found, on, pure, finding)
 
-    def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
-        """A violation of the prop24 bound, optionally only under a
-        hypothesis; only a violation is shown (:func:`bounds.shown`)."""
-        s, e = self.shifts, self.e
-        sides = bounds.prop24_sides(s, e)
-        if sides[0] <= sides[1]:
-            return None
-        hyp = bounds.prop24_hypotheses(self.instance, s)
-        if require_hypotheses and not (hyp["hyp_i"] or hyp["hyp_ii"]):
-            return None
-        (v,) = bounds.shown("prop24", sides, bounds.FACTORS["prop24"])
-        return {"instance": self.instance.to_json_dict(), **s._asdict(), "e": e,
-                "lhs": v["lhs"], "rhs": v["rhs"], "factor": v["factor"], **hyp}
+    def hypotheses(self) -> tuple[bool, dict]:
+        hyp = bounds.prop24_hypotheses(self.instance, self.shifts)
+        return hyp["hyp_i"] or hyp["hyp_ii"], hyp
 
 
 class Gor3Evaluation(Evaluation):
@@ -555,6 +565,10 @@ class Gor3Evaluation(Evaluation):
     FINDINGS = ()
     # The total degree of both sides of each extension recursion in (a, b).
     DEGREE = 3
+    ENUMERATE = staticmethod(enumerate_gor3)
+    CENTER = True
+    TARGET, OPEN = "srinivasan_upper_gor3", "srinivasan"
+    open_sides = staticmethod(bounds.srinivasan_sides)
     # Built on first read: the step lists, for the resolution route and the table
     # tier, and the block curve (e(R/J), g), for the linkage route and the extension.
     steps: tuple | None = None
@@ -624,23 +638,13 @@ class Gor3Evaluation(Evaluation):
             )
         return self._row(line, found, on, pure, None)
 
-    def hunt_candidate(self, require_hypotheses: bool) -> dict | None:
-        """A violation of Srinivasan's upper bound, optionally only under
-        quasi-purity, the hypothesis under which the bound is claimed;
-        only a violation is shown (:func:`bounds.shown`)."""
-        s, e = self.shifts, self.e
-        sides = bounds.srinivasan_sides(s, e)
-        if sides[2] <= sides[3]:
-            return None
-        if require_hypotheses and not betti.purity(s)[1]:
-            return None
-        _, v = bounds.shown("srinivasan", sides, bounds.FACTORS["srinivasan"])
-        return {"instance": self.instance.to_json_dict(), **s._asdict(), "e": e,
-                "lhs": v["lhs"], "rhs": v["rhs"], "factor": v["factor"]}
+    def hypotheses(self) -> tuple[bool, dict]:
+        return betti.purity(self.shifts)[1], {}  # quasi-purity, shown by no field
 
 
-# The evaluation class of each family.
+# The evaluation class of each family, and the family each hunt target searches.
 EVALUATIONS: dict[str, type[Evaluation]] = {"cm2": CM2Evaluation, "gor3": Gor3Evaluation}
+HUNT_TARGETS = {cls.TARGET: family for family, cls in EVALUATIONS.items()}
 
 
 def evaluate(instance: cm2.DegreeMatrixCM2 | gor3.DegreeMatrixGor3) -> Evaluation:
@@ -665,8 +669,7 @@ def _ordered(fn: Callable, config: SweepConfig) -> Iterator:
     instances go to worker processes and come back in order, so the
     stream is identical at every parallelism level.
     """
-    enum = enumerate_cm2 if config.family == "cm2" else enumerate_gor3
-    items = enum(config.t_max, config.entry_max)
+    items = EVALUATIONS[config.family].ENUMERATE(config.t_max, config.entry_max)
     jobs = min(config.jobs, os.cpu_count() or 1)
     if jobs == 1:
         yield from map(fn, items)
@@ -682,19 +685,14 @@ def _sweep_instance(item, cls: type, order: dict[str, int], entry_max: int, csv:
     return cls(item, "multiplicity_agreement" in order).sweep_row(order, entry_max, csv)
 
 
-def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
+def _drive(fn: Callable, config: SweepConfig, stream: TextIO | None) -> tuple:
+    """The one loop of sweeps and hunts: (instances, anomalies, sharp cases,
+    findings, seconds) of ``fn``'s rows in range, each CSV line written to ``stream``."""
     start = time.perf_counter()
     n = 0
     anomalies: list[dict] = []
     sharps: list[dict] = []
     findings: list[dict] = []
-    fn = partial(
-        _sweep_instance,
-        cls=EVALUATIONS[config.family],
-        order={name: i for i, name in enumerate(config.checks)},
-        entry_max=config.entry_max,
-        csv=stream is not None,
-    )
     for line, found, sharp, finding in _ordered(fn, config):
         n += 1
         anomalies.extend(found)
@@ -704,16 +702,24 @@ def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
             findings.append(finding)
         if line is not None:
             stream.write(line)
+    return n, tuple(anomalies), tuple(sharps), tuple(findings), time.perf_counter() - start
+
+
+def _sweep(config: SweepConfig, stream: TextIO | None) -> SweepReport:
+    fn = partial(_sweep_instance, cls=EVALUATIONS[config.family],
+                 order={name: i for i, name in enumerate(config.checks)},
+                 entry_max=config.entry_max, csv=stream is not None)
+    n, anomalies, sharps, findings, runtime = _drive(fn, config, stream)
     return SweepReport(
         family=config.family,
         t_max=config.t_max,
         entry_max=config.entry_max,
         checks=config.checks,
         instances_checked=n,
-        anomalies=tuple(anomalies),
-        sharp_cases=tuple(sharps),
-        prop24_findings=tuple(findings),
-        runtime_seconds=time.perf_counter() - start,
+        anomalies=anomalies,
+        sharp_cases=sharps,
+        prop24_findings=findings,
+        runtime_seconds=runtime,
     )
 
 
@@ -747,11 +753,11 @@ def target_family(target: str) -> str:
     return HUNT_TARGETS[target]
 
 
-def _hunt_instance(item, cls: type, require_hypotheses: bool) -> dict | None:
-    """The candidate of one instance; a hunt raises a failed value route."""
+def _hunt_instance(item, cls: type, require_hypotheses: bool) -> tuple:
+    """One instance's row, its candidate in the finding slot; a failed value route raises."""
     ev = cls(item, False)
     ev.agree()
-    return ev.hunt_candidate(require_hypotheses)
+    return None, (), None, ev.hunt_candidate(require_hypotheses)
 
 
 def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> HuntReport:
@@ -764,14 +770,8 @@ def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> 
     family = target_family(target)
     if config.family != family:
         raise ValueError(f"target {target} needs family {family}, got {config.family}")
-    start = time.perf_counter()
-    n = 0
-    candidates: list[dict] = []
     fn = partial(_hunt_instance, cls=EVALUATIONS[family], require_hypotheses=require_hypotheses)
-    for cand in _ordered(fn, config):
-        n += 1
-        if cand is not None:
-            candidates.append(cand)
+    n, _, _, candidates, runtime = _drive(fn, config, None)
     return HuntReport(
         target=target,
         family=family,
@@ -779,8 +779,8 @@ def hunt(target: str, config: SweepConfig, require_hypotheses: bool = False) -> 
         entry_max=config.entry_max,
         require_hypotheses=require_hypotheses,
         instances_checked=n,
-        candidates=tuple(candidates),
-        runtime_seconds=time.perf_counter() - start,
+        candidates=candidates,
+        runtime_seconds=runtime,
     )
 
 

@@ -55,6 +55,11 @@ class TestBettiTable:
             table(1, [(1, 2, 0)])
         with pytest.raises(ValueError):
             table(3, [(1, 1, 1), (2, 2, 1)])  # codim > p
+        # Each entry is checked, not the sum on its (step, shift).
+        with pytest.raises(ValueError, match="ranks must be >= 1, got -1"):
+            table(2, [(1, 2, 1), (1, 3, 1), (2, 5, 2), (2, 5, -1)])
+        with pytest.raises(ValueError, match="ranks must be >= 1, got 0"):
+            table(1, [(1, 2, 1), (1, 2, 0)])
 
     def test_json_round_trip(self):
         doc = GOR3_TABLE.to_json_dict()

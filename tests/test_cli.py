@@ -412,6 +412,33 @@ class TestHunt:
         assert code == 2
         assert "unknown target" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("target, t_max, entry_max, found", [
+        ("prop24_bound", "3", "3", 4), ("srinivasan_upper_gor3", "4", "4", 10),
+    ])
+    def test_text_summary_matches_json(self, capsys, target, t_max, entry_max, found, jobs):
+        """Every line of a hunt's text summary but its runtime, one per
+        candidate included, reads the JSON report of the same hunt."""
+        argv = ["hunt", "--target", target, "--t-max", t_max, "--entry-max", entry_max,
+                "--jobs", jobs]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert len(doc["candidates"]) == found
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        *lines, runtime = out.splitlines()
+        assert runtime.startswith("runtime: ") and runtime.endswith("s")
+        expected = [f"hunt {target}: t <= {t_max}, entries <= {entry_max}",
+                    f"instances checked: {doc['instances_checked']}",
+                    f"candidates: {found}"]
+        for c in doc["candidates"]:
+            inst = c["instance"]
+            d = f" d={inst['d']}" if "d" in inst else ""
+            expected.append(f"  CANDIDATE a={','.join(map(str, inst['a']))} "
+                            f"b={','.join(map(str, inst['b']))}{d}: {c['lhs']} vs {c['rhs']}")
+        assert lines == expected
+
     def test_require_hypotheses_flag(self, capsys):
         code, out, _ = run(
             capsys, "hunt", "--target", "prop24_bound",
@@ -522,6 +549,20 @@ class TestStrictIntegers:
         path.write_text(json.dumps(doc))
         for verb in ("validate", "compute"):
             assert run(capsys, verb, "--in", str(path)) == (2, "", line)
+
+    @pytest.mark.parametrize("steps, rank", [
+        ([[[2, 1], [3, 1]], [[5, 2], [5, -1]]], -1),
+        ([[[2, 1], [3, 1]], [[5, 1], [5, 0]]], 0),
+    ], ids=["negative", "zero"])
+    def test_each_rank_checked_before_summing(self, capsys, tmp_path, steps, rank):
+        """A rank below 1 is refused even where the ranks on its shift
+        sum to at least 1, so no table is built from it."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"codim": 2, "steps": steps}))
+        line = f"error: ranks must be >= 1, got {rank}\n"
+        for verb in ("validate", "compute"):
+            for fmt in ("text", "json"):
+                assert run(capsys, verb, "--in", str(path), "--format", fmt) == (2, "", line)
 
     @pytest.mark.parametrize("doc, line", [
         ({"type": "cm2", "a": "12", "b": "21"},
@@ -939,6 +980,24 @@ class TestEntryPoint:
 
     def test_closed_pipe_ends_quietly_with_every_check(self):
         assert self.close_after_header("--t-max", "4", "--entry-max", "5") == (1, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--cm2", "--t-max", "3", "--entry-max", "4", "--format", "csv"),
+        ("hunt", "--target", "prop24_bound", "--t-max", "3", "--entry-max", "4",
+         "--format", "json"),
+    ], ids=["sweep", "hunt"])
+    def test_no_pool_left_open_under_dev_mode(self, argv):
+        """At two jobs under ``-X dev -W error``, where a worker pool left
+        running warns on stderr, a verb writes nothing there, and prints
+        what it prints plainly at one job (on one core no pool is made)."""
+        plain = self.degmult(*argv, "--jobs", "1")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "degmult", *argv, "--jobs", "2"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.stderr == ""
+        assert (proc.returncode, proc.stdout) == (plain.returncode, plain.stdout)
+        assert plain.stdout and plain.stderr == ""
 
     def test_hunt_hit_exits_1(self):
         proc = self.degmult("hunt", "--target", "prop24_bound", "--t-max", "3",

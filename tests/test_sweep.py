@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 
 from degmult import betti, bounds, cli, cm2, gor3, oracle, sweep
-from degmult.errors import DivisionError, InternalMismatch, UnknownTarget
+from degmult.errors import DivisibilityError, DivisionError, InternalMismatch, UnknownTarget
 from degmult.sweep import EVALUATIONS
 
 from bruteforce import (
@@ -1182,6 +1182,29 @@ class TestCheckFaults:
         expected = [A.to_json_dict() for A in sweep.enumerate_cm2(2, 4)
                     if len({*A.a[:-1], *A.b[:-1]}) <= 1]
         assert [x["instance"] for x in report.anomalies] == expected
+
+    @pytest.mark.parametrize("family", ["cm2", "gor3"])
+    def test_pure_formula_failure_files_the_pure_instances(self, monkeypatch, family):
+        """A pure shift formula that raises is filed under huneke_miller
+        on exactly the pure instances, with their shifts and the error."""
+        cls = EVALUATIONS[family]
+        evs = [sweep.evaluate(X) for X in cls.ENUMERATE(2, 4)]
+        error = "no such pure table exists"
+
+        def fail(shifts):
+            raise DivisibilityError(error)
+
+        monkeypatch.setattr(betti, "pure_shifts_multiplicity", fail)
+        report = sweep.verify_all(sweep.SweepConfig(family, 2, 4, checks=("huneke_miller",)))
+        assert_anomalies_are_data(report)
+        expected = [
+            {"check": "huneke_miller", "kind": "pure_formula_failed",
+             "instance": ev.instance.to_json_dict(), "shifts": list(ev.ends[:cls.codim]),
+             "error": error}
+            for ev in evs if betti.purity(ev.ends)[0]
+        ]
+        assert report.instances_checked == len(evs) > len(expected) > 0
+        assert list(report.anomalies) == expected
 
     def test_uv_failure_filed_once(self, monkeypatch):
         """Under the default checks a failing u/v fact is filed once per
